@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"samrpart/internal/geom"
 	"samrpart/internal/partition"
 )
@@ -13,20 +11,20 @@ import (
 // rank used to compute for itself by scanning the full owner table. It
 // survives for two jobs — as the differential oracle the tests hold the
 // distributed builders to (plans must match bit-for-bit, per rank), and as
-// the baseline the weak-scaling study and BenchmarkRepartitionPlan measure
-// the distributed builders against. SPMDConfig.CentralPlans routes a live
-// run through it.
+// the baseline the weak-scaling study (RepartitionPlanCost) and
+// BenchmarkRepartitionPlan measure the distributed builders against. No live
+// run is routed through it.
 
 // centralGhostPlans builds the ghost-exchange plan of every rank in one
 // global pass: each box is probed against the uniform-grid index, and the
 // resulting sends, receives, and local copies are appended to the owning
 // rank's plan. Per-plan canonical order comes from the shared finish step,
 // so a rank's plan here is bit-identical to buildGhostPlan's.
-func centralGhostPlans(a *partition.Assignment, size, ghost int, prefix string, perPair bool) []*ghostPlan {
+func centralGhostPlans(a *partition.Assignment, size, ghost int, prefix string) []*ghostPlan {
 	plans := make([]*ghostPlan, size)
 	needsRemote := make([]map[geom.Box]bool, size)
 	for r := range plans {
-		plans[r] = &ghostPlan{perPair: perPair}
+		plans[r] = &ghostPlan{}
 		needsRemote[r] = map[geom.Box]bool{}
 	}
 	idx := geom.NewIndex(a.Boxes)
@@ -47,13 +45,11 @@ func centralGhostPlans(a *partition.Assignment, size, ghost int, prefix string, 
 				continue
 			}
 			pl.recvs = append(pl.recvs, ghostRecv{
-				dstIdx: i, srcIdx: j, dst: bi, region: grown.Intersect(bj),
-				from: oj, tag: fmt.Sprintf("%sg%d-%d", prefix, i, j),
+				dstIdx: i, srcIdx: j, dst: bi, region: grown.Intersect(bj), from: oj,
 			})
 			needsRemote[oi][bi] = true
 			pl.sends = append(pl.sends, ghostSend{
-				dstIdx: j, srcIdx: i, src: bi, region: bj.Grow(ghost).Intersect(bi),
-				to: oj, tag: fmt.Sprintf("%sg%d-%d", prefix, j, i),
+				dstIdx: j, srcIdx: i, src: bi, region: bj.Grow(ghost).Intersect(bi), to: oj,
 			})
 		}
 	}

@@ -64,44 +64,87 @@ func comparePatchesBitExact(t *testing.T, fields int, got, want map[geom.Box]*am
 	}
 }
 
-// runBothModes runs the same config in coalesced and per-pair exchange mode
-// over fresh endpoint groups from mk and bit-compares the final global state.
-func runBothModes(t *testing.T, cfg SPMDConfig, mk func() []transport.Endpoint) {
-	t.Helper()
-	cfg.PerPairExchange = false
-	coal := runSPMD(t, mk(), cfg)
-	cfg.PerPairExchange = true
-	pair := runSPMD(t, mk(), cfg)
+// cellKey addresses one field value of the global solution.
+type cellKey struct {
+	pt geom.Point
+	f  int
+}
 
-	var coalReparts, coalMsgs, pairMsgs int64
-	for _, r := range coal {
-		coalReparts += int64(r.Repartitions)
-		coalMsgs += r.MsgsSent
+// composeCells reassembles every field of the global solution from per-rank
+// results, cell by cell — independent of how the partitioner cut the tiles —
+// and checks it covers the domain exactly once.
+func composeCells(t *testing.T, results []*SPMDResult, domain geom.Box, fields int) map[cellKey]float64 {
+	t.Helper()
+	cells := make(map[cellKey]float64, int(domain.Cells())*fields)
+	for _, p := range gatherPatches(t, results) {
+		p.EachInterior(func(pt geom.Point) {
+			for f := 0; f < fields; f++ {
+				cells[cellKey{pt, f}] = p.At(f, pt)
+			}
+		})
 	}
-	for _, r := range pair {
-		pairMsgs += r.MsgsSent
+	if int64(len(cells)) != domain.Cells()*int64(fields) {
+		t.Fatalf("composed solution holds %d values, want %d", len(cells), domain.Cells()*int64(fields))
 	}
-	if coalReparts == 0 {
+	return cells
+}
+
+// runAgainstOneRank runs cfg over a fresh multi-rank group from mk and the
+// same config on ONE rank (which owns every tile and sends nothing), and
+// requires the two final solutions to agree cell for cell in every field —
+// no tolerance. It is the end-to-end oracle of the whole data plane: plan
+// construction, coalesced frames, migration and the partition agreement all
+// have to be right for a distributed run to reproduce the serial one.
+func runAgainstOneRank(t *testing.T, cfg SPMDConfig, mk func() []transport.Endpoint) []*SPMDResult {
+	t.Helper()
+	multi := runSPMD(t, mk(), cfg)
+	one, err := transport.NewGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := cfg
+	ref.CapsAt = func(int) []float64 { return []float64{1} }
+	serial := runSPMD(t, one, ref)
+
+	var reparts, msgs int64
+	for _, r := range multi {
+		reparts += int64(r.Repartitions)
+		msgs += r.MsgsSent
+	}
+	if reparts == 0 {
 		t.Fatal("no repartition happened; the migration path went unexercised")
 	}
-	if coalMsgs == 0 || pairMsgs == 0 {
-		t.Fatalf("no data-plane messages counted (coalesced %d, per-pair %d)", coalMsgs, pairMsgs)
+	if msgs == 0 {
+		t.Fatal("no data-plane messages counted")
 	}
-	if coalMsgs >= pairMsgs {
-		t.Errorf("coalescing did not reduce message count: %d >= %d", coalMsgs, pairMsgs)
+	if serial[0].MsgsSent != 0 {
+		t.Fatalf("the one-rank reference sent %d messages", serial[0].MsgsSent)
 	}
-	comparePatchesBitExact(t, cfg.Kernel.NumFields(),
-		gatherPatches(t, coal), gatherPatches(t, pair))
+	fields := cfg.Kernel.NumFields()
+	got := composeCells(t, multi, cfg.Domain, fields)
+	want := composeCells(t, serial, cfg.Domain, fields)
+	bad := 0
+	for k, w := range want {
+		if g := got[k]; g != w {
+			if bad++; bad <= 3 {
+				t.Errorf("cell %v field %d: %.17g != %.17g (one rank)", k.pt, k.f, g, w)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d values differ from the one-rank reference", bad)
+	}
+	return multi
 }
 
 // TestSPMDCoalescedBitExact3D runs the 3D Euler solver across three ranks
 // with a mid-run capacity shift (forcing a repartition and migration) and
-// requires the coalesced frames to reproduce the per-pair exchange exactly,
-// cell for cell.
+// requires the coalesced frames to reproduce the one-rank run exactly, cell
+// for cell.
 func TestSPMDCoalescedBitExact3D(t *testing.T) {
 	cfg := euler3DConfig(10)
 	cfg.CapsAt = capsSwitcher(3)
-	runBothModes(t, cfg, func() []transport.Endpoint {
+	runAgainstOneRank(t, cfg, func() []transport.Endpoint {
 		eps, err := transport.NewGroup(3)
 		if err != nil {
 			t.Fatal(err)
@@ -123,22 +166,22 @@ func TestSPMDCoalescedBitExact3DOverTCP(t *testing.T) {
 		}
 		return caps
 	}
-	var groups [][]transport.Endpoint
-	defer func() {
-		for _, eps := range groups {
-			for _, ep := range eps {
-				ep.Close()
-			}
+	runAgainstOneRank(t, cfg, func() []transport.Endpoint { return tcpGroup(t, 3) })
+}
+
+// tcpGroup opens an n-rank TCP loopback group that closes with the test.
+func tcpGroup(t *testing.T, n int) []transport.Endpoint {
+	t.Helper()
+	eps, err := transport.NewTCPGroup(n, "127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, ep := range eps {
+			ep.Close()
 		}
-	}()
-	runBothModes(t, cfg, func() []transport.Endpoint {
-		eps, err := transport.NewTCPGroup(3, "127.0.0.1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups = append(groups, eps)
-		return eps
 	})
+	return eps
 }
 
 // haloPairOracle recomputes, straight from the assignment with the O(n^2)
@@ -175,8 +218,8 @@ func TestSPMDCoalescedMessageCount(t *testing.T) {
 	cfg.RepartEvery = 0 // static partition: halo traffic only
 	cfg.CapsAt = capsSwitcher(ranks)
 
-	// Recompute the initial assignment exactly as rank 0 does (no previous
-	// assignment at iteration 0, so no affinity remap applies).
+	// Recompute the initial assignment exactly as every rank does (no
+	// previous assignment at iteration 0, so no affinity remap applies).
 	assign, err := cfg.Partitioner.Partition(cfg.tiles(), cfg.CapsAt(0), partition.CellWork)
 	if err != nil {
 		t.Fatal(err)
@@ -203,27 +246,5 @@ func TestSPMDCoalescedMessageCount(t *testing.T) {
 		if res.MsgsRecvd != wantRecvd {
 			t.Errorf("rank %d received %d messages, want exactly %d", r, res.MsgsRecvd, wantRecvd)
 		}
-	}
-
-	// The per-pair fallback on the same partition sends one message per
-	// overlapping box pair, which must exceed the rank-pair count here.
-	epsPP, err := transport.NewGroup(ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.PerPairExchange = true
-	perPair := runSPMD(t, epsPP, cfg)
-	for r := range perPair {
-		if perPair[r].MsgsSent < results[r].MsgsSent {
-			t.Errorf("rank %d: per-pair sent %d < coalesced %d", r, perPair[r].MsgsSent, results[r].MsgsSent)
-		}
-	}
-	var coalTotal, ppTotal int64
-	for r := range results {
-		coalTotal += results[r].MsgsSent
-		ppTotal += perPair[r].MsgsSent
-	}
-	if ppTotal <= coalTotal {
-		t.Errorf("per-pair total %d should strictly exceed coalesced total %d", ppTotal, coalTotal)
 	}
 }

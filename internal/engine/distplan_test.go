@@ -16,10 +16,10 @@ func TestDistributedGhostPlansMatchOracle(t *testing.T) {
 		{16, 2}, {64, 4}, {256, 7}, {1024, 32},
 	} {
 		a := benchTileAssignment(tc.boxes, tc.ranks, 0)
-		central := centralGhostPlans(a, tc.ranks, 2, "e1-", false)
+		central := centralGhostPlans(a, tc.ranks, 2, "e1-")
 		for me := 0; me < tc.ranks; me++ {
 			var sc commScratch
-			got := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", false, &sc)
+			got := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", &sc)
 			if !ghostPlansEqual(got, central[me]) {
 				t.Fatalf("boxes=%d ranks=%d: rank %d distributed ghost plan differs from oracle",
 					tc.boxes, tc.ranks, me)
@@ -143,58 +143,45 @@ func TestMergeMine(t *testing.T) {
 	}
 }
 
-// runCentralAndDistributed runs the same config with the distributed plan
-// builders and with the centralized oracle over fresh endpoint groups and
-// bit-compares the final global state — the end-to-end form of the plan
-// differential, covering mid-run repartitions and migrations.
-func runCentralAndDistributed(t *testing.T, cfg SPMDConfig, mk func() []transport.Endpoint) {
-	t.Helper()
-	cfg.CentralPlans = false
-	dist := runSPMD(t, mk(), cfg)
-	cfg.CentralPlans = true
-	cent := runSPMD(t, mk(), cfg)
-	var reparts int64
-	for _, r := range dist {
-		reparts += int64(r.Repartitions)
-	}
-	if reparts == 0 {
-		t.Fatal("no repartition happened; the migration plans went unexercised")
-	}
-	comparePatchesBitExact(t, cfg.Kernel.NumFields(),
-		gatherPatches(t, dist), gatherPatches(t, cent))
-}
-
-// TestCentralPlansBitExact3D runs the 3D Euler solver across three ranks
-// with a mid-run capacity shift and requires the distributed plan builders
-// to reproduce the centralized path exactly, cell for cell.
-func TestCentralPlansBitExact3D(t *testing.T) {
-	cfg := euler3DConfig(10)
-	cfg.CapsAt = capsSwitcher(3)
-	runCentralAndDistributed(t, cfg, func() []transport.Endpoint {
-		eps, err := transport.NewGroup(3)
-		if err != nil {
-			t.Fatal(err)
+// TestDecodeAssignmentRejectsMalformed feeds the wire decoder forms no
+// healthy peer could have produced: each must fail instead of indexing out
+// of range.
+func TestDecodeAssignmentRejectsMalformed(t *testing.T) {
+	const n, ranks = 16, 4
+	prev := newAsnView(benchTileAssignment(n, ranks, 0), 0)
+	for name, wire := range map[string]wireAssignment{
+		"delta length mismatch":   {Delta: true, Changed: []int32{1, 2}, NewOwners: []int32{0}},
+		"delta box out of range":  {Delta: true, Changed: []int32{n}, NewOwners: []int32{0}},
+		"delta rank out of range": {Delta: true, Changed: []int32{1}, NewOwners: []int32{ranks}},
+		"full length mismatch":    {Boxes: prev.Boxes, Owners: prev.Owners[:n-1]},
+		"full rank out of range":  {Boxes: prev.Boxes[:1], Owners: []int{-1}},
+	} {
+		if _, err := decodeAssignment(prev, &wire, 0, ranks); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
-		return eps
-	})
+	}
+	if _, err := decodeAssignment(nil, &wireAssignment{Delta: true}, 0, ranks); err == nil {
+		t.Error("delta without a standing assignment accepted")
+	}
 }
 
-// TestCentralPlansBitExact3DOverTCP repeats the differential over real
-// sockets, per-pair exchange mode, so both plan paths also agree about
-// per-pair tags and message ordering on a buffered wire.
-func TestCentralPlansBitExact3DOverTCP(t *testing.T) {
+// TestDistributedPlansBitExact3DOverTCP is the end-to-end form of the plan
+// differential over real sockets: a live run is always routed through the
+// distributed per-rank builders (their per-rank identity with the central
+// builders is TestDistributed{Ghost,Mig}PlansMatchOracle), so with a mid-run
+// repartition and migration it must reproduce the one-rank run cell for
+// cell.
+func TestDistributedPlansBitExact3DOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP differential skipped in -short")
 	}
 	cfg := euler3DConfig(6)
 	cfg.RepartEvery = 3
-	cfg.CapsAt = capsSwitcher(3)
-	cfg.PerPairExchange = true
-	runCentralAndDistributed(t, cfg, func() []transport.Endpoint {
-		eps, err := transport.NewTCPGroup(3, "127.0.0.1")
-		if err != nil {
-			t.Fatal(err)
+	cfg.CapsAt = func(iter int) []float64 {
+		if iter >= 3 { // rank 0 gains what rank 2 loses: every rank sends and receives
+			return []float64{1.0 / 2, 1.0 / 3, 1.0 / 6}
 		}
-		return eps
-	})
+		return []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	}
+	runAgainstOneRank(t, cfg, func() []transport.Endpoint { return tcpGroup(t, 3) })
 }

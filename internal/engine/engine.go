@@ -67,19 +67,16 @@ type Config struct {
 	// (checkpoint.RotatedPath), so a corrupted primary file can fall back to
 	// an earlier intact epoch via checkpoint.LoadFileFallback.
 	CheckpointKeep int
-	// Fault, when set, crashes the given virtual node at the start of the
-	// given iteration: the node is saturated with an unbounded external
-	// load. When sensing is enabled (SenseEvery > 0) the engine re-senses
-	// and repartitions immediately so the surviving capacity absorbs the
-	// work (the virtual-cluster analogue of the SPMD runtime's rank
-	// recovery); a static configuration never notices and keeps the dead
-	// node's share assigned to it.
-	Fault *FaultPlan
-	// Faults schedules multi-event fault injection: crash, rejoin (the
-	// crash load is lifted and — with sensing on — the node's capacity
-	// flows back at the next repartition), pause and slow windows (gray
-	// failures: the node saturates or dilates for [Iter, Until)). It
-	// composes with Fault, which remains the single-crash shorthand.
+	// Faults schedules fault injection on the virtual cluster. A crash
+	// saturates the node with an unbounded external load from its iteration
+	// on; a rejoin lifts that load again; pause and slow windows are gray
+	// failures (the node saturates or dilates for [Iter, Until)). When
+	// sensing is enabled (SenseEvery > 0) the engine re-senses and
+	// repartitions immediately at a crash or rejoin, so the surviving
+	// capacity absorbs the work and flows back afterwards (the
+	// virtual-cluster analogue of the SPMD runtime's rank recovery); a
+	// static configuration never notices and keeps the dead node's share
+	// assigned to it.
 	Faults FaultSchedule
 	// Straggler enables the gray-failure detector on the control loop: the
 	// per-node compute times already charged by the cost model feed an
@@ -140,9 +137,6 @@ func (c Config) validate() error {
 	if c.CheckpointKeep < 0 {
 		return fmt.Errorf("engine: negative checkpoint retention")
 	}
-	if c.Fault != nil && (c.Fault.Rank < 0 || c.Fault.Iter < 0) {
-		return fmt.Errorf("engine: fault plan needs non-negative node and iteration")
-	}
 	if c.RepartitionThreshold < 0 || math.IsNaN(c.RepartitionThreshold) {
 		return fmt.Errorf("engine: repartition threshold %g must be >= 0", c.RepartitionThreshold)
 	}
@@ -168,10 +162,8 @@ type Engine struct {
 	tr          *trace.RunTrace
 	busySeconds []float64
 
-	// Fault-schedule state: the normalized schedule, the open crash load
-	// per node (closed again by a rejoin event), and the open gray-failure
-	// windows per schedule index.
-	sched     FaultSchedule
+	// Fault-schedule state: the open crash load per node (closed again by a
+	// rejoin event) and the open gray-failure windows per cfg.Faults index.
 	crashGens map[int]*faultWindow
 	grayGens  map[int]*faultWindow
 	strag     *monitor.StragglerDetector
@@ -219,17 +211,7 @@ func New(cfg Config, clus *cluster.Cluster) (*Engine, error) {
 	if wc, ok := cfg.App.(WorkerConfigurable); ok {
 		wc.SetWorkers(cfg.Workers)
 	}
-	if cfg.Fault != nil && cfg.Fault.Rank >= clus.NumNodes() {
-		return nil, fmt.Errorf("engine: fault plan targets node %d of %d",
-			cfg.Fault.Rank, clus.NumNodes())
-	}
-	// Normalize the legacy single-crash shorthand into the schedule and
-	// validate the composed script against the cluster size.
-	sched := append(FaultSchedule(nil), cfg.Faults...)
-	if cfg.Fault != nil {
-		sched = append(sched, FaultEvent{Kind: FaultCrash, Rank: cfg.Fault.Rank, Iter: cfg.Fault.Iter})
-	}
-	if err := sched.Validate(clus.NumNodes()); err != nil {
+	if err := cfg.Faults.Validate(clus.NumNodes()); err != nil {
 		return nil, err
 	}
 	mon.SetObs(cfg.Obs.Registry())
@@ -238,7 +220,6 @@ func New(cfg Config, clus *cluster.Cluster) (*Engine, error) {
 		clus:      clus,
 		mon:       mon,
 		hier:      h,
-		sched:     sched,
 		crashGens: make(map[int]*faultWindow),
 		grayGens:  make(map[int]*faultWindow),
 		strag:     monitor.NewStragglerDetector(clus.NumNodes(), cfg.Straggler),
@@ -735,8 +716,8 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 // that latency gap is exactly what the detector exists to close.
 func (e *Engine) applyFaults(iter int) error {
 	react := false
-	for evi := range e.sched {
-		ev := &e.sched[evi]
+	for evi := range e.cfg.Faults {
+		ev := &e.cfg.Faults[evi]
 		switch ev.Kind {
 		case FaultCrash:
 			if iter != ev.Iter {

@@ -108,17 +108,6 @@ func (fs FaultSchedule) Crashes() []FaultEvent {
 	return out
 }
 
-// CrashAt reports whether the schedule fail-stops the rank at iter — used
-// by the plain (non-FT) runner, where every crash is terminal.
-func (fs FaultSchedule) CrashAt(rank, iter int) bool {
-	for _, ev := range fs {
-		if ev.Kind == FaultCrash && ev.Rank == rank && ev.Iter == iter {
-			return true
-		}
-	}
-	return false
-}
-
 // WithoutRejoins strips rejoin events — the fail-stop baseline of the same
 // churn script, for A/B comparisons.
 func (fs FaultSchedule) WithoutRejoins() FaultSchedule {

@@ -101,7 +101,7 @@ func TestEngineNodeCrashRepartitions(t *testing.T) {
 	cfg := advectionConfig()
 	cfg.Iterations = 12
 	cfg.SenseEvery = 4
-	cfg.Fault = &FaultPlan{Rank: 2, Iter: 6}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 2, Iter: 6}}
 	e, err := New(cfg, clus)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestEngineNodeCrashRepartitions(t *testing.T) {
 // checkpoint configs.
 func TestEngineFaultValidation(t *testing.T) {
 	cfg := advectionConfig()
-	cfg.Fault = &FaultPlan{Rank: 9, Iter: 1}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 9, Iter: 1}}
 	if _, err := New(cfg, newCluster(t, 2)); err == nil {
 		t.Error("fault on nonexistent node accepted")
 	}
@@ -143,7 +143,7 @@ func TestEngineFaultValidation(t *testing.T) {
 		t.Error("CheckpointEvery without CheckpointPath accepted")
 	}
 	cfg3 := advectionConfig()
-	cfg3.Fault = &FaultPlan{Rank: -1, Iter: 1}
+	cfg3.Faults = FaultSchedule{{Kind: FaultCrash, Rank: -1, Iter: 1}}
 	if _, err := New(cfg3, newCluster(t, 2)); err == nil {
 		t.Error("negative fault rank accepted")
 	}

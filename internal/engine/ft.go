@@ -12,7 +12,6 @@ import (
 	"samrpart/internal/checkpoint"
 	"samrpart/internal/geom"
 	"samrpart/internal/monitor"
-	"samrpart/internal/obs"
 	"samrpart/internal/obs/trace"
 	"samrpart/internal/partition"
 	"samrpart/internal/transport"
@@ -40,7 +39,7 @@ const (
 	tagRejoinWelcome  = "rejoin-welcome"
 )
 
-// FTConfig enables and tunes fault tolerance for RunSPMDRank.
+// FTConfig turns the step loop's membership mode on and tunes it.
 //
 // Failure model: a rank crashes at an iteration boundary — it goes silent
 // before sending its heartbeat for iteration k (transport.Faulty's Kill and
@@ -51,8 +50,7 @@ const (
 // recovered: they surface as an ErrRankDown error from the run, failing fast
 // rather than risking a torn state.
 type FTConfig struct {
-	// Enabled turns the fault-tolerant runner on. It requires the endpoint
-	// to implement transport.TimedEndpoint.
+	// Enabled turns heartbeats, checkpoints, recovery and re-admission on.
 	Enabled bool
 	// HeartbeatEvery runs failure detection every N iterations (default 1).
 	// Heartbeats are collective: they also act as the agreement step that
@@ -114,25 +112,11 @@ func (c FTConfig) validate() error {
 	return nil
 }
 
-// FaultPlan injects a deterministic crash: rank Rank kills its endpoint at
-// the start of iteration Iter (before its heartbeat), exactly matching the
-// failure model FTConfig documents. It is the legacy single-event form of
-// SPMDConfig.Faults.
-type FaultPlan struct {
-	Rank int
-	Iter int
-}
-
-// hits reports whether the plan fires for (rank, iter).
-func (p *FaultPlan) hits(rank, iter int) bool {
-	return p != nil && p.Rank == rank && p.Iter == iter
-}
-
 // killEndpoint crashes the rank's endpoint through transport.Killer.
 func killEndpoint(ep transport.Endpoint) error {
 	k, ok := ep.(transport.Killer)
 	if !ok {
-		return fmt.Errorf("engine: fault plan requires a transport.Killer endpoint (wrap it in transport.Faulty)")
+		return fmt.Errorf("engine: a crash fault requires a transport.Killer endpoint (wrap it in transport.Faulty)")
 	}
 	k.Kill()
 	return nil
@@ -162,7 +146,9 @@ type welcomeMsg struct {
 	Owners []int
 }
 
-// spmdRun is the mutable state of one fault-tolerant SPMD rank.
+// spmdRun is the mutable state of one SPMD rank: the one runtime behind
+// RunSPMDRank and RejoinSPMDRank. Without FT.Enabled the membership fields
+// simply never change (all alive, epoch 0).
 type spmdRun struct {
 	cfg  SPMDConfig
 	ep   transport.TimedEndpoint
@@ -173,6 +159,14 @@ type spmdRun struct {
 	alive    []bool
 	epoch    int // bumped per recovery/admission; namespaces all tags
 	lastPart int // iteration of the last (re)partition
+	// prefix is the epoch's tag namespace ("e<epoch>-") and dtTag the dt
+	// reduce's tag under it, both rebuilt by setEpoch. One dt tag per epoch
+	// suffices: the inbox is FIFO per (from, tag), the same argument the
+	// fixed halo tag relies on.
+	prefix, dtTag string
+	// dtBuf/dtVals are the dt reduce's pooled encode/decode buffers.
+	dtBuf  []byte
+	dtVals []float64
 
 	// pendingJoin is the sticky set of dead ranks whose rejoin announce has
 	// been seen (locally or via a peer's heartbeat). It survives dirty
@@ -181,8 +175,7 @@ type spmdRun struct {
 
 	// faultFired marks schedule events already executed, so a rollback
 	// replaying the crash iteration does not re-fire the crash.
-	faultFired  []bool
-	legacyFired bool
+	faultFired []bool
 
 	// strag is this rank's replica of the shared straggler detector. Every
 	// rank feeds it the identical heartbeat-gossiped timing vector on clean
@@ -216,10 +209,25 @@ type spmdRun struct {
 	ckptErr error
 }
 
-// newSPMDRun builds the per-rank runner state (everything alive, epoch 0).
-func newSPMDRun(ep transport.TimedEndpoint, cfg SPMDConfig, res *SPMDResult) *spmdRun {
+// newSPMDRun validates the config against the endpoint and builds the
+// per-rank state (everything alive, epoch 0). Every blocking receive of the
+// run is bounded from here on, so a silently-dead peer yields
+// transport.ErrRankDown within the deadline instead of hanging the rank.
+func newSPMDRun(ep transport.Endpoint, cfg SPMDConfig) (*spmdRun, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Faults.Validate(ep.Size()); err != nil {
+		return nil, err
+	}
+	ted, ok := ep.(transport.TimedEndpoint)
+	if !ok {
+		return nil, fmt.Errorf("engine: the SPMD runner requires a transport.TimedEndpoint")
+	}
+	ted.SetDeadline(cfg.recvDeadline())
 	r := &spmdRun{
-		cfg: cfg, ep: ep, res: res,
+		cfg: cfg, ep: ted,
+		res:         &SPMDResult{Rank: ep.Rank(), RestoredFrom: -1},
 		data:        cfg.recvDeadline(),
 		ctrl:        cfg.controlDeadline(),
 		alive:       make([]bool, ep.Size()),
@@ -232,29 +240,9 @@ func newSPMDRun(ep transport.TimedEndpoint, cfg SPMDConfig, res *SPMDResult) *sp
 	for i := range r.alive {
 		r.alive[i] = true
 	}
+	r.setEpoch(0)
 	r.resetStraggler()
-	return r
-}
-
-// runSPMDFT is the fault-tolerant SPMD loop: heartbeat detection, collective
-// agreement on the dead set, checkpoint-based rollback recovery, and
-// rank re-admission.
-func runSPMDFT(ep transport.Endpoint, cfg SPMDConfig, res *SPMDResult) (*SPMDResult, error) {
-	ted, ok := ep.(transport.TimedEndpoint)
-	if !ok {
-		return nil, fmt.Errorf("engine: fault tolerance requires a transport.TimedEndpoint")
-	}
-	r := newSPMDRun(ted, cfg, res)
-	start := 0
-	if cfg.FT.ResumeFrom > 0 {
-		start = cfg.FT.ResumeFrom
-	}
-	actual, err := r.setup(start)
-	if err != nil {
-		return nil, err
-	}
-	r.stable, r.durable = actual, actual
-	return r.loop(actual, false)
+	return r, nil
 }
 
 // RejoinSPMDRank re-enters a previously crashed rank into a running SPMD
@@ -266,31 +254,28 @@ func runSPMDFT(ep transport.Endpoint, cfg SPMDConfig, res *SPMDResult) (*SPMDRes
 // slot the crashed process held and implement transport.TimedEndpoint and
 // transport.Poller (transport.Faulty over the built-in transports does).
 func RejoinSPMDRank(ep transport.Endpoint, cfg SPMDConfig) (*SPMDResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if !cfg.FT.Enabled {
 		return nil, fmt.Errorf("engine: rejoin requires FT.Enabled")
 	}
-	ted, ok := ep.(transport.TimedEndpoint)
-	if !ok {
-		return nil, fmt.Errorf("engine: fault tolerance requires a transport.TimedEndpoint")
+	r, err := newSPMDRun(ep, cfg)
+	if err != nil {
+		return nil, err
 	}
-	ted.SetDeadline(cfg.recvDeadline())
-	res := &SPMDResult{Rank: ep.Rank(), RestoredFrom: -1}
-	r := newSPMDRun(ted, cfg, res)
 	w, err := r.rejoin()
 	if err != nil {
 		return nil, err
 	}
-	res.Rejoined = true
+	r.res.Rejoined = true
 	return r.loop(w.Iter, true)
 }
 
-// loop runs the step loop from start. skipCtl skips the fault/heartbeat
-// control phase of the FIRST iteration only: a just-admitted rank was
-// implicitly part of the round that admitted it, so it must go straight to
-// the checkpoint/step half the survivors are about to execute.
+// loop runs the step loop from start: per iteration, scheduled faults, then
+// — only with FT.Enabled — heartbeat agreement (recovering or admitting as
+// it dictates) and checkpointing, then one step. skipCtl skips the
+// fault/heartbeat control phase of the FIRST iteration only: a
+// just-admitted rank was implicitly part of the round that admitted it, so
+// it must go straight to the checkpoint/step half the survivors are about to
+// execute.
 func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 	cfg, res := r.cfg, r.res
 	hbEvery := cfg.FT.HeartbeatEvery
@@ -310,8 +295,8 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 				// A pause is a gray failure: the rank goes silent at the
 				// boundary (peers will declare it dead and recover) and
 				// immediately asks back in. A crash with a scheduled rejoin
-				// models the process being restarted; without one it is
-				// fail-stop.
+				// models the process being restarted; without one — always,
+				// with membership off — it is fail-stop.
 				if ev.Kind == FaultCrash && !r.rejoinScheduled(iter) {
 					res.Crashed = true
 					r.ckptWG.Wait()
@@ -326,7 +311,7 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 				skipCtl = true
 				continue
 			}
-			if iter%hbEvery == 0 {
+			if cfg.FT.Enabled && iter%hbEvery == 0 {
 				newDead, joins, err := r.heartbeat(iter)
 				if err != nil {
 					return nil, err
@@ -353,7 +338,7 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 			}
 		}
 		skipCtl = false
-		if cfg.FT.CheckpointEvery > 0 && iter > 0 && iter%cfg.FT.CheckpointEvery == 0 {
+		if cfg.FT.Enabled && cfg.FT.CheckpointEvery > 0 && iter > 0 && iter%cfg.FT.CheckpointEvery == 0 {
 			if err := r.writeCheckpoint(iter); err != nil {
 				return nil, err
 			}
@@ -370,11 +355,7 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 	if ckptErr != nil {
 		return nil, fmt.Errorf("engine: async checkpoint failed: %w", ckptErr)
 	}
-	for rank, a := range r.alive {
-		if !a {
-			res.DeadRanks = append(res.DeadRanks, rank)
-		}
-	}
+	res.DeadRanks = r.deadList()
 	finalizeSPMD(res, r.patches)
 	r.sc.om.sync(res)
 	return res, nil
@@ -382,20 +363,20 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 
 func (r *spmdRun) me() int { return r.ep.Rank() }
 
-// prefix namespaces all tags of the current epoch, so messages from before a
-// rollback or admission can never be mistaken for the replay's.
-func (r *spmdRun) prefix() string { return fmt.Sprintf("e%d-", r.epoch) }
+// setEpoch moves the rank to a tag epoch: every tag carries the epoch's
+// prefix, so messages from before a rollback or admission can never be
+// mistaken for the replay's.
+func (r *spmdRun) setEpoch(e int) {
+	r.epoch = e
+	r.prefix = fmt.Sprintf("e%d-", e)
+	r.dtTag = r.prefix + "dt"
+}
 
 // faultAt returns the crash/pause schedule event firing for this rank at
 // iter, at most once per event: after a rejoin the rollback replays the
-// crash iteration, and the fault must not re-fire on the replay. The legacy
-// single FaultPlan maps to a fail-stop crash.
+// crash iteration, and the fault must not re-fire on the replay.
 func (r *spmdRun) faultAt(iter int) *FaultEvent {
 	me := r.me()
-	if !r.legacyFired && r.cfg.Fault.hits(me, iter) {
-		r.legacyFired = true
-		return &FaultEvent{Kind: FaultCrash, Rank: me, Iter: iter}
-	}
 	for i := range r.cfg.Faults {
 		ev := &r.cfg.Faults[i]
 		if r.faultFired[i] || ev.Rank != me || ev.Iter != iter {
@@ -439,7 +420,7 @@ func (r *spmdRun) slowFactor(iter int) float64 {
 // every member: the joiner has no EWMA history, and replicas must stay
 // identical for shedding decisions to agree without coordination.
 func (r *spmdRun) resetStraggler() {
-	if r.cfg.Straggler.Enabled {
+	if r.cfg.FT.Enabled && r.cfg.Straggler.Enabled {
 		r.strag = monitor.NewStragglerDetector(r.ep.Size(), r.cfg.Straggler)
 	}
 }
@@ -482,40 +463,28 @@ func (r *spmdRun) eligibleCaps(iter int) (caps []float64, mask []bool) {
 
 // partitionEligible partitions the tiles over the live, non-quarantined
 // membership, fully replicated: every rank computes the identical assignment
-// from shared state with zero messages. Recovery paths (setup, recoverAt)
-// must use this form — they run when the group is not known to be
-// synchronized, so they may not communicate.
+// from shared state with zero messages (with every rank alive it is exactly
+// Partitioner.Partition). Recovery paths (setup, recoverAt) must use this
+// form — they run when the group is not known to be synchronized, so they
+// may not communicate.
 func (r *spmdRun) partitionEligible(iter int) (*partition.Assignment, error) {
 	caps, mask := r.eligibleCaps(iter)
 	return partition.PartitionAlive(r.cfg.Partitioner, r.cfg.tiles(), caps, mask, partition.CellWork)
 }
 
-// wireEligibleAssignment is the full assignment the repartition root ships to
-// the other alive ranks under group-local stage 2. Work and Ideal travel too
-// (they are O(ranks), noise next to the box table): receivers adopt the
-// root's assignment verbatim, so bit-identity with the replicated oracle
-// needs no recomputation argument on the receive side.
-type wireEligibleAssignment struct {
-	Boxes  []geom.Box
-	Owners []int
-	Work   []float64
-	Ideal  []float64
-}
-
-// partitionEligibleGroupLocal is partitionEligible with stage 2 computed
-// group-locally: each eligible rank computes the replicated stage-1 plan
-// over the compacted (alive, non-quarantined) capacity vector but slices
-// only its own group's segment; group leaders ship segments to the lowest
-// alive rank, which assembles, re-expands to global node ids, and sends the
-// full assignment to every other alive rank. CompactAlive/ExpandAlive and
-// GroupPlan.Assemble are exactly the pieces PartitionAlive composes, so the
-// root's assignment is bit-identical to the replicated oracle; every other
-// rank adopts it verbatim. Quarantined ranks own no compact slot and
-// participate as pure receivers. Only repartitionNow may call this — all
-// alive ranks enter it synchronously — never the recovery paths, which must
-// stay communication-free. Sends are control-plane: bytes counted, message
-// counters untouched.
-func (r *spmdRun) partitionEligibleGroupLocal(h *partition.Hierarchical, iter int) (*partition.Assignment, error) {
+// gatherGroups is the decentralized stage 2 of the hierarchical partitioner:
+// each eligible rank computes the replicated stage-1 plan over the compacted
+// (alive, non-quarantined) capacity vector — a sort plus a quota walk — but
+// slices only its own group's SFC segment, O(boxes/groups · log) instead of
+// O(boxes · log) per rank. Group leaders ship their segment to the root (the
+// lowest alive rank), which assembles and re-expands to global node ids.
+// CompactAlive/ExpandAlive and GroupPlan.Assemble are exactly the pieces
+// PartitionAlive composes over Hierarchical.Partition, so the root's
+// assignment is bit-identical to the replicated decision. It is returned on
+// the root and nil elsewhere. Quarantined ranks own no compact slot and send
+// nothing. Sends are control-plane: bytes counted, message counters
+// untouched.
+func (r *spmdRun) gatherGroups(h *partition.Hierarchical, iter, root int) (*partition.Assignment, error) {
 	caps, mask := r.eligibleCaps(iter)
 	compact, global, err := partition.CompactAlive(caps, mask)
 	if err != nil {
@@ -526,13 +495,6 @@ func (r *spmdRun) partitionEligibleGroupLocal(h *partition.Hierarchical, iter in
 		return nil, err
 	}
 	me := r.me()
-	root := -1
-	for p, a := range r.alive {
-		if a {
-			root = p
-			break
-		}
-	}
 	globalOf := func(ci int) int {
 		if global == nil {
 			return ci
@@ -550,8 +512,7 @@ func (r *spmdRun) partitionEligibleGroupLocal(h *partition.Hierarchical, iter in
 			}
 		}
 	}
-	segTag := r.prefix() + fmt.Sprintf("s2seg-%d", iter)
-	asnTag := r.prefix() + fmt.Sprintf("s2asn-%d", iter)
+	segTag := fmt.Sprintf("%ss2seg-%d", r.prefix, iter)
 	var mySeg partition.GroupSegment
 	if myCompact >= 0 {
 		g := plan.GroupOf(myCompact)
@@ -569,15 +530,7 @@ func (r *spmdRun) partitionEligibleGroupLocal(h *partition.Hierarchical, iter in
 		}
 	}
 	if me != root {
-		payload, err := r.ep.Recv(root, asnTag)
-		if err != nil {
-			return nil, err
-		}
-		var w wireEligibleAssignment
-		if err := transport.DecodeGob(payload, &w); err != nil {
-			return nil, err
-		}
-		return &partition.Assignment{Boxes: w.Boxes, Owners: w.Owners, Work: w.Work, Ideal: w.Ideal}, nil
+		return nil, nil
 	}
 	segs := make([]partition.GroupSegment, plan.NumGroups())
 	for gi := range segs {
@@ -590,11 +543,13 @@ func (r *spmdRun) partitionEligibleGroupLocal(h *partition.Hierarchical, iter in
 		if err != nil {
 			return nil, err
 		}
-		var s partition.GroupSegment
-		if err := transport.DecodeGob(payload, &s); err != nil {
+		if err := transport.DecodeGob(payload, &segs[gi]); err != nil {
 			return nil, err
 		}
-		segs[gi] = s
+		if len(segs[gi].Boxes) != len(segs[gi].Owners) {
+			return nil, fmt.Errorf("engine: rank %d sent a segment of %d boxes with %d owners",
+				leader, len(segs[gi].Boxes), len(segs[gi].Owners))
+		}
 	}
 	asn, err := plan.Assemble(segs)
 	if err != nil {
@@ -603,22 +558,54 @@ func (r *spmdRun) partitionEligibleGroupLocal(h *partition.Hierarchical, iter in
 	if global != nil {
 		asn = partition.ExpandAlive(asn, global, len(caps))
 	}
-	payload, err := transport.EncodeGob(wireEligibleAssignment{
-		Boxes: asn.Boxes, Owners: asn.Owners, Work: asn.Work, Ideal: asn.Ideal,
-	})
+	return asn, nil
+}
+
+// partitionGroupLocal agrees on the next assignment under a hierarchical
+// partitioner with one gather and one fan-out: the root assembles the
+// group-local segments (gatherGroups), relabels for movement affinity — it
+// alone holds the fresh Ideal vector RemapOwners needs — and ships every
+// other alive rank the owner delta against the standing assignment (the
+// full table only when the tiling changed). Every rank, the root included,
+// rebuilds its view from that wire form. Only repartitionNow may call this —
+// all alive ranks enter it synchronously — never the recovery paths, which
+// must stay communication-free.
+func (r *spmdRun) partitionGroupLocal(h *partition.Hierarchical, iter int) (*asnView, error) {
+	me, root := r.me(), r.lowestAlive()
+	asn, err := r.gatherGroups(h, iter, root)
 	if err != nil {
 		return nil, err
 	}
-	for p, a := range r.alive {
-		if !a || p == me {
-			continue
+	asnTag := fmt.Sprintf("%ss2asn-%d", r.prefix, iter)
+	var wire wireAssignment
+	if me == root {
+		if !r.cfg.NoAffinityRemap {
+			asn = partition.RemapOwners(r.assign.Assignment, asn)
 		}
-		if err := r.ep.Send(p, asnTag, payload); err != nil {
+		wire = encodeAssignment(r.assign, asn)
+		payload, err := transport.EncodeGob(wire)
+		if err != nil {
 			return nil, err
 		}
-		r.res.BytesSent += int64(len(payload))
+		for p, a := range r.alive {
+			if !a || p == me {
+				continue
+			}
+			if err := r.ep.Send(p, asnTag, payload); err != nil {
+				return nil, err
+			}
+			r.res.BytesSent += int64(len(payload))
+		}
+	} else {
+		payload, err := r.ep.Recv(root, asnTag)
+		if err != nil {
+			return nil, err
+		}
+		if err := transport.DecodeGob(payload, &wire); err != nil {
+			return nil, err
+		}
 	}
-	return asn, nil
+	return decodeAssignment(r.assign, &wire, me, r.ep.Size())
 }
 
 // setup (re)builds the run's distribution state for the given iteration and
@@ -649,13 +636,17 @@ func (r *spmdRun) setup(iter int) (int, error) {
 // setupAt is one restoration attempt at exactly iter.
 func (r *spmdRun) setupAt(iter int) error {
 	k := r.cfg.Kernel
+	r.sc.om.setIter(iter)
+	r.sc.tr.SetPos(r.epoch, iter)
+	psp := r.sc.begin(trace.PhasePartition)
 	asn, err := r.partitionEligible(iter)
+	psp.End()
 	if err != nil {
 		return err
 	}
 	v := newAsnView(asn, r.me())
 	r.assign = v
-	r.plan = r.cfg.ghostPlanAt(v, r.me(), r.ep.Size(), k.Ghost(), r.prefix(), &r.sc)
+	r.rebuildGhostPlan()
 	r.spares = map[geom.Box]*amr.Patch{}
 	r.lastPart = iter
 	if iter == 0 {
@@ -781,7 +772,7 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 	send := func(round int, dead []int) error {
 		m := hbMsg{Ckpt: r.durableCkpt(), StepPS: r.stepPS, Dead: dead, Join: r.joinList()}
 		payload := encodeHb(m)
-		tag := fmt.Sprintf("%shb%d-%d", r.prefix(), round, iter)
+		tag := fmt.Sprintf("%shb%d-%d", r.prefix, round, iter)
 		for p := range r.alive {
 			if p == me || !r.alive[p] || suspects[p] {
 				continue
@@ -804,7 +795,7 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 		return nil
 	}
 	recv := func(round int) error {
-		tag := fmt.Sprintf("%shb%d-%d", r.prefix(), round, iter)
+		tag := fmt.Sprintf("%shb%d-%d", r.prefix, round, iter)
 		for p := range r.alive {
 			if p == me || !r.alive[p] || suspects[p] {
 				continue
@@ -891,6 +882,16 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 	return newDead, nil, nil
 }
 
+// lowestAlive returns the lowest alive rank — the host of admissions and the
+// root of the partition gather. The caller itself is alive, so one exists.
+func (r *spmdRun) lowestAlive() int {
+	p := 0
+	for !r.alive[p] {
+		p++
+	}
+	return p
+}
+
 // deadList returns the currently-dead ranks, sorted.
 func (r *spmdRun) deadList() []int {
 	var dead []int
@@ -909,17 +910,11 @@ func (r *spmdRun) deadList() []int {
 // All members — joiners included, as pure receivers — then run the identical
 // admission repartition, so the work the dead rank shed flows back.
 func (r *spmdRun) admit(iter int, joins []int) error {
-	host := -1
-	for p, a := range r.alive {
-		if a {
-			host = p
-			break
-		}
-	}
+	host := r.lowestAlive()
 	for _, j := range joins {
 		r.alive[j] = true
 	}
-	r.epoch++
+	r.setEpoch(r.epoch + 1)
 	r.resetStraggler()
 	r.res.Admissions += len(joins)
 	if r.me() == host {
@@ -996,8 +991,12 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 	if !found {
 		return nil, fmt.Errorf("engine: rank %d: no rejoin welcome within %v", r.me(), deadline)
 	}
-	if len(w.Alive) != len(r.alive) || len(w.Boxes) != len(w.Owners) {
+	if len(w.Alive) != len(r.alive) {
 		return nil, fmt.Errorf("engine: rank %d: malformed rejoin welcome", r.me())
+	}
+	standing, err := assignmentOf(w.Boxes, w.Owners, len(r.alive))
+	if err != nil {
+		return nil, fmt.Errorf("engine: rank %d: malformed rejoin welcome: %w", r.me(), err)
 	}
 	// Adopt the collective state the survivors agreed on. Durable is set to
 	// the collective stable point: this rank's pre-crash shards at that
@@ -1005,21 +1004,12 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 	// advertising anything older would drag the whole group backwards.
 	copy(r.alive, w.Alive)
 	r.alive[r.me()] = true
-	r.epoch = w.Epoch
+	r.setEpoch(w.Epoch)
 	r.stable = w.Stable
 	r.ckptMu.Lock()
 	r.durable = w.Stable
 	r.ckptErr = nil
 	r.ckptMu.Unlock()
-	standing := &partition.Assignment{
-		Boxes:  w.Boxes,
-		Owners: w.Owners,
-		Work:   make([]float64, len(r.alive)),
-		Ideal:  make([]float64, len(r.alive)),
-	}
-	for i, b := range standing.Boxes {
-		standing.Work[standing.Owners[i]] += partition.CellWork(b)
-	}
 	r.assign = newAsnView(standing, r.me())
 	r.patches = map[geom.Box]*amr.Patch{}
 	r.spares = map[geom.Box]*amr.Patch{}
@@ -1035,45 +1025,51 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 
 // repartitionNow repartitions over the current eligible membership, remaps
 // for movement affinity, and redistributes patch data — the shared tail of
-// scheduled repartitions, recoveries are handled by setup, and admissions.
+// scheduled repartitions and admissions (recoveries go through setup). The
+// decision is replicated — PartitionAlive is deterministic and RemapOwners a
+// pure function of two assignments, so every rank derives the same labels
+// with zero messages — unless the partitioner is hierarchical, where stage 2
+// is sliced group-locally and agreed through one gather and one delta
+// fan-out (safe here, and only here: all alive ranks enter synchronously).
 func (r *spmdRun) repartitionNow(iter int) error {
-	cfg, k := r.cfg, r.cfg.Kernel
-	psp := r.sc.om.span(obs.PhasePartition)
+	cfg := r.cfg
 	r.sc.tr.SetPos(r.epoch, iter)
-	ptr := r.sc.tr.Span(trace.PhasePartition)
-	var newAssign *partition.Assignment
+	psp := r.sc.begin(trace.PhasePartition)
+	var newView *asnView
 	var err error
-	if h, ok := cfg.Partitioner.(*partition.Hierarchical); ok && !cfg.CentralPartition && r.ep.Size() > 1 {
-		// All alive ranks enter repartitionNow synchronously, so the
-		// group-local gather is safe here (and only here).
-		newAssign, err = r.partitionEligibleGroupLocal(h, iter)
+	if h, ok := cfg.Partitioner.(*partition.Hierarchical); ok && r.ep.Size() > 1 {
+		newView, err = r.partitionGroupLocal(h, iter)
 	} else {
-		newAssign, err = r.partitionEligible(iter)
+		var asn *partition.Assignment
+		if asn, err = r.partitionEligible(iter); err == nil {
+			if !cfg.NoAffinityRemap {
+				asn = partition.RemapOwners(r.assign.Assignment, asn)
+			}
+			newView = newAsnView(asn, r.me())
+		}
 	}
+	psp.End()
 	if err != nil {
-		ptr.End()
-		psp.End()
 		return err
 	}
-	// PartitionAlive is computed locally and deterministically on every
-	// rank, and RemapOwners is a pure function of two assignments, so every
-	// rank derives the same labels without a broadcast.
-	if !cfg.NoAffinityRemap {
-		newAssign = partition.RemapOwners(r.assign.Assignment, newAssign)
-	}
-	newView := newAsnView(newAssign, r.me())
-	ptr.End()
-	psp.End()
-	r.patches, err = redistribute(r.ep, r.assign, newView, r.patches, k, iter, r.res, r.prefix(), cfg.PerPairExchange, cfg.CentralPlans, &r.sc)
+	r.patches, err = redistribute(r.ep, r.assign, newView, r.patches, cfg.Kernel, iter, r.res, r.prefix, &r.sc)
 	if err != nil {
 		return err
 	}
 	r.assign = newView
-	r.plan = cfg.ghostPlanAt(newView, r.me(), r.ep.Size(), k.Ghost(), r.prefix(), &r.sc)
-	clear(r.spares)
+	r.rebuildGhostPlan()
+	clear(r.spares) // ownership changed; retired buffers are stale
 	r.lastPart = iter
 	r.res.Repartitions++
 	return nil
+}
+
+// rebuildGhostPlan derives the halo-exchange plan of the current assignment
+// and epoch, timed as a plan-build span.
+func (r *spmdRun) rebuildGhostPlan() {
+	sp := r.sc.begin(trace.PhasePlan)
+	r.plan = buildGhostPlan(r.assign, r.me(), r.cfg.Kernel.Ghost(), r.prefix, &r.sc)
+	sp.End()
 }
 
 // recoverAt rolls the rank back to the agreed restore iteration: bump the
@@ -1091,7 +1087,7 @@ func (r *spmdRun) recoverAt(restore int) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("engine: async checkpoint failed before recovery: %w", err)
 	}
-	r.epoch++
+	r.setEpoch(r.epoch + 1)
 	actual, err := r.setup(restore)
 	if err != nil {
 		return 0, err
@@ -1126,8 +1122,7 @@ func (r *spmdRun) writeCheckpoint(iter int) error {
 	}
 	// The checkpoint span covers the synchronous cut: cloning always, the
 	// shard write too when SyncCheckpoint blocks on it.
-	ksp := r.sc.om.span(obs.PhaseCheckpoint)
-	ktr := r.sc.tr.Span(trace.PhaseCheckpoint)
+	ksp := r.sc.begin(trace.PhaseCheckpoint)
 	clones := make(map[geom.Box]*amr.Patch, len(r.patches))
 	for b, p := range r.patches {
 		clones[b] = p.Clone()
@@ -1137,17 +1132,16 @@ func (r *spmdRun) writeCheckpoint(iter int) error {
 	stable := r.stable // capture: the async writer must not race the loop
 	r.res.Checkpoints++
 	if r.cfg.FT.SyncCheckpoint {
-		if err := checkpoint.SaveShard(dir, sh); err != nil {
-			ktr.End()
-			ksp.End()
+		err := checkpoint.SaveShard(dir, sh)
+		if err == nil {
+			r.setDurable(iter)
+		}
+		ksp.End()
+		if err != nil {
 			return err
 		}
-		r.setDurable(iter)
-		ktr.End()
-		ksp.End()
 		return r.pruneShards(stable)
 	}
-	ktr.End()
 	ksp.End()
 	r.ckptWG.Add(1)
 	go func() {
@@ -1193,9 +1187,8 @@ func (r *spmdRun) durableCkpt() int {
 }
 
 // step executes one iteration: scheduled repartition, ghost exchange with
-// compute/communication overlap, global dt agreement, and patch advances.
-// It is the FT twin of the plain loop body, with alive-aware collectives,
-// epoch-namespaced tags, injected compute dilation, and per-cell step
+// compute/communication overlap, global dt agreement over the alive ranks,
+// and patch advances, with injected compute dilation and per-cell step
 // timing for the straggler gossip.
 func (r *spmdRun) step(iter int) error {
 	cfg, k := r.cfg, r.cfg.Kernel
@@ -1206,9 +1199,14 @@ func (r *spmdRun) step(iter int) error {
 			return err
 		}
 	}
+	// Ghost exchange, phase 1: post remote sends, fill everything that is
+	// locally available (outflow fallback + same-rank copies).
 	if err := r.plan.postSends(r.ep, r.patches, r.res); err != nil {
 		return err
 	}
+	// Global stable dt. MaxDT reads interiors only, so computing it while
+	// halos are in flight matches the serial value bit-exactly; the reduce
+	// also gives the network time to progress.
 	dt := cfg.DT
 	if dt == 0 {
 		local := math.Inf(1)
@@ -1217,10 +1215,10 @@ func (r *spmdRun) step(iter int) error {
 				local = d
 			}
 		}
+		dsp := r.sc.begin(trace.PhaseDtWait)
 		var err error
-		dtr := r.sc.tr.Span(trace.PhaseDtWait)
-		dt, err = r.allReduceMin(iter, local)
-		dtr.End()
+		dt, err = r.allReduceMin(local)
+		dsp.End()
 		if err != nil {
 			return err
 		}
@@ -1228,9 +1226,9 @@ func (r *spmdRun) step(iter int) error {
 			dt = 0
 		}
 	}
+	// Overlap: advance interior patches while remote halos are in flight.
 	var cells int64
-	csp := r.sc.om.span(obs.PhaseCompute)
-	ctr := r.sc.tr.Span(trace.PhaseCompute)
+	csp := r.sc.begin(trace.PhaseCompute)
 	t0 := time.Now()
 	for _, b := range r.plan.interior {
 		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)
@@ -1238,13 +1236,13 @@ func (r *spmdRun) step(iter int) error {
 		cells += b.Cells()
 	}
 	computeDur := time.Since(t0)
-	ctr.End()
 	csp.End()
+	// Ghost exchange, phase 2: block on the remote regions, then finish the
+	// boundary patches.
 	if err := r.plan.finishRecvs(r.ep, r.patches, r.res); err != nil {
 		return err
 	}
-	bsp := r.sc.om.span(obs.PhaseCompute)
-	btr := r.sc.tr.Span(trace.PhaseAdvance)
+	bsp := r.sc.begin(trace.PhaseAdvance)
 	t1 := time.Now()
 	for _, b := range r.plan.boundary {
 		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)
@@ -1252,7 +1250,6 @@ func (r *spmdRun) step(iter int) error {
 		cells += b.Cells()
 	}
 	computeDur += time.Since(t1)
-	btr.End()
 	bsp.End()
 	// Injected gray failure: dilate this iteration's compute proportionally
 	// to the measured work, so the rank's per-cell time reads Factor× its
@@ -1264,7 +1261,7 @@ func (r *spmdRun) step(iter int) error {
 	}
 	if cells > 0 {
 		r.stepPS = perCellPS(computeDur, cells)
-	} else {
+	} else if r.strag != nil {
 		r.canaryProbe(dt, r.slowFactor(iter))
 	}
 	r.sc.om.sync(r.res)
@@ -1287,7 +1284,7 @@ func perCellPS(d time.Duration, cells int64) int64 {
 // emit no samples, its EWMA would freeze at the value that condemned it, and
 // it could never be exonerated. An injected slow window scales the probe's
 // reading the same way it dilates real work, so a still-slow rank keeps
-// looking slow.
+// looking slow. Only runs with the straggler detector on consume the sample.
 func (r *spmdRun) canaryProbe(dt, factor float64) {
 	k := r.cfg.Kernel
 	if r.canaryCur == nil {
@@ -1311,40 +1308,41 @@ func (r *spmdRun) canaryProbe(dt, factor float64) {
 }
 
 // allReduceMin agrees on the global minimum of a float64 across the alive
-// ranks, with epoch-namespaced tags and deadline-bounded receives. Float min
-// is order-independent, so the result is bit-identical on every rank
+// ranks: every rank sends its 8 raw bytes to every other and folds what it
+// receives, under the epoch's dt tag with deadline-bounded receives. Float
+// min is order-independent, so the result is bit-identical on every rank
 // regardless of arrival order.
-func (r *spmdRun) allReduceMin(iter int, local float64) (float64, error) {
+func (r *spmdRun) allReduceMin(local float64) (float64, error) {
 	me := r.me()
-	tag := fmt.Sprintf("%sdt-%d", r.prefix(), iter)
-	payload := transport.EncodeFloats([]float64{local})
+	r.dtVals = append(r.dtVals[:0], local)
+	r.dtBuf = transport.AppendFloats(r.dtBuf[:0], r.dtVals)
 	for p := range r.alive {
 		if p == me || !r.alive[p] {
 			continue
 		}
-		if err := r.ep.Send(p, tag, payload); err != nil {
+		if err := r.ep.Send(p, r.dtTag, r.dtBuf); err != nil {
 			return 0, err
 		}
-		r.res.BytesSent += int64(len(payload))
+		r.res.BytesSent += int64(len(r.dtBuf))
 	}
 	minVal := local
 	for p := range r.alive {
 		if p == me || !r.alive[p] {
 			continue
 		}
-		got, err := r.ep.RecvTimeout(p, tag, r.data)
+		got, err := r.ep.RecvTimeout(p, r.dtTag, r.data)
 		if err != nil {
 			return 0, err
 		}
-		vals, err := transport.DecodeFloats(got, nil)
+		r.dtVals, err = transport.DecodeFloats(got, r.dtVals)
 		if err != nil {
 			return 0, err
 		}
-		if len(vals) != 1 {
-			return 0, fmt.Errorf("engine: dt reduce got %d values", len(vals))
+		if len(r.dtVals) != 1 {
+			return 0, fmt.Errorf("engine: dt reduce got %d values", len(r.dtVals))
 		}
-		if vals[0] < minVal {
-			minVal = vals[0]
+		if r.dtVals[0] < minVal {
+			minVal = r.dtVals[0]
 		}
 	}
 	return minVal, nil

@@ -103,7 +103,7 @@ func TestFaultRecoveryBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ftConfig(t, iters, dir)
-	cfg.Fault = &FaultPlan{Rank: 2, Iter: 10}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 2, Iter: 10}}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
 	if !results[2].Crashed {
@@ -179,7 +179,7 @@ func TestFaultNoCheckpointRestartsFromInit(t *testing.T) {
 	cfg.CapsAt = capsSwitcher(4)
 	cfg.RecvDeadline = 200 * time.Millisecond
 	cfg.FT = FTConfig{Enabled: true} // no checkpointing configured
-	cfg.Fault = &FaultPlan{Rank: 1, Iter: 3}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 1, Iter: 3}}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
 	if !results[1].Crashed {
@@ -195,8 +195,8 @@ func TestFaultNoCheckpointRestartsFromInit(t *testing.T) {
 	requireSameField(t, got, want, "re-initialized vs fault-free")
 }
 
-// TestFaultSilentPeerErrRankDown verifies the non-fault-tolerant runner
-// never blocks forever on a silently-dead peer: the survivor's run fails
+// TestFaultSilentPeerErrRankDown verifies a run with membership off never
+// blocks forever on a silently-dead peer: the survivor's run fails
 // with transport.ErrRankDown within the configured deadline.
 func TestFaultSilentPeerErrRankDown(t *testing.T) {
 	eps, err := transport.NewGroup(2)
@@ -207,7 +207,7 @@ func TestFaultSilentPeerErrRankDown(t *testing.T) {
 	cfg := spmdConfig(8)
 	cfg.CapsAt = capsSwitcher(2)
 	cfg.RecvDeadline = 150 * time.Millisecond
-	cfg.Fault = &FaultPlan{Rank: 1, Iter: 2}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 1, Iter: 2}}
 
 	var wg sync.WaitGroup
 	results := make([]*SPMDResult, 2)
@@ -272,7 +272,7 @@ func TestFaultRecoveryTCP(t *testing.T) {
 		CheckpointDir:   t.TempDir(),
 		SyncCheckpoint:  true,
 	}
-	cfg.Fault = &FaultPlan{Rank: 1, Iter: 6}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 1, Iter: 6}}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
 	if !results[1].Crashed {
@@ -288,17 +288,70 @@ func TestFaultRecoveryTCP(t *testing.T) {
 	requireSameField(t, got, want, "tcp recovery vs fault-free")
 }
 
-// TestFaultPlanRequiresKiller verifies a FaultPlan on a bare endpoint is
+// TestCrashFaultRequiresKiller verifies a crash fault on a bare endpoint is
 // rejected instead of silently ignored.
-func TestFaultPlanRequiresKiller(t *testing.T) {
+func TestCrashFaultRequiresKiller(t *testing.T) {
 	eps, err := transport.NewGroup(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := spmdConfig(2)
 	cfg.CapsAt = capsSwitcher(1)
-	cfg.Fault = &FaultPlan{Rank: 0, Iter: 0}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 0, Iter: 0}}
 	if _, err := RunSPMDRank(eps[0], cfg); err == nil {
-		t.Error("bare endpoint accepted a fault plan")
+		t.Error("bare endpoint accepted a crash fault")
+	}
+}
+
+// TestPlainRunIsFTWithMembershipOff pins the one-loop contract: a fault-free
+// run with membership on (heartbeats every step, no checkpoints) and a run
+// with membership off execute the same step loop, so they agree cell for
+// cell and on every data-plane counter, rank by rank. Only the control-plane
+// bytes (heartbeats) may differ.
+func TestPlainRunIsFTWithMembershipOff(t *testing.T) {
+	const iters, ranks = 12, 4
+	run := func(ft bool) []*SPMDResult {
+		eps, err := transport.NewGroup(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := spmdConfig(iters)
+		cfg.CapsAt = capsSwitcher(ranks)
+		cfg.FT = FTConfig{Enabled: ft}
+		return runSPMD(t, eps, cfg)
+	}
+	off, on := run(false), run(true)
+	var migrated int64
+	for r := range off {
+		a, b := off[r], on[r]
+		if a.MsgsSent != b.MsgsSent || a.MsgsRecvd != b.MsgsRecvd ||
+			a.InteriorSteps != b.InteriorSteps || a.BoundarySteps != b.BoundarySteps ||
+			a.Repartitions != b.Repartitions || a.MigratedBytes != b.MigratedBytes {
+			t.Errorf("rank %d: data-plane counters differ:\n off %+v\n on  %+v", r, *a, *b)
+		}
+		migrated += a.MigratedBytes
+		if b.BytesSent <= a.BytesSent {
+			t.Errorf("rank %d: membership on sent %d B, off %d B: heartbeats should add bytes", r, b.BytesSent, a.BytesSent)
+		}
+	}
+	if migrated == 0 {
+		t.Error("no patch data migrated; the repartition path went unexercised")
+	}
+	domain := spmdConfig(iters).Domain
+	requireSameField(t, composeField(t, on, domain), composeField(t, off, domain), "membership on vs off")
+}
+
+// TestRejoinValidatesFaultSchedule verifies a restarted rank checks its
+// fault schedule against the group size like a first start does.
+func TestRejoinValidatesFaultSchedule(t *testing.T) {
+	eps, err := transport.NewGroup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ftConfig(t, 4, t.TempDir())
+	cfg.CapsAt = capsSwitcher(2)
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 7, Iter: 1}}
+	if _, err := RejoinSPMDRank(wrapFaulty(eps)[1], cfg); err == nil {
+		t.Error("rejoin accepted a fault schedule targeting rank 7 of 2")
 	}
 }

@@ -49,7 +49,7 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 		}
 	}
 	t0 := time.Now()
-	cg := centralGhostPlans(next, size, ghost, "", false)
+	cg := centralGhostPlans(next, size, ghost, "")
 	cm := centralMigPlans(old, next, size)
 	rep.CentralSec = time.Since(t0).Seconds()
 
@@ -63,7 +63,7 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 		sc.indexes.get(next.Boxes)
 		t0 := time.Now()
 		mp := buildMigPlan(ov, nv, me, &sc)
-		gp := buildGhostPlan(nv, me, ghost, "", false, &sc)
+		gp := buildGhostPlan(nv, me, ghost, "", &sc)
 		total += time.Since(t0).Seconds()
 		if !ghostPlansEqual(gp, cg[me]) || !reflect.DeepEqual(mp, cm[me]) {
 			rep.OracleOK = false
@@ -86,8 +86,7 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 // ghostPlansEqual compares two ghost plans field by field, ignoring the
 // scratch handle (an execution resource, not part of the plan).
 func ghostPlansEqual(a, b *ghostPlan) bool {
-	return a.perPair == b.perPair &&
-		reflect.DeepEqual(a.sends, b.sends) &&
+	return reflect.DeepEqual(a.sends, b.sends) &&
 		reflect.DeepEqual(a.recvs, b.recvs) &&
 		reflect.DeepEqual(a.sendPeers, b.sendPeers) &&
 		reflect.DeepEqual(a.recvPeers, b.recvPeers) &&

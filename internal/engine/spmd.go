@@ -46,9 +46,9 @@ type SPMDConfig struct {
 	// DT fixes the time step; 0 derives a global stable dt each step.
 	DT float64
 	// RecvDeadline bounds every blocking data-plane receive in the step loop
-	// (ghost exchange, dt agreement, migration — including those inside
-	// collectives) so a silently-dead peer surfaces as transport.ErrRankDown
-	// instead of a hang. 0 selects DefaultRecvDeadline.
+	// (ghost exchange, dt agreement, migration, partition gather) so a
+	// silently-dead peer surfaces as transport.ErrRankDown instead of a
+	// hang. 0 selects DefaultRecvDeadline.
 	RecvDeadline time.Duration
 	// ControlDeadline bounds the control-plane receives (heartbeats and
 	// admission rounds). Failure detection latency is this deadline, so it
@@ -56,29 +56,6 @@ type SPMDConfig struct {
 	// detects deaths fast without racing bulk data transfers. 0 inherits
 	// the resolved RecvDeadline.
 	ControlDeadline time.Duration
-	// PerPairExchange restores the legacy one-message-per-box-pair halo
-	// exchange and migration paths instead of the coalesced
-	// one-message-per-peer-rank frames. Both modes are bit-exact; the
-	// per-pair path survives as a debug fallback and oracle for the
-	// coalesced protocol.
-	PerPairExchange bool
-	// CentralPlans rebuilds communication plans through the retained
-	// coordinator-style full build — every rank's ghost and migration plan
-	// derived in one global pass — instead of the default distributed
-	// per-rank builders. Both paths produce bit-identical plans; the central
-	// path survives as the differential oracle and as the baseline the
-	// weak-scaling study measures the distributed builders against.
-	CentralPlans bool
-	// CentralPartition retains the centralized partition decision — the full
-	// Partitioner.Partition over all boxes computed in one place (rank 0 in
-	// the plain runner, every rank replicated in the FT runner) — instead of
-	// the default group-local stage 2 used when the partitioner is
-	// hierarchical: each rank slices only its own group's SFC segment and the
-	// segments are assembled from the group leaders. Both paths produce
-	// bit-identical assignments (GroupPlan.Assemble replays Partition's exact
-	// composition order); the central path survives as the differential
-	// oracle and as the baseline for the stage-2 scaling study.
-	CentralPartition bool
 	// Workers bounds the worker pool used for plan construction and frame
 	// pack/unpack inside a rank. Unlike the engine Config knob, 0 (the zero
 	// value) keeps the serial path — an SPMD rank usually shares its host
@@ -90,16 +67,16 @@ type SPMDConfig struct {
 	// (partition.RemapOwners) applied after each scheduled repartition, so
 	// experiments can measure the migration volume it saves.
 	NoAffinityRemap bool
-	// FT enables heartbeat failure detection and checkpoint-based recovery.
+	// FT turns membership on: heartbeat failure detection, checkpoints,
+	// rollback recovery and re-admission. Off, the same step loop runs with
+	// every rank alive at epoch 0 and never heartbeats or checkpoints.
 	FT FTConfig
-	// Fault, when non-nil, injects a deterministic rank crash: the matching
-	// rank kills its endpoint at the start of the given iteration. The
-	// endpoint must implement transport.Killer (wrap it in transport.Faulty).
-	Fault *FaultPlan
-	// Faults is the richer fault schedule (crash, rejoin, slow, pause —
-	// see ParseFaultSpec). Crash events behave like Fault; a crash followed
-	// by a rejoin event re-admits the rank through the elastic-membership
-	// protocol instead of ending its run. Non-crash kinds require FT.Enabled.
+	// Faults is the fault schedule (crash, rejoin, slow, pause — see
+	// ParseFaultSpec). A crash event kills the rank's endpoint at the start
+	// of its iteration, so the endpoint must implement transport.Killer
+	// (wrap it in transport.Faulty); it is fail-stop unless a later rejoin
+	// event re-admits the rank through the elastic-membership protocol.
+	// Non-crash kinds require FT.Enabled.
 	Faults FaultSchedule
 	// Straggler enables the replicated slow-rank detector: per-rank step
 	// timings gossiped on heartbeats feed identical detector replicas, and
@@ -349,148 +326,37 @@ func mergeMine(mine, add, del []int) []int {
 }
 
 // RunSPMDRank executes one rank of the SPMD program. Every rank must call
-// it with the same config and its own endpoint; rank 0 coordinates
-// partitioning decisions.
+// it with the same config and its own endpoint, which must implement
+// transport.TimedEndpoint (both built-in transports and transport.Faulty
+// do): no receive in the loop may hang on a silently-dead peer.
 //
-// The step loop overlaps computation with communication: ghost sends are
-// posted first, then patches whose halos are fully local ("interior"
-// patches) advance while remote halo regions are still in flight; the rank
-// only blocks on receives before advancing its "boundary" patches. The
-// split changes scheduling only — every patch still steps with a complete
-// halo — so the result stays bit-exact with serial execution.
+// There is one step loop (spmdRun.loop/step). Every decision in it is
+// replicated — each rank derives the identical assignment, plans and dt from
+// shared inputs — and fault tolerance is a membership mode of that loop:
+// with FT.Enabled it heartbeats, checkpoints, recovers and re-admits at
+// iteration boundaries; without, every rank stays alive at epoch 0.
+//
+// The step overlaps computation with communication: ghost sends are posted
+// first, then patches whose halos are fully local ("interior" patches)
+// advance while remote halo regions are still in flight; the rank only
+// blocks on receives before advancing its "boundary" patches. The split
+// changes scheduling only — every patch still steps with a complete halo —
+// so the result stays bit-exact with serial execution.
 func RunSPMDRank(ep transport.Endpoint, cfg SPMDConfig) (*SPMDResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Faults.Validate(ep.Size()); err != nil {
-		return nil, err
-	}
-	res := &SPMDResult{Rank: ep.Rank(), RestoredFrom: -1}
-	// Bound every blocking receive in the loop — including those issued
-	// inside the transport's collectives — so a silently-dead peer yields
-	// transport.ErrRankDown within the deadline instead of hanging the rank.
-	if ted, ok := ep.(transport.TimedEndpoint); ok {
-		ted.SetDeadline(cfg.recvDeadline())
-	}
-	if cfg.FT.Enabled {
-		return runSPMDFT(ep, cfg, res)
-	}
-	k := cfg.Kernel
-	// sc pools the communication buffers across the whole run: ghost
-	// exchange, migration, and every plan rebuild share them. It also
-	// carries the rank's observability handles into the shared paths.
-	var sc commScratch
-	sc.om = newSPMDObs(cfg.Obs, ep.Rank())
-	sc.tr = cfg.Trace.Recorder(ep.Rank())
-	sc.workers = cfg.Workers
-	// --- Initial partition (computed identically on every rank; tiles and
-	// capacities are deterministic, so no broadcast is strictly needed,
-	// but rank 0 broadcasts to guarantee agreement).
-	psp := sc.om.span(obs.PhasePartition)
-	tsp := sc.tr.Span(trace.PhasePartition)
-	assign, err := cfg.partitionAt(ep, 0, nil, res)
-	tsp.End()
-	psp.End()
+	r, err := newSPMDRun(ep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Allocate + init owned patches.
-	patches := map[geom.Box]*amr.Patch{}
-	for _, i := range assign.mine {
-		b := assign.Boxes[i]
-		p := amr.NewPatch(b, k.Ghost(), k.NumFields())
-		k.Init(p, cfg.BaseGrid)
-		patches[b] = p
+	start := 0
+	if cfg.FT.Enabled {
+		start = cfg.FT.ResumeFrom
 	}
-	plan := cfg.ghostPlanAt(assign, ep.Rank(), ep.Size(), k.Ghost(), "", &sc)
-	// spares double-buffer the per-box patches: each step writes into the
-	// box's spare and retires the current patch, so the steady-state loop
-	// allocates no patch storage.
-	spares := map[geom.Box]*amr.Patch{}
-	for iter := 0; iter < cfg.Iterations; iter++ {
-		sc.om.setIter(iter)
-		sc.tr.SetPos(0, iter)
-		// Injected crash: this rank goes silent at the iteration boundary.
-		if cfg.Fault.hits(ep.Rank(), iter) || cfg.Faults.CrashAt(ep.Rank(), iter) {
-			if err := killEndpoint(ep); err != nil {
-				return nil, err
-			}
-			res.Crashed = true
-			return res, nil
-		}
-		// Repartition on schedule.
-		if cfg.RepartEvery > 0 && iter > 0 && iter%cfg.RepartEvery == 0 {
-			psp := sc.om.span(obs.PhasePartition)
-			tsp := sc.tr.Span(trace.PhasePartition)
-			newAssign, err := cfg.partitionAt(ep, iter, assign, res)
-			tsp.End()
-			psp.End()
-			if err != nil {
-				return nil, err
-			}
-			patches, err = redistribute(ep, assign, newAssign, patches, k, iter, res, "", cfg.PerPairExchange, cfg.CentralPlans, &sc)
-			if err != nil {
-				return nil, err
-			}
-			assign = newAssign
-			plan = cfg.ghostPlanAt(assign, ep.Rank(), ep.Size(), k.Ghost(), "", &sc)
-			clear(spares) // ownership changed; retired buffers are stale
-			res.Repartitions++
-		}
-		// Ghost exchange, phase 1: post remote sends, fill everything that
-		// is locally available (outflow fallback + same-rank copies).
-		if err := plan.postSends(ep, patches, res); err != nil {
-			return nil, err
-		}
-		// Global stable dt. MaxDT reads interiors only, so computing it
-		// while halos are in flight matches the serial value bit-exactly;
-		// the all-reduce also gives the network time to progress.
-		dt := cfg.DT
-		if dt == 0 {
-			local := math.Inf(1)
-			for _, p := range patches {
-				if d := k.MaxDT(p, cfg.BaseGrid); d < local {
-					local = d
-				}
-			}
-			dsp := sc.tr.Span(trace.PhaseDtWait)
-			dt, err = transport.AllReduceFloat64(ep, local, transport.ReduceMin)
-			dsp.End()
-			if err != nil {
-				return nil, err
-			}
-			if math.IsInf(dt, 1) {
-				dt = 0
-			}
-		}
-		// Overlap: advance interior patches while remote halos are in
-		// flight.
-		csp := sc.om.span(obs.PhaseCompute)
-		ctr := sc.tr.Span(trace.PhaseCompute)
-		for _, b := range plan.interior {
-			stepPatch(k, cfg.BaseGrid, patches, spares, b, dt)
-			res.InteriorSteps++
-		}
-		ctr.End()
-		csp.End()
-		// Ghost exchange, phase 2: block on the remote regions, then
-		// finish the boundary patches.
-		if err := plan.finishRecvs(ep, patches, res); err != nil {
-			return nil, err
-		}
-		bsp := sc.om.span(obs.PhaseCompute)
-		btr := sc.tr.Span(trace.PhaseAdvance)
-		for _, b := range plan.boundary {
-			stepPatch(k, cfg.BaseGrid, patches, spares, b, dt)
-			res.BoundarySteps++
-		}
-		btr.End()
-		bsp.End()
-		sc.om.sync(res)
+	actual, err := r.setup(start)
+	if err != nil {
+		return nil, err
 	}
-	finalizeSPMD(res, patches)
-	sc.om.sync(res)
-	return res, nil
+	r.stable, r.durable = actual, actual
+	return r.loop(actual, false)
 }
 
 // finalizeSPMD fills the result's owned boxes, L1 check sum, and patch map.
@@ -526,126 +392,6 @@ func stepPatch(k solver.Kernel, g solver.Grid, patches, spares map[geom.Box]*amr
 	spares[b] = p
 }
 
-// partitionAt computes capacities and the assignment for an iteration; rank
-// 0 broadcasts the result so every rank uses identical ownership. prev, when
-// non-nil, enables the movement-aware owner relabeling against the standing
-// assignment (it must run on rank 0 before the broadcast because only rank 0
-// holds the partitioner's Ideal vector) and the owner-delta wire form when
-// the repartition kept the tiling. Every rank — rank 0 included — rebuilds
-// its view from the decoded wire form, so all ranks hold bit-identical
-// state regardless of which form traveled.
-func (c SPMDConfig) partitionAt(ep transport.Endpoint, iter int, prev *asnView, res *SPMDResult) (*asnView, error) {
-	var wire wireAssignment
-	if h, ok := c.Partitioner.(*partition.Hierarchical); ok && !c.CentralPartition && ep.Size() > 1 {
-		a, err := c.groupLocalPartition(ep, h, iter, res)
-		if err != nil {
-			return nil, err
-		}
-		if ep.Rank() == 0 {
-			if prev != nil && !c.NoAffinityRemap {
-				a = partition.RemapOwners(prev.Assignment, a)
-			}
-			wire = encodeAssignment(prev, a)
-		}
-	} else if ep.Rank() == 0 {
-		caps := c.CapsAt(iter)
-		a, err := c.Partitioner.Partition(c.tiles(), caps, partition.CellWork)
-		if err != nil {
-			return nil, err
-		}
-		if prev != nil && !c.NoAffinityRemap {
-			a = partition.RemapOwners(prev.Assignment, a)
-		}
-		wire = encodeAssignment(prev, a)
-	}
-	payload, err := transport.EncodeGob(wire)
-	if err != nil {
-		return nil, err
-	}
-	if ep.Rank() == 0 {
-		res.BytesSent += int64(len(payload)) * int64(ep.Size()-1)
-	}
-	got, err := ep.Bcast(0, payload)
-	if err != nil {
-		return nil, err
-	}
-	wire = wireAssignment{}
-	if err := transport.DecodeGob(got, &wire); err != nil {
-		return nil, err
-	}
-	if wire.Delta {
-		if prev == nil {
-			return nil, fmt.Errorf("engine: delta assignment broadcast without a standing assignment")
-		}
-		return applyDelta(prev, &wire, ep.Rank()), nil
-	}
-	a := &partition.Assignment{
-		Boxes:  wire.Boxes,
-		Owners: wire.Owners,
-		Work:   make([]float64, ep.Size()),
-		Ideal:  make([]float64, ep.Size()),
-	}
-	for i, b := range a.Boxes {
-		a.Work[a.Owners[i]] += partition.CellWork(b)
-	}
-	return newAsnView(a, ep.Rank()), nil
-}
-
-// groupLocalPartition is the decentralized stage 2 of the hierarchical
-// partitioner: every rank computes the small stage-1 GroupPlan (a sort plus
-// a quota walk, replicated since its inputs are) but slices only its own
-// group's SFC segment — O(boxes/groups · log) instead of O(boxes · log) per
-// rank. Group leaders ship their segment to rank 0, which assembles the full
-// assignment; GroupPlan.Assemble replays Hierarchical.Partition's exact
-// composition order, so the result is bit-identical to the centralized path
-// and feeds the unchanged owner-delta broadcast. Returns the assembled
-// assignment on rank 0 and nil elsewhere (other ranks learn the global
-// ownership from the broadcast, as before). Segment sends are control-plane
-// traffic: bytes are counted, data-plane message counters are not.
-func (c SPMDConfig) groupLocalPartition(ep transport.Endpoint, h *partition.Hierarchical, iter int, res *SPMDResult) (*partition.Assignment, error) {
-	caps := c.CapsAt(iter)
-	plan, err := h.PlanGroups(c.tiles(), caps, partition.CellWork)
-	if err != nil {
-		return nil, err
-	}
-	me := ep.Rank()
-	g := plan.GroupOf(me)
-	boxes, owners := plan.PartitionGroup(g)
-	seg := partition.GroupSegment{Boxes: boxes, Owners: owners}
-	tag := fmt.Sprintf("s2seg-%d", iter)
-	if me != 0 {
-		if plan.Members[g][0] == me {
-			payload, err := transport.EncodeGob(seg)
-			if err != nil {
-				return nil, err
-			}
-			if err := ep.Send(0, tag, payload); err != nil {
-				return nil, err
-			}
-			res.BytesSent += int64(len(payload))
-		}
-		return nil, nil
-	}
-	segs := make([]partition.GroupSegment, plan.NumGroups())
-	for gi := range segs {
-		leader := plan.Members[gi][0]
-		if leader == 0 {
-			segs[gi] = seg
-			continue
-		}
-		payload, err := ep.Recv(leader, tag)
-		if err != nil {
-			return nil, err
-		}
-		var s partition.GroupSegment
-		if err := transport.DecodeGob(payload, &s); err != nil {
-			return nil, err
-		}
-		segs[gi] = s
-	}
-	return plan.Assemble(segs)
-}
-
 // encodeAssignment chooses the broadcast form: owner deltas relative to the
 // standing assignment when the repartition kept the box list (the steady
 // state — repartitions move ownership, not the tiling), the full table
@@ -662,6 +408,52 @@ func encodeAssignment(prev *asnView, a *partition.Assignment) wireAssignment {
 		}
 	}
 	return w
+}
+
+// decodeAssignment rebuilds a rank's view from a wire form: the delta form
+// patches the standing view prev, the full form rescans the owner table.
+// The sender rebuilds its own view through here too, so every rank holds
+// bit-identical state regardless of which form traveled. The form arrived
+// from a peer, so indexes and owners are range-checked before use.
+func decodeAssignment(prev *asnView, wire *wireAssignment, me, size int) (*asnView, error) {
+	if wire.Delta {
+		if prev == nil || len(wire.Changed) != len(wire.NewOwners) {
+			return nil, fmt.Errorf("engine: malformed owner-delta assignment")
+		}
+		for k, ci := range wire.Changed {
+			if ci < 0 || int(ci) >= len(prev.Owners) || wire.NewOwners[k] < 0 || int(wire.NewOwners[k]) >= size {
+				return nil, fmt.Errorf("engine: owner delta (box %d -> rank %d) out of range", ci, wire.NewOwners[k])
+			}
+		}
+		return applyDelta(prev, wire, me), nil
+	}
+	a, err := assignmentOf(wire.Boxes, wire.Owners, size)
+	if err != nil {
+		return nil, err
+	}
+	return newAsnView(a, me), nil
+}
+
+// assignmentOf rebuilds an assignment from a box→owner table that arrived
+// over the wire: per-node work is re-accumulated in box order; Ideal is not
+// part of the standing state (only a fresh partitioner result carries it).
+func assignmentOf(boxes geom.BoxList, owners []int, size int) (*partition.Assignment, error) {
+	if len(boxes) != len(owners) {
+		return nil, fmt.Errorf("engine: assignment has %d boxes but %d owners", len(boxes), len(owners))
+	}
+	a := &partition.Assignment{
+		Boxes:  boxes,
+		Owners: owners,
+		Work:   make([]float64, size),
+		Ideal:  make([]float64, size),
+	}
+	for i, b := range boxes {
+		if owners[i] < 0 || owners[i] >= size {
+			return nil, fmt.Errorf("engine: box %d owned by rank %d of %d", i, owners[i], size)
+		}
+		a.Work[owners[i]] += partition.CellWork(b)
+	}
+	return a, nil
 }
 
 // extract serializes the values of region (all fields) from a patch.
@@ -716,9 +508,10 @@ type commScratch struct {
 	rfloats  []float64
 	rregions []transport.FrameRegion
 
-	// query is the spatial-index result scratch for plan building and
-	// redistribution.
+	// query/qs are the spatial-index result and dedup scratch of the serial
+	// plan builders, pooled across rebuilds.
 	query []int
+	qs    geom.QueryScratch
 
 	// indexes caches uniform-grid spatial indexes across plan rebuilds, so a
 	// rank pays the O(total boxes) index construction only when the tiling
@@ -746,15 +539,14 @@ type commScratch struct {
 	applyErrs []error
 
 	// om is the rank's observability handle set (nil when off). It lives on
-	// the scratch because the scratch already threads through every shared
-	// communication path of both the plain and the fault-tolerant runner.
+	// the scratch because the scratch already threads through every
+	// communication path of the step loop; sites open spans through begin.
 	om *spmdObs
 
 	// tr is the rank's distributed-trace recorder (nil when tracing is off);
 	// like om it rides the scratch so postSends/finishRecvs/redistribute see
-	// it from both runners. tcbuf is the pooled wire context the frame
-	// packers point AppendFrameCtx at, keeping the traced send path
-	// allocation-free.
+	// it. tcbuf is the pooled wire context the frame packers point
+	// AppendFrameCtx at, keeping the traced send path allocation-free.
 	tr    *trace.Recorder
 	tcbuf transport.TraceCtx
 }
@@ -841,7 +633,6 @@ type ghostSend struct {
 	src            geom.Box
 	region         geom.Box
 	to             int
-	tag            string
 }
 
 // ghostRecv is one incoming remote halo region for owned patch dst.
@@ -850,11 +641,10 @@ type ghostRecv struct {
 	dst            geom.Box
 	region         geom.Box
 	from           int
-	tag            string
 }
 
-// peerSpan is a contiguous run of plan entries sharing one peer rank; in
-// coalesced mode the whole run travels as a single framed message under tag.
+// peerSpan is a contiguous run of plan entries sharing one peer rank: the
+// whole run travels as a single framed message under tag.
 type peerSpan struct {
 	rank   int
 	lo, hi int
@@ -868,13 +658,10 @@ type peerSpan struct {
 // interior (halo fully local — can step while remote data is in flight) vs
 // boundary (must wait for at least one receive).
 //
-// In the default coalesced mode every peer rank exchanges exactly ONE framed
-// message per iteration under a fixed per-epoch tag: the transport inbox is
-// FIFO per (from, tag), so a rank running ahead simply queues behind the
-// receiver's earlier iteration. The per-pair mode keeps one message and one
-// fixed tag per (dst, src) box pair, with the same FIFO argument.
+// Every peer rank exchanges exactly ONE framed message per iteration under a
+// fixed per-epoch tag: the transport inbox is FIFO per (from, tag), so a rank
+// running ahead simply queues behind the receiver's earlier iteration.
 type ghostPlan struct {
-	perPair   bool
 	sends     []ghostSend
 	recvs     []ghostRecv
 	sendPeers []peerSpan
@@ -886,123 +673,80 @@ type ghostPlan struct {
 }
 
 // buildGhostPlan derives rank me's exchange plan — and only rank me's —
-// from the shared assignment. prefix namespaces the tags: fault-tolerant
-// runs pass an epoch prefix so messages from a rolled-back execution cannot
-// collide with the replay. The plan visits only me's boxes (the view's mine
-// list) and finds their neighbors through the cached uniform-grid index, so
-// per-rank plan cost scales with the rank's own boxes and their neighbor
-// count, not with the global box total; growing by the ghost width is
-// symmetric (grown(a) meets b iff grown(b) meets a), so one pass yields
-// sends, receives, and local copies alike. centralGhostPlans is the
-// retained global-pass twin; both must stay bit-identical per rank.
-func buildGhostPlan(v *asnView, me, ghost int, prefix string, perPair bool, sc *commScratch) *ghostPlan {
-	if sc == nil {
-		sc = &commScratch{}
-	}
+// from the shared assignment. prefix namespaces the tags by epoch, so
+// messages from a rolled-back execution cannot collide with the replay. The
+// plan visits only me's boxes (the view's mine list) and finds their
+// neighbors through the cached uniform-grid index, so per-rank plan cost
+// scales with the rank's own boxes and their neighbor count, not with the
+// global box total. With workers > 1 contiguous chunks of the mine list are
+// scanned concurrently into private plans (the index itself is read-only);
+// concatenating them in chunk order reproduces the serial append order, and
+// finish()'s canonical sort over unique keys is order-insensitive anyway.
+// centralGhostPlans is the retained global-pass twin; both must stay
+// bit-identical per rank.
+func buildGhostPlan(v *asnView, me, ghost int, prefix string, sc *commScratch) *ghostPlan {
 	a := v.Assignment
-	pl := &ghostPlan{perPair: perPair, sc: sc}
+	pl := &ghostPlan{sc: sc}
 	idx := sc.indexes.get(a.Boxes)
-	needsRemote := map[geom.Box]bool{}
-	if w := sc.workers; w > 1 && len(v.mine) > 1 {
-		// Chunked fan-out: contiguous chunks of the mine list, each worker
-		// appending to private buckets with its own query scratch (the index
-		// itself is read-only). Concatenating buckets in chunk order exactly
-		// reproduces the serial append order, and finish()'s canonical sort
-		// over unique keys is order-insensitive anyway.
-		if w > len(v.mine) {
-			w = len(v.mine)
-		}
-		type ghostPart struct {
-			sends  []ghostSend
-			recvs  []ghostRecv
-			locals [][2]geom.Box
-			remote []geom.Box
-		}
-		parts := make([]ghostPart, w)
+	if w := min(sc.workers, len(v.mine)); w > 1 {
+		parts := make([]ghostPlan, w)
 		parallel.For(w, w, func(c int) {
 			lo, hi := chunkRange(len(v.mine), w, c)
 			var qs geom.QueryScratch
-			var hits []int
-			p := &parts[c]
-			for _, i := range v.mine[lo:hi] {
-				bi := a.Boxes[i]
-				grown := bi.Grow(ghost)
-				hits = idx.QueryWith(&qs, grown, hits)
-				hadRemote := false
-				for _, j := range hits {
-					if j == i {
-						continue
-					}
-					bj := a.Boxes[j]
-					oj := a.Owners[j]
-					if oj == me {
-						p.locals = append(p.locals, [2]geom.Box{bi, bj})
-						continue
-					}
-					p.recvs = append(p.recvs, ghostRecv{
-						dstIdx: i, srcIdx: j, dst: bi, region: grown.Intersect(bj),
-						from: oj, tag: fmt.Sprintf("%sg%d-%d", prefix, i, j),
-					})
-					hadRemote = true
-					p.sends = append(p.sends, ghostSend{
-						dstIdx: j, srcIdx: i, src: bi, region: bj.Grow(ghost).Intersect(bi),
-						to: oj, tag: fmt.Sprintf("%sg%d-%d", prefix, j, i),
-					})
-				}
-				if hadRemote {
-					p.remote = append(p.remote, bi)
-				}
-			}
+			parts[c].scan(a, idx, v.mine[lo:hi], me, ghost, &qs, nil)
 		})
-		for _, p := range parts {
+		for i := range parts {
+			p := &parts[i]
 			pl.sends = append(pl.sends, p.sends...)
 			pl.recvs = append(pl.recvs, p.recvs...)
 			pl.locals = append(pl.locals, p.locals...)
-			for _, b := range p.remote {
-				needsRemote[b] = true
-			}
+			pl.interior = append(pl.interior, p.interior...)
+			pl.boundary = append(pl.boundary, p.boundary...)
 		}
 	} else {
-		hits := sc.query
-		for _, i := range v.mine {
-			bi := a.Boxes[i]
-			grown := bi.Grow(ghost)
-			hits = idx.Query(grown, hits)
-			for _, j := range hits {
-				if j == i {
-					continue
-				}
-				bj := a.Boxes[j]
-				oj := a.Owners[j]
-				if oj == me {
-					pl.locals = append(pl.locals, [2]geom.Box{bi, bj})
-					continue
-				}
-				// bj's owner sends me my halo cells grown(bi)∩bj ...
-				pl.recvs = append(pl.recvs, ghostRecv{
-					dstIdx: i, srcIdx: j, dst: bi, region: grown.Intersect(bj),
-					from: oj, tag: fmt.Sprintf("%sg%d-%d", prefix, i, j),
-				})
-				needsRemote[bi] = true
-				// ... and symmetrically I feed bj's halo from bi.
-				pl.sends = append(pl.sends, ghostSend{
-					dstIdx: j, srcIdx: i, src: bi, region: bj.Grow(ghost).Intersect(bi),
-					to: oj, tag: fmt.Sprintf("%sg%d-%d", prefix, j, i),
-				})
-			}
-		}
-		sc.query = hits
+		sc.query = pl.scan(a, idx, v.mine, me, ghost, &sc.qs, sc.query)
 	}
 	pl.finish(prefix)
-	for _, i := range v.mine {
-		b := a.Boxes[i]
-		if needsRemote[b] {
-			pl.boundary = append(pl.boundary, b)
+	return pl
+}
+
+// scan appends the exchange entries of one chunk of rank me's boxes (mine,
+// ascending global indexes) to pl and classifies each box as interior or
+// boundary. Growing by the ghost width is symmetric (grown(a) meets b iff
+// grown(b) meets a), so one pass yields sends, receives, and local copies
+// alike. hits is the query result scratch, returned for reuse.
+func (pl *ghostPlan) scan(a *partition.Assignment, idx *geom.Index, mine []int, me, ghost int, qs *geom.QueryScratch, hits []int) []int {
+	for _, i := range mine {
+		bi := a.Boxes[i]
+		grown := bi.Grow(ghost)
+		hits = idx.QueryWith(qs, grown, hits)
+		remote := false
+		for _, j := range hits {
+			if j == i {
+				continue
+			}
+			bj, oj := a.Boxes[j], a.Owners[j]
+			if oj == me {
+				pl.locals = append(pl.locals, [2]geom.Box{bi, bj})
+				continue
+			}
+			// bj's owner sends me my halo cells grown(bi)∩bj ...
+			pl.recvs = append(pl.recvs, ghostRecv{
+				dstIdx: i, srcIdx: j, dst: bi, region: grown.Intersect(bj), from: oj,
+			})
+			remote = true
+			// ... and symmetrically I feed bj's halo from bi.
+			pl.sends = append(pl.sends, ghostSend{
+				dstIdx: j, srcIdx: i, src: bi, region: bj.Grow(ghost).Intersect(bi), to: oj,
+			})
+		}
+		if remote {
+			pl.boundary = append(pl.boundary, bi)
 		} else {
-			pl.interior = append(pl.interior, b)
+			pl.interior = append(pl.interior, bi)
 		}
 	}
-	return pl
+	return hits
 }
 
 // finish canonicalizes a ghost plan: sends and receives sorted by (peer,
@@ -1050,20 +794,6 @@ func (pl *ghostPlan) finish(prefix string) {
 	}
 }
 
-// ghostPlanAt builds rank me's halo-exchange plan through the configured
-// path — the distributed per-rank builder by default, the centralized
-// global-pass oracle under CentralPlans — timed as a plan-build span.
-func (c SPMDConfig) ghostPlanAt(v *asnView, me, size, ghost int, prefix string, sc *commScratch) *ghostPlan {
-	sp := sc.om.span(obs.PhasePlan)
-	defer sp.End()
-	if c.CentralPlans {
-		pl := centralGhostPlans(v.Assignment, size, ghost, prefix, c.PerPairExchange)[me]
-		pl.sc = sc
-		return pl
-	}
-	return buildGhostPlan(v, me, ghost, prefix, c.PerPairExchange, sc)
-}
-
 // frameRegion builds the wire header for one packed region.
 func frameRegion(dstIdx, srcIdx int, region geom.Box, count int) transport.FrameRegion {
 	fr := transport.FrameRegion{Dst: uint32(dstIdx), Src: uint32(srcIdx), Count: uint32(count)}
@@ -1094,8 +824,8 @@ func checkFrameRegion(fr transport.FrameRegion, dstIdx, srcIdx int, region geom.
 // postSends runs the non-blocking half of the halo exchange: outflow
 // fallback over every owned halo, remote region sends, and same-rank copies.
 // After it returns, every interior-class patch has a complete halo; boundary
-// patches still await finishRecvs. In coalesced mode all regions bound for
-// one peer leave as a single framed message.
+// patches still await finishRecvs. All regions bound for one peer leave as a
+// single framed message.
 func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.Patch, res *SPMDResult) error {
 	for _, b := range pl.interior {
 		solver.ApplyOutflowBC(patches[b])
@@ -1104,69 +834,29 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 		solver.ApplyOutflowBC(patches[b])
 	}
 	sc := pl.sc
-	if pl.perPair {
-		for _, s := range pl.sends {
-			sc.floats = extractInto(sc.floats, patches[s.src], s.region)
-			sc.bytes = transport.AppendFloats(sc.bytes[:0], sc.floats)
-			if err := ep.Send(s.to, s.tag, sc.bytes); err != nil {
-				return err
-			}
-			res.BytesSent += int64(len(sc.bytes))
-			res.MsgsSent++
-			sc.om.peerSent(s.to, len(sc.bytes))
-			sc.tr.Send(s.to, trace.KindHalo, len(sc.bytes), 0)
-		}
-	} else if w := sc.workers; w > 1 && len(pl.sendPeers) > 1 {
+	spans := pl.sendPeers
+	parallelPack := sc.workers > 1 && len(spans) > 1
+	if parallelPack {
 		// Pack every peer's frame concurrently into pooled per-span buffers,
 		// then send serially in span order — identical bytes and identical
 		// wire order to the serial packer.
-		spans := pl.sendPeers
 		sc.spanScratch(len(spans))
 		tc := sc.frameCtx()
-		parallel.For(w, len(spans), func(si int) {
-			span := spans[si]
-			ptr := sc.tr.Span(trace.PhasePack)
-			fl, rg := sc.spanFloats[si][:0], sc.spanRegions[si][:0]
-			for _, s := range pl.sends[span.lo:span.hi] {
-				n0 := len(fl)
-				fl = extractAppend(fl, patches[s.src], s.region)
-				rg = append(rg, frameRegion(s.dstIdx, s.srcIdx, s.region, len(fl)-n0))
-			}
-			sc.spanBytes[si] = transport.AppendFrameCtx(sc.spanBytes[si][:0], rg, fl, tc)
-			sc.spanFloats[si], sc.spanRegions[si] = fl, rg
-			ptr.End()
+		parallel.For(sc.workers, len(spans), func(si int) {
+			sc.spanFloats[si], sc.spanRegions[si], sc.spanBytes[si] = pl.packSpan(
+				spans[si], patches, sc.spanFloats[si], sc.spanRegions[si], sc.spanBytes[si], tc)
 		})
-		for si, span := range spans {
-			b := sc.spanBytes[si]
-			ns := sc.traceStamp(b)
-			if err := ep.Send(span.rank, span.tag, b); err != nil {
-				return err
-			}
-			res.BytesSent += int64(len(b))
-			res.MsgsSent++
-			sc.om.peerSent(span.rank, len(b))
-			sc.tr.Send(span.rank, trace.KindHalo, len(b), ns)
+	}
+	for si, span := range spans {
+		if !parallelPack {
+			sc.floats, sc.regions, sc.bytes = pl.packSpan(span, patches, sc.floats, sc.regions, sc.bytes, sc.frameCtx())
 		}
-	} else {
-		for _, span := range pl.sendPeers {
-			ptr := sc.tr.Span(trace.PhasePack)
-			sc.floats = sc.floats[:0]
-			sc.regions = sc.regions[:0]
-			for _, s := range pl.sends[span.lo:span.hi] {
-				n0 := len(sc.floats)
-				sc.floats = extractAppend(sc.floats, patches[s.src], s.region)
-				sc.regions = append(sc.regions, frameRegion(s.dstIdx, s.srcIdx, s.region, len(sc.floats)-n0))
-			}
-			sc.bytes = transport.AppendFrameCtx(sc.bytes[:0], sc.regions, sc.floats, sc.frameCtx())
-			ptr.End()
-			ns := sc.traceStamp(sc.bytes)
-			if err := ep.Send(span.rank, span.tag, sc.bytes); err != nil {
-				return err
-			}
-			res.BytesSent += int64(len(sc.bytes))
-			res.MsgsSent++
-			sc.om.peerSent(span.rank, len(sc.bytes))
-			sc.tr.Send(span.rank, trace.KindHalo, len(sc.bytes), ns)
+		frame := sc.bytes
+		if parallelPack {
+			frame = sc.spanBytes[si]
+		}
+		if err := sc.sendFrame(ep, span.rank, span.tag, frame, trace.KindHalo, res); err != nil {
+			return err
 		}
 	}
 	for _, pair := range pl.locals {
@@ -1175,99 +865,95 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 	return nil
 }
 
+// packSpan packs the regions bound for one peer into a frame, reusing the
+// given buffers (truncated first) and returning them grown.
+func (pl *ghostPlan) packSpan(span peerSpan, patches map[geom.Box]*amr.Patch, fl []float64, rg []transport.FrameRegion, frame []byte, tc *transport.TraceCtx) ([]float64, []transport.FrameRegion, []byte) {
+	sp := pl.sc.begin(trace.PhasePack)
+	fl, rg = fl[:0], rg[:0]
+	for _, s := range pl.sends[span.lo:span.hi] {
+		n0 := len(fl)
+		fl = extractAppend(fl, patches[s.src], s.region)
+		rg = append(rg, frameRegion(s.dstIdx, s.srcIdx, s.region, len(fl)-n0))
+	}
+	frame = transport.AppendFrameCtx(frame[:0], rg, fl, tc)
+	sp.End()
+	return fl, rg, frame
+}
+
+// sendFrame stamps a packed frame with the send instant, ships it to peer
+// and charges it to the rank's data-plane counters and trace.
+func (sc *commScratch) sendFrame(ep transport.Endpoint, peer int, tag string, frame []byte, kind string, res *SPMDResult) error {
+	ns := sc.traceStamp(frame)
+	if err := ep.Send(peer, tag, frame); err != nil {
+		return err
+	}
+	res.BytesSent += int64(len(frame))
+	res.MsgsSent++
+	sc.om.peerSent(peer, len(frame))
+	sc.tr.Send(peer, kind, len(frame), ns)
+	return nil
+}
+
+// recvFrame blocks for peer's frame under tag, decodes it into the pooled
+// receive buffers (sc.rregions/sc.rfloats) and closes the wait span, gated
+// on the sender's stamp when the frame carried a trace context.
+func (sc *commScratch) recvFrame(ep transport.Endpoint, peer int, tag, waitPhase, kind string, res *SPMDResult) (int, error) {
+	wait := sc.beginWait(waitPhase, peer)
+	payload, err := ep.Recv(peer, tag)
+	if err != nil {
+		return 0, err
+	}
+	res.MsgsRecvd++
+	var tc transport.TraceCtx
+	var traced bool
+	sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
+	if err != nil {
+		return 0, err
+	}
+	if sc.tr != nil {
+		if traced {
+			sc.tr.Recv(peer, kind, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
+			wait.EndGated(tc.SendNS)
+		} else {
+			sc.tr.RecvUntraced(peer, kind, len(payload))
+			wait.End()
+		}
+	}
+	return len(payload), nil
+}
+
 // finishRecvs blocks until every remote halo region has arrived and applies
 // them; boundary patches are complete afterwards. Regions from distinct
-// sources are disjoint, so apply order cannot affect the result. Coalesced
-// frames are validated region by region against the plan.
+// sources are disjoint, so apply order cannot affect the result. Frames are
+// validated region by region against the plan.
 func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, patches map[geom.Box]*amr.Patch, res *SPMDResult) error {
 	sc := pl.sc
 	var haloBytes int64
-	wsp := sc.om.span(obs.PhaseHaloWait)
+	// The metric span times the whole exchange and carries its volume; the
+	// trace resolves it into one wait per peer plus the unpacks.
+	wsp := sc.beginVolume(obs.PhaseHaloWait)
 	defer func() { wsp.EndBytes(haloBytes) }()
-	if pl.perPair {
-		for _, r := range pl.recvs {
-			wtr := sc.tr.WaitSpan(trace.PhaseHaloWait, r.from)
-			payload, err := ep.Recv(r.from, r.tag)
-			if err != nil {
-				return err
-			}
-			wtr.End()
-			sc.tr.RecvUntraced(r.from, trace.KindHalo, len(payload))
-			res.MsgsRecvd++
-			haloBytes += int64(len(payload))
-			sc.rfloats, err = transport.DecodeFloats(payload, sc.rfloats)
-			if err != nil {
-				return err
-			}
-			if err := apply(patches[r.dst], r.region, sc.rfloats); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, span := range pl.recvPeers {
-		wtr := sc.tr.WaitSpan(trace.PhaseHaloWait, span.rank)
-		payload, err := ep.Recv(span.rank, span.tag)
+		nbytes, err := sc.recvFrame(ep, span.rank, span.tag, trace.PhaseHaloWait, trace.KindHalo, res)
 		if err != nil {
 			return err
 		}
-		res.MsgsRecvd++
-		haloBytes += int64(len(payload))
-		var tc transport.TraceCtx
-		var traced bool
-		sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
-		if err != nil {
-			return err
-		}
-		if sc.tr != nil {
-			if traced {
-				sc.tr.Recv(span.rank, trace.KindHalo, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
-				wtr.EndGated(tc.SendNS)
-			} else {
-				sc.tr.RecvUntraced(span.rank, trace.KindHalo, len(payload))
-				wtr.End()
-			}
-		}
-		utr := sc.tr.Span(trace.PhaseUnpack)
-		if len(sc.rregions) != span.hi-span.lo {
+		haloBytes += int64(nbytes)
+		usp := sc.begin(trace.PhaseUnpack)
+		n := span.hi - span.lo
+		if len(sc.rregions) != n {
 			return fmt.Errorf("engine: rank %d sent %d halo regions, plan expects %d",
-				span.rank, len(sc.rregions), span.hi-span.lo)
+				span.rank, len(sc.rregions), n)
 		}
-		if w, n := sc.workers, span.hi-span.lo; w > 1 && n > 1 {
-			// Validate headers and prefix-sum the frame offsets serially
-			// (cheap), then apply regions concurrently: regions of one frame
-			// cover pairwise-disjoint cells (distinct source boxes are
-			// disjoint), so the writes never touch the same cell. Errors are
-			// surfaced in index order.
-			if cap(sc.offsets) < n {
-				sc.offsets = make([]int, n)
-			}
-			offs := sc.offsets[:n]
-			off := 0
-			for i, r := range pl.recvs[span.lo:span.hi] {
-				fr := sc.rregions[i]
-				if err := checkFrameRegion(fr, r.dstIdx, r.srcIdx, r.region); err != nil {
-					return err
-				}
-				offs[i] = off
-				off += int(fr.Count)
-			}
-			if cap(sc.applyErrs) < n {
-				sc.applyErrs = make([]error, n)
-			}
-			errs := sc.applyErrs[:n]
-			parallel.For(w, n, func(i int) {
-				r := &pl.recvs[span.lo+i]
-				cnt := int(sc.rregions[i].Count)
-				errs[i] = apply(patches[r.dst], r.region, sc.rfloats[offs[i]:offs[i]+cnt])
-			})
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			utr.End()
-			continue
+		// Validate every header against the plan, applying each region as it
+		// passes — or, with workers, only prefix-summing the frame offsets and
+		// applying concurrently afterwards: regions of one frame cover
+		// pairwise-disjoint cells (distinct source boxes are disjoint), so the
+		// writes never touch the same cell. Errors surface in index order.
+		par := sc.workers > 1 && n > 1
+		if par && cap(sc.offsets) < n {
+			sc.offsets = make([]int, n)
+			sc.applyErrs = make([]error, n)
 		}
 		off := 0
 		for i, r := range pl.recvs[span.lo:span.hi] {
@@ -1275,13 +961,26 @@ func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, patches map[geom.Box]*am
 			if err := checkFrameRegion(fr, r.dstIdx, r.srcIdx, r.region); err != nil {
 				return err
 			}
-			n := int(fr.Count)
-			if err := apply(patches[r.dst], r.region, sc.rfloats[off:off+n]); err != nil {
+			if par {
+				sc.offsets[i] = off
+			} else if err := apply(patches[r.dst], r.region, sc.rfloats[off:off+int(fr.Count)]); err != nil {
 				return err
 			}
-			off += n
+			off += int(fr.Count)
 		}
-		utr.End()
+		if par {
+			offs, errs := sc.offsets[:n], sc.applyErrs[:n]
+			parallel.For(sc.workers, n, func(i int) {
+				r := &pl.recvs[span.lo+i]
+				errs[i] = apply(patches[r.dst], r.region, sc.rfloats[offs[i]:offs[i]+int(sc.rregions[i].Count)])
+			})
+			for _, err := range errs {
+				if err != nil {
+					return err
+				}
+			}
+		}
+		usp.End()
 	}
 	return nil
 }
@@ -1326,89 +1025,60 @@ func sortMig(ms []migRegion) {
 }
 
 // buildMigPlan derives rank me's migration plan — and only rank me's — for
-// an old→next repartition. Two passes over the view's own boxes: my new
-// boxes probed against the old tiling classify inbound regions (kept in
-// place when I already owned the data, received otherwise), and my old
-// boxes probed against the new tiling find outbound regions. Both probes go
-// through the cached indexes, so per-rank cost scales with the rank's own
-// boxes, not the global totals. centralMigPlans is the retained global-pass
-// twin; both must stay bit-identical per rank.
+// an old→next repartition by probing the view's own boxes through the cached
+// indexes, so per-rank cost scales with the rank's own boxes, not the global
+// totals. Both indexes are fetched up front (the two-slot cache holds them
+// together) and only read afterwards; with workers > 1 contiguous chunks of
+// the two mine lists are scanned concurrently into private plans, and
+// finish()'s canonical sort over unique keys makes the plan independent of
+// append order. centralMigPlans is the retained global-pass twin; both must
+// stay bit-identical per rank.
 func buildMigPlan(old, next *asnView, me int, sc *commScratch) migPlan {
 	var mp migPlan
+	oldIdx := sc.indexes.get(old.Boxes)
+	nextIdx := sc.indexes.get(next.Boxes)
 	if w := sc.workers; w > 1 && len(next.mine)+len(old.mine) > 1 {
-		// Both indexes are fetched up front (the two-slot cache holds them
-		// together) and only read inside the workers; buckets concatenate in
-		// chunk order and finish()'s canonical sort over unique keys makes
-		// the plan independent of append order regardless.
-		oldIdx := sc.indexes.get(old.Boxes)
-		nextIdx := sc.indexes.get(next.Boxes)
-		type migPart struct{ sends, recvs, retained []migRegion }
-		parts := make([]migPart, w)
+		parts := make([]migPlan, w)
 		parallel.For(w, w, func(c int) {
+			nlo, nhi := chunkRange(len(next.mine), w, c)
+			olo, ohi := chunkRange(len(old.mine), w, c)
 			var qs geom.QueryScratch
-			var hits []int
-			p := &parts[c]
-			lo, hi := chunkRange(len(next.mine), w, c)
-			for _, i := range next.mine[lo:hi] {
-				nb := next.Boxes[i]
-				hits = oldIdx.QueryWith(&qs, nb, hits)
-				for _, j := range hits {
-					ob := old.Boxes[j]
-					m := migRegion{dstIdx: i, srcIdx: j, dst: nb, src: ob, region: nb.Intersect(ob)}
-					if old.Owners[j] == me {
-						m.peer = me
-						p.retained = append(p.retained, m)
-					} else {
-						m.peer = old.Owners[j]
-						p.recvs = append(p.recvs, m)
-					}
-				}
-			}
-			lo, hi = chunkRange(len(old.mine), w, c)
-			for _, j := range old.mine[lo:hi] {
-				ob := old.Boxes[j]
-				hits = nextIdx.QueryWith(&qs, ob, hits)
-				for _, i := range hits {
-					if next.Owners[i] == me {
-						continue // kept or stitched locally by the first pass
-					}
-					nb := next.Boxes[i]
-					p.sends = append(p.sends, migRegion{
-						dstIdx: i, srcIdx: j, dst: nb, src: ob,
-						region: nb.Intersect(ob), peer: next.Owners[i],
-					})
-				}
-			}
+			parts[c].scan(old, next, oldIdx, nextIdx, next.mine[nlo:nhi], old.mine[olo:ohi], me, &qs, nil)
 		})
 		for _, p := range parts {
 			mp.sends = append(mp.sends, p.sends...)
 			mp.recvs = append(mp.recvs, p.recvs...)
 			mp.retained = append(mp.retained, p.retained...)
 		}
-		mp.finish()
-		return mp
+	} else {
+		sc.query = mp.scan(old, next, oldIdx, nextIdx, next.mine, old.mine, me, &sc.qs, sc.query)
 	}
-	oldIdx := sc.indexes.get(old.Boxes)
-	hits := sc.query
-	for _, i := range next.mine {
+	mp.finish()
+	return mp
+}
+
+// scan appends one chunk's regions to mp in two passes: my new boxes
+// (nextMine) probed against the old tiling classify inbound regions (kept in
+// place when I already owned the data, received otherwise), and my old boxes
+// (oldMine) probed against the new tiling find outbound regions. hits is the
+// query result scratch, returned for reuse.
+func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMine, oldMine []int, me int, qs *geom.QueryScratch, hits []int) []int {
+	for _, i := range nextMine {
 		nb := next.Boxes[i]
-		hits = oldIdx.Query(nb, hits)
+		hits = oldIdx.QueryWith(qs, nb, hits)
 		for _, j := range hits {
 			ob := old.Boxes[j]
-			m := migRegion{dstIdx: i, srcIdx: j, dst: nb, src: ob, region: nb.Intersect(ob)}
-			if old.Owners[j] == me {
-				m.peer = me
+			m := migRegion{dstIdx: i, srcIdx: j, dst: nb, src: ob, region: nb.Intersect(ob), peer: old.Owners[j]}
+			if m.peer == me {
 				mp.retained = append(mp.retained, m)
 			} else {
-				m.peer = old.Owners[j]
 				mp.recvs = append(mp.recvs, m)
 			}
 		}
 	}
-	nextIdx := sc.indexes.get(next.Boxes)
-	for _, j := range old.mine {
+	for _, j := range oldMine {
 		ob := old.Boxes[j]
-		hits = nextIdx.Query(ob, hits)
+		hits = nextIdx.QueryWith(qs, ob, hits)
 		for _, i := range hits {
 			if next.Owners[i] == me {
 				continue // kept or stitched locally by the first pass
@@ -1420,9 +1090,7 @@ func buildMigPlan(old, next *asnView, me int, sc *commScratch) migPlan {
 			})
 		}
 	}
-	sc.query = hits
-	mp.finish()
-	return mp
+	return hits
 }
 
 // redistribute moves patch interiors to their new owners after a
@@ -1430,29 +1098,20 @@ func buildMigPlan(old, next *asnView, me int, sc *commScratch) migPlan {
 // ones, so transfers cover every overlapping (old, new) pair. A box whose
 // geometry and owner both survive keeps its patch untouched (its halo is
 // stale, but every halo cell is rewritten by the next exchange before use,
-// the same argument that lets stepPatch reuse spares). In coalesced mode
-// all regions bound for one peer travel as a single framed message; the
-// per-pair mode keeps one message per overlap. central selects the
-// global-pass oracle plan builder instead of the per-rank one.
-func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Box]*amr.Patch, k solver.Kernel, iter int, res *SPMDResult, prefix string, perPair, central bool, sc *commScratch) (map[geom.Box]*amr.Patch, error) {
-	if sc == nil {
-		sc = &commScratch{}
-	}
+// the same argument that lets stepPatch reuse spares). All regions bound for
+// one peer travel as a single framed message.
+func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Box]*amr.Patch, k solver.Kernel, iter int, res *SPMDResult, prefix string, sc *commScratch) (map[geom.Box]*amr.Patch, error) {
 	me := ep.Rank()
-	psp := sc.om.span(obs.PhasePlan)
-	ptr := sc.tr.Span(trace.PhasePlan)
-	var mp migPlan
-	if central {
-		mp = centralMigPlans(old.Assignment, next.Assignment, ep.Size())[me]
-	} else {
-		mp = buildMigPlan(old, next, me, sc)
-	}
-	ptr.End()
+	psp := sc.begin(trace.PhasePlan)
+	mp := buildMigPlan(old, next, me, sc)
 	psp.End()
-	msp := sc.om.span(obs.PhaseMigrate)
+	// The metric span times the whole migration and carries its volume; the
+	// trace splits it into the local copies (migrate) and, per peer, pack,
+	// mig-wait and unpack.
+	msp := sc.beginVolume(obs.PhaseMigrate)
 	mig0 := res.MigratedBytes
 	defer func() { msp.EndBytes(res.MigratedBytes - mig0) }()
-	mtr := sc.tr.Span(trace.PhaseMigrate)
+	lsp := sc.begin(trace.PhaseMigrate)
 	out := make(map[geom.Box]*amr.Patch, len(patches))
 	bytesPerCell := int64(k.NumFields()) * 8
 	for _, m := range mp.retained {
@@ -1478,49 +1137,15 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 			out[m.dst] = amr.NewPatch(m.dst, k.Ghost(), k.NumFields())
 		}
 	}
-	mtr.End()
+	lsp.End()
 	sends, recvs := mp.sends, mp.recvs
-	if perPair {
-		for _, m := range sends {
-			tag := fmt.Sprintf("%sr%d-%d-%d", prefix, iter, m.dstIdx, m.srcIdx)
-			sc.floats = extractInto(sc.floats, patches[m.src], m.region)
-			sc.bytes = transport.AppendFloats(sc.bytes[:0], sc.floats)
-			if err := ep.Send(m.peer, tag, sc.bytes); err != nil {
-				return nil, err
-			}
-			res.BytesSent += int64(len(sc.bytes))
-			res.MsgsSent++
-			res.MigratedBytes += m.region.Cells() * bytesPerCell
-			sc.om.peerSent(m.peer, len(sc.bytes))
-			sc.tr.Send(m.peer, trace.KindMig, len(sc.bytes), 0)
-		}
-		for _, m := range recvs {
-			tag := fmt.Sprintf("%sr%d-%d-%d", prefix, iter, m.dstIdx, m.srcIdx)
-			wtr := sc.tr.WaitSpan(trace.PhaseMigWait, m.peer)
-			payload, err := ep.Recv(m.peer, tag)
-			if err != nil {
-				return nil, err
-			}
-			wtr.End()
-			sc.tr.RecvUntraced(m.peer, trace.KindMig, len(payload))
-			res.MsgsRecvd++
-			sc.rfloats, err = transport.DecodeFloats(payload, sc.rfloats)
-			if err != nil {
-				return nil, err
-			}
-			if err := apply(out[m.dst], m.region, sc.rfloats); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	tag := fmt.Sprintf("%srx%d", prefix, iter)
 	for lo := 0; lo < len(sends); {
 		hi := lo
 		for hi < len(sends) && sends[hi].peer == sends[lo].peer {
 			hi++
 		}
-		ktr := sc.tr.Span(trace.PhasePack)
+		ksp := sc.begin(trace.PhasePack)
 		sc.floats = sc.floats[:0]
 		sc.regions = sc.regions[:0]
 		for _, m := range sends[lo:hi] {
@@ -1530,15 +1155,10 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 			res.MigratedBytes += m.region.Cells() * bytesPerCell
 		}
 		sc.bytes = transport.AppendFrameCtx(sc.bytes[:0], sc.regions, sc.floats, sc.frameCtx())
-		ktr.End()
-		ns := sc.traceStamp(sc.bytes)
-		if err := ep.Send(sends[lo].peer, tag, sc.bytes); err != nil {
+		ksp.End()
+		if err := sc.sendFrame(ep, sends[lo].peer, tag, sc.bytes, trace.KindMig, res); err != nil {
 			return nil, err
 		}
-		res.BytesSent += int64(len(sc.bytes))
-		res.MsgsSent++
-		sc.om.peerSent(sends[lo].peer, len(sc.bytes))
-		sc.tr.Send(sends[lo].peer, trace.KindMig, len(sc.bytes), ns)
 		lo = hi
 	}
 	for lo := 0; lo < len(recvs); {
@@ -1546,32 +1166,14 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		for hi < len(recvs) && recvs[hi].peer == recvs[lo].peer {
 			hi++
 		}
-		wtr := sc.tr.WaitSpan(trace.PhaseMigWait, recvs[lo].peer)
-		payload, err := ep.Recv(recvs[lo].peer, tag)
-		if err != nil {
+		if _, err := sc.recvFrame(ep, recvs[lo].peer, tag, trace.PhaseMigWait, trace.KindMig, res); err != nil {
 			return nil, err
-		}
-		res.MsgsRecvd++
-		var tc transport.TraceCtx
-		var traced bool
-		sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
-		if err != nil {
-			return nil, err
-		}
-		if sc.tr != nil {
-			if traced {
-				sc.tr.Recv(recvs[lo].peer, trace.KindMig, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
-				wtr.EndGated(tc.SendNS)
-			} else {
-				sc.tr.RecvUntraced(recvs[lo].peer, trace.KindMig, len(payload))
-				wtr.End()
-			}
 		}
 		if len(sc.rregions) != hi-lo {
 			return nil, fmt.Errorf("engine: rank %d sent %d migration regions, plan expects %d",
 				recvs[lo].peer, len(sc.rregions), hi-lo)
 		}
-		utr := sc.tr.Span(trace.PhaseUnpack)
+		usp := sc.begin(trace.PhaseUnpack)
 		off := 0
 		for i, m := range recvs[lo:hi] {
 			fr := sc.rregions[i]
@@ -1584,7 +1186,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 			}
 			off += n
 		}
-		utr.End()
+		usp.End()
 		lo = hi
 	}
 	return out, nil

@@ -59,7 +59,7 @@ func BenchmarkBuildGhostPlan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pl := buildGhostPlan(v, 0, 1, "", false, &sc)
+				pl := buildGhostPlan(v, 0, 1, "", &sc)
 				if len(pl.interior)+len(pl.boundary) == 0 {
 					b.Fatal("empty plan")
 				}
@@ -96,7 +96,7 @@ func BenchmarkRepartitionPlan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mp := buildMigPlan(ov, nv, me, &sc)
-				pl := buildGhostPlan(nv, me, 1, "", false, &sc)
+				pl := buildGhostPlan(nv, me, 1, "", &sc)
 				if len(mp.retained) == 0 || len(pl.interior)+len(pl.boundary) == 0 {
 					b.Fatal("empty plan")
 				}
@@ -106,7 +106,7 @@ func BenchmarkRepartitionPlan(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cm := centralMigPlans(old, next, tc.ranks)
-				cg := centralGhostPlans(next, tc.ranks, 1, "", false)
+				cg := centralGhostPlans(next, tc.ranks, 1, "")
 				if len(cm) != tc.ranks || len(cg) != tc.ranks {
 					b.Fatal("truncated central plans")
 				}
@@ -214,7 +214,7 @@ func BenchmarkRedistribute(b *testing.B) {
 					wg.Add(1)
 					go func(r int) {
 						defer wg.Done()
-						patches[r], errs[r] = redistribute(eps[r], views[oi][r], views[ni][r], patches[r], k, i, &res[r], "", false, false, &scs[r])
+						patches[r], errs[r] = redistribute(eps[r], views[oi][r], views[ni][r], patches[r], k, i, &res[r], "", &scs[r])
 					}(r)
 				}
 				wg.Wait()

@@ -4,14 +4,76 @@ import (
 	"strconv"
 
 	"samrpart/internal/obs"
+	"samrpart/internal/obs/trace"
 )
 
+// phaseSpan is the open span of one instrumented site in the SPMD step
+// loop: the trace record and the metric+event span it fans out to, either
+// of which may be absent (its zero half no-ops). Sites speak the
+// internal/obs/trace phase names; metricPhase maps them onto the coarser
+// obs.Phase taxonomy.
+type phaseSpan struct {
+	o obs.Span
+	t trace.Span
+}
+
+// End closes the span on both sinks.
+func (s phaseSpan) End() { s.t.End(); s.o.End() }
+
+// EndBytes is End carrying a byte volume into the metric event.
+func (s phaseSpan) EndBytes(n int64) { s.t.End(); s.o.EndBytes(n) }
+
+// EndGated is End recording the gating message's sender stamp on the trace
+// record (see trace.Span.EndGated).
+func (s phaseSpan) EndGated(sendNS int64) { s.t.EndGated(sendNS); s.o.End() }
+
+// metricPhase maps a trace phase to the obs phase whose histogram and event
+// log it also feeds. Phases absent here (pack, unpack, dt-wait, mig-wait,
+// and the trace's local-copy migrate) are trace-only: the metric side times
+// them as part of the enclosing halo-wait or migrate volume span.
+var metricPhase = map[string]obs.Phase{
+	trace.PhasePartition:  obs.PhasePartition,
+	trace.PhasePlan:       obs.PhasePlan,
+	trace.PhaseCompute:    obs.PhaseCompute,
+	trace.PhaseAdvance:    obs.PhaseCompute,
+	trace.PhaseCheckpoint: obs.PhaseCheckpoint,
+}
+
+// begin opens the span of one site in trace phase ph at the rank's current
+// (epoch, iter). Safe from worker goroutines of the rank (it only reads the
+// position).
+func (sc *commScratch) begin(ph string) phaseSpan {
+	var s phaseSpan
+	if sc.om != nil {
+		if p, ok := metricPhase[ph]; ok {
+			s.o = sc.om.span(p)
+		}
+	}
+	s.t = sc.tr.Span(ph)
+	return s
+}
+
+// beginWait opens a blocking wait on one peer. It is trace-only: the metric
+// side has no per-peer resolution and times the whole exchange instead
+// (beginVolume).
+func (sc *commScratch) beginWait(ph string, peer int) phaseSpan {
+	return phaseSpan{t: sc.tr.WaitSpan(ph, peer)}
+}
+
+// beginVolume opens the metric span of a whole exchange (halo-wait over
+// every peer, migrate over the full redistribution), closed with EndBytes.
+// It is metric-only: the trace resolves the same interval into per-peer
+// waits, packs and unpacks, and a second span over them would double-cover
+// the critical path.
+func (sc *commScratch) beginVolume(p obs.Phase) phaseSpan {
+	return phaseSpan{o: sc.om.span(p)}
+}
+
 // spmdObs holds one rank's pre-registered SPMD metric handles. It hangs off
-// the rank's commScratch so the shared communication paths (postSends,
-// finishRecvs, redistribute) see it from both the plain and the
-// fault-tolerant runner without signature changes. The nil *spmdObs
-// disables everything: every method no-ops, and the run is bit-identical
-// to an uninstrumented one.
+// the rank's commScratch so the communication paths (postSends,
+// finishRecvs, redistribute) see it without signature changes. The nil
+// *spmdObs disables everything: every method no-ops, and the run is
+// bit-identical to an uninstrumented one.
 type spmdObs struct {
 	rt   *obs.Runtime
 	reg  *obs.Registry
@@ -36,8 +98,8 @@ type spmdObs struct {
 	lastSync SPMDResult
 
 	// peerBytes/peerMsgs cache the per-peer send counters; resolution is a
-	// map hit per message (at most one message per peer per iteration in
-	// coalesced mode), registration only on first contact with a peer.
+	// map hit per message (at most one message per peer per iteration),
+	// registration only on first contact with a peer.
 	peerBytes map[int]*obs.Counter
 	peerMsgs  map[int]*obs.Counter
 }
@@ -136,15 +198,5 @@ func (om *spmdObs) sync(res *SPMDResult) {
 	om.demotions.Add(int64(res.StragglerDemotions - om.lastSync.StragglerDemotions))
 	om.promotions.Add(int64(res.StragglerPromotions - om.lastSync.StragglerPromotions))
 	om.ckptFallbacks.Add(int64(res.CkptFallbacks - om.lastSync.CkptFallbacks))
-	om.lastSync.BytesSent = res.BytesSent
-	om.lastSync.MsgsSent = res.MsgsSent
-	om.lastSync.MsgsRecvd = res.MsgsRecvd
-	om.lastSync.MigratedBytes = res.MigratedBytes
-	om.lastSync.RetainedBytes = res.RetainedBytes
-	om.lastSync.InteriorSteps = res.InteriorSteps
-	om.lastSync.BoundarySteps = res.BoundarySteps
-	om.lastSync.Admissions = res.Admissions
-	om.lastSync.StragglerDemotions = res.StragglerDemotions
-	om.lastSync.StragglerPromotions = res.StragglerPromotions
-	om.lastSync.CkptFallbacks = res.CkptFallbacks
+	om.lastSync = *res
 }

@@ -24,11 +24,11 @@ func TestParallelPlanBuildersBitExact(t *testing.T) {
 		}
 		for me := 0; me < tc.ranks; me++ {
 			var serial commScratch
-			wantGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", false, &serial)
+			wantGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", &serial)
 			wantMig := buildMigPlan(newAsnView(a, me), newAsnView(next, me), me, &serial)
 			for _, w := range []int{2, 3, 8} {
 				par := commScratch{workers: w}
-				gotGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", false, &par)
+				gotGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", &par)
 				if !ghostPlansEqual(gotGhost, wantGhost) {
 					t.Fatalf("boxes=%d ranks=%d rank %d workers=%d: ghost plan differs from serial",
 						tc.boxes, tc.ranks, me, w)
@@ -73,10 +73,9 @@ func TestWorkersBitExactEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWorkersBitExactFT repeats the worker differential through the
-// fault-tolerant runner with the hierarchical partitioner and a crash +
-// rejoin, so the pooled builders also run across epoch bumps and recovery
-// replans.
+// TestWorkersBitExactFT repeats the worker differential with membership on,
+// under the hierarchical partitioner and a crash + rejoin, so the pooled
+// builders also run across epoch bumps and recovery replans.
 func TestWorkersBitExactFT(t *testing.T) {
 	const iters, ranks = 16, 4
 	run := func(workers int) []*SPMDResult {

@@ -53,14 +53,15 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 	// Half 1: virtual cluster. A 4-node run where the node dies under
 	// saturating external load; the adaptive configuration re-senses and
 	// repartitions, the static one keeps the dead node's share assigned.
+	crash := engine.FaultSchedule{{Kind: engine.FaultCrash, Rank: crashRank, Iter: crashIter}}
 	scenarios := []struct {
 		name       string
 		senseEvery int
-		fault      *engine.FaultPlan
+		faults     engine.FaultSchedule
 	}{
 		{"fault-free (adaptive)", 5, nil},
-		{"node crash, static", 0, &engine.FaultPlan{Rank: crashRank, Iter: crashIter}},
-		{"node crash, adaptive", 5, &engine.FaultPlan{Rank: crashRank, Iter: crashIter}},
+		{"node crash, static", 0, crash},
+		{"node crash, adaptive", 5, crash},
 	}
 	var base float64
 	for _, sc := range scenarios {
@@ -76,7 +77,7 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 			Iterations:  iters,
 			RegridEvery: 5,
 			SenseEvery:  sc.senseEvery,
-			Fault:       sc.fault,
+			Faults:      sc.faults,
 			Obs:         obsRT,
 		}
 		e, err := engine.New(cfg, clus)
@@ -184,7 +185,7 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 	}
 	defer os.RemoveAll(faultDir)
 	cfg := spmdCfg(faultDir)
-	cfg.Fault = &engine.FaultPlan{Rank: crashRank % 4, Iter: crashIter}
+	cfg.Faults = engine.FaultSchedule{{Kind: engine.FaultCrash, Rank: crashRank % 4, Iter: crashIter}}
 	results, err := runGroup(cfg, true)
 	if err != nil {
 		return nil, err

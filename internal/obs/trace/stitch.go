@@ -217,8 +217,8 @@ func Stitch(recs []Record, skipped int) *Timeline {
 // resolveOffsets turns pairwise offset samples into one offset per rank
 // relative to the lowest rank of each connected component (BFS over the
 // pair graph, medians per directed edge, both directions averaged when
-// available). Ranks with no heartbeat path keep offset 0 — in particular
-// the plain (non-FT) runner, whose in-process ranks share a clock anyway.
+// available). Ranks with no heartbeat path keep offset 0 — in particular a
+// run with membership off, whose in-process ranks share a clock anyway.
 func resolveOffsets(tl *Timeline, offSamples, rttSamples map[[2]int][]int64) {
 	type edge struct {
 		to       int

@@ -208,9 +208,9 @@ func (r *Recorder) Recv(peer int, kind string, bytes int, msgEpoch, msgIter int3
 	r.log.msg('v', r.rank, int32(peer), kind, msgEpoch, msgIter, int64(bytes), sendTS, r.Now())
 }
 
-// RecvUntraced records an arrival that carried no trace context (per-pair
-// debug exchange, or an untraced sender); the receiver's own position is
-// used and no sender stamp is available.
+// RecvUntraced records an arrival that carried no trace context (an
+// untraced sender); the receiver's own position is used and no sender stamp
+// is available.
 func (r *Recorder) RecvUntraced(peer int, kind string, bytes int) {
 	if r == nil {
 		return

@@ -8,7 +8,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -21,9 +20,10 @@ import (
 	"samrpart/internal/geom"
 	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
+	"samrpart/internal/obs/trace"
 	"samrpart/internal/partition"
+	"samrpart/internal/runlog"
 	"samrpart/internal/solver"
-	"samrpart/internal/trace"
 )
 
 // hygieneConfig maps the -hygiene flag to a monitor.Hygiene; the zero value
@@ -75,13 +75,11 @@ func main() {
 			"relabel repartition output toward the previous owners (partition.RemapOwners) to cut migration volume at unchanged balance")
 		obsAddr = flag.String("obs-addr", "",
 			"serve /metrics, /state, /healthz and pprof on this address while running (e.g. 127.0.0.1:9190)")
-		events = flag.String("events", "",
-			"write the observability span log (JSONL) to this file; render it with cmd/obsreport")
-		obsSeed = flag.Int64("obs-seed", 0, "seed for the run ID in metrics and event logs (0 = wall clock)")
+		obsSeed = flag.Int64("obs-seed", 0, "seed for the run ID on /state and /healthz (0 = wall clock)")
 		spmd    = flag.Int("spmd", 0,
-			"run an in-process N-rank SPMD group (channel transport, FT on) instead of the virtual-cluster engine; honors -kernel, -iters, -fault-spec, -straggler-shed, -trace")
+			"run an in-process N-rank SPMD group (channel transport, FT on) instead of the virtual-cluster engine; honors -kernel, -iters, -fault-spec, -straggler-shed, -obs-addr, -trace")
 		traceOut = flag.String("trace", "",
-			"with -spmd, write the distributed trace log (JSONL) to this file; analyze it with cmd/tracepath")
+			"write the run log (JSONL: phase spans, plus messages and clock offsets with -spmd) to this file; render it with cmd/tracepath")
 	)
 	flag.Parse()
 
@@ -101,11 +99,44 @@ func main() {
 	if *stragShed {
 		straggler = monitor.DefaultStragglerPolicy()
 	}
+	var obsRT *obs.Runtime
+	if *obsAddr != "" || *traceOut != "" {
+		var tl *trace.Log
+		if *traceOut != "" {
+			f, err := os.Create(*traceOut)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "amrun:", err)
+				os.Exit(1)
+			}
+			tl = trace.NewLog(f)
+			defer func() {
+				if err := tl.Flush(); err != nil {
+					fmt.Fprintln(os.Stderr, "amrun: flush run log:", err)
+				}
+				if err := f.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, "amrun: close run log:", err)
+				}
+				fmt.Fprintf(os.Stderr, "amrun: run log written to %s (render with cmd/tracepath)\n", *traceOut)
+			}()
+		}
+		obsRT = obs.New(obs.Config{Seed: *obsSeed, Trace: tl})
+		if *obsAddr != "" {
+			srv, err := obsRT.Serve(*obsAddr)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "amrun:", err)
+				os.Exit(1)
+			}
+			defer srv.Close()
+			fmt.Fprintf(os.Stderr, "amrun: observability on http://%s (run %s)\n",
+				srv.Addr(), obsRT.RunIDString())
+		}
+	}
+
 	if *spmd > 0 {
 		if err := runSPMD(*spmd, spmdOpts{
 			kernel:    *kernel,
 			iters:     *iters,
-			tracePath: *traceOut,
+			obs:       obsRT,
 			faults:    faults,
 			straggler: straggler,
 		}); err != nil {
@@ -113,10 +144,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-	if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "amrun: -trace requires -spmd (distributed tracing instruments the SPMD runtime)")
-		os.Exit(2)
 	}
 
 	var sensorFaults *monitor.ProbeFaultSpec
@@ -223,36 +250,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var obsRT *obs.Runtime
-	if *obsAddr != "" || *events != "" {
-		var evw io.Writer
-		if *events != "" {
-			f, err := os.Create(*events)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			evw = f
-		}
-		obsRT = obs.New(obs.Config{Seed: *obsSeed, Events: evw})
-		defer func() {
-			if err := obsRT.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "amrun: flush events:", err)
-			}
-		}()
-		if *obsAddr != "" {
-			srv, err := obsRT.Serve(*obsAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "amrun: observability on http://%s (run %s)\n",
-				srv.Addr(), obsRT.RunIDString())
-		}
-	}
-
 	clus, err := cluster.New(cluster.Uniform(*nodes, cluster.LinuxWorkstation()), cluster.DefaultParams())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "amrun:", err)
@@ -336,7 +333,7 @@ func main() {
 		for k := range labels {
 			labels[k] = fmt.Sprintf("P%d", k)
 		}
-		s := trace.NewSeries("\nper-regrid work assignment", "regrid", labels...)
+		s := runlog.NewSeries("\nper-regrid work assignment", "regrid", labels...)
 		for i, rec := range tr.Records {
 			s.Add(float64(i+1), rec.Work...)
 		}

@@ -6,9 +6,9 @@
 //	go run ./cmd/experiments -fig7 -table3
 //	go run ./cmd/experiments -ablations
 //
-// With -events the studies append a JSONL span log that cmd/obsreport can
-// render; with -obs-addr a live /metrics + /state + pprof endpoint serves
-// while the studies run.
+// With -trace the studies append their phase spans to one JSONL run log
+// that cmd/tracepath renders; with -obs-addr a live /metrics + /state +
+// pprof endpoint serves while the studies run.
 package main
 
 import (
@@ -23,6 +23,7 @@ import (
 	"samrpart/internal/exp"
 	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
+	"samrpart/internal/obs/trace"
 )
 
 // renderable is any experiment result that can print itself.
@@ -63,7 +64,7 @@ type options struct {
 	memProf      *string
 
 	obsAddr *string
-	events  *string
+	trace   *string
 	obsSeed *int64
 }
 
@@ -98,8 +99,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o.cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	o.memProf = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	o.obsAddr = fs.String("obs-addr", "", "serve /metrics, /state, /healthz and pprof on this address while running (e.g. 127.0.0.1:9190)")
-	o.events = fs.String("events", "", "append the observability span log (JSONL) to this file; render it with cmd/obsreport")
-	o.obsSeed = fs.Int64("obs-seed", 0, "seed for the run ID in metrics and event logs (0 = wall clock)")
+	o.trace = fs.String("trace", "", "write the studies' run log (JSONL phase spans) to this file; render it with cmd/tracepath")
+	o.obsSeed = fs.Int64("obs-seed", 0, "seed for the run ID on /state and /healthz (0 = wall clock)")
 	return o
 }
 
@@ -156,24 +157,26 @@ func main() {
 		}()
 	}
 
-	if *o.obsAddr != "" || *o.events != "" {
-		var evw io.Writer
-		if *o.events != "" {
-			f, err := os.Create(*o.events)
+	if *o.obsAddr != "" || *o.trace != "" {
+		var tl *trace.Log
+		if *o.trace != "" {
+			f, err := os.Create(*o.trace)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				os.Exit(1)
 			}
-			defer f.Close()
-			evw = f
+			tl = trace.NewLog(f)
+			defer func() {
+				if err := tl.Flush(); err != nil {
+					fmt.Fprintln(os.Stderr, "experiments: flush run log:", err)
+				}
+				if err := f.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, "experiments: close run log:", err)
+				}
+			}()
 		}
-		rt := obs.New(obs.Config{Seed: *o.obsSeed, Events: evw})
+		rt := obs.New(obs.Config{Seed: *o.obsSeed, Trace: tl})
 		exp.SetObs(rt)
-		defer func() {
-			if err := rt.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: flush events:", err)
-			}
-		}()
 		if *o.obsAddr != "" {
 			srv, err := rt.Serve(*o.obsAddr)
 			if err != nil {

@@ -17,14 +17,14 @@ func TestAllFlagsRegistered(t *testing.T) {
 		"all", "scaling", "fig7", "fig8", "fig11", "table2", "table3",
 		"ablations", "fault", "fault-spec", "elastic", "trace-overhead", "sensorfault", "movement",
 		"sensor-fault-spec", "repartition-threshold", "workers",
-		"cpuprofile", "memprofile", "obs-addr", "events", "obs-seed",
+		"cpuprofile", "memprofile", "obs-addr", "trace", "obs-seed",
 		"weak-scaling", "weak-ranks", "group-size", "csv",
 	} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
-	if o.all == nil || o.obsAddr == nil || o.events == nil {
+	if o.all == nil || o.obsAddr == nil || o.trace == nil {
 		t.Fatal("options not bound")
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"samrpart/internal/exp"
 	"samrpart/internal/geom"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 func parseCaps(s string) ([]float64, error) {
@@ -92,7 +92,7 @@ func main() {
 		partition.Greedy{},
 		partition.RoundRobin{},
 	}
-	tab := trace.NewTable("per-node assigned work (ideal share in parentheses)",
+	tab := runlog.NewTable("per-node assigned work (ideal share in parentheses)",
 		append([]string{"partitioner"}, nodeLabels(len(caps))...)...)
 	for _, p := range partitioners {
 		a, err := p.Partition(list, caps, work)

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"samrpart/internal/obs"
+	"samrpart/internal/obs/trace"
 )
 
 // sampleTrace is a deterministic two-rank log: rank 1 computes late, rank 0
@@ -35,6 +39,8 @@ func TestTracepathGolden(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"12 records, 2 ranks, 1 iteration windows",
+		"per-phase breakdown",
+		"per-rank breakdown",
 		"per-iteration critical path",
 		"100.0%",         // full coverage
 		"0:halo-wait<-1", // the wait hop names the blocking peer
@@ -101,5 +107,109 @@ func TestTracepathEmptyInput(t *testing.T) {
 	var out strings.Builder
 	if err := run(strings.NewReader("garbage\n"), &out, 3, "", ""); err == nil {
 		t.Error("want an error on a log with no valid records")
+	}
+}
+
+// runtimeLog builds a real run log through the obs runtime's recorders, so
+// the breakdown tables are tested against the writer's actual wire format:
+// two SPMD ranks with compute spans and 1 MiB halo frames over three
+// iterations, plus the engine's control loop as rank -1.
+func runtimeLog(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	log := trace.NewLog(&buf)
+	rt := obs.New(obs.Config{Seed: 42, Trace: log})
+	for rank := 0; rank < 2; rank++ {
+		rec := rt.Recorder(rank)
+		for iter := 0; iter < 3; iter++ {
+			rec.SetPos(0, iter)
+			rec.Span(trace.PhaseCompute).End()
+			w := rec.WaitSpan(trace.PhaseHaloWait, 1-rank)
+			rec.Recv(1-rank, trace.KindHalo, 1<<20, 0, int32(iter), rec.Now())
+			w.End()
+		}
+	}
+	eng := rt.Recorder(-1)
+	eng.Span(trace.PhaseSense).End()
+	eng.Span(trace.PhaseMigrate).EndBytes(4 << 20)
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+func TestBreakdownTables(t *testing.T) {
+	var out strings.Builder
+	if err := run(strings.NewReader(runtimeLog(t)), &out, 3, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"20 records, 3 ranks",
+		"per-phase breakdown",
+		"per-rank breakdown",
+		"sense",
+		"compute",
+		"halo-wait",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report missing %q in:\n%s", want, got)
+		}
+	}
+	// 2 ranks x 3 iters x 1 MiB halo frame each: the halo-wait phase row
+	// carries 6.291 MB, each rank row half that; the engine's migrate span
+	// carries its own 4 MiB.
+	for _, mb := range []string{"6.291", "3.146", "4.194"} {
+		if !strings.Contains(got, mb) {
+			t.Errorf("MB column missing %s:\n%s", mb, got)
+		}
+	}
+	// Phase rows follow the vocabulary, not the order spans were logged in.
+	phaseSec := got[strings.Index(got, "per-phase breakdown"):strings.Index(got, "per-rank breakdown")]
+	if s, c := strings.Index(phaseSec, "\nsense"), strings.Index(phaseSec, "\ncompute"); s == -1 || c == -1 || s > c {
+		t.Errorf("phase rows out of vocabulary order:\n%s", phaseSec)
+	}
+	// The engine control loop reports as rank -1.
+	rankSec := got[strings.Index(got, "per-rank breakdown"):strings.Index(got, "per-iteration critical path")]
+	if !strings.Contains(rankSec, "\n-1 ") {
+		t.Errorf("rank -1 row missing:\n%s", rankSec)
+	}
+}
+
+func TestBreakdownCSV(t *testing.T) {
+	var out strings.Builder
+	if err := run(strings.NewReader(runtimeLog(t)), &out, 3, "", "phase"); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 5 { // header + sense + migrate + compute + halo-wait
+		t.Fatalf("want 5 phase CSV lines, got %d:\n%s", len(lines), out.String())
+	}
+	if !strings.HasPrefix(lines[0], "phase,spans,") || !strings.HasPrefix(lines[4], "halo-wait,6,") {
+		t.Errorf("phase CSV = %q", lines)
+	}
+
+	out.Reset()
+	if err := run(strings.NewReader(runtimeLog(t)), &out, 3, "", "rank"); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 4 || lines[0] != "rank,spans,sense,migrate,compute,halo-wait,MB" ||
+		!strings.HasPrefix(lines[1], "-1,2,") || !strings.HasPrefix(lines[2], "0,6,-,-,") {
+		t.Errorf("rank CSV = %q", lines)
+	}
+}
+
+// TestBreakdownMalformedInput proves the cost tables survive a log whose
+// tail was truncated mid-write: the cut line is skipped, the surviving
+// records are still broken down.
+func TestBreakdownMalformedInput(t *testing.T) {
+	var out strings.Builder
+	in := runtimeLog(t) + `{"k":"s","r":0,"ph":"compute","e":0,"i":3,"t0":1,"t1`
+	if err := run(strings.NewReader(in), &out, 3, "", "phase"); err != nil {
+		t.Fatalf("truncated trailing line should be skipped, got %v", err)
+	}
+	if !strings.Contains(out.String(), "\ncompute,6,") {
+		t.Errorf("surviving records not broken down:\n%s", out.String())
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"samrpart/internal/engine"
 	"samrpart/internal/exp"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 func loads(c *cluster.Cluster) {
@@ -21,7 +21,7 @@ func loads(c *cluster.Cluster) {
 	c.Node(1).AddLoad(cluster.Ramp{Start: 60, Rate: 0.02, Target: 0.55, MemTargetMB: 110})
 }
 
-func run(senseEvery int) *trace.RunTrace {
+func run(senseEvery int) *runlog.RunTrace {
 	clus, err := cluster.New(cluster.Uniform(4, cluster.LinuxWorkstation()), cluster.DefaultParams())
 	if err != nil {
 		log.Fatal(err)

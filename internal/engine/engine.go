@@ -13,9 +13,10 @@ import (
 	"samrpart/internal/geom"
 	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
+	"samrpart/internal/obs/trace"
 	"samrpart/internal/parallel"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // Config describes one experiment run.
@@ -106,9 +107,10 @@ type Config struct {
 	// the always-repartition behaviour. Regrid-triggered repartitions are
 	// never skipped (the box list changed).
 	RepartitionThreshold float64
-	// Obs, when set, receives phase spans, control-loop metrics and state
-	// snapshots. Nil disables observability entirely; the run is then
-	// bit-identical to an uninstrumented one.
+	// Obs, when set, receives control-loop metrics and state snapshots, and
+	// the loop's phase spans as rank -1 (histograms always, run-log records
+	// when the runtime has a log). Nil disables observability entirely; the
+	// run is then bit-identical to an uninstrumented one.
 	Obs *obs.Runtime
 }
 
@@ -159,7 +161,7 @@ type Engine struct {
 
 	caps        []float64
 	assign      *partition.Assignment
-	tr          *trace.RunTrace
+	tr          *runlog.RunTrace
 	busySeconds []float64
 
 	// Fault-schedule state: the open crash load per node (closed again by a
@@ -273,7 +275,7 @@ func (e *Engine) work() partition.WorkFunc {
 // sensor dead) keeps the previous capacities — or falls back to a uniform
 // split before any are known — instead of aborting the run.
 func (e *Engine) sense(iter int) error {
-	sp := e.ob.rt.Span(obs.PhaseSense, -1, iter)
+	sp := e.ob.tr.Span(trace.PhaseSense)
 	defer sp.End()
 	ms := e.mon.Sense(e.clus.Now())
 	caps, err := capacity.RelativeMasked(ms, e.cfg.Weights, e.mon.Alive())
@@ -407,7 +409,7 @@ func (e *Engine) repartition(iter int, maySkip bool) error {
 		return nil
 	}
 	boxes := e.hier.AllBoxes()
-	psp := e.ob.rt.Span(obs.PhasePartition, -1, iter)
+	psp := e.ob.tr.Span(trace.PhasePartition)
 	assign, err := e.partitionValidated(boxes)
 	psp.End()
 	if err == nil && e.cfg.AffinityRemap && e.assign != nil {
@@ -415,7 +417,7 @@ func (e *Engine) repartition(iter int, maySkip bool) error {
 		// already holding most of its cells. Balance is preserved (the remap
 		// never exceeds the unmapped max imbalance), so the hysteresis
 		// comparison below still sees the partitioner's quality.
-		rsp := e.ob.rt.Span(obs.PhaseRemap, -1, iter)
+		rsp := e.ob.tr.Span(trace.PhaseRemap)
 		assign = partition.RemapOwners(e.assign, assign)
 		rsp.End()
 	}
@@ -452,7 +454,7 @@ func (e *Engine) repartition(iter int, maySkip bool) error {
 func (e *Engine) adopt(iter int, assign *partition.Assignment, chargeRegrid bool) error {
 	// Redistribution cost: cells whose owner changed move over the wire.
 	if e.assign != nil {
-		msp := e.ob.rt.Span(obs.PhaseMigrate, -1, iter)
+		msp := e.ob.tr.Span(trace.PhaseMigrate)
 		moved, retained := movedBytes(e.assign, assign, e.cfg.App.BytesPerCell(), e.clus.NumNodes())
 		e.tr.RetainedBytes += retained
 		e.ob.retainedBytes.Add(int64(retained))
@@ -482,7 +484,7 @@ func (e *Engine) adopt(iter int, assign *partition.Assignment, chargeRegrid bool
 	e.tr.Repartitions++
 	e.ob.repartitions.Inc()
 	e.ob.imbalance.Set(assign.MaxImbalance())
-	e.tr.Records = append(e.tr.Records, trace.AssignmentRecord{
+	e.tr.Records = append(e.tr.Records, runlog.AssignmentRecord{
 		Regrid:      len(e.tr.Records) + 1,
 		Iter:        iter,
 		VirtualTime: e.clus.Now(),
@@ -586,9 +588,9 @@ func (e *Engine) stepCost() (compute, comm float64, perNode []float64) {
 	return compute, comm, perNode
 }
 
-// Run executes the configured experiment and returns its trace.
-func (e *Engine) Run() (*trace.RunTrace, error) {
-	e.tr = &trace.RunTrace{
+// Run executes the configured experiment and returns its run log.
+func (e *Engine) Run() (*runlog.RunTrace, error) {
+	e.tr = &runlog.RunTrace{
 		Name:       e.cfg.Name,
 		Nodes:      e.clus.NumNodes(),
 		Iterations: e.cfg.Iterations,
@@ -615,6 +617,7 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 	defer ckptWG.Wait()
 	for iter := 0; iter < e.cfg.Iterations; iter++ {
 		e.ob.iter.Set(float64(iter))
+		e.ob.tr.SetPos(0, iter)
 		if err := e.applyFaults(iter); err != nil {
 			return nil, err
 		}
@@ -638,7 +641,7 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 			// next regrid/Advance mutate — then write the bytes in the
 			// background. Writes are serialized (and the latest state always
 			// wins) because each waits for the previous one.
-			csp := e.ob.rt.Span(obs.PhaseCheckpoint, -1, iter)
+			csp := e.ob.tr.Span(trace.PhaseCheckpoint)
 			st, err := e.Checkpoint(iter)
 			if err != nil {
 				return nil, err
@@ -672,7 +675,7 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 				}
 			}(buf.Bytes(), iter)
 		}
-		sp := e.ob.rt.Span(obs.PhaseCompute, -1, iter)
+		sp := e.ob.tr.Span(trace.PhaseCompute)
 		if err := e.cfg.App.Advance(e.hier, iter); err != nil {
 			return nil, err
 		}
@@ -809,7 +812,7 @@ func (e *Engine) feedStraggler(perNode []float64) {
 	}
 }
 
-// snapshotSensorHealth copies the monitor's sensing counters into the trace.
+// snapshotSensorHealth copies the monitor's sensing counters into the run log.
 func (e *Engine) snapshotSensorHealth() {
 	st := e.mon.SenseStats()
 	dead := 0
@@ -818,7 +821,7 @@ func (e *Engine) snapshotSensorHealth() {
 			dead++
 		}
 	}
-	e.tr.Sensor = trace.SensorHealth{
+	e.tr.Sensor = runlog.SensorHealth{
 		Probes:         st.Probes,
 		Timeouts:       st.Timeouts,
 		Drops:          st.Drops,

@@ -235,7 +235,7 @@ func newSPMDRun(ep transport.Endpoint, cfg SPMDConfig) (*spmdRun, error) {
 		faultFired:  make([]bool, len(cfg.Faults)),
 	}
 	r.sc.om = newSPMDObs(cfg.Obs, ep.Rank())
-	r.sc.tr = cfg.Trace.Recorder(ep.Rank())
+	r.sc.tr = cfg.Obs.Recorder(ep.Rank())
 	r.sc.workers = cfg.Workers
 	for i := range r.alive {
 		r.alive[i] = true
@@ -636,9 +636,8 @@ func (r *spmdRun) setup(iter int) (int, error) {
 // setupAt is one restoration attempt at exactly iter.
 func (r *spmdRun) setupAt(iter int) error {
 	k := r.cfg.Kernel
-	r.sc.om.setIter(iter)
 	r.sc.tr.SetPos(r.epoch, iter)
-	psp := r.sc.begin(trace.PhasePartition)
+	psp := r.sc.tr.Span(trace.PhasePartition)
 	asn, err := r.partitionEligible(iter)
 	psp.End()
 	if err != nil {
@@ -777,7 +776,7 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 			if p == me || !r.alive[p] || suspects[p] {
 				continue
 			}
-			if r.sc.tr != nil {
+			if r.sc.tr.Logged() {
 				// The clock-sync extension is per-receiver (the echoed delta
 				// belongs to one pairwise link), so traced heartbeats are
 				// re-encoded per peer; the tracing-off path keeps the single
@@ -812,7 +811,7 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 			if err != nil {
 				return err
 			}
-			if m.HasTrace && r.sc.tr != nil {
+			if m.HasTrace {
 				r.sc.tr.ObserveHeartbeat(p, m.SendNS, m.DeltaNS)
 			}
 			if round == 1 {
@@ -1034,7 +1033,7 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 func (r *spmdRun) repartitionNow(iter int) error {
 	cfg := r.cfg
 	r.sc.tr.SetPos(r.epoch, iter)
-	psp := r.sc.begin(trace.PhasePartition)
+	psp := r.sc.tr.Span(trace.PhasePartition)
 	var newView *asnView
 	var err error
 	if h, ok := cfg.Partitioner.(*partition.Hierarchical); ok && r.ep.Size() > 1 {
@@ -1065,9 +1064,9 @@ func (r *spmdRun) repartitionNow(iter int) error {
 }
 
 // rebuildGhostPlan derives the halo-exchange plan of the current assignment
-// and epoch, timed as a plan-build span.
+// and epoch, timed as a plan span.
 func (r *spmdRun) rebuildGhostPlan() {
-	sp := r.sc.begin(trace.PhasePlan)
+	sp := r.sc.tr.Span(trace.PhasePlan)
 	r.plan = buildGhostPlan(r.assign, r.me(), r.cfg.Kernel.Ghost(), r.prefix, &r.sc)
 	sp.End()
 }
@@ -1122,7 +1121,7 @@ func (r *spmdRun) writeCheckpoint(iter int) error {
 	}
 	// The checkpoint span covers the synchronous cut: cloning always, the
 	// shard write too when SyncCheckpoint blocks on it.
-	ksp := r.sc.begin(trace.PhaseCheckpoint)
+	ksp := r.sc.tr.Span(trace.PhaseCheckpoint)
 	clones := make(map[geom.Box]*amr.Patch, len(r.patches))
 	for b, p := range r.patches {
 		clones[b] = p.Clone()
@@ -1192,7 +1191,6 @@ func (r *spmdRun) durableCkpt() int {
 // timing for the straggler gossip.
 func (r *spmdRun) step(iter int) error {
 	cfg, k := r.cfg, r.cfg.Kernel
-	r.sc.om.setIter(iter)
 	r.sc.tr.SetPos(r.epoch, iter)
 	if cfg.RepartEvery > 0 && iter > 0 && iter%cfg.RepartEvery == 0 && iter != r.lastPart {
 		if err := r.repartitionNow(iter); err != nil {
@@ -1215,7 +1213,7 @@ func (r *spmdRun) step(iter int) error {
 				local = d
 			}
 		}
-		dsp := r.sc.begin(trace.PhaseDtWait)
+		dsp := r.sc.tr.Span(trace.PhaseDtWait)
 		var err error
 		dt, err = r.allReduceMin(local)
 		dsp.End()
@@ -1228,7 +1226,7 @@ func (r *spmdRun) step(iter int) error {
 	}
 	// Overlap: advance interior patches while remote halos are in flight.
 	var cells int64
-	csp := r.sc.begin(trace.PhaseCompute)
+	csp := r.sc.tr.Span(trace.PhaseCompute)
 	t0 := time.Now()
 	for _, b := range r.plan.interior {
 		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)
@@ -1242,7 +1240,7 @@ func (r *spmdRun) step(iter int) error {
 	if err := r.plan.finishRecvs(r.ep, r.patches, r.res); err != nil {
 		return err
 	}
-	bsp := r.sc.begin(trace.PhaseAdvance)
+	bsp := r.sc.tr.Span(trace.PhaseAdvance)
 	t1 := time.Now()
 	for _, b := range r.plan.boundary {
 		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)

@@ -4,7 +4,8 @@ import (
 	"strconv"
 
 	"samrpart/internal/obs"
-	"samrpart/internal/trace"
+	"samrpart/internal/obs/trace"
+	"samrpart/internal/runlog"
 )
 
 // engineObs holds the control loop's pre-registered metric handles. The
@@ -13,6 +14,7 @@ import (
 // observability is off.
 type engineObs struct {
 	rt                  *obs.Runtime
+	tr                  *trace.Recorder // rank -1, epoch 0: the control loop's spans
 	iter                *obs.Gauge
 	imbalance           *obs.Gauge
 	repartitions        *obs.Counter
@@ -31,7 +33,7 @@ type engineObs struct {
 }
 
 // fallbackPath indexes engineObs.fallbacks; values mirror the
-// trace.DegradedCounters fields.
+// runlog.DegradedCounters fields.
 type fallbackPath int
 
 const (
@@ -49,6 +51,7 @@ func newEngineObs(rt *obs.Runtime, nodes int) engineObs {
 	reg := rt.Registry()
 	ob := engineObs{
 		rt:        rt,
+		tr:        rt.Recorder(-1),
 		iter:      reg.Gauge("samr_engine_iter", "Current coarse iteration."),
 		imbalance: reg.Gauge("samr_engine_imbalance_pct", "Max imbalance of the adopted assignment (percent)."),
 		repartitions: reg.Counter("samr_engine_repartitions_total",
@@ -107,20 +110,20 @@ func (ob *engineObs) setCaps(caps []float64) {
 // engine at sense and adopt points and read concurrently by the HTTP
 // endpoint. Field names are part of the endpoint's schema.
 type EngineState struct {
-	Name                string                 `json:"name"`
-	Iter                int                    `json:"iter"`
-	VirtualTime         float64                `json:"virtual_time_s"`
-	Capacities          []float64              `json:"capacities"`
-	Health              []string               `json:"health"`
-	ImbalancePct        float64                `json:"imbalance_pct"`
-	Boxes               int                    `json:"boxes"`
-	Work                []float64              `json:"work"`
-	Owners              []int                  `json:"owners,omitempty"`
-	Repartitions        int                    `json:"repartitions"`
-	RepartitionsSkipped int                    `json:"repartitions_skipped"`
-	Senses              int                    `json:"senses"`
-	SenseFailures       int                    `json:"sense_failures"`
-	Degraded            trace.DegradedCounters `json:"degraded"`
+	Name                string                  `json:"name"`
+	Iter                int                     `json:"iter"`
+	VirtualTime         float64                 `json:"virtual_time_s"`
+	Capacities          []float64               `json:"capacities"`
+	Health              []string                `json:"health"`
+	ImbalancePct        float64                 `json:"imbalance_pct"`
+	Boxes               int                     `json:"boxes"`
+	Work                []float64               `json:"work"`
+	Owners              []int                   `json:"owners,omitempty"`
+	Repartitions        int                     `json:"repartitions"`
+	RepartitionsSkipped int                     `json:"repartitions_skipped"`
+	Senses              int                     `json:"senses"`
+	SenseFailures       int                     `json:"sense_failures"`
+	Degraded            runlog.DegradedCounters `json:"degraded"`
 }
 
 // publish refreshes the snapshot behind Snapshot. Only called when the

@@ -6,7 +6,7 @@ import (
 
 	"samrpart/internal/cluster"
 	"samrpart/internal/monitor"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // sensorFaultSpec afflicts a quarter of the cluster with every fault kind.
@@ -21,7 +21,7 @@ func sensorFaultSpec() *monitor.ProbeFaultSpec {
 	}
 }
 
-func faultedRun(t *testing.T, hygiene bool) *trace.RunTrace {
+func faultedRun(t *testing.T, hygiene bool) *runlog.RunTrace {
 	t.Helper()
 	clus := newCluster(t, 8)
 	// Background load so the true capacities are non-uniform and a garbage
@@ -110,7 +110,7 @@ func TestEngineSensorFaultsDeterministic(t *testing.T) {
 // jitteryRun executes on a balanced cluster whose nodes all carry the same
 // mean load with uncorrelated per-node jitter: repartitioning on every sense
 // is churn with nothing to gain.
-func jitteryRun(t *testing.T, threshold float64) *trace.RunTrace {
+func jitteryRun(t *testing.T, threshold float64) *runlog.RunTrace {
 	t.Helper()
 	clus := newCluster(t, 4)
 	for k := 0; k < clus.NumNodes(); k++ {

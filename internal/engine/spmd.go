@@ -83,17 +83,15 @@ type SPMDConfig struct {
 	// demoted/quarantined ranks lose capacity (or all work) at the next
 	// repartition. Requires FT.Enabled to have any effect.
 	Straggler monitor.StragglerPolicy
-	// Obs, when set, receives per-rank phase spans and transport counters.
-	// Nil disables observability; the run is then bit-identical to an
-	// uninstrumented one.
+	// Obs, when set, receives the rank's transport counters and hands out
+	// its span recorder: every phase span feeds samr_phase_seconds and, when
+	// the runtime has a run log, lands there beside message-level send/recv
+	// records and pairwise clock-offset estimates. Only a logged run
+	// piggybacks a trace context on coalesced frames and heartbeats; a
+	// metrics-only run's wire traffic equals an uninstrumented one's. Nil
+	// disables observability. The simulation output is bit-identical in all
+	// three cases (the context extends wire headers, never applied payload).
 	Obs *obs.Runtime
-	// Trace, when set, records the distributed trace: per-rank spans tagged
-	// (rank, epoch, iter, phase), message-level send/recv records with a
-	// trace context piggybacked on coalesced frames and heartbeats, and
-	// pairwise clock-offset estimates from heartbeat RTTs. Nil disables
-	// tracing; the simulation output is bit-identical either way (the
-	// context only extends wire headers, never the applied payload).
-	Trace *trace.Log
 }
 
 // SPMDResult reports one rank's outcome.
@@ -538,14 +536,14 @@ type commScratch struct {
 	offsets   []int
 	applyErrs []error
 
-	// om is the rank's observability handle set (nil when off). It lives on
-	// the scratch because the scratch already threads through every
-	// communication path of the step loop; sites open spans through begin.
+	// om is the rank's metric handle set (nil when off). It lives on the
+	// scratch because the scratch already threads through every
+	// communication path of the step loop.
 	om *spmdObs
 
-	// tr is the rank's distributed-trace recorder (nil when tracing is off);
-	// like om it rides the scratch so postSends/finishRecvs/redistribute see
-	// it. tcbuf is the pooled wire context the frame packers point
+	// tr is the rank's span recorder (nil when observability is off); like
+	// om it rides the scratch so postSends/finishRecvs/redistribute see it.
+	// tcbuf is the pooled wire context the frame packers point
 	// AppendFrameCtx at, keeping the traced send path allocation-free.
 	tr    *trace.Recorder
 	tcbuf transport.TraceCtx
@@ -553,10 +551,11 @@ type commScratch struct {
 
 // frameCtx returns the wire trace context for the rank's current (epoch,
 // iter) — SendNS is stamped later, at the actual send instant, via
-// transport.StampTraceCtx — or nil when tracing is off. Not safe for
-// concurrent calls; parallel packers call it once and share the result.
+// transport.StampTraceCtx — or nil when the run has no log to stitch. Not
+// safe for concurrent calls; parallel packers call it once and share the
+// result.
 func (sc *commScratch) frameCtx() *transport.TraceCtx {
-	if sc.tr == nil {
+	if !sc.tr.Logged() {
 		return nil
 	}
 	e, i := sc.tr.Pos()
@@ -565,9 +564,10 @@ func (sc *commScratch) frameCtx() *transport.TraceCtx {
 }
 
 // traceStamp patches the frame's SendNS to now and returns the stamp (0 when
-// tracing is off). Must run before ep.Send: transports may copy the buffer.
+// the frame carries no context). Must run before ep.Send: transports may
+// copy the buffer.
 func (sc *commScratch) traceStamp(frame []byte) int64 {
-	if sc.tr == nil {
+	if !sc.tr.Logged() {
 		return 0
 	}
 	ns := sc.tr.Now()
@@ -868,7 +868,7 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 // packSpan packs the regions bound for one peer into a frame, reusing the
 // given buffers (truncated first) and returning them grown.
 func (pl *ghostPlan) packSpan(span peerSpan, patches map[geom.Box]*amr.Patch, fl []float64, rg []transport.FrameRegion, frame []byte, tc *transport.TraceCtx) ([]float64, []transport.FrameRegion, []byte) {
-	sp := pl.sc.begin(trace.PhasePack)
+	sp := pl.sc.tr.Span(trace.PhasePack)
 	fl, rg = fl[:0], rg[:0]
 	for _, s := range pl.sends[span.lo:span.hi] {
 		n0 := len(fl)
@@ -897,29 +897,27 @@ func (sc *commScratch) sendFrame(ep transport.Endpoint, peer int, tag string, fr
 // recvFrame blocks for peer's frame under tag, decodes it into the pooled
 // receive buffers (sc.rregions/sc.rfloats) and closes the wait span, gated
 // on the sender's stamp when the frame carried a trace context.
-func (sc *commScratch) recvFrame(ep transport.Endpoint, peer int, tag, waitPhase, kind string, res *SPMDResult) (int, error) {
-	wait := sc.beginWait(waitPhase, peer)
+func (sc *commScratch) recvFrame(ep transport.Endpoint, peer int, tag string, waitPhase trace.Phase, kind string, res *SPMDResult) error {
+	wait := sc.tr.WaitSpan(waitPhase, peer)
 	payload, err := ep.Recv(peer, tag)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	res.MsgsRecvd++
 	var tc transport.TraceCtx
 	var traced bool
 	sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if sc.tr != nil {
-		if traced {
-			sc.tr.Recv(peer, kind, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
-			wait.EndGated(tc.SendNS)
-		} else {
-			sc.tr.RecvUntraced(peer, kind, len(payload))
-			wait.End()
-		}
+	if !traced {
+		// No context on the frame: file the arrival at our own position. The
+		// zero stamp leaves the wait ungated.
+		tc.Epoch, tc.Iter = sc.tr.Pos()
 	}
-	return len(payload), nil
+	sc.tr.Recv(peer, kind, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
+	wait.EndGated(tc.SendNS)
+	return nil
 }
 
 // finishRecvs blocks until every remote halo region has arrived and applies
@@ -928,18 +926,11 @@ func (sc *commScratch) recvFrame(ep transport.Endpoint, peer int, tag, waitPhase
 // validated region by region against the plan.
 func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, patches map[geom.Box]*amr.Patch, res *SPMDResult) error {
 	sc := pl.sc
-	var haloBytes int64
-	// The metric span times the whole exchange and carries its volume; the
-	// trace resolves it into one wait per peer plus the unpacks.
-	wsp := sc.beginVolume(obs.PhaseHaloWait)
-	defer func() { wsp.EndBytes(haloBytes) }()
 	for _, span := range pl.recvPeers {
-		nbytes, err := sc.recvFrame(ep, span.rank, span.tag, trace.PhaseHaloWait, trace.KindHalo, res)
-		if err != nil {
+		if err := sc.recvFrame(ep, span.rank, span.tag, trace.PhaseHaloWait, trace.KindHalo, res); err != nil {
 			return err
 		}
-		haloBytes += int64(nbytes)
-		usp := sc.begin(trace.PhaseUnpack)
+		usp := sc.tr.Span(trace.PhaseUnpack)
 		n := span.hi - span.lo
 		if len(sc.rregions) != n {
 			return fmt.Errorf("engine: rank %d sent %d halo regions, plan expects %d",
@@ -1102,16 +1093,12 @@ func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMin
 // one peer travel as a single framed message.
 func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Box]*amr.Patch, k solver.Kernel, iter int, res *SPMDResult, prefix string, sc *commScratch) (map[geom.Box]*amr.Patch, error) {
 	me := ep.Rank()
-	psp := sc.begin(trace.PhasePlan)
+	psp := sc.tr.Span(trace.PhasePlan)
 	mp := buildMigPlan(old, next, me, sc)
 	psp.End()
-	// The metric span times the whole migration and carries its volume; the
-	// trace splits it into the local copies (migrate) and, per peer, pack,
-	// mig-wait and unpack.
-	msp := sc.beginVolume(obs.PhaseMigrate)
-	mig0 := res.MigratedBytes
-	defer func() { msp.EndBytes(res.MigratedBytes - mig0) }()
-	lsp := sc.begin(trace.PhaseMigrate)
+	// migrate spans the local copies; each peer's share of the move is its
+	// own pack, mig-wait and unpack span.
+	lsp := sc.tr.Span(trace.PhaseMigrate)
 	out := make(map[geom.Box]*amr.Patch, len(patches))
 	bytesPerCell := int64(k.NumFields()) * 8
 	for _, m := range mp.retained {
@@ -1145,7 +1132,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		for hi < len(sends) && sends[hi].peer == sends[lo].peer {
 			hi++
 		}
-		ksp := sc.begin(trace.PhasePack)
+		ksp := sc.tr.Span(trace.PhasePack)
 		sc.floats = sc.floats[:0]
 		sc.regions = sc.regions[:0]
 		for _, m := range sends[lo:hi] {
@@ -1166,14 +1153,14 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		for hi < len(recvs) && recvs[hi].peer == recvs[lo].peer {
 			hi++
 		}
-		if _, err := sc.recvFrame(ep, recvs[lo].peer, tag, trace.PhaseMigWait, trace.KindMig, res); err != nil {
+		if err := sc.recvFrame(ep, recvs[lo].peer, tag, trace.PhaseMigWait, trace.KindMig, res); err != nil {
 			return nil, err
 		}
 		if len(sc.rregions) != hi-lo {
 			return nil, fmt.Errorf("engine: rank %d sent %d migration regions, plan expects %d",
 				recvs[lo].peer, len(sc.rregions), hi-lo)
 		}
-		usp := sc.begin(trace.PhaseUnpack)
+		usp := sc.tr.Span(trace.PhaseUnpack)
 		off := 0
 		for i, m := range recvs[lo:hi] {
 			fr := sc.rregions[i]

@@ -4,70 +4,7 @@ import (
 	"strconv"
 
 	"samrpart/internal/obs"
-	"samrpart/internal/obs/trace"
 )
-
-// phaseSpan is the open span of one instrumented site in the SPMD step
-// loop: the trace record and the metric+event span it fans out to, either
-// of which may be absent (its zero half no-ops). Sites speak the
-// internal/obs/trace phase names; metricPhase maps them onto the coarser
-// obs.Phase taxonomy.
-type phaseSpan struct {
-	o obs.Span
-	t trace.Span
-}
-
-// End closes the span on both sinks.
-func (s phaseSpan) End() { s.t.End(); s.o.End() }
-
-// EndBytes is End carrying a byte volume into the metric event.
-func (s phaseSpan) EndBytes(n int64) { s.t.End(); s.o.EndBytes(n) }
-
-// EndGated is End recording the gating message's sender stamp on the trace
-// record (see trace.Span.EndGated).
-func (s phaseSpan) EndGated(sendNS int64) { s.t.EndGated(sendNS); s.o.End() }
-
-// metricPhase maps a trace phase to the obs phase whose histogram and event
-// log it also feeds. Phases absent here (pack, unpack, dt-wait, mig-wait,
-// and the trace's local-copy migrate) are trace-only: the metric side times
-// them as part of the enclosing halo-wait or migrate volume span.
-var metricPhase = map[string]obs.Phase{
-	trace.PhasePartition:  obs.PhasePartition,
-	trace.PhasePlan:       obs.PhasePlan,
-	trace.PhaseCompute:    obs.PhaseCompute,
-	trace.PhaseAdvance:    obs.PhaseCompute,
-	trace.PhaseCheckpoint: obs.PhaseCheckpoint,
-}
-
-// begin opens the span of one site in trace phase ph at the rank's current
-// (epoch, iter). Safe from worker goroutines of the rank (it only reads the
-// position).
-func (sc *commScratch) begin(ph string) phaseSpan {
-	var s phaseSpan
-	if sc.om != nil {
-		if p, ok := metricPhase[ph]; ok {
-			s.o = sc.om.span(p)
-		}
-	}
-	s.t = sc.tr.Span(ph)
-	return s
-}
-
-// beginWait opens a blocking wait on one peer. It is trace-only: the metric
-// side has no per-peer resolution and times the whole exchange instead
-// (beginVolume).
-func (sc *commScratch) beginWait(ph string, peer int) phaseSpan {
-	return phaseSpan{t: sc.tr.WaitSpan(ph, peer)}
-}
-
-// beginVolume opens the metric span of a whole exchange (halo-wait over
-// every peer, migrate over the full redistribution), closed with EndBytes.
-// It is metric-only: the trace resolves the same interval into per-peer
-// waits, packs and unpacks, and a second span over them would double-cover
-// the critical path.
-func (sc *commScratch) beginVolume(p obs.Phase) phaseSpan {
-	return phaseSpan{o: sc.om.span(p)}
-}
 
 // spmdObs holds one rank's pre-registered SPMD metric handles. It hangs off
 // the rank's commScratch so the communication paths (postSends,
@@ -75,10 +12,8 @@ func (sc *commScratch) beginVolume(p obs.Phase) phaseSpan {
 // *spmdObs disables everything: every method no-ops, and the run is
 // bit-identical to an uninstrumented one.
 type spmdObs struct {
-	rt   *obs.Runtime
 	reg  *obs.Registry
 	rank int
-	iter int // current iteration, set each step for span attribution
 
 	bytesSent     *obs.Counter
 	msgsSent      *obs.Counter
@@ -113,7 +48,6 @@ func newSPMDObs(rt *obs.Runtime, rank int) *spmdObs {
 	reg := rt.Registry()
 	rl := obs.Label{Key: "rank", Value: strconv.Itoa(rank)}
 	return &spmdObs{
-		rt:   rt,
 		reg:  reg,
 		rank: rank,
 		bytesSent: reg.Counter("samr_spmd_bytes_sent_total",
@@ -141,23 +75,6 @@ func newSPMDObs(rt *obs.Runtime, rank int) *spmdObs {
 		peerBytes: map[int]*obs.Counter{},
 		peerMsgs:  map[int]*obs.Counter{},
 	}
-}
-
-// setIter records the current iteration for span attribution.
-func (om *spmdObs) setIter(iter int) {
-	if om == nil {
-		return
-	}
-	om.iter = iter
-}
-
-// span starts a phase span on this rank at the current iteration (zero
-// span when off).
-func (om *spmdObs) span(p obs.Phase) obs.Span {
-	if om == nil {
-		return obs.Span{}
-	}
-	return om.rt.Span(p, om.rank, om.iter)
 }
 
 // peerSent charges one outgoing message to the per-peer counters.

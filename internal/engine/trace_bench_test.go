@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"samrpart/internal/obs"
 	"samrpart/internal/obs/trace"
 	"samrpart/internal/transport"
 )
@@ -15,10 +16,10 @@ import (
 // capping the tracing overhead at 2x — in practice the gap is a few percent,
 // dominated by the per-record JSONL encode.
 func BenchmarkTracedIteration(b *testing.B) {
-	run := func(b *testing.B, tl *trace.Log) {
+	run := func(b *testing.B, rt *obs.Runtime) {
 		cfg := spmdConfig(4)
 		cfg.CapsAt = capsSwitcher(2)
-		cfg.Trace = tl
+		cfg.Obs = rt
 		for i := 0; i < b.N; i++ {
 			eps, err := transport.NewGroup(2)
 			if err != nil {
@@ -47,6 +48,6 @@ func BenchmarkTracedIteration(b *testing.B) {
 	})
 	b.Run("traced", func(b *testing.B) {
 		b.ReportAllocs()
-		run(b, trace.NewLog(io.Discard))
+		run(b, obs.New(obs.Config{Seed: 1, Trace: trace.NewLog(io.Discard)}))
 	})
 }

@@ -11,21 +11,14 @@ import (
 	"samrpart/internal/transport"
 )
 
-// runTraced runs a 4-rank SPMD program with a shared trace log attached and
+// runTraced runs a 4-rank SPMD program under a runtime with a run log and
 // returns the results plus the parsed records.
 func runTraced(t *testing.T, eps []transport.Endpoint, cfg SPMDConfig) ([]*SPMDResult, []trace.Record) {
 	t.Helper()
-	var buf bytes.Buffer
-	cfg.Trace = trace.NewLog(&buf)
+	rt, readLog := loggedRuntime(t, 1)
+	cfg.Obs = rt
 	results := runSPMD(t, eps, cfg)
-	if err := cfg.Trace.Flush(); err != nil {
-		t.Fatalf("trace flush: %v", err)
-	}
-	recs, skipped, err := trace.ReadRecords(&buf)
-	if err != nil || skipped != 0 {
-		t.Fatalf("trace read: err=%v skipped=%d", err, skipped)
-	}
-	return results, recs
+	return results, readLog()
 }
 
 // requireCoverage asserts the stitched critical path attributes at least 95%
@@ -96,9 +89,9 @@ func TestSPMDBitIdenticalWithTrace(t *testing.T) {
 	if kinds["m"] == 0 || kinds["v"] == 0 {
 		t.Errorf("no message records: %v", kinds)
 	}
-	for _, ph := range []string{trace.PhaseCompute, trace.PhasePack, trace.PhaseHaloWait,
+	for _, ph := range []trace.Phase{trace.PhaseCompute, trace.PhasePack, trace.PhaseHaloWait,
 		trace.PhaseUnpack, trace.PhaseAdvance, trace.PhasePartition, trace.PhaseMigrate} {
-		if !phases[ph] {
+		if !phases[ph.String()] {
 			t.Errorf("phase %q never recorded", ph)
 		}
 	}

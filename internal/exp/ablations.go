@@ -8,8 +8,8 @@ import (
 	"samrpart/internal/cluster"
 	"samrpart/internal/engine"
 	"samrpart/internal/partition"
+	"samrpart/internal/runlog"
 	"samrpart/internal/sfc"
-	"samrpart/internal/trace"
 )
 
 // AblationRow is one variant of an ablation sweep.
@@ -31,14 +31,14 @@ type AblationResult struct {
 // Render writes the ablation table.
 func (r *AblationResult) Render(w io.Writer) error {
 	if len(r.Rows) > 0 && r.Rows[0].hasComm {
-		tab := trace.NewTable(r.Title,
+		tab := runlog.NewTable(r.Title,
 			"Variant", "Exec time (s)", "Mean max imbalance (%)", "Comm (s)", "Redistributed (MB)")
 		for _, row := range r.Rows {
 			tab.AddF(row.Variant, row.ExecSec, row.MeanImb, row.CommSec, row.MovedMB)
 		}
 		return tab.Render(w)
 	}
-	tab := trace.NewTable(r.Title, "Variant", "Exec time (s)", "Mean max imbalance (%)")
+	tab := runlog.NewTable(r.Title, "Variant", "Exec time (s)", "Mean max imbalance (%)")
 	for _, row := range r.Rows {
 		tab.AddF(row.Variant, row.ExecSec, row.MeanImb)
 	}

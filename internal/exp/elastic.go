@@ -13,8 +13,8 @@ import (
 	"samrpart/internal/geom"
 	"samrpart/internal/monitor"
 	"samrpart/internal/partition"
+	"samrpart/internal/runlog"
 	"samrpart/internal/solver"
-	"samrpart/internal/trace"
 	"samrpart/internal/transport"
 )
 
@@ -253,7 +253,7 @@ func Elastic(iters int) (*ElasticResult, error) {
 
 // Render writes the elastic-membership table and the corruption outcome.
 func (r *ElasticResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Elastic membership under seeded churn: fail-stop vs rejoin vs rejoin+shed",
 		"Scenario", "End members", "Lost share", "Recoveries", "Admissions",
 		"Demotions", "Promotions", "Bit-exact")

@@ -14,7 +14,7 @@ import (
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // RM3DDomain is the paper's base grid: 128x32x32.
@@ -100,7 +100,7 @@ type runConfig struct {
 }
 
 // run executes one configuration from a cold cluster.
-func run(rc runConfig) (*trace.RunTrace, error) {
+func run(rc runConfig) (*runlog.RunTrace, error) {
 	clus, err := NewCluster(rc.nodes)
 	if err != nil {
 		return nil, err

@@ -10,8 +10,8 @@ import (
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
 	"samrpart/internal/partition"
+	"samrpart/internal/runlog"
 	"samrpart/internal/solver"
-	"samrpart/internal/trace"
 	"samrpart/internal/transport"
 )
 
@@ -217,7 +217,7 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 
 // Render writes both fault-study tables.
 func (r *FaultRecoveryResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Node crash on the virtual cluster: adaptive repartitioning vs static",
 		"Scenario", "Exec time (s)", "Slowdown", "Moved (MB)", "Senses")
 	for _, row := range r.Cluster {
@@ -226,7 +226,7 @@ func (r *FaultRecoveryResult) Render(w io.Writer) error {
 	if err := tab.Render(w); err != nil {
 		return err
 	}
-	tab = trace.NewTable(
+	tab = runlog.NewTable(
 		"SPMD rank crash: heartbeat detection + checkpoint recovery",
 		"Rank", "Crashed", "Recoveries", "Restored from", "Ckpt shards", "Boxes")
 	for _, row := range r.Ranks {

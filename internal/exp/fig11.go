@@ -6,7 +6,7 @@ import (
 
 	"samrpart/internal/cluster"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // Fig11Result reproduces Figure 11: dynamic load allocation by the
@@ -14,7 +14,7 @@ import (
 // the start and twice during the run, while a synthetic load generator
 // varies the load on two of the four processors.
 type Fig11Result struct {
-	Trace *trace.RunTrace
+	Trace *runlog.RunTrace
 }
 
 // fig11Loads ramps background load up on processors 0 and 1 at different
@@ -45,7 +45,7 @@ func Fig11() (*Fig11Result, error) {
 // Render writes the per-regrid assignments, annotating the relative
 // capacities whenever a sensing sweep refreshed them.
 func (r *Fig11Result) Render(w io.Writer) error {
-	s := trace.NewSeries(
+	s := runlog.NewSeries(
 		"Figure 11: dynamic load allocation (sensing before start + twice during run)",
 		"Regrid", "Processor 0", "Processor 1", "Processor 2", "Processor 3")
 	var prev []float64

@@ -4,7 +4,7 @@ import (
 	"io"
 
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // Fig7Row is one cluster size of the Figure 7 / Table I experiment.
@@ -72,7 +72,7 @@ func Fig7TableI() (*Fig7Result, error) {
 
 // Render writes the Figure 7 series and Table I comparison.
 func (r *Fig7Result) Render(w io.Writer) error {
-	fig := trace.NewSeries(
+	fig := runlog.NewSeries(
 		"Figure 7: application execution time (s), RM3D kernel",
 		"P", "system-sensitive", "default")
 	for _, row := range r.Rows {
@@ -81,7 +81,7 @@ func (r *Fig7Result) Render(w io.Writer) error {
 	if err := fig.Render(w); err != nil {
 		return err
 	}
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"\nTable I: improvement of the system-sensitive partitioner",
 		"Processors", "Improvement (measured)", "Improvement (paper)")
 	for _, row := range r.Rows {

@@ -7,7 +7,7 @@ import (
 	"samrpart/internal/amr"
 	"samrpart/internal/cluster"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // Fig8to10Result reproduces Figures 8, 9 and 10: per-regrid work-load
@@ -16,8 +16,8 @@ import (
 // resulting per-regrid load imbalance of both schemes (Fig 10).
 type Fig8to10Result struct {
 	Caps    []float64
-	Hetero  *trace.RunTrace
-	Default *trace.RunTrace
+	Hetero  *runlog.RunTrace
+	Default *runlog.RunTrace
 }
 
 // fig810Hierarchy coarsens the clustering granularity relative to the
@@ -36,7 +36,7 @@ func fig810Hierarchy() amr.Config {
 func Fig8to10() (*Fig8to10Result, error) {
 	caps := PaperCapacities()
 	hier := fig810Hierarchy()
-	mkRun := func(name string, p partition.Partitioner) (*trace.RunTrace, error) {
+	mkRun := func(name string, p partition.Partitioner) (*runlog.RunTrace, error) {
 		return run(runConfig{
 			name:  name,
 			nodes: 4,
@@ -68,8 +68,8 @@ func Fig8to10() (*Fig8to10Result, error) {
 
 // Render writes the three figures as data tables.
 func (r *Fig8to10Result) Render(w io.Writer) error {
-	renderAssignments := func(title string, tr *trace.RunTrace) error {
-		s := trace.NewSeries(title, "Regrid",
+	renderAssignments := func(title string, tr *runlog.RunTrace) error {
+		s := runlog.NewSeries(title, "Regrid",
 			"Processor 0", "Processor 1", "Processor 2", "Processor 3")
 		for _, rec := range tr.Records {
 			s.Add(float64(rec.Regrid), rec.Work[0], rec.Work[1], rec.Work[2], rec.Work[3])
@@ -91,7 +91,7 @@ func (r *Fig8to10Result) Render(w io.Writer) error {
 		"Figure 9: work-load assignment, system-sensitive partitioner (ACEHeterogeneous)", r.Hetero); err != nil {
 		return err
 	}
-	imb := trace.NewSeries(
+	imb := runlog.NewSeries(
 		"\nFigure 10: max load imbalance per regrid (%)",
 		"Regrid", "non system-sensitive", "system-sensitive")
 	for i := range r.Default.Records {

@@ -5,7 +5,7 @@ import (
 
 	"samrpart/internal/cluster"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // HeterogeneityRow is one skew level of the heterogeneity sweep.
@@ -74,7 +74,7 @@ func HeterogeneitySweep() (*HeterogeneityResult, error) {
 
 // Render writes the sweep table.
 func (r *HeterogeneityResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Improvement vs degree of heterogeneity (8 nodes, half loaded)",
 		"Background load", "Hetero (s)", "Default (s)", "Improvement (%)")
 	for _, row := range r.Rows {

@@ -6,7 +6,7 @@ import (
 	"samrpart/internal/cluster"
 	"samrpart/internal/engine"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // MixedHardwareResult covers the other axis of heterogeneity the paper's
@@ -38,7 +38,7 @@ func MixedHardware() (*MixedHardwareResult, error) {
 		old.Name = specs[k].Name
 		specs[k] = old
 	}
-	runOne := func(p partition.Partitioner) (*trace.RunTrace, []float64, error) {
+	runOne := func(p partition.Partitioner) (*runlog.RunTrace, []float64, error) {
 		clus, err := cluster.New(specs, cluster.DefaultParams())
 		if err != nil {
 			return nil, nil, err
@@ -82,7 +82,7 @@ func MixedHardware() (*MixedHardwareResult, error) {
 
 // Render writes the comparison.
 func (r *MixedHardwareResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Mixed hardware generations (4 fast + 4 half-speed nodes, no load)",
 		"Partitioner", "Exec time (s)")
 	tab.AddF("system-sensitive", r.HeteroSec)

@@ -9,8 +9,8 @@ import (
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
 	"samrpart/internal/partition"
+	"samrpart/internal/runlog"
 	"samrpart/internal/solver"
-	"samrpart/internal/trace"
 	"samrpart/internal/transport"
 )
 
@@ -141,7 +141,7 @@ func Movement(iters int) (*MovementResult, error) {
 
 // Render writes the migration-cost table.
 func (r *MovementResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Migration cost of a mid-run capacity rotation (3 ranks, 36 tiles)",
 		"Scenario", "Migrated (KB)", "Retained (KB)", "Migrated (%)",
 		"Msgs sent", "Max imbalance (%)")

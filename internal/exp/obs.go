@@ -8,6 +8,6 @@ import "samrpart/internal/obs"
 var obsRT *obs.Runtime
 
 // SetObs routes all subsequent studies' engine and SPMD runs through rt's
-// metrics registry and event log. Pass nil to turn observability back off.
+// metrics registry and run log. Pass nil to turn observability back off.
 // The studies run sequentially, so a plain package variable suffices.
 func SetObs(rt *obs.Runtime) { obsRT = rt }

@@ -4,7 +4,7 @@ import (
 	"io"
 
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // ScalabilityRow is one cluster size of the scaling study.
@@ -55,7 +55,7 @@ func Scalability() (*ScalabilityResult, error) {
 
 // Render writes the scaling table.
 func (r *ScalabilityResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Strong scaling on an idle homogeneous cluster (RM3D workload)",
 		"P", "Exec time (s)", "Speedup", "Parallel efficiency")
 	for _, row := range r.Rows {

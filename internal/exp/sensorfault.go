@@ -7,7 +7,7 @@ import (
 	"samrpart/internal/engine"
 	"samrpart/internal/monitor"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // SensorFaultRow is one scenario of the degraded-sensing study.
@@ -135,7 +135,7 @@ func SensorFaults(iters int, spec *monitor.ProbeFaultSpec, threshold float64) (*
 
 // Render writes the study table.
 func (r *SensorFaultResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Degraded sensing: repartitioning quality with faulty sensors (imbalance vs believed and true capacities)",
 		"Scenario", "Exec (s)", "Believed imb (%)", "True imb (%)",
 		"Senses", "Sense fail", "Degraded probes", "Fallbacks", "Skipped")

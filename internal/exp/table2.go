@@ -5,7 +5,7 @@ import (
 
 	"samrpart/internal/cluster"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // Table2Row is one cluster size of the dynamic-vs-static sensing
@@ -93,7 +93,7 @@ func Table2() (*Table2Result, error) {
 
 // Render writes the comparison table.
 func (r *Table2Result) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Table II: execution time, dynamic sensing vs sensing once (s)",
 		"Processors", "Dynamic (measured)", "Once (measured)",
 		"Dynamic (paper)", "Once (paper)")

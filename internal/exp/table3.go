@@ -6,7 +6,7 @@ import (
 
 	"samrpart/internal/cluster"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // Table3Row is one sensing frequency of the Table III sweep.
@@ -14,7 +14,7 @@ type Table3Row struct {
 	SenseEvery int
 	ExecSec    float64
 	PaperSec   float64
-	Trace      *trace.RunTrace
+	Trace      *runlog.RunTrace
 }
 
 // Table3Result reproduces Table III (execution time against sensing
@@ -79,7 +79,7 @@ func Table3() (*Table3Result, error) {
 	res := &Table3Result{}
 	for _, every := range []int{10, 20, 30, 40} {
 		var sum float64
-		var first *trace.RunTrace
+		var first *runlog.RunTrace
 		for _, phase := range table3Phases {
 			tr, err := run(runConfig{
 				name:        fmt.Sprintf("sense-every-%d", every),
@@ -121,7 +121,7 @@ func (r *Table3Result) Best() int {
 
 // Render writes Table III and the Figure 12-15 assignment traces.
 func (r *Table3Result) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		"Table III: execution time vs sensing frequency (4 processors)",
 		"Sense every (iters)", "Execution time (measured s)", "Execution time (paper s)")
 	for _, row := range r.Rows {
@@ -131,7 +131,7 @@ func (r *Table3Result) Render(w io.Writer) error {
 		return err
 	}
 	for i, row := range r.Rows {
-		s := trace.NewSeries(
+		s := runlog.NewSeries(
 			fmt.Sprintf("\nFigure %d: dynamic allocation, sensing every %d iterations",
 				12+i, row.SenseEvery),
 			"Regrid", "Processor 0", "Processor 1", "Processor 2", "Processor 3")

@@ -8,10 +8,11 @@ import (
 
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
-	otrace "samrpart/internal/obs/trace"
+	"samrpart/internal/obs"
+	"samrpart/internal/obs/trace"
 	"samrpart/internal/partition"
+	"samrpart/internal/runlog"
 	"samrpart/internal/solver"
-	"samrpart/internal/trace"
 	"samrpart/internal/transport"
 )
 
@@ -105,16 +106,18 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 			},
 			Iterations:  iters,
 			RepartEvery: 4,
-			Obs:         obsRT,
 		}
 
-		runOnce := func(tl *otrace.Log) ([]*engine.SPMDResult, time.Duration, error) {
+		// The study compares no runtime against a private runtime that only
+		// carries the run log; the injected obsRT stays out of it, because a
+		// run log on obsRT would put trace contexts on the baseline's wire too.
+		runOnce := func(rt *obs.Runtime) ([]*engine.SPMDResult, time.Duration, error) {
 			eps, err := transport.NewGroup(ranks)
 			if err != nil {
 				return nil, 0, err
 			}
 			cfg := cfg
-			cfg.Trace = tl
+			cfg.Obs = rt
 			results := make([]*engine.SPMDResult, ranks)
 			errs := make([]error, ranks)
 			start := time.Now()
@@ -142,8 +145,8 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 			return nil, fmt.Errorf("exp: trace overhead %s untraced: %w", app.name, err)
 		}
 		cw := &countingWriter{}
-		tl := otrace.NewLog(cw)
-		traced, tracedWall, err := runOnce(tl)
+		tl := trace.NewLog(cw)
+		traced, tracedWall, err := runOnce(obs.New(obs.Config{Trace: tl}))
 		if err != nil {
 			return nil, fmt.Errorf("exp: trace overhead %s traced: %w", app.name, err)
 		}
@@ -195,7 +198,7 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 
 // Render writes the tracing-overhead table.
 func (r *TraceOverheadResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		fmt.Sprintf("Tracing overhead: %d ranks, %d iterations (wall-clock on a shared machine is indicative only)", r.Ranks, r.Iters),
 		"App", "Untraced ms", "Traced ms", "Wire MB", "Traced wire MB", "Wire +%", "Log MB", "Records", "Bit-exact")
 	for _, row := range r.Rows {

@@ -7,9 +7,8 @@ import (
 
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
-	"samrpart/internal/obs"
 	"samrpart/internal/partition"
-	"samrpart/internal/trace"
+	"samrpart/internal/runlog"
 )
 
 // weakBoxesPerRank fixes the per-rank workload of the weak-scaling sweep:
@@ -134,9 +133,7 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 			return nil, err
 		}
 		samples := []int{0, ranks / 2, ranks - 1}
-		sp := obsRT.Span(obs.PhasePlan, -1, ranks)
 		rep, err := engine.RepartitionPlanCost(old, next, ranks, samples, 1)
-		sp.End()
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +150,6 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 		if rep.PerRankSec > 0 {
 			row.Speedup = rep.CentralSec / rep.PerRankSec
 		}
-		obsRT.Event("weak_scaling_plan_speedup", -1, ranks, row.Speedup)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -259,7 +255,6 @@ func WeakScalingStage2(maxRanks, groupSize int) (*Stage2Result, error) {
 		if row.GroupLocalUS > 0 {
 			row.Speedup = row.ReplicatedUS / row.GroupLocalUS
 		}
-		obsRT.Event("weak_scaling_stage2_speedup", -1, ranks, row.Speedup)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -289,7 +284,7 @@ func assignmentsIdentical(a, b *partition.Assignment) bool {
 
 // Render writes the stage-2 sweep table.
 func (r *Stage2Result) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		fmt.Sprintf("Stage-2 slicing: replicated vs group-local (%d boxes/rank, groups of %d)",
 			r.BoxesPerRank, r.GroupSize),
 		"Ranks", "Groups", "Boxes", "Stage1 (ms)", "Replicated (µs)",
@@ -323,7 +318,7 @@ func (r *Stage2Result) WriteCSV(w io.Writer) error {
 
 // Render writes the weak-scaling table.
 func (r *WeakScalingResult) Render(w io.Writer) error {
-	tab := trace.NewTable(
+	tab := runlog.NewTable(
 		fmt.Sprintf("Weak scaling of repartition plan construction (%d boxes/rank, hierarchical groups of %d)",
 			r.BoxesPerRank, r.GroupSize),
 		"Ranks", "Boxes", "Stage1 (ms)", "Per-rank plan (µs)", "Central (ms)",

@@ -3,6 +3,8 @@ package obs
 import (
 	"io"
 	"testing"
+
+	"samrpart/internal/obs/trace"
 )
 
 // These benchmarks back the zero-allocation claim for instrumented hot
@@ -29,30 +31,36 @@ func BenchmarkObsHistogramObserve(b *testing.B) {
 }
 
 func BenchmarkObsSpanEnabled(b *testing.B) {
-	rt := New(Config{Seed: 1})
+	rec := New(Config{Seed: 1}).Recorder(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Span(PhaseCompute, 0, i).End()
+		rec.SetPos(0, i)
+		rec.Span(trace.PhaseCompute).End()
 	}
 }
 
 func BenchmarkObsSpanDisabled(b *testing.B) {
 	var rt *Runtime
+	rec := rt.Recorder(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Span(PhaseCompute, 0, i).End()
+		rec.SetPos(0, i)
+		rec.Span(trace.PhaseCompute).End()
 	}
 }
 
-func BenchmarkObsEventEmit(b *testing.B) {
-	rt := New(Config{Seed: 1, Events: io.Discard})
+// BenchmarkObsSpanLogged is the full spine: one End feeding the histogram
+// and writing the run-log record.
+func BenchmarkObsSpanLogged(b *testing.B) {
+	rec := New(Config{Seed: 1, Trace: trace.NewLog(io.Discard)}).Recorder(3)
 	// Warm the scratch buffer so steady state is measured.
-	rt.Span(PhaseCompute, 0, 0).EndBytes(1 << 20)
+	rec.Span(trace.PhaseMigrate).EndBytes(1 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Span(PhaseHaloWait, 3, i).EndBytes(4096)
+		rec.SetPos(0, i)
+		rec.Span(trace.PhaseMigrate).EndBytes(4096)
 	}
 }

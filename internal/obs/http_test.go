@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"samrpart/internal/obs/trace"
 )
 
 func mustGet(t *testing.T, url string) (int, string, http.Header) {
@@ -138,6 +140,11 @@ func TestHTTPScrapeUnderLoad(t *testing.T) {
 	base := "http://" + srv.Addr()
 
 	const ranks, updates = 4, 300
+	// The ranks hold their last update until a scrape has completed, so at
+	// least one scrape is guaranteed to read a half-updated registry however
+	// the scheduler interleaves the goroutines.
+	scraped := make(chan struct{})
+	var scrapedOnce sync.Once
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
 		r := r
@@ -146,9 +153,14 @@ func TestHTTPScrapeUnderLoad(t *testing.T) {
 			defer wg.Done()
 			c := rt.Registry().Counter("samr_load_total", "Load test.",
 				Label{Key: "rank", Value: strconv.Itoa(r)})
+			rec := rt.Recorder(r)
 			for i := 0; i < updates; i++ {
+				if i == updates-1 {
+					<-scraped
+				}
 				c.Inc()
-				rt.Span(PhaseCompute, r, i).End()
+				rec.SetPos(0, i)
+				rec.Span(trace.PhaseCompute).End()
 			}
 		}()
 	}
@@ -171,6 +183,7 @@ func TestHTTPScrapeUnderLoad(t *testing.T) {
 						t.Errorf("%s -> %d mid-load", path, code)
 					}
 					scrapes.Add(1)
+					scrapedOnce.Do(func() { close(scraped) })
 				}
 			}
 		}()
@@ -190,7 +203,7 @@ func TestHTTPScrapeUnderLoad(t *testing.T) {
 			t.Errorf("final scrape missing %q", want)
 		}
 	}
-	if n := rt.PhaseHistogram(PhaseCompute).Count(); n != ranks*updates {
+	if n := rt.PhaseHistogram(trace.PhaseCompute).Count(); n != ranks*updates {
 		t.Errorf("compute spans %d, want %d", n, ranks*updates)
 	}
 }

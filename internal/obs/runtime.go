@@ -2,89 +2,40 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
+
+	"samrpart/internal/obs/trace"
 )
-
-// Phase is the span taxonomy: the runtime activities whose wall time the
-// observability layer breaks down, one histogram instance per phase.
-type Phase uint8
-
-const (
-	// PhaseSense is a monitor sensing sweep.
-	PhaseSense Phase = iota
-	// PhasePartition is a partitioner invocation (including validation and
-	// fallbacks).
-	PhasePartition
-	// PhaseRemap is the movement-aware owner relabeling.
-	PhaseRemap
-	// PhaseCompute is patch integration (interior or boundary).
-	PhaseCompute
-	// PhaseHaloWait is time blocked on remote ghost regions.
-	PhaseHaloWait
-	// PhaseMigrate is patch redistribution after a repartition.
-	PhaseMigrate
-	// PhaseCheckpoint is the synchronous part of writing a checkpoint.
-	PhaseCheckpoint
-	// PhasePlan is communication-plan construction: each rank deriving its
-	// own ghost-exchange and migration plans from the shared assignment.
-	PhasePlan
-	// NumPhases bounds the taxonomy.
-	NumPhases
-)
-
-// phaseNames indexes Phase.String.
-var phaseNames = [NumPhases]string{
-	"sense", "partition", "remap", "compute", "halo-wait", "migrate", "checkpoint",
-	"plan-build",
-}
-
-// String returns the phase's wire name (used as metric label and event
-// field).
-func (p Phase) String() string {
-	if p < NumPhases {
-		return phaseNames[p]
-	}
-	return fmt.Sprintf("phase(%d)", uint8(p))
-}
-
-// Phases lists the taxonomy in order, for reports.
-func Phases() []Phase {
-	out := make([]Phase, NumPhases)
-	for i := range out {
-		out[i] = Phase(i)
-	}
-	return out
-}
 
 // Config configures a Runtime.
 type Config struct {
 	// Seed derives the run ID deterministically; 0 seeds from the wall
 	// clock, so unrelated runs get distinct IDs.
 	Seed int64
-	// Events, when non-nil, receives the JSONL event log.
-	Events io.Writer
+	// Trace, when non-nil, is the run log every recorder the runtime hands
+	// out writes to. The caller keeps the log and flushes it after the run.
+	Trace *trace.Log
 }
 
 // Runtime bundles one run's observability: the metrics registry, the
-// per-phase wall-time histograms, the event log, and the state providers
-// behind the /state endpoint. The nil runtime disables everything: spans
-// cost a nil check, handles discard updates, and results are bit-identical
-// to an uninstrumented run.
+// per-phase wall-time histograms, the optional run log, and the state
+// providers behind the /state endpoint. The nil runtime disables everything:
+// it hands out nil recorders whose spans cost a nil check, handles discard
+// updates, and results are bit-identical to an uninstrumented run.
 type Runtime struct {
 	reg   *Registry
-	ev    *EventLog
+	log   *trace.Log
 	runID string
 	start time.Time
-	phase [NumPhases]*Histogram
+	phase [trace.NumPhases]*Histogram
 
 	mu    sync.Mutex
 	state map[string]func() any
 }
 
-// New builds a runtime with a fresh registry and, when cfg.Events is set,
-// a JSONL event log.
+// New builds a runtime with a fresh registry, one samr_phase_seconds
+// histogram per vocabulary phase, and cfg.Trace as its run log.
 func New(cfg Config) *Runtime {
 	seed := cfg.Seed
 	if seed == 0 {
@@ -92,14 +43,12 @@ func New(cfg Config) *Runtime {
 	}
 	rt := &Runtime{
 		reg:   NewRegistry(),
+		log:   cfg.Trace,
 		runID: RunID(seed),
 		start: time.Now(),
 		state: map[string]func() any{},
 	}
-	if cfg.Events != nil {
-		rt.ev = NewEventLog(cfg.Events, rt.runID)
-	}
-	for p := Phase(0); p < NumPhases; p++ {
+	for p := trace.Phase(0); p < trace.NumPhases; p++ {
 		rt.phase[p] = rt.reg.Histogram("samr_phase_seconds",
 			"Wall time per runtime phase.", DurationBuckets(),
 			Label{"phase", p.String()})
@@ -108,7 +57,7 @@ func New(cfg Config) *Runtime {
 }
 
 // RunID derives a stable run identifier from a seed (splitmix64), so runs
-// seeded identically produce identical event streams up to timing fields.
+// seeded identically report the same ID on /state and /healthz.
 func RunID(seed int64) string {
 	z := uint64(seed) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -142,64 +91,25 @@ func (rt *Runtime) Uptime() time.Duration {
 	return time.Since(rt.start)
 }
 
-// Span is an in-flight phase timing. The zero Span (from the nil runtime)
-// makes End a no-op. Spans are values: starting and ending one allocates
-// nothing.
-type Span struct {
-	rt    *Runtime
-	phase Phase
-	rank  int32
-	iter  int32
-	start time.Time
-}
-
-// Span starts a phase span for (rank, iter). Use rank -1 for the
-// single-process engine.
-func (rt *Runtime) Span(p Phase, rank, iter int) Span {
+// Recorder returns rank's span recorder (rank -1 for the single-process
+// engine): every span it closes observes into samr_phase_seconds{phase=…}
+// and, when the runtime has a run log, writes its record there — one End,
+// both sinks. The nil runtime returns the nil, no-op recorder.
+func (rt *Runtime) Recorder(rank int) *trace.Recorder {
 	if rt == nil {
-		return Span{}
+		return nil
 	}
-	return Span{rt: rt, phase: p, rank: int32(rank), iter: int32(iter), start: time.Now()}
-}
-
-// End closes the span: the duration feeds the phase histogram and, when an
-// event log is configured, one JSONL line.
-func (s Span) End() { s.EndBytes(0) }
-
-// EndBytes is End carrying a byte count (halo or migration volume) into
-// the event.
-func (s Span) EndBytes(bytes int64) {
-	if s.rt == nil {
-		return
-	}
-	d := time.Since(s.start)
-	s.rt.phase[s.phase].Observe(d.Seconds())
-	s.rt.ev.span(time.Since(s.rt.start).Seconds(), int(s.rank), int(s.iter),
-		s.phase.String(), d.Seconds(), bytes)
+	return trace.NewRecorder(rt.log, rank, func(p trace.Phase, seconds float64) {
+		rt.PhaseHistogram(p).Observe(seconds)
+	})
 }
 
 // PhaseHistogram exposes one phase's histogram (nil on the nil runtime).
-func (rt *Runtime) PhaseHistogram(p Phase) *Histogram {
-	if rt == nil || p >= NumPhases {
+func (rt *Runtime) PhaseHistogram(p trace.Phase) *Histogram {
+	if rt == nil || p >= trace.NumPhases {
 		return nil
 	}
 	return rt.phase[p]
-}
-
-// Event emits a free-form event line (no-op without an event log).
-func (rt *Runtime) Event(name string, rank, iter int, value float64) {
-	if rt == nil {
-		return
-	}
-	rt.ev.event(time.Since(rt.start).Seconds(), rank, iter, name, value)
-}
-
-// Flush drains the event log (no-op on the nil runtime or without a log).
-func (rt *Runtime) Flush() error {
-	if rt == nil {
-		return nil
-	}
-	return rt.ev.Flush()
 }
 
 // SetState registers a named snapshot provider for the /state endpoint.

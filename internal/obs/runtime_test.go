@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
+
+	"samrpart/internal/obs/trace"
 )
 
 func TestNilRuntimeIsOff(t *testing.T) {
@@ -14,85 +17,98 @@ func TestNilRuntimeIsOff(t *testing.T) {
 	if rt.RunIDString() != "" || rt.Uptime() != 0 {
 		t.Error("nil runtime metadata must be zero")
 	}
-	sp := rt.Span(PhaseCompute, 0, 0)
+	rec := rt.Recorder(0)
+	if rec != nil || rec.Logged() {
+		t.Error("nil runtime must hand out the nil recorder")
+	}
+	sp := rec.Span(trace.PhaseCompute)
 	sp.End()
 	sp.EndBytes(10)
-	if rt.PhaseHistogram(PhaseCompute) != nil {
+	if rt.PhaseHistogram(trace.PhaseCompute) != nil {
 		t.Error("nil runtime must expose nil histograms")
 	}
-	rt.Event("x", 0, 0, 1)
 	rt.SetState("x", func() any { return 1 })
-	if err := rt.Flush(); err != nil {
-		t.Errorf("nil flush: %v", err)
-	}
 }
 
-func TestRuntimeSpans(t *testing.T) {
-	var sb strings.Builder
-	rt := New(Config{Seed: 42, Events: &sb})
+// TestRuntimeRecorder checks the one-End-two-sinks contract: a span closed
+// on a runtime recorder lands in its phase's histogram and, with a run log
+// configured, as one record whose extent is the observed duration.
+func TestRuntimeRecorder(t *testing.T) {
+	var buf bytes.Buffer
+	log := trace.NewLog(&buf)
+	rt := New(Config{Seed: 42, Trace: log})
 	if rt.RunIDString() != RunID(42) {
 		t.Errorf("run ID = %q, want %q", rt.RunIDString(), RunID(42))
 	}
 
-	sp := rt.Span(PhaseHaloWait, 3, 17)
+	rec := rt.Recorder(3)
+	if !rec.Logged() {
+		t.Fatal("recorder of a runtime with a log must be logged")
+	}
+	rec.SetPos(1, 17)
+	sp := rec.WaitSpan(trace.PhaseHaloWait, 2)
 	time.Sleep(time.Millisecond)
-	sp.EndBytes(2048)
-	rt.Span(PhaseCompute, 3, 17).End()
-	rt.Event("fallback", -1, 17, 1)
-	if err := rt.Flush(); err != nil {
+	sp.EndGated(5)
+	rec.Span(trace.PhaseMigrate).EndBytes(2048)
+	if err := log.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	h := rt.PhaseHistogram(PhaseHaloWait)
-	if h.Count() != 1 || h.Sum() <= 0 {
-		t.Errorf("halo-wait histogram count=%d sum=%g", h.Count(), h.Sum())
+	recs, skipped, err := trace.ReadRecords(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("read: err=%v skipped=%d", err, skipped)
 	}
-	if rt.PhaseHistogram(PhaseCompute).Count() != 1 {
-		t.Error("compute span not recorded")
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2", len(recs))
 	}
-
-	evs, err := ReadEvents(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
+	w := recs[0]
+	if w.Ph != "halo-wait" || w.R != 3 || w.P != 2 || w.E != 1 || w.I != 17 || w.TS != 5 {
+		t.Errorf("wait record = %+v", w)
 	}
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
+	h := rt.PhaseHistogram(trace.PhaseHaloWait)
+	if h.Count() != 1 || h.Sum() != float64(w.T1-w.T0)/1e9 {
+		t.Errorf("halo-wait histogram count=%d sum=%g, record extent %d ns",
+			h.Count(), h.Sum(), w.T1-w.T0)
 	}
-	if evs[0].Phase != "halo-wait" || evs[0].Bytes != 2048 || evs[0].Rank != 3 || evs[0].Iter != 17 {
-		t.Errorf("span event = %+v", evs[0])
+	if m := recs[1]; m.Ph != "migrate" || m.B != 2048 || m.P != -1 {
+		t.Errorf("migrate record = %+v", m)
 	}
-	if evs[0].DurS <= 0 {
-		t.Errorf("span duration = %g", evs[0].DurS)
-	}
-	if evs[2].Name != "fallback" {
-		t.Errorf("free-form event = %+v", evs[2])
+	if rt.PhaseHistogram(trace.PhaseMigrate).Count() != 1 {
+		t.Error("migrate span not observed")
 	}
 
-	// The per-phase histograms must all be registered up front so the
-	// exposition is stable from the first scrape.
+	// A runtime without a log still observes, and says it writes nothing.
+	quiet := New(Config{Seed: 1})
+	qrec := quiet.Recorder(0)
+	if qrec == nil || qrec.Logged() {
+		t.Fatal("metrics-only recorder must be live but not logged")
+	}
+	qrec.Span(trace.PhaseCompute).End()
+	if quiet.PhaseHistogram(trace.PhaseCompute).Count() != 1 {
+		t.Error("metrics-only span not observed")
+	}
+
+	// Every vocabulary phase is registered up front so the exposition is
+	// stable from the first scrape.
 	var exp strings.Builder
 	if err := rt.Registry().WritePrometheus(&exp); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range Phases() {
+	for p := trace.Phase(0); p < trace.NumPhases; p++ {
 		if !strings.Contains(exp.String(), `phase="`+p.String()+`"`) {
 			t.Errorf("exposition missing phase %q", p)
 		}
 	}
 }
 
-func TestPhaseNames(t *testing.T) {
-	want := []string{"sense", "partition", "remap", "compute", "halo-wait", "migrate", "checkpoint", "plan-build"}
-	ps := Phases()
-	if len(ps) != len(want) {
-		t.Fatalf("got %d phases, want %d", len(ps), len(want))
+func TestRunIDDeterministic(t *testing.T) {
+	if RunID(42) != RunID(42) {
+		t.Error("same seed must give same run ID")
 	}
-	for i, p := range ps {
-		if p.String() != want[i] {
-			t.Errorf("phase %d = %q, want %q", i, p.String(), want[i])
-		}
+	if RunID(1) == RunID(2) {
+		t.Error("distinct seeds must give distinct run IDs")
 	}
-	if Phase(200).String() != "phase(200)" {
-		t.Errorf("out-of-range phase name = %q", Phase(200).String())
+	if !strings.HasPrefix(RunID(7), "run-") || len(RunID(7)) != len("run-")+16 {
+		t.Errorf("run ID shape: %q", RunID(7))
 	}
 }

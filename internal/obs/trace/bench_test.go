@@ -25,7 +25,7 @@ func BenchmarkTraceOffMessage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Send(1, KindHalo, 4096, 0)
-		r.RecvUntraced(1, KindHalo, 4096)
+		r.Recv(1, KindHalo, 4096, 0, 0, 0)
 	}
 }
 

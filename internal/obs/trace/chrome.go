@@ -16,6 +16,15 @@ import (
 func WriteChrome(w io.Writer, recs []Record, tl *Timeline) error {
 	bw := bufio.NewWriter(w)
 
+	// Trace viewers fold a negative pid into process 0, so Engine.Run's
+	// rank -1 takes the row after the highest rank.
+	pid := func(rank int) int {
+		if rank < 0 {
+			return tl.Ranks[len(tl.Ranks)-1] + 1
+		}
+		return rank
+	}
+
 	// Earliest aligned instant anchors the µs axis.
 	var t0 int64
 	first := true
@@ -44,8 +53,12 @@ func WriteChrome(w io.Writer, recs []Record, tl *Timeline) error {
 	}
 
 	for _, rank := range tl.Ranks {
+		name := fmt.Sprintf("rank %d", rank)
+		if rank < 0 {
+			name = "engine"
+		}
 		evs = append(evs, ev{-1, fmt.Sprintf(
-			`{"ph":"M","pid":%d,"name":"process_name","args":{"name":"rank %d"}}`, rank, rank)})
+			`{"ph":"M","pid":%d,"name":"process_name","args":{"name":%q}}`, pid(rank), name)})
 	}
 
 	// Spans.
@@ -59,9 +72,12 @@ func WriteChrome(w io.Writer, recs []Record, tl *Timeline) error {
 		if r.P >= 0 {
 			extra = fmt.Sprintf(`,"peer":%d`, r.P)
 		}
+		if r.B != 0 {
+			extra += fmt.Sprintf(`,"bytes":%d`, r.B)
+		}
 		evs = append(evs, ev{start, fmt.Sprintf(
 			`{"ph":"X","pid":%d,"tid":0,"name":%q,"cat":"phase","ts":%s,"dur":%s,"args":{"epoch":%d,"iter":%d%s}}`,
-			r.R, r.Ph, usec(start), usec(dur), r.E, r.I, extra)})
+			pid(r.R), r.Ph, usec(start), usec(dur), r.E, r.I, extra)})
 	}
 
 	// Message flows: match sends to recvs by (kind, from, to, epoch, iter)

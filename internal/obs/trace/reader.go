@@ -11,7 +11,8 @@ import (
 // Record is one decoded JSONL trace record. K selects the kind and which
 // fields are meaningful:
 //
-//	"s" span:    R, Ph, E, I, T0, T1; P ≥ 0 and TS on gated wait spans
+//	"s" span:    R (-1 = Engine.Run), Ph, E, I, T0, T1; P ≥ 0 and TS on
+//	             gated wait spans; B when the span carries a byte volume
 //	"m" send:    R → P, Kd, E, I, B, T (= wire send stamp echoed in TS-free form)
 //	"v" recv:    R ← P, Kd, E, I, B, TS (sender stamp, 0 = untraced), T
 //	"o" offset:  R about P, Off (peer clock − R clock), RTT, T

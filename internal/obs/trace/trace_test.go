@@ -21,7 +21,7 @@ func TestRecorderJSONL(t *testing.T) {
 	w.EndGated(999)
 	r.Send(1, KindHalo, 128, 555)
 	r.Recv(2, KindMig, 64, 0, 41, 777)
-	r.RecvUntraced(2, KindHalo, 32)
+	r.Recv(2, KindHalo, 32, 1, 42, 0)
 	r.Verdict(2, "degraded")
 	if err := l.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -34,7 +34,7 @@ func TestRecorderJSONL(t *testing.T) {
 	if len(recs) != 6 {
 		t.Fatalf("got %d records, want 6", len(recs))
 	}
-	if recs[0].K != "s" || recs[0].R != 3 || recs[0].Ph != PhaseCompute || recs[0].E != 1 || recs[0].I != 42 {
+	if recs[0].K != "s" || recs[0].R != 3 || recs[0].Ph != PhaseCompute.String() || recs[0].E != 1 || recs[0].I != 42 {
 		t.Errorf("span record = %+v", recs[0])
 	}
 	if recs[0].P != -1 {
@@ -43,7 +43,7 @@ func TestRecorderJSONL(t *testing.T) {
 	if recs[0].T1 < recs[0].T0 || recs[0].T0 == 0 {
 		t.Errorf("span timestamps t0=%d t1=%d", recs[0].T0, recs[0].T1)
 	}
-	if recs[1].Ph != PhaseHaloWait || recs[1].P != 1 || recs[1].TS != 999 {
+	if recs[1].Ph != PhaseHaloWait.String() || recs[1].P != 1 || recs[1].TS != 999 {
 		t.Errorf("gated wait record = %+v", recs[1])
 	}
 	if recs[2].K != "m" || recs[2].P != 1 || recs[2].Kd != KindHalo || recs[2].B != 128 || recs[2].TS != 555 {
@@ -57,6 +57,90 @@ func TestRecorderJSONL(t *testing.T) {
 	}
 	if recs[5].K != "g" || recs[5].Tgt != 2 || recs[5].St != "degraded" {
 		t.Errorf("verdict record = %+v", recs[5])
+	}
+}
+
+// TestPhaseVocabulary pins the one phase vocabulary: every recordable phase
+// has a unique, non-empty wire name distinct from the stitcher's two
+// synthetic labels, plan construction is "plan" (the metric sink used to
+// spell it differently), and an out-of-range value still prints.
+func TestPhaseVocabulary(t *testing.T) {
+	want := []string{"sense", "partition", "remap", "plan", "migrate", "mig-wait", "pack",
+		"compute", "halo-wait", "unpack", "advance", "dt-wait", "checkpoint"}
+	if int(NumPhases) != len(want) {
+		t.Fatalf("vocabulary has %d phases, want %d", NumPhases, len(want))
+	}
+	seen := map[string]bool{PhaseIdle: true, PhaseUntracked: true}
+	for p := Phase(0); p < NumPhases; p++ {
+		name := p.String()
+		if name != want[p] {
+			t.Errorf("phase %d = %q, want %q", p, name, want[p])
+		}
+		if name == "" || seen[name] {
+			t.Errorf("phase %d has empty or duplicate wire name %q", p, name)
+		}
+		seen[name] = true
+	}
+	if PhasePlan.String() != "plan" {
+		t.Errorf("plan construction is %q on the wire, want \"plan\"", PhasePlan)
+	}
+	if Phase(200).String() != "phase(200)" {
+		t.Errorf("out-of-range phase name = %q", Phase(200).String())
+	}
+}
+
+// TestObservedRecorder covers the hook obs.Runtime plugs in: it sees each
+// closed span's phase and exactly the duration the record carries, and a
+// recorder with the hook but no log observes without writing or claiming a
+// wire context.
+func TestObservedRecorder(t *testing.T) {
+	type obsv struct {
+		ph  Phase
+		sec float64
+	}
+	var got []obsv
+	hook := func(p Phase, sec float64) { got = append(got, obsv{p, sec}) }
+
+	var buf bytes.Buffer
+	l := NewLog(&buf)
+	r := NewRecorder(l, -1, hook)
+	r.SetPos(0, 9)
+	r.Span(PhaseMigrate).EndBytes(4096)
+	r.WaitSpan(PhaseMigWait, 2).EndGated(7)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped, err := ReadRecords(&buf)
+	if err != nil || skipped != 0 || len(recs) != 2 {
+		t.Fatalf("read: err=%v skipped=%d records=%d", err, skipped, len(recs))
+	}
+	if recs[0].R != -1 || recs[0].B != 4096 || recs[0].P != -1 || recs[0].I != 9 {
+		t.Errorf("byte-carrying engine span = %+v", recs[0])
+	}
+	if len(got) != 2 || got[0].ph != PhaseMigrate || got[1].ph != PhaseMigWait {
+		t.Fatalf("hook saw %+v", got)
+	}
+	for i, rec := range recs {
+		if want := float64(rec.T1-rec.T0) / 1e9; got[i].sec != want {
+			t.Errorf("span %d: observed %g s, record extent %g s", i, got[i].sec, want)
+		}
+	}
+
+	got = nil
+	q := NewRecorder(nil, 0, hook)
+	if q == nil || q.Logged() {
+		t.Fatal("hook-only recorder must be live and not logged")
+	}
+	q.Span(PhaseCompute).End()
+	q.Send(1, KindHalo, 8, 1)
+	q.Recv(1, KindHalo, 8, 0, 0, 0)
+	q.ObserveHeartbeat(1, 1, 1)
+	q.Verdict(1, "shed")
+	if len(got) != 1 || got[0].ph != PhaseCompute {
+		t.Errorf("hook-only recorder observed %+v", got)
+	}
+	if NewRecorder(nil, 0, nil) != nil {
+		t.Error("no log and no hook must yield the nil recorder")
 	}
 }
 
@@ -74,11 +158,14 @@ func TestNilRecorder(t *testing.T) {
 	if r.Now() != 0 || r.HBDelta(1) != 0 {
 		t.Fatalf("nil clock methods returned nonzero")
 	}
+	if r.Logged() {
+		t.Fatalf("nil recorder claims to be logged")
+	}
 	r.Span(PhaseCompute).End()
+	r.Span(PhaseMigrate).EndBytes(3)
 	r.WaitSpan(PhaseHaloWait, 1).EndGated(5)
 	r.Send(1, KindHalo, 1, 1)
 	r.Recv(1, KindHalo, 1, 0, 0, 0)
-	r.RecvUntraced(1, KindHalo, 1)
 	r.ObserveHeartbeat(1, 1, 1)
 	r.Verdict(1, "x")
 	if err := (*Log)(nil).Flush(); err != nil {
@@ -154,13 +241,13 @@ func TestStitchCriticalPath(t *testing.T) {
 	recs := []Record{
 		// rank 0: compute [0,100], halo-wait on rank 1 [100,500] gated by a
 		// send stamped at 450, unpack+advance [500,550]
-		{K: "s", R: 0, P: -1, Ph: PhaseCompute, E: 0, I: 7, T0: 0, T1: 100},
-		{K: "s", R: 0, P: 1, Ph: PhaseHaloWait, E: 0, I: 7, TS: 450, T0: 100, T1: 500},
-		{K: "s", R: 0, P: -1, Ph: PhaseAdvance, E: 0, I: 7, T0: 500, T1: 550},
+		{K: "s", R: 0, P: -1, Ph: PhaseCompute.String(), E: 0, I: 7, T0: 0, T1: 100},
+		{K: "s", R: 0, P: 1, Ph: PhaseHaloWait.String(), E: 0, I: 7, TS: 450, T0: 100, T1: 500},
+		{K: "s", R: 0, P: -1, Ph: PhaseAdvance.String(), E: 0, I: 7, T0: 500, T1: 550},
 		// rank 1: slow compute [0,440], pack [440,450], then done at 460
-		{K: "s", R: 1, P: -1, Ph: PhaseCompute, E: 0, I: 7, T0: 0, T1: 440},
-		{K: "s", R: 1, P: -1, Ph: PhasePack, E: 0, I: 7, T0: 440, T1: 450},
-		{K: "s", R: 1, P: -1, Ph: PhaseAdvance, E: 0, I: 7, T0: 450, T1: 460},
+		{K: "s", R: 1, P: -1, Ph: PhaseCompute.String(), E: 0, I: 7, T0: 0, T1: 440},
+		{K: "s", R: 1, P: -1, Ph: PhasePack.String(), E: 0, I: 7, T0: 440, T1: 450},
+		{K: "s", R: 1, P: -1, Ph: PhaseAdvance.String(), E: 0, I: 7, T0: 450, T1: 460},
 	}
 	tl := Stitch(recs, 0)
 	if len(tl.Iters) != 1 {
@@ -177,7 +264,7 @@ func TestStitchCriticalPath(t *testing.T) {
 	// gating stamp 450) → rank0 advance.
 	var sawJump, sawWait bool
 	for i, seg := range w.Chain {
-		if seg.Rank == 0 && seg.Phase == PhaseHaloWait {
+		if seg.Rank == 0 && seg.Phase == PhaseHaloWait.String() {
 			sawWait = true
 			if seg.Peer != 1 || seg.Start != 450 {
 				t.Fatalf("wait segment = %+v", seg)
@@ -206,9 +293,9 @@ func TestStitchCriticalPath(t *testing.T) {
 // untracked, and Covered still equals Wall.
 func TestStitchIdleAndUntracked(t *testing.T) {
 	recs := []Record{
-		{K: "s", R: 0, P: -1, Ph: PhaseCompute, E: 0, I: 1, T0: 0, T1: 40},
+		{K: "s", R: 0, P: -1, Ph: PhaseCompute.String(), E: 0, I: 1, T0: 0, T1: 40},
 		// gap [40,70)
-		{K: "s", R: 0, P: -1, Ph: PhaseAdvance, E: 0, I: 1, T0: 70, T1: 100},
+		{K: "s", R: 0, P: -1, Ph: PhaseAdvance.String(), E: 0, I: 1, T0: 70, T1: 100},
 	}
 	tl := Stitch(recs, 0)
 	w := tl.Iters[0]
@@ -262,7 +349,7 @@ func TestConcurrentRecording(t *testing.T) {
 				r.SetPos(0, i)
 				sp := r.Span(PhaseCompute)
 				r.Send((rank+1)%ranks, KindHalo, 64, r.Now())
-				r.RecvUntraced((rank+ranks-1)%ranks, KindHalo, 64)
+				r.Recv((rank+ranks-1)%ranks, KindHalo, 64, 0, int32(i), 0)
 				sp.End()
 			}
 		}(rank)

@@ -1,8 +1,8 @@
-// Package trace records what the runtime did — per-regrid work assignments,
+// Package runlog records what the runtime did — per-regrid work assignments,
 // capacities, imbalance, and the virtual-time cost breakdown — and renders
 // the tables and data series the experiment harness prints. It is the
 // bookkeeping behind every figure and table reproduction.
-package trace
+package runlog
 
 import (
 	"encoding/csv"

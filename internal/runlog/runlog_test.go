@@ -1,4 +1,4 @@
-package trace
+package runlog
 
 import (
 	"encoding/json"

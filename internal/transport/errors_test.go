@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"net"
 	"testing"
 	"time"
 )
@@ -187,7 +190,7 @@ func waitDown(t *testing.T, ep Endpoint, peer int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		te.mu.Lock()
-		down := te.down[peer]
+		down := te.down[peer] != nil
 		te.mu.Unlock()
 		if down {
 			return
@@ -279,7 +282,7 @@ func waitUp(t *testing.T, ep Endpoint, peer int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		te.mu.Lock()
-		up := te.conns[peer] != nil && !te.down[peer]
+		up := te.conns[peer] != nil && te.down[peer] == nil
 		te.mu.Unlock()
 		if up {
 			return
@@ -343,5 +346,53 @@ func TestTCPReconnectExhaustion(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("reconnect exhaustion took %v, want bounded backoff", elapsed)
+	}
+}
+
+// TestTCPSpoofedSenderRejected verifies a connection can only speak for the
+// rank its handshake established: a peer connected as rank 1 that sends a
+// frame claiming to be from rank 2 must not satisfy a receive from rank 2,
+// and the offending connection is dropped, so a receiver waiting on rank 1
+// fails with ErrRankDown (caused by ErrMalformed) instead of hanging.
+func TestTCPSpoofedSenderRejected(t *testing.T) {
+	eps, err := NewTCPGroup(3, "127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(eps)
+	victim := eps[0].(*tcpEndpoint)
+
+	// Connect to rank 0 the way rank 1 does: dial, then send the rank.
+	conn, err := net.Dial("tcp", victim.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := binary.Write(conn, binary.BigEndian, int32(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(conn).Encode(frame{From: 2, Tag: "spoof", Payload: []byte("forged")}); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	_, err = victim.RecvTimeout(1, "spoof", 5*time.Second)
+	if !errors.Is(err, ErrRankDown) || !errors.Is(err, ErrMalformed) {
+		t.Errorf("recv from the spoofing rank: err = %v, want ErrRankDown caused by ErrMalformed", err)
+	}
+	if time.Since(start) > 4*time.Second {
+		t.Errorf("receiver only gave up at its %v deadline; the spoofing connection was not dropped", time.Since(start))
+	}
+	// The reader has dropped the connection, so the forged frame is either
+	// rejected or never will be filed: rank 2's queue must be empty.
+	if p, ok, err := victim.TryRecv(2, "spoof"); ok || err != nil {
+		t.Errorf("forged frame delivered as rank 2: %q, ok=%v, err=%v", p, ok, err)
+	}
+	// Rank 2's own connection is untouched and still delivers.
+	if err := eps[2].Send(0, "spoof", []byte("genuine")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := victim.RecvTimeout(2, "spoof", 5*time.Second); err != nil || string(got) != "genuine" {
+		t.Errorf("genuine rank 2 frame: %q, %v", got, err)
 	}
 }

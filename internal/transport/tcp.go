@@ -53,8 +53,8 @@ type tcpEndpoint struct {
 	mu    sync.Mutex // guards the fields below
 	conns []net.Conn
 	encs  []*gob.Encoder
-	gen   []int  // bumped per install; stale readers detect replacement
-	down  []bool // peer's conn is gone and was not replaced
+	gen   []int   // bumped per install; stale readers detect replacement
+	down  []error // non-nil: peer's conn is gone and was not replaced; what ended its reader
 	nconn int
 	dl    time.Duration // default recv deadline / per-send write bound
 	// closed endpoints reject sends and stop the accept loop.
@@ -96,7 +96,7 @@ func NewTCPGroup(n int, host string) ([]Endpoint, error) {
 			conns:    make([]net.Conn, n),
 			encs:     make([]*gob.Encoder, n),
 			gen:      make([]int, n),
-			down:     make([]bool, n),
+			down:     make([]error, n),
 		}
 		eps[i].wg.Add(1)
 		go eps[i].acceptLoop()
@@ -224,25 +224,34 @@ func (e *tcpEndpoint) installConn(peer int, conn net.Conn) {
 	e.encs[peer] = gob.NewEncoder(conn)
 	e.gen[peer]++
 	gen := e.gen[peer]
-	e.down[peer] = false
+	e.down[peer] = nil
 	e.mu.Unlock()
 	e.wg.Add(1)
 	go e.readLoop(peer, gen, conn)
 	e.inbox.wake()
 }
 
-// readLoop demultiplexes frames from one peer connection into the inbox.
-// When the connection dies and has not been replaced, the peer is marked
-// down and blocked receivers are woken to observe it.
+// readLoop demultiplexes frames from one peer connection into the inbox,
+// filed under the rank the connection's handshake established: a frame that
+// names another sender is as malformed as one that does not decode, since
+// accepting it would let any connected rank speak for any other. When the
+// connection dies or turns malformed and has not been replaced, it is
+// dropped, the peer is marked down and blocked receivers are woken to
+// observe it.
 func (e *tcpEndpoint) readLoop(peer, gen int, conn net.Conn) {
 	defer e.wg.Done()
 	dec := gob.NewDecoder(conn)
 	for {
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		err := dec.Decode(&f)
+		if err == nil && f.From != peer {
+			err = fmt.Errorf("%w: frame from rank %d on rank %d's connection", ErrMalformed, f.From, peer)
+		}
+		if err != nil {
+			conn.Close()
 			e.mu.Lock()
 			if !e.closed && e.gen[peer] == gen {
-				e.down[peer] = true
+				e.down[peer] = err
 				e.conns[peer] = nil
 				e.encs[peer] = nil
 				e.nconn--
@@ -251,7 +260,7 @@ func (e *tcpEndpoint) readLoop(peer, gen int, conn net.Conn) {
 			e.inbox.wake()
 			return
 		}
-		e.inbox.put(f.From, f.Tag, f.Payload)
+		e.inbox.put(peer, f.Tag, f.Payload)
 	}
 }
 
@@ -375,8 +384,8 @@ func (e *tcpEndpoint) RecvTimeout(from int, tag string, d time.Duration) ([]byte
 		failed = func() error {
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			if e.down[from] {
-				return &RankDownError{Rank: from, Reason: "peer disconnected"}
+			if cause := e.down[from]; cause != nil {
+				return &RankDownError{Rank: from, Reason: fmt.Sprintf("peer disconnected: %v", cause), Cause: cause}
 			}
 			return nil
 		}

@@ -36,12 +36,18 @@ var ErrRankDown = errors.New("transport: rank down")
 type RankDownError struct {
 	Rank   int
 	Reason string
+	// Cause, when set, is what took the rank's connection down (a read
+	// error, or a protocol violation wrapping ErrMalformed).
+	Cause error
 }
 
 // Error implements error.
 func (e *RankDownError) Error() string {
 	return fmt.Sprintf("transport: rank %d down (%s)", e.Rank, e.Reason)
 }
+
+// Unwrap exposes the cause to errors.Is/As.
+func (e *RankDownError) Unwrap() error { return e.Cause }
 
 // Is reports ErrRankDown as this error's sentinel.
 func (e *RankDownError) Is(target error) bool { return target == ErrRankDown }

@@ -213,15 +213,26 @@ func (p *Patch) AppendHaloBoxes(dst []geom.Box) []geom.Box {
 // number of cells copied, which the runtime uses for communication-volume
 // accounting.
 func CopyOverlap(dst, src *Patch) int64 {
-	if dst.NumFields != src.NumFields {
-		panic("amr: CopyOverlap field count mismatch")
-	}
 	region := dst.padded.Intersect(src.Box)
-	if region.Empty() {
-		return 0
+	CopyRegion(dst, src, region)
+	return region.Cells()
+}
+
+// The three region primitives below move a box of cells a row at a time:
+// storage is x-fastest, so every (y, z) row of a region is one contiguous
+// run. Serialized order is field-major, then z, y, x — the wire order of
+// halo and migration frames. The region must lie inside the padded box of
+// every patch involved; an empty region is a no-op.
+
+// CopyRegion copies the cells of region from src into dst, for every field.
+// Both patches must live on the same level and have the same field count.
+func CopyRegion(dst, src *Patch, region geom.Box) {
+	if dst.NumFields != src.NumFields {
+		panic("amr: CopyRegion field count mismatch")
 	}
-	// Row-at-a-time copies: both layouts are x-fastest, so every (y, z) row
-	// of the overlap is one contiguous run in each patch.
+	if region.Empty() {
+		return
+	}
 	nx := region.Size(0)
 	for f := 0; f < dst.NumFields; f++ {
 		df, sf := dst.Field(f), src.Field(f)
@@ -233,7 +244,48 @@ func CopyOverlap(dst, src *Patch) int64 {
 			}
 		}
 	}
-	return region.Cells()
+}
+
+// AppendRegion appends the values of region (all fields) to dst and returns
+// the extended slice.
+func (p *Patch) AppendRegion(dst []float64, region geom.Box) []float64 {
+	if region.Empty() {
+		return dst
+	}
+	nx := region.Size(0)
+	for f := 0; f < p.NumFields; f++ {
+		fd := p.Field(f)
+		for z := region.Lo[2]; z <= region.Hi[2]; z++ {
+			for y := region.Lo[1]; y <= region.Hi[1]; y++ {
+				o := p.rowOffset(region.Lo[0], y, z)
+				dst = append(dst, fd[o:o+nx]...)
+			}
+		}
+	}
+	return dst
+}
+
+// SetRegion writes data — region's values in AppendRegion order — into the
+// patch. It panics unless len(data) is region.Cells()·NumFields; callers
+// holding data from outside the program check the length first.
+func (p *Patch) SetRegion(region geom.Box, data []float64) {
+	if len(data) != int(region.Cells())*p.NumFields {
+		panic(fmt.Sprintf("amr: SetRegion got %d values for %v x %d fields", len(data), region, p.NumFields))
+	}
+	if region.Empty() {
+		return
+	}
+	nx := region.Size(0)
+	for f := 0; f < p.NumFields; f++ {
+		fd := p.Field(f)
+		for z := region.Lo[2]; z <= region.Hi[2]; z++ {
+			for y := region.Lo[1]; y <= region.Hi[1]; y++ {
+				o := p.rowOffset(region.Lo[0], y, z)
+				copy(fd[o:o+nx], data[:nx])
+				data = data[nx:]
+			}
+		}
+	}
 }
 
 // rowOffset returns the linear index of cell (x, y, z) within the padded

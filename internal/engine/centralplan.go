@@ -22,11 +22,10 @@ import (
 // so a rank's plan here is bit-identical to buildGhostPlan's.
 func centralGhostPlans(a *partition.Assignment, size, ghost int, prefix string) []*ghostPlan {
 	plans := make([]*ghostPlan, size)
-	needsRemote := make([]map[geom.Box]bool, size)
 	for r := range plans {
 		plans[r] = &ghostPlan{}
-		needsRemote[r] = map[geom.Box]bool{}
 	}
+	needsRemote := make([]bool, len(a.Boxes))
 	idx := geom.NewIndex(a.Boxes)
 	var hits []int
 	for i, bi := range a.Boxes {
@@ -41,27 +40,22 @@ func centralGhostPlans(a *partition.Assignment, size, ghost int, prefix string) 
 			bj := a.Boxes[j]
 			oj := a.Owners[j]
 			if oj == oi {
-				pl.locals = append(pl.locals, [2]geom.Box{bi, bj})
+				pl.locals = append(pl.locals, localCopy{dst: int32(i), src: int32(j), region: grown.Intersect(bj)})
 				continue
 			}
-			pl.recvs = append(pl.recvs, ghostRecv{
-				dstIdx: i, srcIdx: j, dst: bi, region: grown.Intersect(bj), from: oj,
-			})
-			needsRemote[oi][bi] = true
-			pl.sends = append(pl.sends, ghostSend{
-				dstIdx: j, srcIdx: i, src: bi, region: bj.Grow(ghost).Intersect(bi), to: oj,
-			})
+			pl.recvs = append(pl.recvs, planRegion{dstIdx: i, srcIdx: j, region: grown.Intersect(bj), peer: oj})
+			needsRemote[i] = true
+			pl.sends = append(pl.sends, planRegion{dstIdx: j, srcIdx: i, region: bj.Grow(ghost).Intersect(bi), peer: oj})
 		}
 	}
 	for _, pl := range plans {
 		pl.finish(prefix)
 	}
-	for i, b := range a.Boxes {
-		o := a.Owners[i]
-		if needsRemote[o][b] {
-			plans[o].boundary = append(plans[o].boundary, b)
+	for i, o := range a.Owners {
+		if needsRemote[i] {
+			plans[o].boundary = append(plans[o].boundary, i)
 		} else {
-			plans[o].interior = append(plans[o].interior, b)
+			plans[o].interior = append(plans[o].interior, i)
 		}
 	}
 	return plans
@@ -81,9 +75,8 @@ func centralMigPlans(old, next *partition.Assignment, size int) []migPlan {
 		no := next.Owners[i]
 		hits = idx.Query(nb, hits)
 		for _, j := range hits {
-			ob := old.Boxes[j]
 			oo := old.Owners[j]
-			m := migRegion{dstIdx: i, srcIdx: j, dst: nb, src: ob, region: nb.Intersect(ob)}
+			m := planRegion{dstIdx: i, srcIdx: j, region: nb.Intersect(old.Boxes[j])}
 			if oo == no {
 				m.peer = no
 				plans[no].retained = append(plans[no].retained, m)

@@ -189,10 +189,14 @@ type spmdRun struct {
 	// (see canaryProbe).
 	canaryCur, canaryNext *amr.Patch
 
-	assign  *asnView
-	plan    *ghostPlan
-	patches map[geom.Box]*amr.Patch
-	spares  map[geom.Box]*amr.Patch
+	assign *asnView
+	plan   *ghostPlan
+	// cur and spare are the rank's patch slots, indexed by box index in
+	// assign (nil where the rank does not own the box): the patch holding the
+	// current solution and its retired double buffer. Plan entries name
+	// patches by these indexes, so assign, plan, cur and spare only ever
+	// change together (install).
+	cur, spare []*amr.Patch
 	// sc pools the communication buffers across steps, plan rebuilds and
 	// redistributions (see commScratch).
 	sc commScratch
@@ -356,7 +360,7 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 		return nil, fmt.Errorf("engine: async checkpoint failed: %w", ckptErr)
 	}
 	res.DeadRanks = r.deadList()
-	finalizeSPMD(res, r.patches)
+	finalizeSPMD(res, r.owned())
 	r.sc.om.sync(res)
 	return res, nil
 }
@@ -644,40 +648,61 @@ func (r *spmdRun) setupAt(iter int) error {
 		return err
 	}
 	v := newAsnView(asn, r.me())
-	r.assign = v
-	r.rebuildGhostPlan()
-	r.spares = map[geom.Box]*amr.Patch{}
-	r.lastPart = iter
+	var cur []*amr.Patch
 	if iter == 0 {
-		r.patches = map[geom.Box]*amr.Patch{}
+		cur = make([]*amr.Patch, len(asn.Boxes))
 		for _, i := range v.mine {
-			b := asn.Boxes[i]
-			p := amr.NewPatch(b, k.Ghost(), k.NumFields())
-			k.Init(p, r.cfg.BaseGrid)
-			r.patches[b] = p
+			cur[i] = amr.NewPatch(asn.Boxes[i], k.Ghost(), k.NumFields())
+			k.Init(cur[i], r.cfg.BaseGrid)
 		}
-		return nil
+	} else {
+		merged, err := checkpoint.LoadShards(r.cfg.FT.CheckpointDir, iter)
+		if err != nil {
+			return fmt.Errorf("engine: rank %d restore at %d: %w", r.me(), iter, err)
+		}
+		if cur, err = assemblePatches(v, k.Ghost(), k.NumFields(), merged); err != nil {
+			return err
+		}
 	}
-	merged, err := checkpoint.LoadShards(r.cfg.FT.CheckpointDir, iter)
-	if err != nil {
-		return fmt.Errorf("engine: rank %d restore at %d: %w", r.me(), iter, err)
-	}
-	r.patches, err = assemblePatches(asn, r.me(), k.Ghost(), k.NumFields(), merged)
-	return err
+	r.install(v, cur, iter)
+	return nil
 }
 
-// assemblePatches builds the rank's owned patches from a merged shard map.
-// Shard boxes may be split differently than the new assignment's (ownership
-// changed hands), so each new patch is stitched from every overlapping shard
-// region, with full interior coverage verified cell by cell. Overlapping
-// shard regions are safe: bit-exact determinism makes their values
-// identical wherever they intersect.
-func assemblePatches(asn *partition.Assignment, me, ghost, fields int, merged map[geom.Box]*amr.Patch) (map[geom.Box]*amr.Patch, error) {
-	patches := map[geom.Box]*amr.Patch{}
-	for i, nb := range asn.Boxes {
-		if asn.Owners[i] != me {
-			continue
-		}
+// install makes v the standing assignment as of iter, with cur as the rank's
+// patches under it. Ghost-plan entries and patch slots are only meaningful
+// against the assignment they were built from, so the four change together,
+// here and nowhere else; the spares restart empty (ownership moved, retired
+// buffers are stale).
+func (r *spmdRun) install(v *asnView, cur []*amr.Patch, iter int) {
+	r.assign, r.cur = v, cur
+	r.spare = make([]*amr.Patch, len(v.Boxes))
+	r.lastPart = iter
+	sp := r.sc.tr.Span(trace.PhasePlan)
+	r.plan = buildGhostPlan(v, r.me(), r.cfg.Kernel.Ghost(), r.prefix, &r.sc)
+	sp.End()
+}
+
+// owned returns the rank's current patches keyed by interior box — the form
+// in which they leave the runtime (checkpoint shards, SPMDResult.Patches).
+func (r *spmdRun) owned() map[geom.Box]*amr.Patch {
+	out := make(map[geom.Box]*amr.Patch, len(r.assign.mine))
+	for _, i := range r.assign.mine {
+		out[r.assign.Boxes[i]] = r.cur[i]
+	}
+	return out
+}
+
+// assemblePatches builds the rank's patch slots (indexed by box index) from
+// a merged shard map. Shard boxes may be split differently than the new
+// assignment's (ownership changed hands), so each new patch is stitched from
+// every overlapping shard region, with full interior coverage verified cell
+// by cell. Overlapping shard regions are safe: bit-exact determinism makes
+// their values identical wherever they intersect.
+func assemblePatches(v *asnView, ghost, fields int, merged map[geom.Box]*amr.Patch) ([]*amr.Patch, error) {
+	patches := make([]*amr.Patch, len(v.Boxes))
+	var vals []float64
+	for _, i := range v.mine {
+		nb := v.Boxes[i]
 		p := amr.NewPatch(nb, ghost, fields)
 		covered := make([]bool, nb.Cells())
 		for ob, op := range merged {
@@ -685,7 +710,8 @@ func assemblePatches(asn *partition.Assignment, me, ghost, fields int, merged ma
 			if region.Empty() {
 				continue
 			}
-			if err := apply(p, region, extract(op, region)); err != nil {
+			vals = op.AppendRegion(vals[:0], region)
+			if err := apply(p, region, vals); err != nil {
 				return nil, err
 			}
 			forEachCell(region, func(pt geom.Point) {
@@ -697,7 +723,7 @@ func assemblePatches(asn *partition.Assignment, me, ghost, fields int, merged ma
 				return nil, fmt.Errorf("engine: checkpoint shards do not cover box %v", nb)
 			}
 		}
-		patches[nb] = p
+		patches[i] = p
 	}
 	return patches, nil
 }
@@ -1009,9 +1035,7 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 	r.durable = w.Stable
 	r.ckptErr = nil
 	r.ckptMu.Unlock()
-	r.assign = newAsnView(standing, r.me())
-	r.patches = map[geom.Box]*amr.Patch{}
-	r.spares = map[geom.Box]*amr.Patch{}
+	r.install(newAsnView(standing, r.me()), make([]*amr.Patch, len(standing.Boxes)), w.Iter)
 	r.stepPS = 0
 	r.resetStraggler()
 	// Join the admission repartition as a pure receiver (this rank owns
@@ -1051,24 +1075,13 @@ func (r *spmdRun) repartitionNow(iter int) error {
 	if err != nil {
 		return err
 	}
-	r.patches, err = redistribute(r.ep, r.assign, newView, r.patches, cfg.Kernel, iter, r.res, r.prefix, &r.sc)
+	cur, err := redistribute(r.ep, r.assign, newView, r.cur, cfg.Kernel, iter, r.res, r.prefix, &r.sc)
 	if err != nil {
 		return err
 	}
-	r.assign = newView
-	r.rebuildGhostPlan()
-	clear(r.spares) // ownership changed; retired buffers are stale
-	r.lastPart = iter
+	r.install(newView, cur, iter)
 	r.res.Repartitions++
 	return nil
-}
-
-// rebuildGhostPlan derives the halo-exchange plan of the current assignment
-// and epoch, timed as a plan span.
-func (r *spmdRun) rebuildGhostPlan() {
-	sp := r.sc.tr.Span(trace.PhasePlan)
-	r.plan = buildGhostPlan(r.assign, r.me(), r.cfg.Kernel.Ghost(), r.prefix, &r.sc)
-	sp.End()
 }
 
 // recoverAt rolls the rank back to the agreed restore iteration: bump the
@@ -1122,8 +1135,8 @@ func (r *spmdRun) writeCheckpoint(iter int) error {
 	// The checkpoint span covers the synchronous cut: cloning always, the
 	// shard write too when SyncCheckpoint blocks on it.
 	ksp := r.sc.tr.Span(trace.PhaseCheckpoint)
-	clones := make(map[geom.Box]*amr.Patch, len(r.patches))
-	for b, p := range r.patches {
+	clones := r.owned()
+	for b, p := range clones {
 		clones[b] = p.Clone()
 	}
 	sh := &checkpoint.SPMDShard{Iter: iter, Rank: r.me(), Size: r.ep.Size(), Patches: clones}
@@ -1199,7 +1212,7 @@ func (r *spmdRun) step(iter int) error {
 	}
 	// Ghost exchange, phase 1: post remote sends, fill everything that is
 	// locally available (outflow fallback + same-rank copies).
-	if err := r.plan.postSends(r.ep, r.patches, r.res); err != nil {
+	if err := r.plan.postSends(r.ep, r.cur, r.res); err != nil {
 		return err
 	}
 	// Global stable dt. MaxDT reads interiors only, so computing it while
@@ -1208,8 +1221,8 @@ func (r *spmdRun) step(iter int) error {
 	dt := cfg.DT
 	if dt == 0 {
 		local := math.Inf(1)
-		for _, p := range r.patches {
-			if d := k.MaxDT(p, cfg.BaseGrid); d < local {
+		for _, i := range r.assign.mine {
+			if d := k.MaxDT(r.cur[i], cfg.BaseGrid); d < local {
 				local = d
 			}
 		}
@@ -1228,24 +1241,24 @@ func (r *spmdRun) step(iter int) error {
 	var cells int64
 	csp := r.sc.tr.Span(trace.PhaseCompute)
 	t0 := time.Now()
-	for _, b := range r.plan.interior {
-		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)
+	for _, i := range r.plan.interior {
+		stepPatch(k, cfg.BaseGrid, r.cur, r.spare, i, dt)
 		r.res.InteriorSteps++
-		cells += b.Cells()
+		cells += r.cur[i].Box.Cells()
 	}
 	computeDur := time.Since(t0)
 	csp.End()
 	// Ghost exchange, phase 2: block on the remote regions, then finish the
 	// boundary patches.
-	if err := r.plan.finishRecvs(r.ep, r.patches, r.res); err != nil {
+	if err := r.plan.finishRecvs(r.ep, r.cur, r.res); err != nil {
 		return err
 	}
 	bsp := r.sc.tr.Span(trace.PhaseAdvance)
 	t1 := time.Now()
-	for _, b := range r.plan.boundary {
-		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)
+	for _, i := range r.plan.boundary {
+		stepPatch(k, cfg.BaseGrid, r.cur, r.spare, i, dt)
 		r.res.BoundarySteps++
-		cells += b.Cells()
+		cells += r.cur[i].Box.Cells()
 	}
 	computeDur += time.Since(t1)
 	bsp.End()

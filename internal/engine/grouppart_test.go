@@ -24,7 +24,7 @@ func hierSPMDConfig(iters, ranks int) SPMDConfig {
 
 // newTestRuns builds one spmdRun per endpoint and sets each up at iteration
 // 0 (replicated partition, no messages), ready to be driven method by method.
-func newTestRuns(t *testing.T, eps []transport.Endpoint, cfg SPMDConfig) []*spmdRun {
+func newTestRuns(t testing.TB, eps []transport.Endpoint, cfg SPMDConfig) []*spmdRun {
 	t.Helper()
 	runs := make([]*spmdRun, len(eps))
 	for r, ep := range eps {

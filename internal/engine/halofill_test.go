@@ -1,0 +1,446 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"samrpart/internal/amr"
+	"samrpart/internal/geom"
+	"samrpart/internal/partition"
+	"samrpart/internal/solver"
+	"samrpart/internal/transport"
+)
+
+// extractReference and applyReference are the per-cell closure pack/unpack
+// the row primitives replaced, kept verbatim as their oracle.
+func extractReference(dst []float64, p *amr.Patch, region geom.Box) []float64 {
+	for f := 0; f < p.NumFields; f++ {
+		forEachCell(region, func(pt geom.Point) {
+			dst = append(dst, p.At(f, pt))
+		})
+	}
+	return dst
+}
+
+func applyReference(p *amr.Patch, region geom.Box, data []float64) error {
+	want := int(region.Cells()) * p.NumFields
+	if len(data) != want {
+		return fmt.Errorf("engine: region payload has %d values, want %d", len(data), want)
+	}
+	i := 0
+	for f := 0; f < p.NumFields; f++ {
+		forEachCell(region, func(pt geom.Point) {
+			p.Set(f, pt, data[i])
+			i++
+		})
+	}
+	return nil
+}
+
+// outflowCellwise and copyOverlapCellwise are the serial reference halo
+// fill, one At/Set per cell and no shared code with the row fills: every
+// shell cell takes the per-axis clamped interior cell, then every cell of
+// src's interior inside dst's padded box is copied over.
+func outflowCellwise(p *amr.Patch) {
+	forEachCell(p.Padded(), func(pt geom.Point) {
+		if p.Box.Contains(pt) {
+			return
+		}
+		c := pt
+		for d := 0; d < p.Box.Rank; d++ {
+			c[d] = min(max(c[d], p.Box.Lo[d]), p.Box.Hi[d])
+		}
+		for f := 0; f < p.NumFields; f++ {
+			p.Set(f, pt, p.At(f, c))
+		}
+	})
+}
+
+func copyOverlapCellwise(dst, src *amr.Patch) {
+	forEachCell(dst.Padded().Intersect(src.Box), func(pt geom.Point) {
+		for f := 0; f < dst.NumFields; f++ {
+			dst.Set(f, pt, src.At(f, pt))
+		}
+	})
+}
+
+// haloPoison is a NaN payload no kernel produces: a halo cell still holding
+// it after an exchange was never written.
+var haloPoison = math.Float64frombits(0x7ff8_0000_dead_beef)
+
+func poisonHalo(p *amr.Patch) {
+	forEachCell(p.Padded(), func(pt geom.Point) {
+		if !p.Box.Contains(pt) {
+			for f := 0; f < p.NumFields; f++ {
+				p.Set(f, pt, haloPoison)
+			}
+		}
+	})
+}
+
+// samePatchBits compares two patches over their whole storage, halo included.
+func samePatchBits(a, b *amr.Patch) error {
+	for f := 0; f < a.NumFields; f++ {
+		af, bf := a.Field(f), b.Field(f)
+		for i := range af {
+			if math.Float64bits(af[i]) != math.Float64bits(bf[i]) {
+				return fmt.Errorf("box %v field %d offset %d: %v, reference %v", a.Box, f, i, af[i], bf[i])
+			}
+			if math.Float64bits(af[i]) == math.Float64bits(haloPoison) {
+				return fmt.Errorf("box %v field %d offset %d: poison survived the exchange", a.Box, f, i)
+			}
+		}
+	}
+	return nil
+}
+
+// TestRegionPackMatchesClosures holds the row pack/unpack to the closure
+// versions: same float order, same cells written, the same error on a short
+// payload.
+func TestRegionPackMatchesClosures(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 600; trial++ {
+		var box geom.Box
+		if trial%2 == 0 {
+			box = geom.Box2(r.Intn(9)-4, r.Intn(9)-4, 0, 0)
+			box.Hi = geom.Pt2(box.Lo[0]+r.Intn(6), box.Lo[1]+r.Intn(6))
+		} else {
+			box = geom.Box3(r.Intn(9)-4, r.Intn(9)-4, r.Intn(9)-4, 0, 0, 0)
+			box.Hi = geom.Pt3(box.Lo[0]+r.Intn(5), box.Lo[1]+r.Intn(5), box.Lo[2]+r.Intn(5))
+		}
+		p := amr.NewPatch(box, 1+r.Intn(2), 1+r.Intn(3))
+		forEachCell(p.Padded(), func(pt geom.Point) {
+			for f := 0; f < p.NumFields; f++ {
+				p.Set(f, pt, r.NormFloat64())
+			}
+		})
+		region := p.Padded()
+		for d := 0; d < box.Rank; d++ {
+			region.Lo[d] += r.Intn(3)
+			region.Hi[d] -= r.Intn(3)
+		}
+		got := p.AppendRegion([]float64{7}, region)
+		want := extractReference([]float64{7}, p, region)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: packed %d values, closures %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: value %d of region %v differs", trial, i, region)
+			}
+		}
+		a := amr.NewPatch(box, p.Ghost, p.NumFields)
+		b := amr.NewPatch(box, p.Ghost, p.NumFields)
+		if err := apply(a, region, got[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := applyReference(b, region, want[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := samePatchBits(a, b); err != nil {
+			t.Fatalf("trial %d: apply of region %v: %v", trial, region, err)
+		}
+		// got carries one value too many: both must refuse it, in the same words.
+		e1, e2 := apply(a, region, got), applyReference(b, region, want)
+		if e1 == nil || e2 == nil || e1.Error() != e2.Error() {
+			t.Fatalf("trial %d: wrong-length payload: %v vs closures %v", trial, e1, e2)
+		}
+	}
+}
+
+// TestPackSpanFramesMatchClosures packs every outgoing halo frame of the
+// halo-latency and rm3d-compute tilings (the benchmark's 2-rank SFC
+// partitions) and requires the bytes a closure packer produces.
+func TestPackSpanFramesMatchClosures(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		domain geom.Box
+		tile   int
+		k      solver.Kernel
+	}{
+		{"halo-latency", geom.Box2(0, 0, 63, 63), 8, solver.NewAdvection2D(1.0, 0.5, 0.4, 0.6, 0.1)},
+		{"rm3d-compute", geom.Box3(0, 0, 0, 127, 31, 31), 16, solver.NewRichtmyerMeshkov([geom.MaxDim]float64{4, 1, 1})},
+	} {
+		cfg := SPMDConfig{Domain: tc.domain, TileSize: tc.tile}
+		asn, err := partition.NewSFCHetero(2).Partition(cfg.tiles(), partition.UniformCaps(2), partition.CellWork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := 0
+		for me := 0; me < 2; me++ {
+			var sc commScratch
+			v := newAsnView(asn, me)
+			pl := buildGhostPlan(v, me, tc.k.Ghost(), "", &sc)
+			cur := make([]*amr.Patch, len(asn.Boxes))
+			for _, i := range v.mine {
+				cur[i] = amr.NewPatch(asn.Boxes[i], tc.k.Ghost(), tc.k.NumFields())
+				tc.k.Init(cur[i], solver.UniformGrid(1.0/64))
+			}
+			for _, span := range pl.sendPeers {
+				_, _, got := sc.packSpan(pl.sends[span.lo:span.hi], cur, nil, nil, nil, nil)
+				var fl []float64
+				var rg []transport.FrameRegion
+				for _, s := range pl.sends[span.lo:span.hi] {
+					n0 := len(fl)
+					fl = extractReference(fl, cur[s.srcIdx], s.region)
+					rg = append(rg, frameRegion(s.dstIdx, s.srcIdx, s.region, len(fl)-n0))
+				}
+				if want := transport.AppendFrame(nil, rg, fl); !bytes.Equal(got, want) {
+					t.Fatalf("%s rank %d -> %d: frame of %d B differs from the closure packer's %d B",
+						tc.name, me, span.rank, len(got), len(want))
+				}
+				frames++
+			}
+		}
+		if frames == 0 {
+			t.Fatalf("%s: no frames packed", tc.name)
+		}
+	}
+}
+
+// scatterPartitioner deals boxes to nodes by a hash of (seed, first capacity,
+// box index): pure, so every rank derives the same owners, and a capacity
+// nudge reshuffles nearly every box — the worst case for anything that
+// caches per-box state across a repartition.
+type scatterPartitioner struct{ seed int64 }
+
+func (scatterPartitioner) Name() string { return "scatter" }
+
+func (s scatterPartitioner) Partition(boxes geom.BoxList, caps []float64, work partition.WorkFunc) (*partition.Assignment, error) {
+	r := rand.New(rand.NewSource(s.seed ^ int64(math.Float64bits(caps[0]))))
+	a := &partition.Assignment{
+		Boxes: boxes, Owners: make([]int, len(boxes)),
+		Work: make([]float64, len(caps)), Ideal: make([]float64, len(caps)),
+	}
+	for i, b := range boxes {
+		a.Owners[i] = r.Intn(len(caps))
+		a.Work[a.Owners[i]] += work(b)
+	}
+	return a, nil
+}
+
+// TestHaloFillLeavesNoStaleCell guards the invariant spare reuse and patch
+// retention rest on — one exchange rewrites every halo cell — at plan level.
+// Ranks with scattered owners poison every ghost cell of every current patch
+// before each step, run postSends + finishRecvs, and must hold no poison and
+// exactly the serial reference fill (cell-wise outflow, then cell-wise copies
+// over all boxes); the reference steps into fresh patches while the ranks
+// reuse spares. The run crosses a repartition and a recovery, so the patch
+// slots are proven rebuilt whenever ownership moves.
+func TestHaloFillLeavesNoStaleCell(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		domain geom.Box
+		tile   int
+		k      solver.Kernel
+		dt     float64
+	}{
+		{"muscl2d", geom.Box2(0, 0, 31, 31), 8, solver.NewMUSCLAdvection2D(1.0, 0.5, 0.4, 0.4, 0.12), 2e-3},
+		{"rm3d", geom.Box3(0, 0, 0, 15, 7, 7), 4, solver.NewRichtmyerMeshkov([geom.MaxDim]float64{2, 1, 1}), 1e-3},
+	} {
+		for ranks := 1; ranks <= 4; ranks++ {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/ranks=%d/workers=%d", tc.name, ranks, workers), func(t *testing.T) {
+					grid := solver.UniformGrid(1.0 / 32)
+					cfg := SPMDConfig{
+						Domain: tc.domain, TileSize: tc.tile, Kernel: tc.k, BaseGrid: grid,
+						Partitioner: scatterPartitioner{seed: int64(ranks*10 + workers)},
+						// A different first capacity at every iteration: each
+						// (re)partition scatters the boxes afresh.
+						CapsAt: func(iter int) []float64 {
+							caps := partition.UniformCaps(ranks)
+							caps[0] += 1e-6 * float64(iter+1)
+							return caps
+						},
+						Iterations: 1, Workers: workers, NoAffinityRemap: true,
+					}
+					eps, err := transport.NewGroup(ranks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs := newTestRuns(t, eps, cfg)
+					ref := map[geom.Box]*amr.Patch{}
+					initRef := func() {
+						for _, b := range cfg.tiles() {
+							ref[b] = amr.NewPatch(b, tc.k.Ghost(), tc.k.NumFields())
+							tc.k.Init(ref[b], grid)
+						}
+					}
+					initRef()
+					exchangeAndStep := func(when string) {
+						t.Helper()
+						eachRank(t, len(runs), func(rank int) error {
+							r := runs[rank]
+							for _, i := range r.assign.mine {
+								poisonHalo(r.cur[i])
+							}
+							if err := r.plan.postSends(r.ep, r.cur, r.res); err != nil {
+								return err
+							}
+							return r.plan.finishRecvs(r.ep, r.cur, r.res)
+						})
+						for _, p := range ref {
+							poisonHalo(p)
+							outflowCellwise(p)
+						}
+						for _, dst := range ref {
+							for _, src := range ref {
+								if dst != src {
+									copyOverlapCellwise(dst, src)
+								}
+							}
+						}
+						owned := 0
+						for _, r := range runs {
+							for _, i := range r.assign.mine {
+								if err := samePatchBits(r.cur[i], ref[r.assign.Boxes[i]]); err != nil {
+									t.Fatalf("%s, rank %d: %v", when, r.me(), err)
+								}
+								owned++
+							}
+							for _, i := range append(append([]int(nil), r.plan.interior...), r.plan.boundary...) {
+								stepPatch(tc.k, grid, r.cur, r.spare, i, tc.dt)
+							}
+						}
+						if owned != len(ref) {
+							t.Fatalf("%s: ranks own %d patches, the tiling has %d", when, owned, len(ref))
+						}
+						for b, p := range ref {
+							next := amr.NewPatch(b, p.Ghost, p.NumFields)
+							tc.k.Step(next, p, grid, tc.dt)
+							ref[b] = next
+						}
+					}
+					for step := 0; step < 3; step++ {
+						exchangeAndStep("after setup")
+					}
+					eachRank(t, len(runs), func(rank int) error { return runs[rank].repartitionNow(5) })
+					for step := 0; step < 3; step++ {
+						exchangeAndStep("after the repartition")
+					}
+					// The last rank dies; the survivors roll back to the initial
+					// condition over a fresh scatter.
+					if ranks > 1 {
+						runs = runs[:ranks-1]
+					}
+					eachRank(t, len(runs), func(rank int) error {
+						if ranks > 1 {
+							runs[rank].alive[ranks-1] = false
+						}
+						_, err := runs[rank].recoverAt(0)
+						return err
+					})
+					initRef()
+					for step := 0; step < 3; step++ {
+						exchangeAndStep("after the recovery")
+					}
+				})
+			}
+		}
+	}
+}
+
+// loopback is a 2-rank endpoint pair whose Send and Recv allocate nothing
+// once warm: payloads travel in buffers recycled through a free list, one
+// message in flight per direction at most two deep. It exists so the
+// allocation gate on BenchmarkHaloFill reads the engine's halo fill alone —
+// the channel transport allocates per message (payload copy, inbox node,
+// deadline timer), which is the wire's bill, not the fill's.
+type loopback struct {
+	transport.TimedEndpoint             // rank, size and the calls the fill never makes
+	out, in                 chan []byte // filled buffers, to and from the peer
+	outFree, inFree         chan []byte // emptied buffers, back to the sender
+	held                    []byte      // the buffer the last Recv handed out
+}
+
+func newLoopbackPair(b *testing.B) []transport.Endpoint {
+	eps, err := transport.NewGroup(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Two buffers circulate per direction: one held by the receiver, one in
+	// flight or being filled.
+	ab, ba := make(chan []byte, 2), make(chan []byte, 2)
+	abFree, baFree := make(chan []byte, 2), make(chan []byte, 2)
+	for i := 0; i < 2; i++ {
+		abFree <- nil
+		baFree <- nil
+	}
+	return []transport.Endpoint{
+		&loopback{TimedEndpoint: eps[0].(transport.TimedEndpoint), out: ab, outFree: abFree, in: ba, inFree: baFree},
+		&loopback{TimedEndpoint: eps[1].(transport.TimedEndpoint), out: ba, outFree: baFree, in: ab, inFree: abFree},
+	}
+}
+
+func (l *loopback) Send(_ int, _ string, payload []byte) error {
+	l.out <- append((<-l.outFree)[:0], payload...)
+	return nil
+}
+
+func (l *loopback) Recv(int, string) ([]byte, error) {
+	if l.held != nil {
+		l.inFree <- l.held
+	}
+	l.held = <-l.in
+	return l.held, nil
+}
+
+// BenchmarkHaloFill measures one rank's per-step halo exchange — postSends +
+// finishRecvs — on the halo-latency tiling (64 8x8 tiles, 2 ranks), rank 1
+// keeping pace on its own goroutine: /chan over the channel transport, and
+// /loopback over an allocation-free pair, where CI gates 0 allocs/op.
+func BenchmarkHaloFill(b *testing.B) {
+	cfg := SPMDConfig{
+		Domain: geom.Box2(0, 0, 63, 63), TileSize: 8,
+		Kernel:      solver.NewAdvection2D(1.0, 0.5, 0.4, 0.6, 0.1),
+		BaseGrid:    solver.UniformGrid(1.0 / 64),
+		Partitioner: partition.NewSFCHetero(2),
+		CapsAt:      func(int) []float64 { return partition.UniformCaps(2) },
+		Iterations:  1,
+	}
+	exchange := func(r *spmdRun, n int) error {
+		for i := 0; i < n; i++ {
+			if err := r.plan.postSends(r.ep, r.cur, r.res); err != nil {
+				return err
+			}
+			if err := r.plan.finishRecvs(r.ep, r.cur, r.res); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name  string
+		group func(b *testing.B) []transport.Endpoint
+	}{
+		{"chan", func(b *testing.B) []transport.Endpoint {
+			eps, err := transport.NewGroup(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return eps
+		}},
+		{"loopback", newLoopbackPair},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			runs := newTestRuns(b, tc.group(b), cfg)
+			peer := make(chan error, 1)
+			both := func(n int) {
+				go func() { peer <- exchange(runs[1], n) }()
+				if err := exchange(runs[0], n); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-peer; err != nil {
+					b.Fatal(err)
+				}
+			}
+			both(2) // size the pooled buffers before the timer starts
+			b.ReportAllocs()
+			b.ResetTimer()
+			both(b.N)
+		})
+	}
+}

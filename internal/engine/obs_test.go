@@ -2,10 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
@@ -431,5 +435,86 @@ func TestEngineBitIdenticalWithObs(t *testing.T) {
 	}
 	if len(readLog()) == 0 {
 		t.Error("instrumented run wrote no run-log records")
+	}
+}
+
+// desyncHalo rewrites the nth halo frame its rank sends so the first region
+// names the wrong destination box — what a sender/receiver plan desync looks
+// like on the wire. The receiver's plan check must refuse the frame.
+type desyncHalo struct {
+	tappedEndpoint
+	nth, seen int
+}
+
+func (d *desyncHalo) Send(to int, tag string, payload []byte) error {
+	if strings.HasSuffix(tag, "gx") {
+		if d.seen++; d.seen-1 == d.nth {
+			regions, vals, tc, traced, err := transport.DecodeFrameCtx(payload, nil, nil)
+			if err != nil {
+				return err
+			}
+			regions[0].Dst++
+			ctx := &tc
+			if !traced {
+				ctx = nil
+			}
+			payload = transport.AppendFrameCtx(nil, regions, vals, ctx)
+		}
+	}
+	return d.tappedEndpoint.Send(to, tag, payload)
+}
+
+// TestFailedExchangeClosesItsSpans forces a plan desync at iteration 3 of a
+// logged 2-rank run: rank 0 refuses rank 1's frame while unpacking, and rank
+// 1, one iteration on, times out waiting for the rank that gave up. Both
+// failing spans — the iteration someone will want to look at — must be in the
+// run log: the last unpack record of rank 0 and the last halo-wait record of
+// rank 1 belong to the iterations that failed.
+func TestFailedExchangeClosesItsSpans(t *testing.T) {
+	const failAt = 3
+	rt, readLog := loggedRuntime(t, 3)
+	eps, err := transport.NewGroup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps = wrapFaulty(eps)
+	eps[1] = &desyncHalo{tappedEndpoint: eps[1].(tappedEndpoint), nth: failAt}
+	cfg := spmdConfig(8)
+	cfg.CapsAt = func(int) []float64 { return []float64{0.5, 0.5} }
+	cfg.RepartEvery = 0
+	cfg.DT = 1e-3 // no dt reduce: the only blocking receive of a step is the halo's
+	cfg.RecvDeadline = 200 * time.Millisecond
+	cfg.Obs = rt
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range eps {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			_, errs[r] = RunSPMDRank(eps[r], cfg)
+		}(r)
+	}
+	wg.Wait()
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "does not match plan") {
+		t.Fatalf("rank 0: %v, want a plan-mismatch error", errs[0])
+	}
+	if !errors.Is(errs[1], transport.ErrRankDown) {
+		t.Fatalf("rank 1: %v, want ErrRankDown", errs[1])
+	}
+	last := map[[2]string]int{} // (rank, phase) -> iteration of the last span record
+	for _, rec := range readLog() {
+		if rec.K == "s" {
+			last[[2]string{fmt.Sprint(rec.R), rec.Ph}] = rec.I
+		}
+	}
+	for _, want := range []struct {
+		rank string
+		ph   trace.Phase
+		iter int
+	}{{"0", trace.PhaseUnpack, failAt}, {"1", trace.PhaseHaloWait, failAt + 1}} {
+		if got, ok := last[[2]string{want.rank, want.ph.String()}]; !ok || got != want.iter {
+			t.Errorf("rank %s: last %s span record is at iteration %d (present %v), want the failing iteration %d",
+				want.rank, want.ph, got, ok, want.iter)
+		}
 	}
 }

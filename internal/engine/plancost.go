@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"samrpart/internal/partition"
@@ -83,14 +84,14 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 	return rep, nil
 }
 
-// ghostPlansEqual compares two ghost plans field by field, ignoring the
+// ghostPlansEqual compares two ghost plans entry by entry, ignoring the
 // scratch handle (an execution resource, not part of the plan).
 func ghostPlansEqual(a, b *ghostPlan) bool {
-	return reflect.DeepEqual(a.sends, b.sends) &&
-		reflect.DeepEqual(a.recvs, b.recvs) &&
-		reflect.DeepEqual(a.sendPeers, b.sendPeers) &&
-		reflect.DeepEqual(a.recvPeers, b.recvPeers) &&
-		reflect.DeepEqual(a.locals, b.locals) &&
-		reflect.DeepEqual(a.interior, b.interior) &&
-		reflect.DeepEqual(a.boundary, b.boundary)
+	return slices.Equal(a.sends, b.sends) &&
+		slices.Equal(a.recvs, b.recvs) &&
+		slices.Equal(a.sendPeers, b.sendPeers) &&
+		slices.Equal(a.recvPeers, b.recvPeers) &&
+		slices.Equal(a.locals, b.locals) &&
+		slices.Equal(a.interior, b.interior) &&
+		slices.Equal(a.boundary, b.boundary)
 }

@@ -374,20 +374,18 @@ func finalizeSPMD(res *SPMDResult, patches map[geom.Box]*amr.Patch) {
 	res.Patches = patches
 }
 
-// stepPatch advances one owned patch by dt into its spare double buffer and
-// retires the current patch as the next spare. Halos of the spare are stale
-// but every halo cell is rewritten by the next exchange (outflow covers the
-// whole shell before copies land), so reuse is bit-exact with fresh
-// zero-filled patches.
-func stepPatch(k solver.Kernel, g solver.Grid, patches, spares map[geom.Box]*amr.Patch, b geom.Box, dt float64) {
-	p := patches[b]
-	next := spares[b]
+// stepPatch advances the owned patch in slot i by dt into its spare double
+// buffer and retires the current patch as the next spare. Halos of the spare
+// are stale but every halo cell is rewritten by the next exchange (outflow
+// covers the whole shell before copies land), so reuse is bit-exact with
+// fresh zero-filled patches.
+func stepPatch(k solver.Kernel, g solver.Grid, cur, spare []*amr.Patch, i int, dt float64) {
+	p, next := cur[i], spare[i]
 	if next == nil {
-		next = amr.NewPatch(b, p.Ghost, p.NumFields)
+		next = amr.NewPatch(p.Box, p.Ghost, p.NumFields)
 	}
 	k.Step(next, p, g, dt)
-	patches[b] = next
-	spares[b] = p
+	cur[i], spare[i] = next, p
 }
 
 // encodeAssignment chooses the broadcast form: owner deltas relative to the
@@ -454,41 +452,15 @@ func assignmentOf(boxes geom.BoxList, owners []int, size int) (*partition.Assign
 	return a, nil
 }
 
-// extract serializes the values of region (all fields) from a patch.
-func extract(p *amr.Patch, region geom.Box) []float64 {
-	return extractInto(make([]float64, 0, int(region.Cells())*p.NumFields), p, region)
-}
-
-// extractInto is extract writing into dst's capacity (dst is truncated
-// first), so steady-state callers can reuse one scratch slice.
-func extractInto(dst []float64, p *amr.Patch, region geom.Box) []float64 {
-	return extractAppend(dst[:0], p, region)
-}
-
-// extractAppend appends region's values (all fields) to dst, for packing
-// several regions into one coalesced buffer.
-func extractAppend(dst []float64, p *amr.Patch, region geom.Box) []float64 {
-	for f := 0; f < p.NumFields; f++ {
-		forEachCell(region, func(pt geom.Point) {
-			dst = append(dst, p.At(f, pt))
-		})
-	}
-	return dst
-}
-
-// apply writes serialized region values into a patch.
+// apply writes serialized region values (amr.Patch.AppendRegion order) into
+// a patch. The payload came off the wire or a checkpoint shard, so its length
+// is checked here rather than trusted.
 func apply(p *amr.Patch, region geom.Box, data []float64) error {
 	want := int(region.Cells()) * p.NumFields
 	if len(data) != want {
 		return fmt.Errorf("engine: region payload has %d values, want %d", len(data), want)
 	}
-	i := 0
-	for f := 0; f < p.NumFields; f++ {
-		forEachCell(region, func(pt geom.Point) {
-			p.Set(f, pt, data[i])
-			i++
-		})
-	}
+	p.SetRegion(region, data)
 	return nil
 }
 
@@ -515,6 +487,11 @@ type commScratch struct {
 	// rank pays the O(total boxes) index construction only when the tiling
 	// actually changes, not on every repartition.
 	indexes indexCache
+
+	// planLens holds the previous ghost plan's entry counts and the number of
+	// boxes it covered: buildGhostPlan sizes the next plan's slices from them,
+	// so a repartition appends into capacity instead of regrowing.
+	planLens struct{ mine, sends, recvs, locals int }
 
 	// workers is the intra-rank fan-out width (SPMDConfig.Workers): plan
 	// construction and coalesced frame pack/unpack chunk across this many
@@ -624,26 +601,38 @@ func (c *indexCache) get(boxes geom.BoxList) *geom.Index {
 	return idx
 }
 
-// ghostSend is one outgoing remote halo region: src is the owned source
-// patch, region the clipped cells inside the receiver's halo. dstIdx/srcIdx
-// are the boxes' global indexes in the shared assignment — the coalesced
-// frame headers that let the receiver validate region order.
-type ghostSend struct {
+// planRegion is one region of patch data a plan moves: the cells region of
+// source box srcIdx that land in destination box dstIdx, exchanged with rank
+// peer (the receiver of a send, the sender of a receive, this rank itself on a
+// migration's retained list). In a ghost plan both indexes are into the
+// standing assignment; in a migration plan dstIdx indexes the next assignment
+// and srcIdx the old one. On the local side an index is the patch's slot; on
+// the wire the pair is the frame header that lets the receiver validate
+// region order.
+type planRegion struct {
 	dstIdx, srcIdx int
-	src            geom.Box
 	region         geom.Box
-	to             int
+	peer           int
 }
 
-// ghostRecv is one incoming remote halo region for owned patch dst.
-type ghostRecv struct {
-	dstIdx, srcIdx int
-	dst            geom.Box
-	region         geom.Box
-	from           int
+// sortRegions orders plan regions by (peer, dst, src). Keys are unique
+// within a list, so the order is total — which is what lets sender and
+// receiver, and the distributed and centralized builders, agree on wire order
+// by construction.
+func sortRegions(rs []planRegion) {
+	sort.Slice(rs, func(x, y int) bool {
+		a, b := &rs[x], &rs[y]
+		if a.peer != b.peer {
+			return a.peer < b.peer
+		}
+		if a.dstIdx != b.dstIdx {
+			return a.dstIdx < b.dstIdx
+		}
+		return a.srcIdx < b.srcIdx
+	})
 }
 
-// peerSpan is a contiguous run of plan entries sharing one peer rank: the
+// peerSpan is a contiguous run of plan regions sharing one peer rank: the
 // whole run travels as a single framed message under tag.
 type peerSpan struct {
 	rank   int
@@ -651,24 +640,47 @@ type peerSpan struct {
 	tag    string
 }
 
+// peerSpans derives the per-peer runs of a sorted region list.
+func peerSpans(rs []planRegion, tag string) []peerSpan {
+	var spans []peerSpan
+	for lo := 0; lo < len(rs); {
+		hi := lo
+		for hi < len(rs) && rs[hi].peer == rs[lo].peer {
+			hi++
+		}
+		spans = append(spans, peerSpan{rank: rs[lo].peer, lo: lo, hi: hi, tag: tag})
+		lo = hi
+	}
+	return spans
+}
+
+// localCopy is one same-rank halo copy: the cells of the owned patch in slot
+// src that lie in the halo of the owned patch in slot dst.
+type localCopy struct {
+	dst, src int32
+	region   geom.Box
+}
+
 // ghostPlan is one rank's precomputed per-iteration halo exchange for a
-// fixed assignment: remote sends and receives (sorted by peer rank, then by
-// global (dst, src) box index so sender and receiver agree on frame region
-// order), same-rank overlap copy pairs, and the owned boxes classified as
-// interior (halo fully local — can step while remote data is in flight) vs
-// boundary (must wait for at least one receive).
+// fixed assignment: remote sends and receives (in sortRegions order),
+// same-rank overlap copies, and the owned boxes classified as interior (halo
+// fully local — can step while remote data is in flight) vs boundary (must
+// wait for at least one receive). Everything a step needs is resolved here,
+// once: patches are named by their box index — the slot of the run's patch
+// slices — and every overlap region is already intersected, so the per-step
+// path does no box lookup and no geometry.
 //
 // Every peer rank exchanges exactly ONE framed message per iteration under a
 // fixed per-epoch tag: the transport inbox is FIFO per (from, tag), so a rank
 // running ahead simply queues behind the receiver's earlier iteration.
 type ghostPlan struct {
-	sends     []ghostSend
-	recvs     []ghostRecv
+	sends     []planRegion
+	recvs     []planRegion
 	sendPeers []peerSpan
 	recvPeers []peerSpan
-	locals    [][2]geom.Box // (dst, src) owned pairs whose halos overlap
-	interior  []geom.Box
-	boundary  []geom.Box
+	locals    []localCopy
+	interior  []int
+	boundary  []int
 	sc        *commScratch
 }
 
@@ -686,7 +698,19 @@ type ghostPlan struct {
 // bit-identical per rank.
 func buildGhostPlan(v *asnView, me, ghost int, prefix string, sc *commScratch) *ghostPlan {
 	a := v.Assignment
-	pl := &ghostPlan{sc: sc}
+	n := &sc.planLens
+	// Entries per owned box barely move between consecutive plans: capacity
+	// is the previous count scaled to the new box count, plus an eighth (a
+	// growing rank's share of same-rank neighbours grows with it).
+	planCap := func(prev int) int { return prev * len(v.mine) / max(n.mine, 1) * 9 / 8 }
+	pl := &ghostPlan{
+		sc:       sc,
+		sends:    make([]planRegion, 0, planCap(n.sends)),
+		recvs:    make([]planRegion, 0, planCap(n.recvs)),
+		locals:   make([]localCopy, 0, planCap(n.locals)),
+		interior: make([]int, 0, len(v.mine)),
+		boundary: make([]int, 0, len(v.mine)),
+	}
 	idx := sc.indexes.get(a.Boxes)
 	if w := min(sc.workers, len(v.mine)); w > 1 {
 		parts := make([]ghostPlan, w)
@@ -706,6 +730,7 @@ func buildGhostPlan(v *asnView, me, ghost int, prefix string, sc *commScratch) *
 	} else {
 		sc.query = pl.scan(a, idx, v.mine, me, ghost, &sc.qs, sc.query)
 	}
+	n.mine, n.sends, n.recvs, n.locals = len(v.mine), len(pl.sends), len(pl.recvs), len(pl.locals)
 	pl.finish(prefix)
 	return pl
 }
@@ -726,72 +751,34 @@ func (pl *ghostPlan) scan(a *partition.Assignment, idx *geom.Index, mine []int, 
 				continue
 			}
 			bj, oj := a.Boxes[j], a.Owners[j]
+			// bj feeds my halo cells grown(bi)∩bj: a local copy when I own it
+			// too (the pair comes round again with the roles swapped) ...
 			if oj == me {
-				pl.locals = append(pl.locals, [2]geom.Box{bi, bj})
+				pl.locals = append(pl.locals, localCopy{dst: int32(i), src: int32(j), region: grown.Intersect(bj)})
 				continue
 			}
-			// bj's owner sends me my halo cells grown(bi)∩bj ...
-			pl.recvs = append(pl.recvs, ghostRecv{
-				dstIdx: i, srcIdx: j, dst: bi, region: grown.Intersect(bj), from: oj,
-			})
+			// ... a receive from its owner otherwise ...
+			pl.recvs = append(pl.recvs, planRegion{dstIdx: i, srcIdx: j, region: grown.Intersect(bj), peer: oj})
 			remote = true
 			// ... and symmetrically I feed bj's halo from bi.
-			pl.sends = append(pl.sends, ghostSend{
-				dstIdx: j, srcIdx: i, src: bi, region: bj.Grow(ghost).Intersect(bi), to: oj,
-			})
+			pl.sends = append(pl.sends, planRegion{dstIdx: j, srcIdx: i, region: bj.Grow(ghost).Intersect(bi), peer: oj})
 		}
 		if remote {
-			pl.boundary = append(pl.boundary, bi)
+			pl.boundary = append(pl.boundary, i)
 		} else {
-			pl.interior = append(pl.interior, bi)
+			pl.interior = append(pl.interior, i)
 		}
 	}
 	return hits
 }
 
-// finish canonicalizes a ghost plan: sends and receives sorted by (peer,
-// dst, src) — keys are unique within a plan, so the order is total — and
-// contiguous per-peer spans derived for the coalesced frames. Shared by the
-// distributed and centralized builders so both paths agree on wire order by
-// construction.
+// finish canonicalizes a ghost plan — sends and receives in sortRegions order,
+// one span per peer for the coalesced frames — for both plan builders.
 func (pl *ghostPlan) finish(prefix string) {
-	sort.Slice(pl.sends, func(x, y int) bool {
-		sx, sy := &pl.sends[x], &pl.sends[y]
-		if sx.to != sy.to {
-			return sx.to < sy.to
-		}
-		if sx.dstIdx != sy.dstIdx {
-			return sx.dstIdx < sy.dstIdx
-		}
-		return sx.srcIdx < sy.srcIdx
-	})
-	sort.Slice(pl.recvs, func(x, y int) bool {
-		rx, ry := &pl.recvs[x], &pl.recvs[y]
-		if rx.from != ry.from {
-			return rx.from < ry.from
-		}
-		if rx.dstIdx != ry.dstIdx {
-			return rx.dstIdx < ry.dstIdx
-		}
-		return rx.srcIdx < ry.srcIdx
-	})
-	coalescedTag := prefix + "gx"
-	for lo := 0; lo < len(pl.sends); {
-		hi := lo
-		for hi < len(pl.sends) && pl.sends[hi].to == pl.sends[lo].to {
-			hi++
-		}
-		pl.sendPeers = append(pl.sendPeers, peerSpan{rank: pl.sends[lo].to, lo: lo, hi: hi, tag: coalescedTag})
-		lo = hi
-	}
-	for lo := 0; lo < len(pl.recvs); {
-		hi := lo
-		for hi < len(pl.recvs) && pl.recvs[hi].from == pl.recvs[lo].from {
-			hi++
-		}
-		pl.recvPeers = append(pl.recvPeers, peerSpan{rank: pl.recvs[lo].from, lo: lo, hi: hi, tag: coalescedTag})
-		lo = hi
-	}
+	sortRegions(pl.sends)
+	sortRegions(pl.recvs)
+	tag := prefix + "gx"
+	pl.sendPeers, pl.recvPeers = peerSpans(pl.sends, tag), peerSpans(pl.recvs, tag)
 }
 
 // frameRegion builds the wire header for one packed region.
@@ -821,17 +808,18 @@ func checkFrameRegion(fr transport.FrameRegion, dstIdx, srcIdx int, region geom.
 	return nil
 }
 
-// postSends runs the non-blocking half of the halo exchange: outflow
-// fallback over every owned halo, remote region sends, and same-rank copies.
-// After it returns, every interior-class patch has a complete halo; boundary
-// patches still await finishRecvs. All regions bound for one peer leave as a
-// single framed message.
-func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.Patch, res *SPMDResult) error {
-	for _, b := range pl.interior {
-		solver.ApplyOutflowBC(patches[b])
+// postSends runs the non-blocking half of the halo exchange over the rank's
+// patch slots (cur, indexed by box index): outflow fallback over every owned
+// halo, remote region sends, and same-rank copies. After it returns, every
+// interior-class patch has a complete halo; boundary patches still await
+// finishRecvs. All regions bound for one peer leave as a single framed
+// message.
+func (pl *ghostPlan) postSends(ep transport.Endpoint, cur []*amr.Patch, res *SPMDResult) error {
+	for _, i := range pl.interior {
+		solver.ApplyOutflowBC(cur[i])
 	}
-	for _, b := range pl.boundary {
-		solver.ApplyOutflowBC(patches[b])
+	for _, i := range pl.boundary {
+		solver.ApplyOutflowBC(cur[i])
 	}
 	sc := pl.sc
 	spans := pl.sendPeers
@@ -843,13 +831,13 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 		sc.spanScratch(len(spans))
 		tc := sc.frameCtx()
 		parallel.For(sc.workers, len(spans), func(si int) {
-			sc.spanFloats[si], sc.spanRegions[si], sc.spanBytes[si] = pl.packSpan(
-				spans[si], patches, sc.spanFloats[si], sc.spanRegions[si], sc.spanBytes[si], tc)
+			sc.spanFloats[si], sc.spanRegions[si], sc.spanBytes[si] = sc.packSpan(
+				pl.sends[spans[si].lo:spans[si].hi], cur, sc.spanFloats[si], sc.spanRegions[si], sc.spanBytes[si], tc)
 		})
 	}
 	for si, span := range spans {
 		if !parallelPack {
-			sc.floats, sc.regions, sc.bytes = pl.packSpan(span, patches, sc.floats, sc.regions, sc.bytes, sc.frameCtx())
+			sc.floats, sc.regions, sc.bytes = sc.packSpan(pl.sends[span.lo:span.hi], cur, sc.floats, sc.regions, sc.bytes, sc.frameCtx())
 		}
 		frame := sc.bytes
 		if parallelPack {
@@ -859,20 +847,23 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 			return err
 		}
 	}
-	for _, pair := range pl.locals {
-		amr.CopyOverlap(patches[pair[0]], patches[pair[1]])
+	for i := range pl.locals {
+		l := &pl.locals[i]
+		amr.CopyRegion(cur[l.dst], cur[l.src], l.region)
 	}
 	return nil
 }
 
-// packSpan packs the regions bound for one peer into a frame, reusing the
-// given buffers (truncated first) and returning them grown.
-func (pl *ghostPlan) packSpan(span peerSpan, patches map[geom.Box]*amr.Patch, fl []float64, rg []transport.FrameRegion, frame []byte, tc *transport.TraceCtx) ([]float64, []transport.FrameRegion, []byte) {
-	sp := pl.sc.tr.Span(trace.PhasePack)
+// packSpan packs one peer's run of send regions, read from the patch slots
+// src, into a frame, reusing the given buffers (truncated first) and
+// returning them grown.
+func (sc *commScratch) packSpan(sends []planRegion, src []*amr.Patch, fl []float64, rg []transport.FrameRegion, frame []byte, tc *transport.TraceCtx) ([]float64, []transport.FrameRegion, []byte) {
+	sp := sc.tr.Span(trace.PhasePack)
 	fl, rg = fl[:0], rg[:0]
-	for _, s := range pl.sends[span.lo:span.hi] {
+	for i := range sends {
+		s := &sends[i]
 		n0 := len(fl)
-		fl = extractAppend(fl, patches[s.src], s.region)
+		fl = src[s.srcIdx].AppendRegion(fl, s.region)
 		rg = append(rg, frameRegion(s.dstIdx, s.srcIdx, s.region, len(fl)-n0))
 	}
 	frame = transport.AppendFrameCtx(frame[:0], rg, fl, tc)
@@ -895,19 +886,20 @@ func (sc *commScratch) sendFrame(ep transport.Endpoint, peer int, tag string, fr
 }
 
 // recvFrame blocks for peer's frame under tag, decodes it into the pooled
-// receive buffers (sc.rregions/sc.rfloats) and closes the wait span, gated
-// on the sender's stamp when the frame carried a trace context.
+// receive buffers (sc.rregions/sc.rfloats) and closes the wait span — on the
+// error paths too — gated on the sender's stamp when the frame carried a
+// trace context.
 func (sc *commScratch) recvFrame(ep transport.Endpoint, peer int, tag string, waitPhase trace.Phase, kind string, res *SPMDResult) error {
 	wait := sc.tr.WaitSpan(waitPhase, peer)
-	payload, err := ep.Recv(peer, tag)
-	if err != nil {
-		return err
-	}
-	res.MsgsRecvd++
 	var tc transport.TraceCtx
 	var traced bool
-	sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
+	payload, err := ep.Recv(peer, tag)
+	if err == nil {
+		res.MsgsRecvd++
+		sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
+	}
 	if err != nil {
+		wait.End()
 		return err
 	}
 	if !traced {
@@ -920,99 +912,91 @@ func (sc *commScratch) recvFrame(ep transport.Endpoint, peer int, tag string, wa
 	return nil
 }
 
-// finishRecvs blocks until every remote halo region has arrived and applies
-// them; boundary patches are complete afterwards. Regions from distinct
-// sources are disjoint, so apply order cannot affect the result. Frames are
-// validated region by region against the plan.
-func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, patches map[geom.Box]*amr.Patch, res *SPMDResult) error {
-	sc := pl.sc
-	for _, span := range pl.recvPeers {
-		if err := sc.recvFrame(ep, span.rank, span.tag, trace.PhaseHaloWait, trace.KindHalo, res); err != nil {
+// recvSpan receives one peer's frame and applies it to the patch slots dst;
+// recvs is the plan's run of regions for that peer. The unpack span closes
+// whether or not the frame was accepted.
+func (sc *commScratch) recvSpan(ep transport.Endpoint, span peerSpan, recvs []planRegion, dst []*amr.Patch, waitPhase trace.Phase, kind string, res *SPMDResult) error {
+	if err := sc.recvFrame(ep, span.rank, span.tag, waitPhase, kind, res); err != nil {
+		return err
+	}
+	usp := sc.tr.Span(trace.PhaseUnpack)
+	err := sc.unpackFrame(span.rank, recvs, dst)
+	usp.End()
+	return err
+}
+
+// unpackFrame validates the frame just received from peer (in
+// sc.rregions/sc.rfloats) region by region against the plan and applies it.
+func (sc *commScratch) unpackFrame(peer int, recvs []planRegion, dst []*amr.Patch) error {
+	n := len(recvs)
+	if len(sc.rregions) != n {
+		return fmt.Errorf("engine: rank %d sent a frame of %d regions, plan expects %d", peer, len(sc.rregions), n)
+	}
+	// Validate every header against the plan, applying each region as it
+	// passes — or, with workers, only prefix-summing the frame offsets and
+	// applying concurrently afterwards: regions of one frame cover
+	// pairwise-disjoint cells (distinct source boxes are disjoint), so the
+	// writes never touch the same cell. Errors surface in index order.
+	par := sc.workers > 1 && n > 1
+	if par && cap(sc.offsets) < n {
+		sc.offsets = make([]int, n)
+		sc.applyErrs = make([]error, n)
+	}
+	off := 0
+	for i := range recvs {
+		r, fr := &recvs[i], sc.rregions[i]
+		if err := checkFrameRegion(fr, r.dstIdx, r.srcIdx, r.region); err != nil {
 			return err
 		}
-		usp := sc.tr.Span(trace.PhaseUnpack)
-		n := span.hi - span.lo
-		if len(sc.rregions) != n {
-			return fmt.Errorf("engine: rank %d sent %d halo regions, plan expects %d",
-				span.rank, len(sc.rregions), n)
-		}
-		// Validate every header against the plan, applying each region as it
-		// passes — or, with workers, only prefix-summing the frame offsets and
-		// applying concurrently afterwards: regions of one frame cover
-		// pairwise-disjoint cells (distinct source boxes are disjoint), so the
-		// writes never touch the same cell. Errors surface in index order.
-		par := sc.workers > 1 && n > 1
-		if par && cap(sc.offsets) < n {
-			sc.offsets = make([]int, n)
-			sc.applyErrs = make([]error, n)
-		}
-		off := 0
-		for i, r := range pl.recvs[span.lo:span.hi] {
-			fr := sc.rregions[i]
-			if err := checkFrameRegion(fr, r.dstIdx, r.srcIdx, r.region); err != nil {
-				return err
-			}
-			if par {
-				sc.offsets[i] = off
-			} else if err := apply(patches[r.dst], r.region, sc.rfloats[off:off+int(fr.Count)]); err != nil {
-				return err
-			}
-			off += int(fr.Count)
-		}
 		if par {
-			offs, errs := sc.offsets[:n], sc.applyErrs[:n]
-			parallel.For(sc.workers, n, func(i int) {
-				r := &pl.recvs[span.lo+i]
-				errs[i] = apply(patches[r.dst], r.region, sc.rfloats[offs[i]:offs[i]+int(sc.rregions[i].Count)])
-			})
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
+			sc.offsets[i] = off
+		} else if err := apply(dst[r.dstIdx], r.region, sc.rfloats[off:off+int(fr.Count)]); err != nil {
+			return err
+		}
+		off += int(fr.Count)
+	}
+	if par {
+		offs, errs := sc.offsets[:n], sc.applyErrs[:n]
+		parallel.For(sc.workers, n, func(i int) {
+			r := &recvs[i]
+			errs[i] = apply(dst[r.dstIdx], r.region, sc.rfloats[offs[i]:offs[i]+int(sc.rregions[i].Count)])
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
 			}
 		}
-		usp.End()
 	}
 	return nil
 }
 
-// migRegion is one region of patch data changing hands in a redistribution.
-type migRegion struct {
-	dstIdx, srcIdx int
-	dst, src       geom.Box
-	region         geom.Box
-	peer           int
+// finishRecvs blocks until every remote halo region has arrived and applies
+// them to the rank's patch slots; boundary patches are complete afterwards.
+// Regions from distinct sources are disjoint, so apply order cannot affect
+// the result.
+func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, cur []*amr.Patch, res *SPMDResult) error {
+	for _, span := range pl.recvPeers {
+		if err := pl.sc.recvSpan(ep, span, pl.recvs[span.lo:span.hi], cur, trace.PhaseHaloWait, trace.KindHalo, res); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // migPlan is one rank's precomputed redistribution: the regions it ships
 // out, the regions it awaits, and the regions a repartition let it keep in
-// place. Sends and receives are sorted by (peer, dst, src) — unique keys —
-// so the distributed and centralized builders agree on wire order.
+// place, each in sortRegions order.
 type migPlan struct {
-	sends    []migRegion
-	recvs    []migRegion
-	retained []migRegion
+	sends    []planRegion
+	recvs    []planRegion
+	retained []planRegion
 }
 
 // finish canonicalizes the plan order (see migPlan).
 func (mp *migPlan) finish() {
-	sortMig(mp.sends)
-	sortMig(mp.recvs)
-	sortMig(mp.retained)
-}
-
-// sortMig orders migration regions by (peer, dst, src).
-func sortMig(ms []migRegion) {
-	sort.Slice(ms, func(x, y int) bool {
-		a, b := &ms[x], &ms[y]
-		if a.peer != b.peer {
-			return a.peer < b.peer
-		}
-		if a.dstIdx != b.dstIdx {
-			return a.dstIdx < b.dstIdx
-		}
-		return a.srcIdx < b.srcIdx
-	})
+	sortRegions(mp.sends)
+	sortRegions(mp.recvs)
+	sortRegions(mp.retained)
 }
 
 // buildMigPlan derives rank me's migration plan — and only rank me's — for
@@ -1058,8 +1042,7 @@ func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMin
 		nb := next.Boxes[i]
 		hits = oldIdx.QueryWith(qs, nb, hits)
 		for _, j := range hits {
-			ob := old.Boxes[j]
-			m := migRegion{dstIdx: i, srcIdx: j, dst: nb, src: ob, region: nb.Intersect(ob), peer: old.Owners[j]}
+			m := planRegion{dstIdx: i, srcIdx: j, region: nb.Intersect(old.Boxes[j]), peer: old.Owners[j]}
 			if m.peer == me {
 				mp.retained = append(mp.retained, m)
 			} else {
@@ -1074,24 +1057,22 @@ func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMin
 			if next.Owners[i] == me {
 				continue // kept or stitched locally by the first pass
 			}
-			nb := next.Boxes[i]
-			mp.sends = append(mp.sends, migRegion{
-				dstIdx: i, srcIdx: j, dst: nb, src: ob,
-				region: nb.Intersect(ob), peer: next.Owners[i],
-			})
+			mp.sends = append(mp.sends, planRegion{dstIdx: i, srcIdx: j, region: next.Boxes[i].Intersect(ob), peer: next.Owners[i]})
 		}
 	}
 	return hits
 }
 
 // redistribute moves patch interiors to their new owners after a
-// repartition. New-assignment boxes may be split differently than the old
-// ones, so transfers cover every overlapping (old, new) pair. A box whose
-// geometry and owner both survive keeps its patch untouched (its halo is
-// stale, but every halo cell is rewritten by the next exchange before use,
-// the same argument that lets stepPatch reuse spares). All regions bound for
-// one peer travel as a single framed message.
-func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Box]*amr.Patch, k solver.Kernel, iter int, res *SPMDResult, prefix string, sc *commScratch) (map[geom.Box]*amr.Patch, error) {
+// repartition and returns the rank's patch slots under the next assignment
+// (patches is indexed by old box index, the result by next box index).
+// New-assignment boxes may be split differently than the old ones, so
+// transfers cover every overlapping (old, new) pair. A box whose geometry and
+// owner both survive keeps its patch untouched (its halo is stale, but every
+// halo cell is rewritten by the next exchange before use, the same argument
+// that lets stepPatch reuse spares). All regions bound for one peer travel as
+// a single framed message.
+func redistribute(ep transport.Endpoint, old, next *asnView, patches []*amr.Patch, k solver.Kernel, iter int, res *SPMDResult, prefix string, sc *commScratch) ([]*amr.Patch, error) {
 	me := ep.Rank()
 	psp := sc.tr.Span(trace.PhasePlan)
 	mp := buildMigPlan(old, next, me, sc)
@@ -1099,82 +1080,43 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 	// migrate spans the local copies; each peer's share of the move is its
 	// own pack, mig-wait and unpack span.
 	lsp := sc.tr.Span(trace.PhaseMigrate)
-	out := make(map[geom.Box]*amr.Patch, len(patches))
+	out := make([]*amr.Patch, len(next.Boxes))
 	bytesPerCell := int64(k.NumFields()) * 8
 	for _, m := range mp.retained {
 		res.RetainedBytes += m.region.Cells() * bytesPerCell
-		if m.dst.Equal(m.src) {
+		nb := next.Boxes[m.dstIdx]
+		if nb.Equal(old.Boxes[m.srcIdx]) {
 			// Geometry and owner both survived: old boxes are disjoint, so
 			// nothing else overlaps this box and the patch moves wholesale.
-			out[m.dst] = patches[m.src]
+			out[m.dstIdx] = patches[m.srcIdx]
 			continue
 		}
-		p := out[m.dst]
-		if p == nil {
-			p = amr.NewPatch(m.dst, k.Ghost(), k.NumFields())
-			out[m.dst] = p
+		if out[m.dstIdx] == nil {
+			out[m.dstIdx] = amr.NewPatch(nb, k.Ghost(), k.NumFields())
 		}
-		sc.floats = extractInto(sc.floats, patches[m.src], m.region)
-		if err := apply(p, m.region, sc.floats); err != nil {
-			return nil, err
-		}
+		amr.CopyRegion(out[m.dstIdx], patches[m.srcIdx], m.region)
 	}
 	for _, m := range mp.recvs {
-		if out[m.dst] == nil {
-			out[m.dst] = amr.NewPatch(m.dst, k.Ghost(), k.NumFields())
+		if out[m.dstIdx] == nil {
+			out[m.dstIdx] = amr.NewPatch(next.Boxes[m.dstIdx], k.Ghost(), k.NumFields())
 		}
 	}
 	lsp.End()
-	sends, recvs := mp.sends, mp.recvs
 	tag := fmt.Sprintf("%srx%d", prefix, iter)
-	for lo := 0; lo < len(sends); {
-		hi := lo
-		for hi < len(sends) && sends[hi].peer == sends[lo].peer {
-			hi++
-		}
-		ksp := sc.tr.Span(trace.PhasePack)
-		sc.floats = sc.floats[:0]
-		sc.regions = sc.regions[:0]
-		for _, m := range sends[lo:hi] {
-			n0 := len(sc.floats)
-			sc.floats = extractAppend(sc.floats, patches[m.src], m.region)
-			sc.regions = append(sc.regions, frameRegion(m.dstIdx, m.srcIdx, m.region, len(sc.floats)-n0))
+	for _, span := range peerSpans(mp.sends, tag) {
+		sends := mp.sends[span.lo:span.hi]
+		for _, m := range sends {
 			res.MigratedBytes += m.region.Cells() * bytesPerCell
 		}
-		sc.bytes = transport.AppendFrameCtx(sc.bytes[:0], sc.regions, sc.floats, sc.frameCtx())
-		ksp.End()
-		if err := sc.sendFrame(ep, sends[lo].peer, tag, sc.bytes, trace.KindMig, res); err != nil {
+		sc.floats, sc.regions, sc.bytes = sc.packSpan(sends, patches, sc.floats, sc.regions, sc.bytes, sc.frameCtx())
+		if err := sc.sendFrame(ep, span.rank, tag, sc.bytes, trace.KindMig, res); err != nil {
 			return nil, err
 		}
-		lo = hi
 	}
-	for lo := 0; lo < len(recvs); {
-		hi := lo
-		for hi < len(recvs) && recvs[hi].peer == recvs[lo].peer {
-			hi++
-		}
-		if err := sc.recvFrame(ep, recvs[lo].peer, tag, trace.PhaseMigWait, trace.KindMig, res); err != nil {
+	for _, span := range peerSpans(mp.recvs, tag) {
+		if err := sc.recvSpan(ep, span, mp.recvs[span.lo:span.hi], out, trace.PhaseMigWait, trace.KindMig, res); err != nil {
 			return nil, err
 		}
-		if len(sc.rregions) != hi-lo {
-			return nil, fmt.Errorf("engine: rank %d sent %d migration regions, plan expects %d",
-				recvs[lo].peer, len(sc.rregions), hi-lo)
-		}
-		usp := sc.tr.Span(trace.PhaseUnpack)
-		off := 0
-		for i, m := range recvs[lo:hi] {
-			fr := sc.rregions[i]
-			if err := checkFrameRegion(fr, m.dstIdx, m.srcIdx, m.region); err != nil {
-				return nil, err
-			}
-			n := int(fr.Count)
-			if err := apply(out[m.dst], m.region, sc.rfloats[off:off+n]); err != nil {
-				return nil, err
-			}
-			off += n
-		}
-		usp.End()
-		lo = hi
 	}
 	return out, nil
 }

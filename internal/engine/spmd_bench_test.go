@@ -190,12 +190,12 @@ func BenchmarkRedistribute(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			patches := make([]map[geom.Box]*amr.Patch, 2)
+			patches := make([][]*amr.Patch, 2)
 			for r := 0; r < 2; r++ {
-				patches[r] = map[geom.Box]*amr.Patch{}
+				patches[r] = make([]*amr.Patch, len(a1.Boxes))
 				for i, bx := range a1.Boxes {
 					if a1.Owners[i] == r {
-						patches[r][bx] = amr.NewPatch(bx, k.Ghost(), k.NumFields())
+						patches[r][i] = amr.NewPatch(bx, k.Ghost(), k.NumFields())
 					}
 				}
 			}

@@ -286,9 +286,9 @@ func TestExtractApplyRoundTrip(t *testing.T) {
 		patch.Set(1, pt, float64(pt[0]*pt[1]))
 	})
 	region := geom.Box2(1, 1, 2, 2)
-	data := extract(patch, region)
+	data := patch.AppendRegion(nil, region)
 	if len(data) != 4*patch.NumFields {
-		t.Fatalf("extract returned %d values", len(data))
+		t.Fatalf("AppendRegion returned %d values", len(data))
 	}
 	other := amr.NewPatch(geom.Box2(0, 0, 3, 3), 1, 2)
 	if err := apply(other, region, data); err != nil {

@@ -67,42 +67,41 @@ type Kernel interface {
 }
 
 // ApplyOutflowBC fills the halo of p by copying the nearest interior cell
-// outward (zero-gradient/outflow boundary), for every field. The runtime
-// applies it after neighbor exchange to cover halo cells no patch supplied.
+// outward (zero-gradient/outflow boundary), for every field: every shell
+// cell takes the value of the interior cell at its coordinates clamped per
+// axis to p.Box, and no interior cell is written. The runtime applies it
+// FIRST in every halo fill, as the lowest-priority fallback that
+// prolongation, same-level copies and remote regions then overwrite; because
+// it rewrites the whole shell, a patch whose halo holds stale values (a
+// reused double buffer, a patch kept across a repartition) needs no clearing.
 func ApplyOutflowBC(p *amr.Patch) {
-	if p.Ghost == 0 {
+	g := p.Ghost
+	if g == 0 {
 		return
 	}
+	b, pad := p.Box, p.Padded()
+	sy, sz := p.Stride(1), p.Stride(2) // 0 on axes beyond the rank
+	x0, x1 := g, g+b.Size(0)           // the interior x-run of a padded row
 	for f := 0; f < p.NumFields; f++ {
 		fd := p.Field(f)
-		padded := p.Padded()
-		var pt geom.Point
-		var walk func(d int)
-		walk = func(d int) {
-			if d == p.Box.Rank {
-				clamped := pt
-				inside := true
-				for k := 0; k < p.Box.Rank; k++ {
-					if clamped[k] < p.Box.Lo[k] {
-						clamped[k] = p.Box.Lo[k]
-						inside = false
-					} else if clamped[k] > p.Box.Hi[k] {
-						clamped[k] = p.Box.Hi[k]
-						inside = false
-					}
+		for z := pad.Lo[2]; z <= pad.Hi[2]; z++ {
+			cz := min(max(z, b.Lo[2]), b.Hi[2])
+			for y := pad.Lo[1]; y <= pad.Hi[1]; y++ {
+				cy := min(max(y, b.Lo[1]), b.Hi[1])
+				off := (y-pad.Lo[1])*sy + (z-pad.Lo[2])*sz
+				row := fd[off : off+x1+g]
+				if cy != y || cz != z {
+					// A row outside the interior in y or z: its interior x-run
+					// comes from the clamped (interior) row.
+					src := (cy-pad.Lo[1])*sy + (cz-pad.Lo[2])*sz
+					copy(row[x0:x1], fd[src+x0:src+x1])
 				}
-				if !inside {
-					fd[offsetOf(p, pt)] = fd[offsetOf(p, clamped)]
+				lo, hi := row[x0], row[x1-1]
+				for i := 0; i < g; i++ {
+					row[i], row[x1+i] = lo, hi
 				}
-				return
 			}
-			for v := padded.Lo[d]; v <= padded.Hi[d]; v++ {
-				pt[d] = v
-				walk(d + 1)
-			}
-			pt[d] = 0
 		}
-		walk(0)
 	}
 }
 

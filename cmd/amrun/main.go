@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,61 +36,86 @@ func hygieneConfig(on bool) monitor.Hygiene {
 	return monitor.DefaultHygiene()
 }
 
+// usageError marks a bad command line: exit status 2, as package flag's own
+// errors get.
+type usageError struct{ error }
+
 func main() {
+	err := run(os.Args[1:])
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "amrun:", err)
+	code := 1
+	if errors.As(err, new(usageError)) {
+		code = 2
+	}
+	os.Exit(code)
+}
+
+// run is the whole command. Every artefact it opens — run log, profiles,
+// observability server — is closed by a deferred call, so a failing run
+// leaves them as complete as a successful one. Blocks that defer such a call
+// must not shadow err: the deferred calls add their own failures to it.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("amrun", flag.ContinueOnError)
 	var (
-		nodes        = flag.Int("nodes", 4, "cluster size")
-		pname        = flag.String("partitioner", "hetero", "hetero | composite | sfchetero | levelwise | hierarchical | greedy | roundrobin")
-		groupSize    = flag.Int("group-size", 4, "nodes per capacity group for -partitioner hierarchical")
-		kernel       = flag.String("kernel", "rm3d", "rm3d (oracle-driven) | advect2d | muscl2d | buckley (real numerics)")
-		iters        = flag.Int("iters", 50, "coarse iterations")
-		regrid       = flag.Int("regrid", 5, "regrid every N iterations")
-		sense        = flag.Int("sense", 0, "re-sense every N iterations (0 = once at start)")
-		load         = flag.Bool("load", false, "apply the paper's synthetic background-load script")
-		verbose      = flag.Bool("v", false, "print per-regrid assignments")
-		forecast     = flag.String("forecaster", "last", "monitor forecaster: last|mean|median|ewma|adaptive")
-		saveCkpt     = flag.String("save", "", "write a checkpoint of the final state to this file")
-		loadCkpt     = flag.String("restore", "", "restore hierarchy/solution from this checkpoint before running")
-		stats        = flag.Bool("stats", false, "print per-level hierarchy statistics")
-		workers      = flag.Int("workers", 0, "solver worker-pool width (0 = all cores, 1 = serial; any value is bit-exact)")
-		senseWorkers = flag.Int("sense-workers", 0,
+		nodes        = fs.Int("nodes", 4, "cluster size")
+		pname        = fs.String("partitioner", "hetero", "hetero | composite | sfchetero | levelwise | hierarchical | greedy | roundrobin")
+		groupSize    = fs.Int("group-size", 4, "nodes per capacity group for -partitioner hierarchical")
+		kernel       = fs.String("kernel", "rm3d", "rm3d (oracle-driven) | advect2d | muscl2d | buckley (real numerics)")
+		iters        = fs.Int("iters", 50, "coarse iterations")
+		regrid       = fs.Int("regrid", 5, "regrid every N iterations")
+		sense        = fs.Int("sense", 0, "re-sense every N iterations (0 = once at start)")
+		load         = fs.Bool("load", false, "apply the paper's synthetic background-load script")
+		verbose      = fs.Bool("v", false, "print per-regrid assignments")
+		forecast     = fs.String("forecaster", "last", "monitor forecaster: last|mean|median|ewma|adaptive")
+		saveCkpt     = fs.String("save", "", "write a checkpoint of the final state to this file")
+		loadCkpt     = fs.String("restore", "", "restore hierarchy/solution from this checkpoint before running")
+		stats        = fs.Bool("stats", false, "print per-level hierarchy statistics")
+		workers      = fs.Int("workers", 0, "solver worker-pool width (0 = all cores, 1 = serial; any value is bit-exact)")
+		senseWorkers = fs.Int("sense-workers", 0,
 			"monitor probe fan-out width (0/1 = serial; >1 probes that many nodes concurrently, bit-exact)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		ckEvery  = flag.Int("checkpoint-every", 0, "write a periodic checkpoint every N iterations (0 = off)")
-		ckPath   = flag.String("checkpoint-path", "", "periodic checkpoint file (required with -checkpoint-every)")
-		faultStr = flag.String("fault-spec", "",
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		ckEvery  = fs.Int("checkpoint-every", 0, "write a periodic checkpoint every N iterations (0 = off)")
+		ckPath   = fs.String("checkpoint-path", "", "periodic checkpoint file (required with -checkpoint-every)")
+		faultStr = fs.String("fault-spec", "",
 			"inject ';'-separated faults, e.g. crash:node=2,iter=10;rejoin:node=2,iter=18;slow:node=1,from=5,to=12,factor=4 (kinds: crash|rejoin|pause|slow; see DESIGN.md §13)")
-		rejoinOK = flag.Bool("rejoin", true,
+		rejoinOK = fs.Bool("rejoin", true,
 			"honor rejoin: events in -fault-spec; false strips them for a fail-stop baseline of the same churn script")
-		stragShed = flag.Bool("straggler-shed", false,
+		stragShed = fs.Bool("straggler-shed", false,
 			"detect persistently slow nodes (EWMA/MAD with hysteresis) and shed work off them before their sensors report trouble")
-		ckKeep = flag.Int("checkpoint-keep", 0,
+		ckKeep = fs.Int("checkpoint-keep", 0,
 			"retain the N newest periodic checkpoints as iteration-stamped siblings for corruption fallback (0 = overwrite only)")
-		sensorStr = flag.String("sensor-fault-spec", "",
+		sensorStr = fs.String("sensor-fault-spec", "",
 			"inject sensor faults, e.g. sensor:seed=7,frac=0.25,drop=0.1,timeout=0.1,garbage=0.2,freeze=0.02")
-		hygiene = flag.Bool("hygiene", false,
+		hygiene = fs.Bool("hygiene", false,
 			"enable sensing hygiene (health tracking, sanitization, MAD outlier rejection, staleness decay)")
-		repartThresh = flag.Float64("repartition-threshold", 0,
+		repartThresh = fs.Float64("repartition-threshold", 0,
 			"skip sense-triggered repartitions that improve max-imbalance by less than this many percentage points (0 = always repartition)")
-		affinityRemap = flag.Bool("affinity-remap", false,
+		affinityRemap = fs.Bool("affinity-remap", false,
 			"relabel repartition output toward the previous owners (partition.RemapOwners) to cut migration volume at unchanged balance")
-		obsAddr = flag.String("obs-addr", "",
+		obsAddr = fs.String("obs-addr", "",
 			"serve /metrics, /state, /healthz and pprof on this address while running (e.g. 127.0.0.1:9190)")
-		obsSeed = flag.Int64("obs-seed", 0, "seed for the run ID on /state and /healthz (0 = wall clock)")
-		spmd    = flag.Int("spmd", 0,
+		obsSeed = fs.Int64("obs-seed", 0, "seed for the run ID on /state and /healthz (0 = wall clock)")
+		spmd    = fs.Int("spmd", 0,
 			"run an in-process N-rank SPMD group (channel transport, FT on) instead of the virtual-cluster engine; honors -kernel, -iters, -fault-spec, -straggler-shed, -obs-addr, -trace")
-		traceOut = flag.String("trace", "",
+		traceOut = fs.String("trace", "",
 			"write the run log (JSONL: phase spans, plus messages and clock offsets with -spmd) to this file; render it with cmd/tracepath")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err}
+	}
 
 	var faults engine.FaultSchedule
 	if *faultStr != "" {
-		var err error
 		faults, err = engine.ParseFaultSpec(*faultStr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "amrun:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
 		if !*rejoinOK {
 			faults = faults.WithoutRejoins()
@@ -103,19 +129,13 @@ func main() {
 	if *obsAddr != "" || *traceOut != "" {
 		var tl *trace.Log
 		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-				os.Exit(1)
+			f, cerr := os.Create(*traceOut)
+			if cerr != nil {
+				return cerr
 			}
 			tl = trace.NewLog(f)
 			defer func() {
-				if err := tl.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, "amrun: flush run log:", err)
-				}
-				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "amrun: close run log:", err)
-				}
+				err = errors.Join(err, tl.Flush(), f.Close())
 				fmt.Fprintf(os.Stderr, "amrun: run log written to %s (render with cmd/tracepath)\n", *traceOut)
 			}()
 		}
@@ -123,8 +143,7 @@ func main() {
 		if *obsAddr != "" {
 			srv, err := obsRT.Serve(*obsAddr)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-				os.Exit(1)
+				return err
 			}
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "amrun: observability on http://%s (run %s)\n",
@@ -132,56 +151,40 @@ func main() {
 		}
 	}
 
+	if *cpuProf != "" {
+		f, cerr := os.Create(*cpuProf)
+		if cerr != nil {
+			return cerr
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
+	}
+	if *memProf != "" {
+		defer func() { err = errors.Join(err, writeHeapProfile(*memProf)) }()
+	}
+
 	if *spmd > 0 {
-		if err := runSPMD(*spmd, spmdOpts{
+		return runSPMD(*spmd, spmdOpts{
 			kernel:    *kernel,
 			iters:     *iters,
 			obs:       obsRT,
 			faults:    faults,
 			straggler: straggler,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amrun:", err)
-			os.Exit(1)
-		}
-		return
+		})
 	}
 
 	var sensorFaults *monitor.ProbeFaultSpec
 	if *sensorStr != "" {
-		var err error
 		sensorFaults, err = monitor.ParseProbeFaultSpec(*sensorStr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "amrun:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amrun:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "amrun:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-			}
-		}()
 	}
 
 	var p partition.Partitioner
@@ -203,8 +206,7 @@ func main() {
 		h.GroupSize = *groupSize
 		p = h
 	default:
-		fmt.Fprintf(os.Stderr, "amrun: unknown partitioner %q\n", *pname)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown partitioner %q", *pname)}
 	}
 
 	var app engine.Application
@@ -246,14 +248,12 @@ func main() {
 			Cluster:       amr.ClusterOptions{Efficiency: 0.65, MinSide: 4},
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "amrun: unknown kernel %q\n", *kernel)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown kernel %q", *kernel)}
 	}
 
 	clus, err := cluster.New(cluster.Uniform(*nodes, cluster.LinuxWorkstation()), cluster.DefaultParams())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrun:", err)
-		os.Exit(1)
+		return err
 	}
 	if *load {
 		exp.PaperLoadScript(clus)
@@ -281,34 +281,29 @@ func main() {
 		Obs:                  obsRT,
 	}, clus)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrun:", err)
-		os.Exit(1)
+		return err
 	}
 	obsRT.SetState("engine", e.Snapshot)
 	if *loadCkpt != "" {
 		st, loaded, err := checkpoint.LoadFileFallback(*loadCkpt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "amrun: load checkpoint:", err)
-			os.Exit(1)
+			return fmt.Errorf("load checkpoint: %w", err)
 		}
 		if loaded != *loadCkpt {
 			fmt.Fprintf(os.Stderr, "amrun: %s unusable, fell back to %s\n", *loadCkpt, loaded)
 		}
 		if err := e.Restore(st); err != nil {
-			fmt.Fprintln(os.Stderr, "amrun: restore:", err)
-			os.Exit(1)
+			return fmt.Errorf("restore: %w", err)
 		}
 		fmt.Printf("restored checkpoint %s (iter %d, t=%.1fs, %d levels)\n",
 			loaded, st.Iter, st.VirtualTime, st.Hierarchy.NumLevels())
 	}
 	tr, err := e.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrun:", err)
-		os.Exit(1)
+		return err
 	}
 	if err := tr.WriteSummary(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "amrun:", err)
-		os.Exit(1)
+		return err
 	}
 	h := e.Hierarchy()
 	fmt.Printf("final hierarchy: %d levels, %d boxes, %d total work units\n",
@@ -319,12 +314,10 @@ func main() {
 	if *saveCkpt != "" {
 		st, err := e.Checkpoint(*iters)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "amrun: checkpoint:", err)
-			os.Exit(1)
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 		if err := checkpoint.SaveFile(*saveCkpt, st); err != nil {
-			fmt.Fprintln(os.Stderr, "amrun: save checkpoint:", err)
-			os.Exit(1)
+			return fmt.Errorf("save checkpoint: %w", err)
 		}
 		fmt.Printf("checkpoint written to %s\n", *saveCkpt)
 	}
@@ -338,8 +331,22 @@ func main() {
 			s.Add(float64(i+1), rec.Work...)
 		}
 		if err := s.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "amrun:", err)
-			os.Exit(1)
+			return err
 		}
 	}
+	return nil
+}
+
+// writeHeapProfile writes the heap profile of the live objects to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

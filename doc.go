@@ -11,6 +11,6 @@
 // virtual heterogeneous cluster (cluster), the message-passing layer
 // (transport), the partitioners (partition), the adaptive runtime (engine)
 // and the experiment harness (exp). See README.md, DESIGN.md and
-// EXPERIMENTS.md; bench_test.go regenerates every table and figure of the
-// paper's evaluation.
+// EXPERIMENTS.md; cmd/experiments regenerates every table and figure of the
+// paper's evaluation, and bench/ is the benchmark.
 package samrpart

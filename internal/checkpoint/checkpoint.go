@@ -95,39 +95,30 @@ func Load(r io.Reader) (*State, error) {
 	return st, nil
 }
 
-// SaveFile writes the state to path (atomically via a temp file + rename).
+// SaveFile writes the state to path (atomically, see WriteFileAtomic).
 func SaveFile(path string, st *State) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := Save(&buf, st); err != nil {
 		return err
 	}
-	if err := Save(f, st); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return WriteFileAtomic(path, buf.Bytes())
 }
 
 // WriteFileAtomic writes pre-encoded bytes to path via a temp file + rename,
-// so readers never observe a partially written checkpoint. Callers that need
-// a consistent cut of live state should Save into a buffer first and hand the
-// bytes here (possibly from another goroutine).
+// so readers never observe a partially written checkpoint; a failed write or
+// rename leaves no temp file behind. Callers that need a consistent cut of
+// live state should Save into a buffer first and hand the bytes here
+// (possibly from another goroutine).
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // LoadFile reads a state from path.

@@ -158,3 +158,24 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestFailedRenameLeavesNoTempFile: the target is a non-empty directory, so
+// the write succeeds and the rename cannot — through both entry points.
+func TestFailedRenameLeavesNoTempFile(t *testing.T) {
+	st := buildState(t)
+	for name, write := range map[string]func(path string) error{
+		"SaveFile":        func(path string) error { return SaveFile(path, st) },
+		"WriteFileAtomic": func(path string) error { return WriteFileAtomic(path, []byte("shard")) },
+	} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(path); err == nil {
+			t.Errorf("%s: renaming over a non-empty directory succeeded", name)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("%s: temp file left behind after a failed rename (stat: %v)", name, err)
+		}
+	}
+}

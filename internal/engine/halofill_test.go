@@ -345,8 +345,8 @@ func TestHaloFillLeavesNoStaleCell(t *testing.T) {
 
 // loopback is a 2-rank endpoint pair whose Send and Recv allocate nothing
 // once warm: payloads travel in buffers recycled through a free list, one
-// message in flight per direction at most two deep. It exists so the
-// allocation gate on BenchmarkHaloFill reads the engine's halo fill alone —
+// message in flight per direction at most two deep. It exists so that
+// TestHaloFillAllocatesNothing reads the engine's halo fill alone —
 // the channel transport allocates per message (payload copy, inbox node,
 // deadline timer), which is the wire's bill, not the fill's.
 type loopback struct {
@@ -356,10 +356,10 @@ type loopback struct {
 	held                    []byte      // the buffer the last Recv handed out
 }
 
-func newLoopbackPair(b *testing.B) []transport.Endpoint {
+func newLoopbackPair(t testing.TB) []transport.Endpoint {
 	eps, err := transport.NewGroup(2)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	// Two buffers circulate per direction: one held by the receiver, one in
 	// flight or being filled.
@@ -388,59 +388,89 @@ func (l *loopback) Recv(int, string) ([]byte, error) {
 	return l.held, nil
 }
 
-// BenchmarkHaloFill measures one rank's per-step halo exchange — postSends +
-// finishRecvs — on the halo-latency tiling (64 8x8 tiles, 2 ranks), rank 1
-// keeping pace on its own goroutine: /chan over the channel transport, and
-// /loopback over an allocation-free pair, where CI gates 0 allocs/op.
-func BenchmarkHaloFill(b *testing.B) {
-	cfg := SPMDConfig{
+// haloFill sets up the halo-latency tiling (64 8x8 tiles, 2 ranks) over eps
+// with the pooled buffers already sized. The returned run performs n halo
+// exchanges — postSends + finishRecvs — on both ranks: rank 1 keeps pace on
+// its own goroutine while rank0 is handed step, one exchange of rank 0, to
+// call n times.
+func haloFill(t testing.TB, eps []transport.Endpoint) (run func(n int, rank0 func(step func()))) {
+	runs := newTestRuns(t, eps, SPMDConfig{
 		Domain: geom.Box2(0, 0, 63, 63), TileSize: 8,
 		Kernel:      solver.NewAdvection2D(1.0, 0.5, 0.4, 0.6, 0.1),
 		BaseGrid:    solver.UniformGrid(1.0 / 64),
 		Partitioner: partition.NewSFCHetero(2),
 		CapsAt:      func(int) []float64 { return partition.UniformCaps(2) },
 		Iterations:  1,
-	}
-	exchange := func(r *spmdRun, n int) error {
-		for i := 0; i < n; i++ {
-			if err := r.plan.postSends(r.ep, r.cur, r.res); err != nil {
-				return err
-			}
-			if err := r.plan.finishRecvs(r.ep, r.cur, r.res); err != nil {
-				return err
-			}
+	})
+	exchange := func(r *spmdRun) error {
+		if err := r.plan.postSends(r.ep, r.cur, r.res); err != nil {
+			return err
 		}
-		return nil
+		return r.plan.finishRecvs(r.ep, r.cur, r.res)
 	}
+	run = func(n int, rank0 func(step func())) {
+		peer := make(chan error, 1)
+		go func() {
+			for i := 0; i < n; i++ {
+				if err := exchange(runs[1]); err != nil {
+					peer <- err
+					return
+				}
+			}
+			peer <- nil
+		}()
+		rank0(func() {
+			if err := exchange(runs[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := <-peer; err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(2, func(step func()) { step(); step() })
+	return run
+}
+
+// BenchmarkHaloFill measures rank 0's halo exchange: /chan over the channel
+// transport, and /loopback over an allocation-free pair.
+func BenchmarkHaloFill(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
-		group func(b *testing.B) []transport.Endpoint
+		group func(testing.TB) []transport.Endpoint
 	}{
-		{"chan", func(b *testing.B) []transport.Endpoint {
+		{"chan", func(t testing.TB) []transport.Endpoint {
 			eps, err := transport.NewGroup(2)
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 			return eps
 		}},
 		{"loopback", newLoopbackPair},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			runs := newTestRuns(b, tc.group(b), cfg)
-			peer := make(chan error, 1)
-			both := func(n int) {
-				go func() { peer <- exchange(runs[1], n) }()
-				if err := exchange(runs[0], n); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-peer; err != nil {
-					b.Fatal(err)
-				}
-			}
-			both(2) // size the pooled buffers before the timer starts
+			run := haloFill(b, tc.group(b))
 			b.ReportAllocs()
 			b.ResetTimer()
-			both(b.N)
+			run(b.N, func(step func()) {
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+			})
 		})
+	}
+}
+
+// TestHaloFillAllocatesNothing holds both ranks' steady-state exchange over
+// the loopback pair to zero allocations.
+func TestHaloFillAllocatesNothing(t *testing.T) {
+	const steps = 100
+	var allocs float64
+	// AllocsPerRun warms up with one extra call.
+	haloFill(t, newLoopbackPair(t))(steps+1, func(step func()) {
+		allocs = testing.AllocsPerRun(steps, step)
+	})
+	if allocs != 0 {
+		t.Errorf("halo exchange allocates %.1f times per step", allocs)
 	}
 }

@@ -73,8 +73,8 @@ func BenchmarkBuildGhostPlan(b *testing.B) {
 // rank's own ghost and migration plans (indexes warm — the steady state),
 // /central runs the retained coordinator-style build of every rank's plans,
 // which is what each rank paid per repartition before plan construction was
-// distributed. cmd/benchguard gates their ratio, so the distributed path
-// can never silently regress back to global scans.
+// distributed. exp.TestWeakScalingOracleAndDelta holds their ratio to >= 5x,
+// so the distributed path can never silently regress back to global scans.
 func BenchmarkRepartitionPlan(b *testing.B) {
 	for _, tc := range []struct{ boxes, ranks int }{
 		{256, 16}, {1024, 64}, {4096, 64}, {4096, 1024}, {4096, 4096},
@@ -119,9 +119,9 @@ func BenchmarkRepartitionPlan(b *testing.B) {
 	// the stage-2 work. /stage2-replicated slices every group's curve
 	// segment and assembles the global assignment — the per-rank cost when
 	// the whole decision is replicated. /stage2-grouplocal slices only the
-	// rank's own group, the decentralized per-rank cost. cmd/benchguard
-	// gates their ratio so stage 2 can never quietly fall back to
-	// all-groups work.
+	// rank's own group, the decentralized per-rank cost.
+	// exp.TestWeakScalingStage2Oracle holds their ratio to >= 4x so stage 2
+	// can never quietly fall back to all-groups work.
 	{
 		const boxes, ranks, groupSize = 4096, 256, 4
 		a := benchTileAssignment(boxes, ranks, 0)

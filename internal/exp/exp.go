@@ -1,9 +1,8 @@
 // Package exp defines the paper's experiments — every table and figure of
 // the evaluation section — as reusable, deterministic functions over the
-// virtual cluster. cmd/experiments renders them; bench_test.go regenerates
-// them under `go test -bench`; the package's own tests assert the *shape*
-// criteria recorded in EXPERIMENTS.md (who wins, by roughly what factor,
-// where the optima fall).
+// virtual cluster. cmd/experiments renders them; the package's own tests
+// assert the *shape* criteria recorded in EXPERIMENTS.md (who wins, by
+// roughly what factor, where the optima fall).
 package exp
 
 import (

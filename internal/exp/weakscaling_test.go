@@ -8,7 +8,8 @@ import (
 // TestWeakScalingOracleAndDelta runs the sweep to 256 virtual ranks (the
 // full 4096-rank ladder runs nightly) and checks the deterministic
 // properties: every row's distributed plans match the centralized oracle
-// bit-for-bit, and the owner-delta broadcast beats the full table.
+// bit-for-bit, the owner-delta broadcast beats the full table, and the
+// per-rank plan build stays well ahead of the central one.
 func TestWeakScalingOracleAndDelta(t *testing.T) {
 	res, err := WeakScaling(256, 16)
 	if err != nil {
@@ -29,6 +30,11 @@ func TestWeakScalingOracleAndDelta(t *testing.T) {
 			t.Errorf("%d ranks: only %d boxes, want >= %d", row.Ranks, row.Boxes,
 				weakBoxesPerRank*row.Ranks)
 		}
+	}
+	// Both builds run in this process, so the ratio is hardware-independent
+	// (measured 179x at 256 ranks).
+	if last := res.Rows[len(res.Rows)-1]; last.Speedup < 5 {
+		t.Errorf("256-rank per-rank plan build only %.1fx faster than the central build, want >= 5x", last.Speedup)
 	}
 	var csv strings.Builder
 	if err := res.WriteCSV(&csv); err != nil {
@@ -68,7 +74,7 @@ func TestWeakScalingStage2Oracle(t *testing.T) {
 	}
 	last := res.Rows[len(res.Rows)-1]
 	if last.Speedup < 4 {
-		t.Errorf("256-rank stage-2 speedup %.1fx below the 4x floor the CI bench gates", last.Speedup)
+		t.Errorf("256-rank stage-2 speedup %.1fx below the 4x floor", last.Speedup)
 	}
 	var csv strings.Builder
 	if err := res.WriteCSV(&csv); err != nil {

@@ -77,7 +77,6 @@ type Monitor struct {
 	nodes   []nodeSeries
 	senses  int
 	last    []capacity.Measurement
-	history *History
 	hygiene Hygiene
 	health  []nodeHealth
 	stats   SenseStats
@@ -201,9 +200,6 @@ func (m *Monitor) Sense(now float64) []capacity.Measurement {
 	}
 	m.senses++
 	m.last = out
-	if m.history != nil {
-		m.history.Record(now, out)
-	}
 	return out
 }
 

@@ -7,60 +7,65 @@ import (
 	"samrpart/internal/obs/trace"
 )
 
-// These benchmarks back the zero-allocation claim for instrumented hot
-// paths; CI asserts 0 allocs/op on every BenchmarkObs* result.
+// hotPaths back the zero-allocation claim for instrumented hot paths. Each
+// entry builds its handle, warms it and returns the i-th operation.
+var hotPaths = []struct {
+	name string
+	op   func() func(i int)
+}{
+	{"CounterAdd", func() func(int) {
+		c := NewRegistry().Counter("samr_bench_total", "b", Label{"rank", "0"})
+		return func(int) { c.Add(1) }
+	}},
+	{"HistogramObserve", func() func(int) {
+		h := NewRegistry().Histogram("samr_bench_seconds", "b", DurationBuckets())
+		return func(int) { h.Observe(3.5e-4) }
+	}},
+	{"SpanEnabled", func() func(int) {
+		rec := New(Config{Seed: 1}).Recorder(0)
+		return func(i int) {
+			rec.SetPos(0, i)
+			rec.Span(trace.PhaseCompute).End()
+		}
+	}},
+	{"SpanDisabled", func() func(int) {
+		var rt *Runtime
+		rec := rt.Recorder(0)
+		return func(i int) {
+			rec.SetPos(0, i)
+			rec.Span(trace.PhaseCompute).End()
+		}
+	}},
+	// The full spine: one End feeding the histogram and writing the run-log
+	// record.
+	{"SpanLogged", func() func(int) {
+		rec := New(Config{Seed: 1, Trace: trace.NewLog(io.Discard)}).Recorder(3)
+		rec.Span(trace.PhaseMigrate).EndBytes(1 << 20)
+		return func(i int) {
+			rec.SetPos(0, i)
+			rec.Span(trace.PhaseMigrate).EndBytes(4096)
+		}
+	}},
+}
 
-func BenchmarkObsCounterAdd(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("samr_bench_total", "b", Label{"rank", "0"})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
+func BenchmarkObs(b *testing.B) {
+	for _, hp := range hotPaths {
+		b.Run(hp.name, func(b *testing.B) {
+			op := hp.op()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(i)
+			}
+		})
 	}
 }
 
-func BenchmarkObsHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("samr_bench_seconds", "b", DurationBuckets())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(3.5e-4)
-	}
-}
-
-func BenchmarkObsSpanEnabled(b *testing.B) {
-	rec := New(Config{Seed: 1}).Recorder(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.SetPos(0, i)
-		rec.Span(trace.PhaseCompute).End()
-	}
-}
-
-func BenchmarkObsSpanDisabled(b *testing.B) {
-	var rt *Runtime
-	rec := rt.Recorder(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.SetPos(0, i)
-		rec.Span(trace.PhaseCompute).End()
-	}
-}
-
-// BenchmarkObsSpanLogged is the full spine: one End feeding the histogram
-// and writing the run-log record.
-func BenchmarkObsSpanLogged(b *testing.B) {
-	rec := New(Config{Seed: 1, Trace: trace.NewLog(io.Discard)}).Recorder(3)
-	// Warm the scratch buffer so steady state is measured.
-	rec.Span(trace.PhaseMigrate).EndBytes(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.SetPos(0, i)
-		rec.Span(trace.PhaseMigrate).EndBytes(4096)
+func TestHotPathsAllocateNothing(t *testing.T) {
+	for _, hp := range hotPaths {
+		op, i := hp.op(), 0
+		if allocs := testing.AllocsPerRun(1000, func() { op(i); i++ }); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call", hp.name, allocs)
+		}
 	}
 }

@@ -29,6 +29,17 @@ func NewAdvection2D(vx, vy, cx, cy, width float64) *Advection {
 	}
 }
 
+// NewAdvection3D returns a 3D upwind advection kernel (pulse at the given
+// center, constant velocity).
+func NewAdvection3D(vx, vy, vz, cx, cy, cz, width float64) *Advection {
+	return &Advection{
+		Dim:      3,
+		Velocity: [geom.MaxDim]float64{vx, vy, vz},
+		Center:   [geom.MaxDim]float64{cx, cy, cz},
+		Width:    width,
+	}
+}
+
 // Name implements Kernel.
 func (a *Advection) Name() string { return "advection" }
 

@@ -18,7 +18,7 @@ type oracleCase struct {
 	boxes  []geom.Box
 }
 
-// oracleCases covers all four solver families (plus the first-order
+// oracleCases covers all three solver families (plus the first-order
 // advection kernel), 2D and 3D where applicable, positive and negative
 // velocities (the upwind branches differ), and boxes that are offset from
 // the origin, non-cubic, and degenerate (one cell wide along an axis).
@@ -43,7 +43,6 @@ func oracleCases() []oracleCase {
 		{"muscl2d", NewMUSCLAdvection2D(1, 0.5, 0.5, 0.5, 0.2), boxes2},
 		{"muscl2d-neg", NewMUSCLAdvection2D(-0.6, -1.1, 0.4, 0.4, 0.2), boxes2},
 		{"muscl3d", NewMUSCLAdvection3D(0.6, -0.8, 0.5, 0.5, 0.5, 0.5, 0.2), boxes3},
-		{"burgers2d", NewBurgers2D(), boxes2},
 		{"buckley2d", NewBuckleyLeverett(1, 0.5), boxes2},
 		{"buckley2d-neg", NewBuckleyLeverett(-0.7, -0.3), boxes2},
 		{"euler3d-rm", NewRichtmyerMeshkov([geom.MaxDim]float64{1, 1, 1}), boxes3},

@@ -155,18 +155,21 @@ func FuzzApplyOutflowBC(f *testing.F) {
 	})
 }
 
-// BenchmarkApplyOutflowBC measures the halo fallback fill on the two patch
-// shapes the benchmark workloads step: an RM3D tile (16³, halo 2, 5 fields)
-// and a halo-latency tile (8², halo 1, 1 field). CI gates 0 allocs/op.
+// outflowShapes are the two patch shapes the benchmark workloads step: an
+// RM3D tile (16³, halo 2, 5 fields) and a halo-latency tile (8², halo 1, 1
+// field).
+var outflowShapes = []struct {
+	name          string
+	box           geom.Box
+	ghost, fields int
+}{
+	{"16x16x16-g2-f5", geom.Box3(0, 0, 0, 15, 15, 15), 2, 5},
+	{"8x8-g1-f1", geom.Box2(0, 0, 7, 7), 1, 1},
+}
+
+// BenchmarkApplyOutflowBC measures the halo fallback fill.
 func BenchmarkApplyOutflowBC(b *testing.B) {
-	for _, tc := range []struct {
-		name          string
-		box           geom.Box
-		ghost, fields int
-	}{
-		{"16x16x16-g2-f5", geom.Box3(0, 0, 0, 15, 15, 15), 2, 5},
-		{"8x8-g1-f1", geom.Box2(0, 0, 7, 7), 1, 1},
-	} {
+	for _, tc := range outflowShapes {
 		b.Run(tc.name, func(b *testing.B) {
 			p := poisonedPatch(tc.box, tc.ghost, tc.fields, 1)
 			b.SetBytes(p.Bytes() - tc.box.Cells()*int64(tc.fields)*8) // shell bytes written
@@ -176,5 +179,14 @@ func BenchmarkApplyOutflowBC(b *testing.B) {
 				ApplyOutflowBC(p)
 			}
 		})
+	}
+}
+
+func TestApplyOutflowBCAllocatesNothing(t *testing.T) {
+	for _, tc := range outflowShapes {
+		p := poisonedPatch(tc.box, tc.ghost, tc.fields, 1)
+		if allocs := testing.AllocsPerRun(100, func() { ApplyOutflowBC(p) }); allocs != 0 {
+			t.Errorf("%s: ApplyOutflowBC allocates %.1f times per call", tc.name, allocs)
+		}
 	}
 }

@@ -77,69 +77,6 @@ func TestEulerSodShockTube(t *testing.T) {
 	}
 }
 
-func TestBurgersShockForms(t *testing.T) {
-	k := NewBurgers2D()
-	g := UniformGrid(1.0 / 64)
-	box := geom.Box2(0, 0, 63, 63)
-	cur := amr.NewPatch(box, k.Ghost(), k.NumFields())
-	next := amr.NewPatch(box, k.Ghost(), k.NumFields())
-	k.Init(cur, g)
-	maxGrad := func(p *amr.Patch) float64 {
-		max := 0.0
-		p.EachInterior(func(pt geom.Point) {
-			if pt[0] == 0 {
-				return
-			}
-			left := pt
-			left[0]--
-			gdx := math.Abs(p.At(0, pt) - p.At(0, left))
-			if gdx > max {
-				max = gdx
-			}
-		})
-		return max
-	}
-	g0 := maxGrad(cur)
-	elapsed := 0.0
-	for elapsed < 0.25 {
-		ApplyOutflowBC(cur)
-		dt := k.MaxDT(cur, g)
-		k.Step(next, cur, g, dt)
-		cur, next = next, cur
-		elapsed += dt
-	}
-	g1 := maxGrad(cur)
-	if g1 < 1.5*g0 {
-		t.Errorf("no shock steepening: max gradient %.3f -> %.3f", g0, g1)
-	}
-	// Maximum principle: u stays within [0, Amplitude].
-	cur.EachInterior(func(pt geom.Point) {
-		u := cur.At(0, pt)
-		if u < -1e-9 || u > k.Amplitude+1e-9 {
-			t.Fatalf("u out of bounds: %g", u)
-		}
-	})
-}
-
-func TestGodunovFlux(t *testing.T) {
-	cases := []struct {
-		ul, ur, want float64
-		what         string
-	}{
-		{1, 2, 0.5, "right-moving rarefaction: f(ul)"},
-		{-2, -1, 0.5, "left-moving rarefaction: f(ur)"},
-		{-1, 1, 0, "transonic rarefaction: sonic point"},
-		{2, 1, 2, "right-moving shock: f(ul)"},
-		{-1, -2, 2, "left-moving shock: f(ur)"},
-		{1, -1, 0.5, "stationary shock"},
-	}
-	for _, c := range cases {
-		if got := godunovFlux(c.ul, c.ur); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s: flux(%g,%g) = %g, want %g", c.what, c.ul, c.ur, got, c.want)
-		}
-	}
-}
-
 func TestAdvection3DRoundTrip(t *testing.T) {
 	k := NewAdvection3D(1, 0.5, 0.25, 0.3, 0.3, 0.3, 0.1)
 	if k.Rank() != 3 {

@@ -47,6 +47,18 @@ func NewPatch(box geom.Box, ghost, numFields int) *Patch {
 	return p
 }
 
+// Reuse re-homes the patch's storage on box — any origin or level, but with
+// the extents, halo width and field count the patch already has, or Reuse
+// reports false and leaves it untouched. Every cell, interior and halo, keeps
+// the value it last held: the caller must overwrite all it will read.
+func (p *Patch) Reuse(box geom.Box, ghost, numFields int) bool {
+	if ghost != p.Ghost || numFields != p.NumFields || box.Rank != p.Box.Rank || box.Extents() != p.Box.Extents() {
+		return false
+	}
+	p.Box, p.padded = box, box.Grow(ghost)
+	return true
+}
+
 // Clone returns a deep copy of the patch (its own field storage). The
 // asynchronous checkpointer clones patches at the cut point so integration
 // can keep mutating the originals while the snapshot is serialized.

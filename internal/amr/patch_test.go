@@ -2,6 +2,7 @@ package amr
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"samrpart/internal/geom"
@@ -131,5 +132,75 @@ func TestPatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestPatchReuse: a patch re-homes on a box of its own extents at any origin
+// and level and then addresses exactly like a fresh patch there, over the
+// same storage with every old value still in place; any other shape, halo
+// width or field count is refused and leaves the patch as it was.
+func TestPatchReuse(t *testing.T) {
+	from := geom.Box3(4, 8, 0, 7, 13, 2) // 4 x 6 x 3
+	p := NewPatch(from, 2, 2)
+	for f := 0; f < 2; f++ {
+		fd := p.Field(f)
+		for i := range fd {
+			fd[i] = float64(f*1000 + i)
+		}
+	}
+	field0 := &p.Field(0)[0]
+
+	to := geom.Box3(-20, 1, 30, -17, 6, 32).WithLevel(2)
+	if !p.Reuse(to, 2, 2) {
+		t.Fatalf("Reuse refused %v for a patch on %v", to, from)
+	}
+	fresh := NewPatch(to, 2, 2)
+	if !p.Box.Equal(to) || !p.Padded().Equal(fresh.Padded()) {
+		t.Fatalf("re-homed patch covers %v padded %v, want %v padded %v", p.Box, p.Padded(), to, fresh.Padded())
+	}
+	if &p.Field(0)[0] != field0 {
+		t.Fatal("Reuse moved the storage")
+	}
+	for f := 0; f < 2; f++ {
+		for i, v := range p.Field(f) {
+			if v != float64(f*1000+i) {
+				t.Fatalf("Reuse changed field %d cell %d to %g", f, i, v)
+			}
+		}
+	}
+	// Same addressing as the fresh patch: write through cell coordinates on
+	// one, read the raw layout on the other.
+	n := 0.0
+	fresh.eachIn(fresh.Padded(), func(pt geom.Point) {
+		for f := 0; f < 2; f++ {
+			n++
+			p.Set(f, pt, n)
+			fresh.Set(f, pt, n)
+		}
+	})
+	for f := 0; f < 2; f++ {
+		if !slices.Equal(p.Field(f), fresh.Field(f)) {
+			t.Fatalf("re-homed patch lays field %d out differently from a fresh patch", f)
+		}
+	}
+	if got, want := p.AppendRegion(nil, to), fresh.AppendRegion(nil, to); !slices.Equal(got, want) {
+		t.Fatal("AppendRegion over the interior differs from a fresh patch's")
+	}
+
+	before := *p
+	for name, refuse := range map[string]func() bool{
+		"longer axis":   func() bool { return p.Reuse(geom.Box3(0, 0, 0, 4, 5, 2), 2, 2) },
+		"permuted axes": func() bool { return p.Reuse(geom.Box3(0, 0, 0, 5, 3, 2), 2, 2) },
+		"lower rank":    func() bool { return p.Reuse(geom.Box2(0, 0, 3, 5), 2, 2) },
+		"empty box":     func() bool { return p.Reuse(geom.Box3(0, 0, 0, 3, 5, -1), 2, 2) },
+		"other ghost":   func() bool { return p.Reuse(to, 1, 2) },
+		"other fields":  func() bool { return p.Reuse(to, 2, 3) },
+	} {
+		if refuse() {
+			t.Errorf("%s: Reuse accepted", name)
+		}
+		if p.Box != before.Box || p.padded != before.padded || p.Ghost != 2 || p.NumFields != 2 || &p.data[0] != &before.data[0] {
+			t.Fatalf("%s: a refused Reuse changed the patch", name)
+		}
 	}
 }

@@ -150,11 +150,12 @@ type welcomeMsg struct {
 // RunSPMDRank and RejoinSPMDRank. Without FT.Enabled the membership fields
 // simply never change (all alive, epoch 0).
 type spmdRun struct {
-	cfg  SPMDConfig
-	ep   transport.TimedEndpoint
-	res  *SPMDResult
-	data time.Duration // data-plane receive deadline (dt reduce, ghosts)
-	ctrl time.Duration // control-plane deadline (heartbeats, admission)
+	cfg   SPMDConfig
+	tiles geom.BoxList // cfg.tiles(), every (re)partition's read-only input
+	ep    transport.TimedEndpoint
+	res   *SPMDResult
+	data  time.Duration // data-plane receive deadline (dt reduce, ghosts)
+	ctrl  time.Duration // control-plane deadline (heartbeats, admission)
 
 	alive    []bool
 	epoch    int // bumped per recovery/admission; namespaces all tags
@@ -230,7 +231,7 @@ func newSPMDRun(ep transport.Endpoint, cfg SPMDConfig) (*spmdRun, error) {
 	}
 	ted.SetDeadline(cfg.recvDeadline())
 	r := &spmdRun{
-		cfg: cfg, ep: ted,
+		cfg: cfg, tiles: cfg.tiles(), ep: ted,
 		res:         &SPMDResult{Rank: ep.Rank(), RestoredFrom: -1},
 		data:        cfg.recvDeadline(),
 		ctrl:        cfg.controlDeadline(),
@@ -473,7 +474,7 @@ func (r *spmdRun) eligibleCaps(iter int) (caps []float64, mask []bool) {
 // may not communicate.
 func (r *spmdRun) partitionEligible(iter int) (*partition.Assignment, error) {
 	caps, mask := r.eligibleCaps(iter)
-	return partition.PartitionAlive(r.cfg.Partitioner, r.cfg.tiles(), caps, mask, partition.CellWork)
+	return partition.PartitionAlive(r.cfg.Partitioner, r.tiles, caps, mask, partition.CellWork)
 }
 
 // gatherGroups is the decentralized stage 2 of the hierarchical partitioner:
@@ -494,7 +495,7 @@ func (r *spmdRun) gatherGroups(h *partition.Hierarchical, iter, root int) (*part
 	if err != nil {
 		return nil, err
 	}
-	plan, err := h.PlanGroups(r.cfg.tiles(), compact, partition.CellWork)
+	plan, err := h.PlanGroups(r.tiles, compact, partition.CellWork)
 	if err != nil {
 		return nil, err
 	}
@@ -671,14 +672,26 @@ func (r *spmdRun) setupAt(iter int) error {
 // install makes v the standing assignment as of iter, with cur as the rank's
 // patches under it. Ghost-plan entries and patch slots are only meaningful
 // against the assignment they were built from, so the four change together,
-// here and nowhere else; the spares restart empty (ownership moved, retired
-// buffers are stale).
+// here and nowhere else. Ownership moved, so the old spares retire to the
+// free list and every owned slot draws one back (stale cells: stepPatch
+// writes the interior, the next exchange the halo), keeping that allocation
+// out of the next step's timed compute window; a slot the list cannot serve
+// stays nil for stepPatch to allocate.
 func (r *spmdRun) install(v *asnView, cur []*amr.Patch, iter int) {
+	k, sc := r.cfg.Kernel, &r.sc
+	sc.freeCap = max(sc.freeCap, 2*len(v.mine))
+	for _, p := range r.spare {
+		sc.retire(p)
+	}
 	r.assign, r.cur = v, cur
 	r.spare = make([]*amr.Patch, len(v.Boxes))
+	for _, i := range v.mine {
+		r.spare[i] = sc.recycled(v.Boxes[i], k.Ghost(), k.NumFields())
+	}
 	r.lastPart = iter
-	sp := r.sc.tr.Span(trace.PhasePlan)
-	r.plan = buildGhostPlan(v, r.me(), r.cfg.Kernel.Ghost(), r.prefix, &r.sc)
+	sp := sc.tr.Span(trace.PhasePlan)
+	sc.retired = r.plan
+	r.plan = buildGhostPlan(v, r.me(), k.Ghost(), r.prefix, sc)
 	sp.End()
 }
 
@@ -1067,6 +1080,9 @@ func (r *spmdRun) repartitionNow(iter int) error {
 		if asn, err = r.partitionEligible(iter); err == nil {
 			if !cfg.NoAffinityRemap {
 				asn = partition.RemapOwners(r.assign.Assignment, asn)
+			}
+			if asn.Boxes.Equal(r.assign.Boxes) {
+				asn.Boxes = r.assign.Boxes // alias: later same-tiling checks are O(1)
 			}
 			newView = newAsnView(asn, r.me())
 		}

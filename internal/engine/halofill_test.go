@@ -222,14 +222,36 @@ func (s scatterPartitioner) Partition(boxes geom.BoxList, caps []float64, work p
 	return a, nil
 }
 
-// TestHaloFillLeavesNoStaleCell guards the invariant spare reuse and patch
-// retention rest on — one exchange rewrites every halo cell — at plan level.
-// Ranks with scattered owners poison every ghost cell of every current patch
-// before each step, run postSends + finishRecvs, and must hold no poison and
-// exactly the serial reference fill (cell-wise outflow, then cell-wise copies
-// over all boxes); the reference steps into fresh patches while the ranks
-// reuse spares. The run crosses a repartition and a recovery, so the patch
-// slots are proven rebuilt whenever ownership moves.
+// poisonRecycled overwrites, interior and halo, every buffer the rank holds
+// that carries no live data: the free list and the spares install drew from
+// it. Called after every event that moves patches onto the list, it poisons
+// each recycled buffer before anything can read it — arrivals draw from what
+// earlier events left on the list, spares are only written until the next
+// exchange — so a cell an arrival's migration regions, a step or an exchange
+// fails to overwrite surfaces as poison (or as a NaN it bred) in the
+// comparison with the serial reference.
+func poisonRecycled(r *spmdRun) {
+	for _, p := range r.sc.free {
+		p.FillAll(haloPoison)
+	}
+	for _, p := range r.spare {
+		if p != nil {
+			p.FillAll(haloPoison)
+		}
+	}
+}
+
+// TestHaloFillLeavesNoStaleCell guards the invariant spare reuse, patch
+// retention and the patch free list rest on — an arriving patch's interior is
+// wholly overwritten by its migration regions, and one exchange rewrites every
+// halo cell — at plan level. Ranks with scattered owners poison every ghost
+// cell of every current patch before each step, run postSends + finishRecvs,
+// and must hold no poison and exactly the serial reference fill (cell-wise
+// outflow, then cell-wise copies over all boxes); the reference steps into
+// fresh patches while the ranks reuse spares and recycled buffers, all
+// poisoned whole (poisonRecycled). The run crosses four repartitions, a
+// recovery and a rejoin, so the patch slots are proven rebuilt whenever
+// ownership moves and the free list is drawn from in every way it can be.
 func TestHaloFillLeavesNoStaleCell(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -261,7 +283,7 @@ func TestHaloFillLeavesNoStaleCell(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					runs := newTestRuns(t, eps, cfg)
+					runs := newTestRuns(t, wrapFaulty(eps), cfg)
 					ref := map[geom.Box]*amr.Patch{}
 					initRef := func() {
 						for _, b := range cfg.tiles() {
@@ -314,28 +336,76 @@ func TestHaloFillLeavesNoStaleCell(t *testing.T) {
 							ref[b] = next
 						}
 					}
-					for step := 0; step < 3; step++ {
-						exchangeAndStep("after setup")
+					// event runs fn on every live rank, poisons what it put up
+					// for reuse, and checks two exchanges and steps after it.
+					// drawn counts the current patches that came off a free list.
+					drawn := 0
+					event := func(when string, fn func(r *spmdRun) error) {
+						t.Helper()
+						listed := map[*amr.Patch]bool{}
+						for _, r := range runs {
+							for _, p := range r.sc.free {
+								listed[p] = true
+							}
+						}
+						eachRank(t, len(runs), func(rank int) error { return fn(runs[rank]) })
+						for _, r := range runs {
+							for _, i := range r.assign.mine {
+								if listed[r.cur[i]] {
+									drawn++
+								}
+							}
+							poisonRecycled(r)
+						}
+						exchangeAndStep(when)
+						exchangeAndStep(when)
 					}
-					eachRank(t, len(runs), func(rank int) error { return runs[rank].repartitionNow(5) })
-					for step := 0; step < 3; step++ {
-						exchangeAndStep("after the repartition")
+					exchangeAndStep("after setup")
+					exchangeAndStep("after setup")
+					iter := 5
+					repartition := func(when string) {
+						t.Helper()
+						iter++
+						event(when, func(r *spmdRun) error { return r.repartitionNow(iter) })
+					}
+					repartition("after the first repartition")
+					repartition("after the second repartition")
+					repartition("after the third repartition")
+					if ranks == 1 {
+						initRef()
+						event("after the recovery", func(r *spmdRun) error { _, err := r.recoverAt(0); return err })
+						return
 					}
 					// The last rank dies; the survivors roll back to the initial
 					// condition over a fresh scatter.
-					if ranks > 1 {
-						runs = runs[:ranks-1]
-					}
-					eachRank(t, len(runs), func(rank int) error {
-						if ranks > 1 {
-							runs[rank].alive[ranks-1] = false
-						}
-						_, err := runs[rank].recoverAt(0)
+					joiner := runs[ranks-1]
+					runs = runs[:ranks-1]
+					initRef()
+					event("after the recovery", func(r *spmdRun) error {
+						r.alive[ranks-1] = false
+						_, err := r.recoverAt(0)
 						return err
 					})
-					initRef()
-					for step := 0; step < 3; step++ {
-						exchangeAndStep("after the recovery")
+					// It asks back in holding nothing but garbage, and the
+					// survivors admit it: one more scatter, now with a pure
+					// receiver that draws every buffer it can from its list.
+					for _, p := range joiner.cur {
+						if p != nil {
+							p.FillAll(haloPoison)
+						}
+					}
+					poisonRecycled(joiner)
+					runs = append(runs, joiner)
+					event("after the rejoin", func(r *spmdRun) error {
+						if r == joiner {
+							_, err := r.rejoin()
+							return err
+						}
+						return r.admit(iter, []int{ranks - 1})
+					})
+					repartition("after the rejoin's repartition")
+					if drawn == 0 {
+						t.Fatal("no arriving box ever drew a recycled buffer: the free list went untested")
 					}
 				})
 			}

@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"samrpart/internal/amr"
@@ -160,6 +161,11 @@ func (c SPMDConfig) validate() error {
 	}
 	if c.Kernel == nil || c.Partitioner == nil || c.CapsAt == nil {
 		return fmt.Errorf("engine: spmd missing kernel/partitioner/caps")
+	}
+	for d := 0; d < c.Domain.Rank; d++ { // frame headers and the halo graph hold cell bounds as int32
+		if c.Domain.Lo[d] < math.MinInt32/2 || c.Domain.Hi[d] > math.MaxInt32/2 {
+			return fmt.Errorf("engine: spmd domain %v exceeds the int32 cell range", c.Domain)
+		}
 	}
 	if c.Iterations < 1 {
 		return fmt.Errorf("engine: spmd iterations %d", c.Iterations)
@@ -478,20 +484,22 @@ type commScratch struct {
 	rfloats  []float64
 	rregions []transport.FrameRegion
 
-	// query/qs are the spatial-index result and dedup scratch of the serial
-	// plan builders, pooled across rebuilds.
-	query []int
-	qs    geom.QueryScratch
-
 	// indexes caches uniform-grid spatial indexes across plan rebuilds, so a
 	// rank pays the O(total boxes) index construction only when the tiling
 	// actually changes, not on every repartition.
 	indexes indexCache
 
-	// planLens holds the previous ghost plan's entry counts and the number of
-	// boxes it covered: buildGhostPlan sizes the next plan's slices from them,
-	// so a repartition appends into capacity instead of regrowing.
-	planLens struct{ mine, sends, recvs, locals int }
+	// halo caches the part of the ghost plan the box list alone decides;
+	// retired (the plan install replaced) and mig lend the next builds slices.
+	halo    haloGraph
+	retired *ghostPlan
+	mig     migPlan
+
+	// free lists the buffers of patches that left the rank (redistribute) or
+	// stopped being a spare (install), for arriving boxes and new spares to
+	// draw; freeCap is twice the rank's high-water owned-box count.
+	free    []*amr.Patch
+	freeCap int
 
 	// workers is the intra-rank fan-out width (SPMDConfig.Workers): plan
 	// construction and coalesced frame pack/unpack chunk across this many
@@ -573,8 +581,6 @@ func chunkRange(n, w, c int) (lo, hi int) {
 // box-list content. Two slots cover the repartition access pattern — ghost
 // plan over the old tiling, migration plan over old and new, ghost plan over
 // the new — so the steady state never rebuilds an index it already holds.
-// A pointer fast path catches aliased lists (delta broadcasts keep the box
-// slice), falling back to content comparison for freshly decoded copies.
 type indexCache struct {
 	keys [2]geom.BoxList
 	idxs [2]*geom.Index
@@ -583,11 +589,7 @@ type indexCache struct {
 // get returns the cached index for boxes, building and caching one on miss.
 func (c *indexCache) get(boxes geom.BoxList) *geom.Index {
 	for s := 0; s < 2; s++ {
-		k := c.keys[s]
-		if c.idxs[s] == nil || len(k) != len(boxes) {
-			continue
-		}
-		if (len(k) > 0 && &k[0] == &boxes[0]) || k.Equal(boxes) {
+		if c.idxs[s] != nil && c.keys[s].Equal(boxes) {
 			if s == 1 {
 				c.keys[0], c.keys[1] = c.keys[1], c.keys[0]
 				c.idxs[0], c.idxs[1] = c.idxs[1], c.idxs[0]
@@ -620,15 +622,8 @@ type planRegion struct {
 // receiver, and the distributed and centralized builders, agree on wire order
 // by construction.
 func sortRegions(rs []planRegion) {
-	sort.Slice(rs, func(x, y int) bool {
-		a, b := &rs[x], &rs[y]
-		if a.peer != b.peer {
-			return a.peer < b.peer
-		}
-		if a.dstIdx != b.dstIdx {
-			return a.dstIdx < b.dstIdx
-		}
-		return a.srcIdx < b.srcIdx
+	slices.SortFunc(rs, func(a, b planRegion) int {
+		return cmp.Or(a.peer-b.peer, a.dstIdx-b.dstIdx, a.srcIdx-b.srcIdx)
 	})
 }
 
@@ -640,9 +635,8 @@ type peerSpan struct {
 	tag    string
 }
 
-// peerSpans derives the per-peer runs of a sorted region list.
-func peerSpans(rs []planRegion, tag string) []peerSpan {
-	var spans []peerSpan
+// peerSpans appends the per-peer runs of a sorted region list to spans.
+func peerSpans(spans []peerSpan, rs []planRegion, tag string) []peerSpan {
 	for lo := 0; lo < len(rs); {
 		hi := lo
 		for hi < len(rs) && rs[hi].peer == rs[lo].peer {
@@ -684,84 +678,125 @@ type ghostPlan struct {
 	sc        *commScratch
 }
 
+// haloGraph memoizes what a box list and ghost width alone decide about the
+// halo exchange — per box, the boxes that meet its halo and the two regions
+// each pair trades — so a repartition that keeps the tiling classifies cached
+// edges by owner instead of redoing the geometry. edges[i] is nil until a
+// plan first scans box i: memory follows the boxes the rank ever owned.
+type haloGraph struct {
+	boxes geom.BoxList
+	ghost int
+	edges [][]haloEdge // per box, ascending in j
+}
+
+// haloEdge is one neighbour j of a box i: in is grown(i)∩j, the cells of j
+// that fill i's halo, out is grown(j)∩i, the cells of i that fill j's.
+type haloEdge struct {
+	j       int32
+	in, out cellBounds
+}
+
+// cellBounds is a region's lower then upper bound as int32, the range frame
+// headers carry: 52 bytes an edge, so a box's 26 edges stay below the field
+// bytes of the smallest tile a partitioner leaves (4³).
+type cellBounds [2 * geom.MaxDim]int32
+
+func boundsOf(b geom.Box) (c cellBounds) {
+	for d := 0; d < geom.MaxDim; d++ {
+		c[d], c[geom.MaxDim+d] = int32(b.Lo[d]), int32(b.Hi[d])
+	}
+	return c
+}
+
+// box rebuilds the region; like is the box Intersect took rank and level from.
+func (c *cellBounds) box(like geom.Box) geom.Box {
+	b := geom.Box{Rank: like.Rank, Level: like.Level}
+	for d := 0; d < geom.MaxDim; d++ {
+		b.Lo[d], b.Hi[d] = int(c[d]), int(c[geom.MaxDim+d])
+	}
+	return b
+}
+
+// fill computes the edges of the boxes of mine the graph has not seen; fills
+// of disjoint box sets may run concurrently. Growing by the ghost width is
+// symmetric (grown(a) meets b iff grown(b) meets a): one query, both directions.
+func (g *haloGraph) fill(idx *geom.Index, mine []int) {
+	var qs geom.QueryScratch
+	var hits []int
+	for _, i := range mine {
+		if g.edges[i] != nil {
+			continue
+		}
+		bi := g.boxes[i]
+		grown := bi.Grow(g.ghost)
+		hits = idx.QueryWith(&qs, grown, hits)
+		edges := make([]haloEdge, 0, len(hits)) // non-nil even when empty
+		for _, j := range hits {
+			if j != i {
+				bj := g.boxes[j]
+				edges = append(edges, haloEdge{int32(j), boundsOf(grown.Intersect(bj)), boundsOf(bj.Grow(g.ghost).Intersect(bi))})
+			}
+		}
+		g.edges[i] = edges
+	}
+}
+
 // buildGhostPlan derives rank me's exchange plan — and only rank me's —
-// from the shared assignment. prefix namespaces the tags by epoch, so
-// messages from a rolled-back execution cannot collide with the replay. The
-// plan visits only me's boxes (the view's mine list) and finds their
-// neighbors through the cached uniform-grid index, so per-rank plan cost
-// scales with the rank's own boxes and their neighbor count, not with the
-// global box total. With workers > 1 contiguous chunks of the mine list are
-// scanned concurrently into private plans (the index itself is read-only);
-// concatenating them in chunk order reproduces the serial append order, and
-// finish()'s canonical sort over unique keys is order-insensitive anyway.
-// centralGhostPlans is the retained global-pass twin; both must stay
-// bit-identical per rank.
+// from the shared assignment, into the slices of sc.retired when install left
+// one. prefix namespaces the tags by epoch, so messages from a rolled-back
+// execution cannot collide with the replay. The plan visits only me's boxes
+// (the view's mine list), so per-rank cost scales with the rank's own boxes
+// and their neighbor count, not with the global box total, in two passes:
+// geometry for the boxes the halo graph has not seen — index queries, spread
+// over contiguous chunks of the mine list when workers > 1 — then one serial
+// walk classifying every edge by owner. centralGhostPlans is the retained
+// global-pass twin; both must stay bit-identical per rank.
 func buildGhostPlan(v *asnView, me, ghost int, prefix string, sc *commScratch) *ghostPlan {
 	a := v.Assignment
-	n := &sc.planLens
-	// Entries per owned box barely move between consecutive plans: capacity
-	// is the previous count scaled to the new box count, plus an eighth (a
-	// growing rank's share of same-rank neighbours grows with it).
-	planCap := func(prev int) int { return prev * len(v.mine) / max(n.mine, 1) * 9 / 8 }
-	pl := &ghostPlan{
-		sc:       sc,
-		sends:    make([]planRegion, 0, planCap(n.sends)),
-		recvs:    make([]planRegion, 0, planCap(n.recvs)),
-		locals:   make([]localCopy, 0, planCap(n.locals)),
-		interior: make([]int, 0, len(v.mine)),
-		boundary: make([]int, 0, len(v.mine)),
+	pl := sc.retired
+	if pl == nil {
+		pl = &ghostPlan{}
+	}
+	sc.retired, pl.sc = nil, sc
+	pl.sends, pl.recvs, pl.locals = pl.sends[:0], pl.recvs[:0], pl.locals[:0]
+	pl.interior, pl.boundary = pl.interior[:0], pl.boundary[:0]
+	g := &sc.halo
+	if g.edges == nil || g.ghost != ghost || !g.boxes.Equal(a.Boxes) { // another tiling's edges
+		*g = haloGraph{boxes: a.Boxes, ghost: ghost, edges: make([][]haloEdge, len(a.Boxes))}
 	}
 	idx := sc.indexes.get(a.Boxes)
-	if w := min(sc.workers, len(v.mine)); w > 1 {
-		parts := make([]ghostPlan, w)
-		parallel.For(w, w, func(c int) {
-			lo, hi := chunkRange(len(v.mine), w, c)
-			var qs geom.QueryScratch
-			parts[c].scan(a, idx, v.mine[lo:hi], me, ghost, &qs, nil)
-		})
-		for i := range parts {
-			p := &parts[i]
-			pl.sends = append(pl.sends, p.sends...)
-			pl.recvs = append(pl.recvs, p.recvs...)
-			pl.locals = append(pl.locals, p.locals...)
-			pl.interior = append(pl.interior, p.interior...)
-			pl.boundary = append(pl.boundary, p.boundary...)
-		}
-	} else {
-		sc.query = pl.scan(a, idx, v.mine, me, ghost, &sc.qs, sc.query)
-	}
-	n.mine, n.sends, n.recvs, n.locals = len(v.mine), len(pl.sends), len(pl.recvs), len(pl.locals)
+	w := max(min(sc.workers, len(v.mine)), 1)
+	parallel.For(w, w, func(c int) {
+		lo, hi := chunkRange(len(v.mine), w, c)
+		g.fill(idx, v.mine[lo:hi])
+	})
+	pl.scan(a, g, v.mine, me)
 	pl.finish(prefix)
 	return pl
 }
 
-// scan appends the exchange entries of one chunk of rank me's boxes (mine,
-// ascending global indexes) to pl and classifies each box as interior or
-// boundary. Growing by the ghost width is symmetric (grown(a) meets b iff
-// grown(b) meets a), so one pass yields sends, receives, and local copies
-// alike. hits is the query result scratch, returned for reuse.
-func (pl *ghostPlan) scan(a *partition.Assignment, idx *geom.Index, mine []int, me, ghost int, qs *geom.QueryScratch, hits []int) []int {
+// scan appends the exchange entries of rank me's boxes (mine, ascending) to
+// pl and classifies each box as interior or boundary: an edge of the halo graph
+// is a local copy, or a receive and its mirror-image send, by the neighbour's owner.
+func (pl *ghostPlan) scan(a *partition.Assignment, g *haloGraph, mine []int, me int) {
 	for _, i := range mine {
 		bi := a.Boxes[i]
-		grown := bi.Grow(ghost)
-		hits = idx.QueryWith(qs, grown, hits)
 		remote := false
-		for _, j := range hits {
-			if j == i {
-				continue
-			}
-			bj, oj := a.Boxes[j], a.Owners[j]
-			// bj feeds my halo cells grown(bi)∩bj: a local copy when I own it
-			// too (the pair comes round again with the roles swapped) ...
+		for k, edges := 0, g.edges[i]; k < len(edges); k++ {
+			e := &edges[k]
+			j := int(e.j)
+			oj := a.Owners[j]
+			// Box j feeds my halo cells e.in: a local copy when I own it too
+			// (the pair comes round again with the roles swapped) ...
 			if oj == me {
-				pl.locals = append(pl.locals, localCopy{dst: int32(i), src: int32(j), region: grown.Intersect(bj)})
+				pl.locals = append(pl.locals, localCopy{dst: int32(i), src: e.j, region: e.in.box(bi)})
 				continue
 			}
 			// ... a receive from its owner otherwise ...
-			pl.recvs = append(pl.recvs, planRegion{dstIdx: i, srcIdx: j, region: grown.Intersect(bj), peer: oj})
+			pl.recvs = append(pl.recvs, planRegion{dstIdx: i, srcIdx: j, region: e.in.box(bi), peer: oj})
 			remote = true
-			// ... and symmetrically I feed bj's halo from bi.
-			pl.sends = append(pl.sends, planRegion{dstIdx: j, srcIdx: i, region: bj.Grow(ghost).Intersect(bi), peer: oj})
+			// ... and symmetrically I feed its halo from box i.
+			pl.sends = append(pl.sends, planRegion{dstIdx: j, srcIdx: i, region: e.out.box(a.Boxes[j]), peer: oj})
 		}
 		if remote {
 			pl.boundary = append(pl.boundary, i)
@@ -769,7 +804,6 @@ func (pl *ghostPlan) scan(a *partition.Assignment, idx *geom.Index, mine []int, 
 			pl.interior = append(pl.interior, i)
 		}
 	}
-	return hits
 }
 
 // finish canonicalizes a ghost plan — sends and receives in sortRegions order,
@@ -778,7 +812,8 @@ func (pl *ghostPlan) finish(prefix string) {
 	sortRegions(pl.sends)
 	sortRegions(pl.recvs)
 	tag := prefix + "gx"
-	pl.sendPeers, pl.recvPeers = peerSpans(pl.sends, tag), peerSpans(pl.recvs, tag)
+	pl.sendPeers = peerSpans(pl.sendPeers[:0], pl.sends, tag)
+	pl.recvPeers = peerSpans(pl.recvPeers[:0], pl.recvs, tag)
 }
 
 // frameRegion builds the wire header for one packed region.
@@ -1000,47 +1035,72 @@ func (mp *migPlan) finish() {
 }
 
 // buildMigPlan derives rank me's migration plan — and only rank me's — for
-// an old→next repartition by probing the view's own boxes through the cached
-// indexes, so per-rank cost scales with the rank's own boxes, not the global
-// totals. Both indexes are fetched up front (the two-slot cache holds them
-// together) and only read afterwards; with workers > 1 contiguous chunks of
-// the two mine lists are scanned concurrently into private plans, and
-// finish()'s canonical sort over unique keys makes the plan independent of
-// append order. centralMigPlans is the retained global-pass twin; both must
-// stay bit-identical per rank.
+// an old→next repartition, into the slices of the scratch's previous one: the
+// owner diff when the repartition kept the box list, otherwise by probing the
+// view's own boxes through the cached indexes, so per-rank cost scales with
+// the rank's own boxes, not the global totals. Both indexes are fetched up
+// front (the two-slot cache holds them together) and only read afterwards;
+// with workers > 1 contiguous chunks of the two mine lists are scanned
+// concurrently into private plans, and finish()'s canonical sort over unique
+// keys makes the plan independent of append order. centralMigPlans is the
+// retained global-pass twin; both must stay bit-identical per rank.
 func buildMigPlan(old, next *asnView, me int, sc *commScratch) migPlan {
-	var mp migPlan
-	oldIdx := sc.indexes.get(old.Boxes)
-	nextIdx := sc.indexes.get(next.Boxes)
-	if w := sc.workers; w > 1 && len(next.mine)+len(old.mine) > 1 {
-		parts := make([]migPlan, w)
-		parallel.For(w, w, func(c int) {
-			nlo, nhi := chunkRange(len(next.mine), w, c)
-			olo, ohi := chunkRange(len(old.mine), w, c)
-			var qs geom.QueryScratch
-			parts[c].scan(old, next, oldIdx, nextIdx, next.mine[nlo:nhi], old.mine[olo:ohi], me, &qs, nil)
-		})
-		for _, p := range parts {
-			mp.sends = append(mp.sends, p.sends...)
-			mp.recvs = append(mp.recvs, p.recvs...)
-			mp.retained = append(mp.retained, p.retained...)
-		}
+	mp := migPlan{sends: sc.mig.sends[:0], recvs: sc.mig.recvs[:0], retained: sc.mig.retained[:0]}
+	if old.Boxes.Equal(next.Boxes) {
+		mp.diff(old, next, me)
 	} else {
-		sc.query = mp.scan(old, next, oldIdx, nextIdx, next.mine, old.mine, me, &sc.qs, sc.query)
+		oldIdx := sc.indexes.get(old.Boxes)
+		nextIdx := sc.indexes.get(next.Boxes)
+		if w := sc.workers; w > 1 && len(next.mine)+len(old.mine) > 1 {
+			parts := make([]migPlan, w)
+			parallel.For(w, w, func(c int) {
+				nlo, nhi := chunkRange(len(next.mine), w, c)
+				olo, ohi := chunkRange(len(old.mine), w, c)
+				parts[c].scan(old, next, oldIdx, nextIdx, next.mine[nlo:nhi], old.mine[olo:ohi], me)
+			})
+			for _, p := range parts {
+				mp.sends = append(mp.sends, p.sends...)
+				mp.recvs = append(mp.recvs, p.recvs...)
+				mp.retained = append(mp.retained, p.retained...)
+			}
+		} else {
+			mp.scan(old, next, oldIdx, nextIdx, next.mine, old.mine, me)
+		}
 	}
 	mp.finish()
+	sc.mig = mp
 	return mp
+}
+
+// diff is scan for a repartition that kept the box list: an assignment's
+// boxes are non-empty and pairwise disjoint, so each overlaps exactly itself
+// and the regions are the boxes whose owner is or was me.
+func (mp *migPlan) diff(old, next *asnView, me int) {
+	for _, i := range next.mine {
+		m := planRegion{dstIdx: i, srcIdx: i, region: next.Boxes[i].Intersect(old.Boxes[i]), peer: old.Owners[i]}
+		if m.peer == me {
+			mp.retained = append(mp.retained, m)
+		} else {
+			mp.recvs = append(mp.recvs, m)
+		}
+	}
+	for _, j := range old.mine {
+		if to := next.Owners[j]; to != me {
+			mp.sends = append(mp.sends, planRegion{dstIdx: j, srcIdx: j, region: next.Boxes[j].Intersect(old.Boxes[j]), peer: to})
+		}
+	}
 }
 
 // scan appends one chunk's regions to mp in two passes: my new boxes
 // (nextMine) probed against the old tiling classify inbound regions (kept in
 // place when I already owned the data, received otherwise), and my old boxes
-// (oldMine) probed against the new tiling find outbound regions. hits is the
-// query result scratch, returned for reuse.
-func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMine, oldMine []int, me int, qs *geom.QueryScratch, hits []int) []int {
+// (oldMine) probed against the new tiling find outbound regions.
+func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMine, oldMine []int, me int) {
+	var qs geom.QueryScratch
+	var hits []int
 	for _, i := range nextMine {
 		nb := next.Boxes[i]
-		hits = oldIdx.QueryWith(qs, nb, hits)
+		hits = oldIdx.QueryWith(&qs, nb, hits)
 		for _, j := range hits {
 			m := planRegion{dstIdx: i, srcIdx: j, region: nb.Intersect(old.Boxes[j]), peer: old.Owners[j]}
 			if m.peer == me {
@@ -1052,7 +1112,7 @@ func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMin
 	}
 	for _, j := range oldMine {
 		ob := old.Boxes[j]
-		hits = nextIdx.QueryWith(qs, ob, hits)
+		hits = nextIdx.QueryWith(&qs, ob, hits)
 		for _, i := range hits {
 			if next.Owners[i] == me {
 				continue // kept or stitched locally by the first pass
@@ -1060,7 +1120,6 @@ func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMin
 			mp.sends = append(mp.sends, planRegion{dstIdx: i, srcIdx: j, region: next.Boxes[i].Intersect(ob), peer: next.Owners[i]})
 		}
 	}
-	return hits
 }
 
 // redistribute moves patch interiors to their new owners after a
@@ -1071,7 +1130,8 @@ func (mp *migPlan) scan(old, next *asnView, oldIdx, nextIdx *geom.Index, nextMin
 // owner both survive keeps its patch untouched (its halo is stale, but every
 // halo cell is rewritten by the next exchange before use, the same argument
 // that lets stepPatch reuse spares). All regions bound for one peer travel as
-// a single framed message.
+// a single framed message. patches is consumed: slots moved to the result are
+// cleared, every other patch retires to the free list once copied or shipped.
 func redistribute(ep transport.Endpoint, old, next *asnView, patches []*amr.Patch, k solver.Kernel, iter int, res *SPMDResult, prefix string, sc *commScratch) ([]*amr.Patch, error) {
 	me := ep.Rank()
 	psp := sc.tr.Span(trace.PhasePlan)
@@ -1088,22 +1148,22 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches []*amr.Patc
 		if nb.Equal(old.Boxes[m.srcIdx]) {
 			// Geometry and owner both survived: old boxes are disjoint, so
 			// nothing else overlaps this box and the patch moves wholesale.
-			out[m.dstIdx] = patches[m.srcIdx]
+			out[m.dstIdx], patches[m.srcIdx] = patches[m.srcIdx], nil
 			continue
 		}
 		if out[m.dstIdx] == nil {
-			out[m.dstIdx] = amr.NewPatch(nb, k.Ghost(), k.NumFields())
+			out[m.dstIdx] = sc.newPatch(nb, k.Ghost(), k.NumFields())
 		}
 		amr.CopyRegion(out[m.dstIdx], patches[m.srcIdx], m.region)
 	}
 	for _, m := range mp.recvs {
 		if out[m.dstIdx] == nil {
-			out[m.dstIdx] = amr.NewPatch(next.Boxes[m.dstIdx], k.Ghost(), k.NumFields())
+			out[m.dstIdx] = sc.newPatch(next.Boxes[m.dstIdx], k.Ghost(), k.NumFields())
 		}
 	}
 	lsp.End()
 	tag := fmt.Sprintf("%srx%d", prefix, iter)
-	for _, span := range peerSpans(mp.sends, tag) {
+	for _, span := range peerSpans(nil, mp.sends, tag) {
 		sends := mp.sends[span.lo:span.hi]
 		for _, m := range sends {
 			res.MigratedBytes += m.region.Cells() * bytesPerCell
@@ -1113,10 +1173,44 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches []*amr.Patc
 			return nil, err
 		}
 	}
-	for _, span := range peerSpans(mp.recvs, tag) {
+	for _, j := range old.mine {
+		sc.retire(patches[j])
+	}
+	for _, span := range peerSpans(nil, mp.recvs, tag) {
 		if err := sc.recvSpan(ep, span, mp.recvs[span.lo:span.hi], out, trace.PhaseMigWait, trace.KindMig, res); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// retire puts p's buffer on the free list (nil and overflow are dropped).
+func (sc *commScratch) retire(p *amr.Patch) {
+	if p != nil && len(sc.free) < sc.freeCap {
+		sc.free = append(sc.free, p)
+	}
+}
+
+// recycled returns the newest free-list buffer re-homed on box, or nil. Its
+// cells are stale: the caller overwrites the interior, the next exchange every
+// halo cell. A buffer of another shape is dropped, not put back, so a tiling
+// that changed shape drains the list instead of being blocked by it.
+func (sc *commScratch) recycled(box geom.Box, ghost, fields int) *amr.Patch {
+	if n := len(sc.free) - 1; n >= 0 {
+		p := sc.free[n]
+		sc.free[n], sc.free = nil, sc.free[:n]
+		if p.Reuse(box, ghost, fields) {
+			return p
+		}
+	}
+	return nil
+}
+
+// newPatch returns a patch for an arriving box, whose interior the migration
+// regions cover completely: recycled when possible, fresh otherwise.
+func (sc *commScratch) newPatch(box geom.Box, ghost, fields int) *amr.Patch {
+	if p := sc.recycled(box, ghost, fields); p != nil {
+		return p
+	}
+	return amr.NewPatch(box, ghost, fields)
 }

@@ -154,9 +154,15 @@ func (b Box) ContainsBox(o Box) bool {
 	return b.Contains(o.Lo) && b.Contains(o.Hi)
 }
 
-// Intersects reports whether b and o share at least one cell.
+// Intersects reports whether b and o share at least one cell: exactly
+// !b.Intersect(o).Empty(), without building the overlap box.
 func (b Box) Intersects(o Box) bool {
-	return !b.Intersect(o).Empty()
+	for d := 0; d < b.Rank; d++ {
+		if max(b.Lo[d], o.Lo[d]) > min(b.Hi[d], o.Hi[d]) {
+			return false
+		}
+	}
+	return b.Rank != 0
 }
 
 // Intersect returns the overlap of b and o (possibly empty). The result

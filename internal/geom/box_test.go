@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -256,5 +257,53 @@ func TestPointOps(t *testing.T) {
 	}
 	if Pt3(-5, 0, 0).DivFloor(2) != Pt3(-3, 0, 0) {
 		t.Error("DivFloor should round toward -inf")
+	}
+}
+
+// FuzzIntersects holds the bounds-only Intersects to its definition,
+// !Intersect().Empty(), over ranks 0-3 including inverted (empty) bounds on
+// either side and operands of different rank.
+func FuzzIntersects(f *testing.F) {
+	f.Add(2, 2, 0, 0, 0, 3, 3, 0, 2, 2, 0, 5, 5, 0)
+	f.Add(3, 3, 0, 0, 0, 3, 3, 3, 4, 0, 0, 7, 3, 3) // face neighbours: disjoint
+	f.Add(1, 1, 0, 0, 0, 9, 0, 0, 9, 0, 0, 12, 0, 0)
+	f.Add(2, 2, 5, 0, 0, 1, 3, 0, 0, 0, 0, 9, 9, 0) // b empty
+	f.Add(0, 3, 0, 0, 0, 3, 3, 3, 0, 0, 0, 3, 3, 3) // rank 0
+	f.Add(3, 2, 0, 0, 0, 3, 3, 3, 1, 1, 0, 2, 2, 0) // mixed rank
+	f.Fuzz(func(t *testing.T, rb, ro, bx0, by0, bz0, bx1, by1, bz1, ox0, oy0, oz0, ox1, oy1, oz1 int) {
+		rank := func(r int) int { return ((r % 4) + 4) % 4 }
+		b := Box{Rank: rank(rb), Lo: Pt3(bx0, by0, bz0), Hi: Pt3(bx1, by1, bz1)}
+		o := Box{Rank: rank(ro), Lo: Pt3(ox0, oy0, oz0), Hi: Pt3(ox1, oy1, oz1)}
+		if got, want := b.Intersects(o), !b.Intersect(o).Empty(); got != want {
+			t.Fatalf("%v (rank %d) Intersects %v (rank %d) = %v, Intersect().Empty() says %v", b, b.Rank, o, o.Rank, got, want)
+		}
+	})
+}
+
+// TestIntersectsMatchesIntersect runs the FuzzIntersects property over
+// seeded random boxes (go test without -fuzz only replays the corpus).
+func TestIntersectsMatchesIntersect(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	mk := func() Box {
+		b := Box{Rank: r.Intn(4)}
+		for d := 0; d < MaxDim; d++ {
+			b.Lo[d] = r.Intn(17) - 8
+			b.Hi[d] = b.Lo[d] + r.Intn(12) - 2 // inverted about one time in six
+		}
+		return b
+	}
+	hits := 0
+	for i := 0; i < 20000; i++ {
+		b, o := mk(), mk()
+		want := !b.Intersect(o).Empty()
+		if got := b.Intersects(o); got != want {
+			t.Fatalf("%v (rank %d) Intersects %v (rank %d) = %v, want %v", b, b.Rank, o, o.Rank, got, want)
+		}
+		if want {
+			hits++
+		}
+	}
+	if hits < 1000 || hits > 19000 {
+		t.Fatalf("generator is lopsided: %d of 20000 pairs intersect", hits)
 	}
 }

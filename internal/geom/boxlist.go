@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -19,12 +21,17 @@ func (l BoxList) TotalCells() int64 {
 }
 
 // Equal reports whether the two lists hold identical boxes (levels
-// included) in identical order. The repartition paths use content equality
-// to reuse spatial indexes and broadcast owner deltas when a repartition
-// changed ownership but not the tiling.
+// included) in identical order. The repartition paths use it as the "same
+// tiling" test — a repartition that moved ownership but not the box list
+// keeps its spatial index, halo graph and owner-delta wire form — so lists
+// sharing storage (the steady state: views alias the standing list) compare
+// in O(1), and only freshly built or decoded copies pay the content scan.
 func (l BoxList) Equal(o BoxList) bool {
 	if len(l) != len(o) {
 		return false
+	}
+	if len(l) == 0 || &l[0] == &o[0] {
+		return true
 	}
 	for i := range l {
 		if !l[i].Equal(o[i]) {
@@ -70,18 +77,37 @@ func (l BoxList) SortByCells() {
 }
 
 // SortBy orders the list by an arbitrary key, breaking ties
-// deterministically by level then lower bound.
+// deterministically by level then lower bound; boxes equal in all three keep
+// their input order. The key is evaluated once per box, and a list already
+// in order returns after that one pass.
 func (l BoxList) SortBy(key func(Box) int64) {
-	sort.SliceStable(l, func(i, j int) bool {
-		ki, kj := key(l[i]), key(l[j])
-		if ki != kj {
-			return ki < kj
+	keys := make([]int64, len(l))
+	perm := make([]int32, len(l))
+	// The position as the last key makes the order total, so the unstable
+	// sort of the permutation is the stable sort of the boxes.
+	order := func(x, y int32) int {
+		a, b := &l[x], &l[y]
+		if c := cmp.Or(cmp.Compare(keys[x], keys[y]), cmp.Compare(a.Level, b.Level)); c != 0 || a.Lo == b.Lo {
+			return cmp.Or(c, cmp.Compare(x, y))
 		}
-		if l[i].Level != l[j].Level {
-			return l[i].Level < l[j].Level
+		if a.Lo.Less(b.Lo) {
+			return -1
 		}
-		return l[i].Lo.Less(l[j].Lo)
-	})
+		return 1
+	}
+	sorted := true
+	for i, b := range l {
+		keys[i], perm[i] = key(b), int32(i)
+		sorted = sorted && (i == 0 || order(int32(i-1), int32(i)) < 0)
+	}
+	if sorted {
+		return
+	}
+	slices.SortFunc(perm, order)
+	unsorted := l.Clone()
+	for i, from := range perm {
+		l[i] = unsorted[from]
+	}
 }
 
 // Intersecting returns the sublist of boxes intersecting the probe box at

@@ -23,8 +23,11 @@ type queueItem struct {
 func fillQuotas(boxes geom.BoxList, nodeOrder []int, quotas []float64, work WorkFunc, cons Constraints) *Assignment {
 	k := len(quotas)
 	a := &Assignment{
-		Work:  make([]float64, k),
-		Ideal: append([]float64(nil), quotas...),
+		// Sized for the common case of no split; a split appends past it.
+		Boxes:  make(geom.BoxList, 0, len(boxes)),
+		Owners: make([]int, 0, len(boxes)),
+		Work:   make([]float64, k),
+		Ideal:  append([]float64(nil), quotas...),
 	}
 	total := 0.0
 	for _, b := range boxes {

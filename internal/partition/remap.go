@@ -34,23 +34,7 @@ func RemapOwners(prev, next *Assignment) *Assignment {
 	if prev == nil || prev.NumNodes() != k || k < 2 {
 		return next
 	}
-	// resident[g*k+r] = cells of next's group g already resident on rank r
-	// under prev. Same-level geometric overlap only: cross-level index
-	// spaces have different scales.
-	resident := make([]int64, k*k)
-	idx := geom.NewIndex(prev.Boxes)
-	var hits []int
-	for i, nb := range next.Boxes {
-		g := next.Owners[i]
-		hits = idx.Query(nb, hits)
-		for _, j := range hits {
-			ob := prev.Boxes[j]
-			if ob.Level != nb.Level {
-				continue
-			}
-			resident[g*k+prev.Owners[j]] += nb.Intersect(ob).Cells()
-		}
-	}
+	resident := residentCells(prev, next, k)
 	maxImb := next.MaxImbalance()
 	// feasible reports whether group g may run on rank r without exceeding
 	// the unmapped assignment's balance. A dead/zero-capacity rank can never
@@ -127,4 +111,31 @@ func RemapOwners(prev, next *Assignment) *Assignment {
 		work[r] = next.Work[g]
 	}
 	return &Assignment{Boxes: next.Boxes, Owners: owners, Work: work, Ideal: next.Ideal}
+}
+
+// residentCells returns resident[g*k+r], the cells of next's group g already
+// resident on rank r under prev (same-level overlap only: cross-level index
+// spaces have different scales). When the repartition kept the box list a box
+// overlaps exactly itself — an assignment's boxes are disjoint within a
+// level — so the table is one pass over the owner tables; otherwise every
+// next box is probed against a spatial index over prev.
+func residentCells(prev, next *Assignment, k int) []int64 {
+	resident := make([]int64, k*k)
+	if prev.Boxes.Equal(next.Boxes) {
+		for i, nb := range next.Boxes {
+			resident[next.Owners[i]*k+prev.Owners[i]] += nb.Cells()
+		}
+		return resident
+	}
+	idx := geom.NewIndex(prev.Boxes)
+	var hits []int
+	for i, nb := range next.Boxes {
+		hits = idx.Query(nb, hits)
+		for _, j := range hits {
+			if ob := prev.Boxes[j]; ob.Level == nb.Level {
+				resident[next.Owners[i]*k+prev.Owners[j]] += nb.Intersect(ob).Cells()
+			}
+		}
+	}
+	return resident
 }

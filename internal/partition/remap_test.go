@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"samrpart/internal/geom"
@@ -145,5 +147,94 @@ func TestRemapOwnersDeadRank(t *testing.T) {
 	got := RemapOwners(prev, next)
 	if got.Owners[0] != 0 {
 		t.Errorf("remap assigned the working group to the dead rank: owners %v", got.Owners)
+	}
+}
+
+// residentReference is RemapOwners' resident-volume table as it was computed
+// before the same-box-list fast path: a spatial index over prev and one query
+// per next box. Kept verbatim as the differential reference.
+func residentReference(prev, next *Assignment, k int) []int64 {
+	resident := make([]int64, k*k)
+	idx := geom.NewIndex(prev.Boxes)
+	var hits []int
+	for i, nb := range next.Boxes {
+		g := next.Owners[i]
+		hits = idx.Query(nb, hits)
+		for _, j := range hits {
+			ob := prev.Boxes[j]
+			if ob.Level != nb.Level {
+				continue
+			}
+			resident[g*k+prev.Owners[j]] += nb.Intersect(ob).Cells()
+		}
+	}
+	return resident
+}
+
+// TestResidentCellsMatchesReference holds the resident table to the indexed
+// reference. On equal box lists — aliased and copied, two refinement levels
+// stacked over the same cells, 2 to 5 ranks, owners drawn at random so every
+// (group, rank) cell is hit — the table comes from the owner diff; on lists
+// that differ (same tiles in another order, one tile halved, one level
+// changed) the fast path must not be taken.
+func TestResidentCellsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	tiles := remapTiles()
+	for _, b := range remapTiles()[:12] {
+		tiles = append(tiles, b.Refine(2)) // level 1 over the first two tile rows
+	}
+	random := func(boxes geom.BoxList, k int) *Assignment {
+		a := &Assignment{Boxes: boxes, Owners: make([]int, len(boxes)), Work: make([]float64, k), Ideal: make([]float64, k)}
+		for i, b := range boxes {
+			a.Owners[i] = r.Intn(k)
+			a.Work[a.Owners[i]] += CellWork(b)
+		}
+		return a
+	}
+	permuted := tiles.Clone()
+	permuted[3], permuted[20] = permuted[20], permuted[3]
+	halved := tiles.Clone()
+	lo, hi, _ := halved[5].Halve()
+	halved[5] = lo
+	halved = append(halved, hi)
+	relevel := tiles.Clone()
+	relevel[7].Level = 1
+	for k := 2; k <= 5; k++ {
+		prev := random(tiles, k)
+		for name, boxes := range map[string]geom.BoxList{
+			"aliased": tiles, "copied": tiles.Clone(),
+			"permuted": permuted, "halved": halved, "relevelled": relevel,
+		} {
+			next := random(boxes, k)
+			got, want := residentCells(prev, next, k), residentReference(prev, next, k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d %s: resident table %v, reference %v", k, name, got, want)
+			}
+		}
+	}
+}
+
+// TestRemapOwnersSameListAliasedOrCopied runs the capacity-rotation scenario
+// with next's box list aliasing prev's and with a copy: the relabeling must
+// not depend on which way "same tiling" was recognised.
+func TestRemapOwnersSameListAliasedOrCopied(t *testing.T) {
+	tiles := remapTiles()
+	h := NewHetero()
+	prev, err := h.Partition(tiles, []float64{0.25, 0.375, 0.375}, CellWork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := h.Partition(tiles, []float64{0.375, 0.375, 0.25}, CellWork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prev.Boxes.Equal(next.Boxes) {
+		t.Fatal("the rotation was expected to keep the box list")
+	}
+	aliased := *next
+	aliased.Boxes = prev.Boxes
+	a, b := RemapOwners(prev, next), RemapOwners(prev, &aliased)
+	if a == next || !slices.Equal(a.Owners, b.Owners) || !slices.Equal(a.Work, b.Work) {
+		t.Fatalf("relabeling differs between a copied (%v) and an aliased (%v) box list", a.Owners, b.Owners)
 	}
 }

@@ -112,9 +112,9 @@ func (e *Euler3D) decode(p *amr.Patch, off int) state {
 		p.Field(QMomY)[off], p.Field(QMomZ)[off], p.Field(QEner)[off])
 }
 
-// decodeVals converts one cell's conserved values to primitives; the fused
-// pencil path decodes from raw field rows through the same function, so
-// both paths produce bit-identical states.
+// decodeVals converts one cell's conserved values to primitives. It is the
+// reference path's decode; the fused path decodes through primitives, the
+// same expressions in the same order.
 func (e *Euler3D) decodeVals(rho, momx, momy, momz, ener float64) state {
 	var s state
 	s.rho = rho
@@ -131,6 +131,56 @@ func (e *Euler3D) decodeVals(rho, momx, momy, momz, ener float64) state {
 	}
 	s.c = math.Sqrt(e.Gamma * s.p / s.rho)
 	return s
+}
+
+// primitives is decodeVals for the fused sweeps: the same floors and
+// expressions in the same order, on plain values, small enough to inline so
+// that no call sits in a per-cell loop.
+func primitives(gamma, rho, momx, momy, momz, ener float64) (r, u, v, w, p, c float64) {
+	r = rho
+	if r < 1e-12 {
+		r = 1e-12
+	}
+	u = momx / r
+	v = momy / r
+	w = momz / r
+	kin := 0.5 * r * (u*u + v*v + w*w)
+	p = (gamma - 1) * (ener - kin)
+	if p < 1e-12 {
+		p = 1e-12
+	}
+	c = math.Sqrt(gamma * p / r)
+	return
+}
+
+// cell is the fused path's flux-ready record of one decoded cell: the
+// primitive state plus every product that state.flux and rusanov would
+// recompute from it at each of its six faces. Each field is the reference's
+// own expression on the same operands, so reading it equals recomputing it.
+type cell struct {
+	vel    [3]float64 // u, v, w
+	mom    [3]float64 // ρu, ρv, ρw as cons computes them (not the raw field)
+	spd    [3]float64 // |u_d| + c, rusanov's per-axis wave speed
+	rho, p float64    // floored
+	ener   float64    // p/(γ-1) + ½ρ|u|², the re-encoded energy (not the raw field)
+	enthp  float64    // ener + p, the energy flux's factor
+}
+
+// decodeRow decodes the cells of one field row into dst, one record each.
+func (e *Euler3D) decodeRow(dst []cell, rho, momx, momy, momz, ener []float64) {
+	gamma := e.Gamma
+	n := len(dst)
+	rho, momx, momy, momz, ener = rho[:n], momx[:n], momy[:n], momz[:n], ener[:n]
+	for i := range dst {
+		r, u, v, w, p, cs := primitives(gamma, rho[i], momx[i], momy[i], momz[i], ener[i])
+		c := &dst[i]
+		c.vel = [3]float64{u, v, w}
+		c.mom = [3]float64{r * u, r * v, r * w}
+		c.spd = [3]float64{math.Abs(u) + cs, math.Abs(v) + cs, math.Abs(w) + cs}
+		c.rho, c.p = r, p
+		c.ener = p/(gamma-1) + 0.5*r*(u*u+v*v+w*w)
+		c.enthp = c.ener + p
+	}
 }
 
 // flux returns the Euler flux vector along axis d for state s.

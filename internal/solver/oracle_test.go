@@ -46,7 +46,68 @@ func oracleCases() []oracleCase {
 		{"buckley2d", NewBuckleyLeverett(1, 0.5), boxes2},
 		{"buckley2d-neg", NewBuckleyLeverett(-0.7, -0.3), boxes2},
 		{"euler3d-rm", NewRichtmyerMeshkov([geom.MaxDim]float64{1, 1, 1}), boxes3},
+		{"euler3d-adversarial", adversarialEuler{NewRichtmyerMeshkov([geom.MaxDim]float64{1, 1, 1})}, []geom.Box{
+			geom.Box3(-2, 1, 0, 9, 6, 5),
+			geom.Box3(2, 0, -1, 2, 5, 3), // one cell wide in x
+			geom.Box3(0, 4, 0, 6, 4, 3),  // one cell wide in y
+			geom.Box3(0, 0, 7, 5, 3, 7),  // one cell wide in z
+			geom.Box3(3, 3, 3, 3, 3, 3),  // single cell
+		}},
 	}
+}
+
+// adversarialEuler is the Euler kernel started from states that the RM
+// initial condition never reaches (its v and w are 0 and it stays off both
+// floors), so that a fused record which skipped a clamp, or stood a raw field
+// in for a decoded product, fails the oracle.
+type adversarialEuler struct{ *Euler3D }
+
+func (a adversarialEuler) Init(p *amr.Patch, g Grid) {
+	fillAdversarialEuler(p, rand.New(rand.NewSource(int64(p.Box.Lo[0]+31*p.Box.Lo[1]+961*p.Box.Lo[2]))))
+}
+
+// fillAdversarialEuler fills every cell of p, halo included, with
+// adversarialCell values.
+func fillAdversarialEuler(p *amr.Patch, r *rand.Rand) {
+	for off := range p.Field(QRho) {
+		for q, v := range adversarialCell(r) {
+			p.Field(q)[off] = v
+		}
+	}
+}
+
+// adversarialCell draws one cell's conserved values: density below the
+// 1e-12 floor (zero and negative included) in half the cells, energy below
+// the kinetic energy (so the pressure floor applies) in a third, and each
+// momentum +0, -0, or non-zero of either sign.
+func adversarialCell(r *rand.Rand) [qN]float64 {
+	var c [qN]float64
+	switch r.Intn(4) {
+	case 0:
+		c[QRho] = 1e-12 * r.Float64()
+	case 1:
+		c[QRho] = -r.Float64()
+	default:
+		c[QRho] = 0.2 + 3*r.Float64()
+	}
+	for q := QMomX; q <= QMomZ; q++ {
+		switch r.Intn(4) {
+		case 0:
+			c[q] = math.Copysign(0, float64(r.Intn(2))-0.5)
+		case 1:
+			c[q] = -0.01 - 2*r.Float64()
+		default:
+			c[q] = 0.01 + 2*r.Float64()
+		}
+	}
+	rho := max(c[QRho], 1e-12)
+	kin := 0.5 * (c[QMomX]*c[QMomX] + c[QMomY]*c[QMomY] + c[QMomZ]*c[QMomZ]) / rho
+	if r.Intn(3) == 0 {
+		c[QEner] = kin * r.Float64()
+	} else {
+		c[QEner] = kin + (0.5+2*r.Float64())/0.4
+	}
+	return c
 }
 
 // oraclePatch builds a kernel-initialized patch over box with a
@@ -147,6 +208,51 @@ func TestKernelsBitExactVsReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzEulerStepMatchesReference checks the Euler kernel's Step and MaxDT
+// bitwise against the reference on small boxes, one cell wide included,
+// filled with adversarialCell values, one cell of which (halo or interior)
+// takes the fuzzed conserved values instead; or, when uniform, with the
+// fuzzed values in every cell, where every face difference is exactly zero
+// and a -0 momentum must come out as the reference's cur + (0 - 0).
+func FuzzEulerStepMatchesReference(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add(uint8(3), uint8(2), uint8(1), int64(1), false, 5e-13, 1.0, -2.0, negZero, 0.1)
+	f.Add(uint8(0), uint8(4), uint8(0), int64(2), false, -1.0, negZero, 0.0, 3.0, -5.0)
+	f.Add(uint8(5), uint8(0), uint8(5), int64(3), false, 2.0, -0.5, 0.25, -0.125, 0.01)
+	f.Add(uint8(2), uint8(2), uint8(2), int64(4), true, 1.0, negZero, negZero, 0.5, 3.0)
+	f.Fuzz(func(t *testing.T, nx, ny, nz uint8, seed int64, uniform bool, rho, mx, my, mz, en float64) {
+		planted := [qN]float64{rho, mx, my, mz, en}
+		for q, v := range planted {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite input")
+			}
+			planted[q] = math.Mod(v, 1e6) // keeps fluxes finite; keeps the sign of ±0
+		}
+		k := NewRichtmyerMeshkov([geom.MaxDim]float64{1, 1, 1})
+		box := geom.Box3(-1, 2, 0, int(nx%6)-1, int(ny%6)+2, int(nz%6))
+		cur := amr.NewPatch(box, k.Ghost(), k.NumFields())
+		r := rand.New(rand.NewSource(seed))
+		fillAdversarialEuler(cur, r)
+		at := r.Intn(len(cur.Field(QRho)))
+		for off := range cur.Field(QRho) {
+			if uniform || off == at {
+				for q, v := range planted {
+					cur.Field(q)[off] = v
+				}
+			}
+		}
+		g := UniformGrid(1.0 / 8)
+		dtF, dtR := k.MaxDT(cur, g), Reference(k).MaxDT(cur, g)
+		if math.Float64bits(dtF) != math.Float64bits(dtR) {
+			t.Fatalf("box %v: MaxDT fused %v != reference %v", box, dtF, dtR)
+		}
+		if math.IsInf(dtF, 1) {
+			dtF = 1e-3
+		}
+		stepBitExact(t, k, cur, g, dtF)
+	})
 }
 
 // TestKernelsBitExactUnderWorkerPool steps many patches concurrently on

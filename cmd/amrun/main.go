@@ -27,15 +27,6 @@ import (
 	"samrpart/internal/solver"
 )
 
-// hygieneConfig maps the -hygiene flag to a monitor.Hygiene; the zero value
-// keeps the raw pre-hygiene sensing path.
-func hygieneConfig(on bool) monitor.Hygiene {
-	if !on {
-		return monitor.Hygiene{}
-	}
-	return monitor.DefaultHygiene()
-}
-
 // usageError marks a bad command line: exit status 2, as package flag's own
 // errors get.
 type usageError struct{ error }
@@ -60,27 +51,24 @@ func main() {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("amrun", flag.ContinueOnError)
 	var (
-		nodes        = fs.Int("nodes", 4, "cluster size")
-		pname        = fs.String("partitioner", "hetero", "hetero | composite | sfchetero | levelwise | hierarchical | greedy | roundrobin")
-		groupSize    = fs.Int("group-size", 4, "nodes per capacity group for -partitioner hierarchical")
-		kernel       = fs.String("kernel", "rm3d", "rm3d (oracle-driven) | advect2d | muscl2d | buckley (real numerics)")
-		iters        = fs.Int("iters", 50, "coarse iterations")
-		regrid       = fs.Int("regrid", 5, "regrid every N iterations")
-		sense        = fs.Int("sense", 0, "re-sense every N iterations (0 = once at start)")
-		load         = fs.Bool("load", false, "apply the paper's synthetic background-load script")
-		verbose      = fs.Bool("v", false, "print per-regrid assignments")
-		forecast     = fs.String("forecaster", "last", "monitor forecaster: last|mean|median|ewma|adaptive")
-		saveCkpt     = fs.String("save", "", "write a checkpoint of the final state to this file")
-		loadCkpt     = fs.String("restore", "", "restore hierarchy/solution from this checkpoint before running")
-		stats        = fs.Bool("stats", false, "print per-level hierarchy statistics")
-		workers      = fs.Int("workers", 0, "solver worker-pool width (0 = all cores, 1 = serial; any value is bit-exact)")
-		senseWorkers = fs.Int("sense-workers", 0,
-			"monitor probe fan-out width (0/1 = serial; >1 probes that many nodes concurrently, bit-exact)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		ckEvery  = fs.Int("checkpoint-every", 0, "write a periodic checkpoint every N iterations (0 = off)")
-		ckPath   = fs.String("checkpoint-path", "", "periodic checkpoint file (required with -checkpoint-every)")
-		faultStr = fs.String("fault-spec", "",
+		nodes     = fs.Int("nodes", 4, "cluster size")
+		pname     = fs.String("partitioner", "hetero", "hetero | composite | sfchetero | levelwise | hierarchical | greedy | roundrobin")
+		groupSize = fs.Int("group-size", 4, "nodes per capacity group for -partitioner hierarchical")
+		kernel    = fs.String("kernel", "rm3d", "rm3d (oracle-driven) | advect2d | muscl2d | buckley (real numerics)")
+		iters     = fs.Int("iters", 50, "coarse iterations")
+		regrid    = fs.Int("regrid", 5, "regrid every N iterations")
+		sense     = fs.Int("sense", 0, "re-sense every N iterations (0 = once at start)")
+		load      = fs.Bool("load", false, "apply the paper's synthetic background-load script")
+		verbose   = fs.Bool("v", false, "print per-level hierarchy statistics and per-regrid assignments")
+		forecast  = fs.String("forecaster", "last", "monitor forecaster: last|mean|median|ewma|adaptive")
+		saveCkpt  = fs.String("save", "", "write a checkpoint of the final state to this file")
+		loadCkpt  = fs.String("restore", "", "restore hierarchy/solution from this checkpoint before running")
+		workers   = fs.Int("workers", 0, "solver and probe worker-pool width (0 = all cores, 1 = serial; any value is bit-exact)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		ckEvery   = fs.Int("checkpoint-every", 0, "write a periodic checkpoint every N iterations (0 = off)")
+		ckPath    = fs.String("checkpoint-path", "", "periodic checkpoint file (required with -checkpoint-every)")
+		faultStr  = fs.String("fault-spec", "",
 			"inject ';'-separated faults, e.g. crash:node=2,iter=10;rejoin:node=2,iter=18;slow:node=1,from=5,to=12,factor=4 (kinds: crash|rejoin|pause|slow; see DESIGN.md §13)")
 		rejoinOK = fs.Bool("rejoin", true,
 			"honor rejoin: events in -fault-spec; false strips them for a fail-stop baseline of the same churn script")
@@ -120,10 +108,6 @@ func run(args []string) (err error) {
 		if !*rejoinOK {
 			faults = faults.WithoutRejoins()
 		}
-	}
-	var straggler monitor.StragglerPolicy
-	if *stragShed {
-		straggler = monitor.DefaultStragglerPolicy()
 	}
 	var obsRT *obs.Runtime
 	if *obsAddr != "" || *traceOut != "" {
@@ -175,7 +159,7 @@ func run(args []string) (err error) {
 			iters:     *iters,
 			obs:       obsRT,
 			faults:    faults,
-			straggler: straggler,
+			straggler: *stragShed,
 		})
 	}
 
@@ -268,14 +252,13 @@ func run(args []string) (err error) {
 		SenseEvery:           *sense,
 		Forecaster:           *forecast,
 		Workers:              *workers,
-		SenseWorkers:         *senseWorkers,
 		CheckpointEvery:      *ckEvery,
 		CheckpointPath:       *ckPath,
 		CheckpointKeep:       *ckKeep,
 		Faults:               faults,
-		Straggler:            straggler,
+		Straggler:            *stragShed,
 		SensorFaults:         sensorFaults,
-		Hygiene:              hygieneConfig(*hygiene),
+		Hygiene:              *hygiene,
 		RepartitionThreshold: *repartThresh,
 		AffinityRemap:        *affinityRemap,
 		Obs:                  obsRT,
@@ -308,7 +291,7 @@ func run(args []string) (err error) {
 	h := e.Hierarchy()
 	fmt.Printf("final hierarchy: %d levels, %d boxes, %d total work units\n",
 		h.NumLevels(), len(h.AllBoxes()), h.TotalWork())
-	if *stats {
+	if *verbose {
 		fmt.Print(h.Describe())
 	}
 	if *saveCkpt != "" {

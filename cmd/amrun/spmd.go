@@ -8,7 +8,6 @@ import (
 
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
-	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
 	"samrpart/internal/partition"
 	"samrpart/internal/solver"
@@ -21,7 +20,7 @@ type spmdOpts struct {
 	iters     int
 	obs       *obs.Runtime
 	faults    engine.FaultSchedule
-	straggler monitor.StragglerPolicy
+	straggler bool
 }
 
 // runSPMD runs an in-process n-rank SPMD group (channel transport, FT on)

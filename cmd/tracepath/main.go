@@ -26,15 +26,6 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// peerCell renders a blocking-peer column (wait hops name a peer, own work
-// does not).
-func peerCell(p int) string {
-	if p < 0 {
-		return "-"
-	}
-	return fmt.Sprint(p)
-}
-
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 
 func ms(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }

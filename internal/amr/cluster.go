@@ -61,7 +61,7 @@ func Cluster(f *FlagField, region geom.Box, opts ClusterOptions) (geom.BoxList, 
 			return
 		}
 		b = fb
-		nFlag := f.CountIn(b)
+		nFlag := f.countIn(b)
 		eff := float64(nFlag) / float64(b.Cells())
 		tooLong := opts.MaxSide > 0 && b.Size(b.LongestAxis()) > opts.MaxSide
 		done := eff >= opts.Efficiency && !tooLong
@@ -100,7 +100,7 @@ func cutBox(f *FlagField, b geom.Box, minSide int) (lo, hi geom.Box, ok bool) {
 		if n < 2*minSide {
 			continue
 		}
-		sig := f.Signature(b, d)
+		sig := f.signature(b, d)
 		// Hole: a zero-signature plane. Prefer the hole closest to center.
 		bestHole := -1
 		bestDist := n

@@ -25,10 +25,6 @@ func TestFlagFieldBasics(t *testing.T) {
 	if f.Get(geom.Pt2(-1, 0)) {
 		t.Error("outside point reported flagged")
 	}
-	f.Clear(geom.Pt2(3, 3))
-	if f.Count() != 0 {
-		t.Error("Clear failed")
-	}
 }
 
 func TestFlaggedBounds(t *testing.T) {
@@ -70,14 +66,14 @@ func TestSignature(t *testing.T) {
 	f.Set(geom.Pt2(0, 0))
 	f.Set(geom.Pt2(0, 1))
 	f.Set(geom.Pt2(3, 0))
-	sigX := f.Signature(f.Box, 0)
+	sigX := f.signature(f.Box, 0)
 	want := []int{2, 0, 0, 1, 0}
 	for i := range want {
 		if sigX[i] != want[i] {
 			t.Fatalf("sigX = %v, want %v", sigX, want)
 		}
 	}
-	sigY := f.Signature(f.Box, 1)
+	sigY := f.signature(f.Box, 1)
 	if sigY[0] != 2 || sigY[1] != 1 || sigY[2] != 0 {
 		t.Fatalf("sigY = %v", sigY)
 	}
@@ -101,7 +97,7 @@ func checkClustering(t *testing.T, f *FlagField, boxes geom.BoxList, opts Cluste
 		t.Fatalf("flagged cell %v not covered", pt)
 	})
 	for _, b := range boxes {
-		if f.CountIn(b) == 0 {
+		if f.countIn(b) == 0 {
 			t.Errorf("cluster box %v contains no flags", b)
 		}
 	}
@@ -241,7 +237,7 @@ func TestClusterEfficiencyReached(t *testing.T) {
 	}
 	checkClustering(t, f, boxes, opts)
 	for _, b := range boxes {
-		eff := float64(f.CountIn(b)) / float64(b.Cells())
+		eff := float64(f.countIn(b)) / float64(b.Cells())
 		canCut := b.Size(b.LongestAxis()) >= 2*opts.MinSide
 		if eff < opts.Efficiency && canCut {
 			// The recursion only stops early on budget or un-cuttable

@@ -37,13 +37,6 @@ func (f *FlagField) Set(pt geom.Point) {
 	}
 }
 
-// Clear unflags cell pt; points outside the field are ignored.
-func (f *FlagField) Clear(pt geom.Point) {
-	if f.Box.Contains(pt) {
-		f.data[f.offset(pt)] = false
-	}
-}
-
 // Get reports whether cell pt is flagged; points outside are unflagged.
 func (f *FlagField) Get(pt geom.Point) bool {
 	if !f.Box.Contains(pt) {
@@ -63,8 +56,8 @@ func (f *FlagField) Count() int {
 	return n
 }
 
-// CountIn returns the number of flagged cells inside region.
-func (f *FlagField) CountIn(region geom.Box) int {
+// countIn returns the number of flagged cells inside region.
+func (f *FlagField) countIn(region geom.Box) int {
 	region = f.Box.Intersect(region)
 	if region.Empty() {
 		return 0
@@ -158,10 +151,10 @@ func (f *FlagField) Buffer(n int) {
 	f.data = out
 }
 
-// Signature returns the per-plane flagged-cell counts along axis d within
+// signature returns the per-plane flagged-cell counts along axis d within
 // region: Berger–Rigoutsos' Σ histogram. The slice has region.Size(d)
 // entries, entry i counting flags in the plane at coordinate region.Lo[d]+i.
-func (f *FlagField) Signature(region geom.Box, d int) []int {
+func (f *FlagField) signature(region geom.Box, d int) []int {
 	region = f.Box.Intersect(region)
 	if region.Empty() {
 		return nil

@@ -85,11 +85,11 @@ func (h *Hierarchy) AllBoxes() geom.BoxList {
 	return out
 }
 
-// WorkOf returns the computational load of a box for one coarse time step:
+// workOf returns the computational load of a box for one coarse time step:
 // its cell count times the number of sub-steps its level takes per coarse
 // step (refined grids have more cells AND smaller time steps, the space-time
 // weighting the paper highlights).
-func WorkOf(b geom.Box, refineRatio int) int64 {
+func workOf(b geom.Box, refineRatio int) int64 {
 	w := b.Cells()
 	for l := 0; l < b.Level; l++ {
 		w *= int64(refineRatio)
@@ -102,7 +102,7 @@ func (h *Hierarchy) TotalWork() int64 {
 	var w int64
 	for _, lvl := range h.levels {
 		for _, b := range lvl {
-			w += WorkOf(b, h.cfg.RefineRatio)
+			w += workOf(b, h.cfg.RefineRatio)
 		}
 	}
 	return w

@@ -7,7 +7,6 @@ package amr
 
 import (
 	"fmt"
-	"math"
 
 	"samrpart/internal/geom"
 )
@@ -92,11 +91,6 @@ func (p *Patch) At(f int, pt geom.Point) float64 {
 // Set assigns field f at cell pt.
 func (p *Patch) Set(f int, pt geom.Point, v float64) {
 	p.data[f*p.fsize+p.offset(pt)] = v
-}
-
-// Add accumulates into field f at cell pt.
-func (p *Patch) Add(f int, pt geom.Point, v float64) {
-	p.data[f*p.fsize+p.offset(pt)] += v
 }
 
 // Field returns the raw storage of field f over the padded box; the layout
@@ -306,39 +300,4 @@ func (p *Patch) rowOffset(x, y, z int) int {
 	return (x-p.padded.Lo[0])*p.stride[0] +
 		(y-p.padded.Lo[1])*p.stride[1] +
 		(z-p.padded.Lo[2])*p.stride[2]
-}
-
-// MaxAbs returns the maximum absolute interior value of field f, a cheap
-// stability diagnostic.
-func (p *Patch) MaxAbs(f int) float64 {
-	max := 0.0
-	fd := p.Field(f)
-	nx := p.Box.Size(0)
-	for z := p.Box.Lo[2]; z <= p.Box.Hi[2]; z++ {
-		for y := p.Box.Lo[1]; y <= p.Box.Hi[1]; y++ {
-			row := fd[p.rowOffset(p.Box.Lo[0], y, z):]
-			for i := 0; i < nx; i++ {
-				if v := math.Abs(row[i]); v > max {
-					max = v
-				}
-			}
-		}
-	}
-	return max
-}
-
-// L1 returns the mean absolute interior value of field f.
-func (p *Patch) L1(f int) float64 {
-	sum := 0.0
-	fd := p.Field(f)
-	nx := p.Box.Size(0)
-	for z := p.Box.Lo[2]; z <= p.Box.Hi[2]; z++ {
-		for y := p.Box.Lo[1]; y <= p.Box.Hi[1]; y++ {
-			row := fd[p.rowOffset(p.Box.Lo[0], y, z):]
-			for i := 0; i < nx; i++ {
-				sum += math.Abs(row[i])
-			}
-		}
-	}
-	return sum / float64(p.Box.Cells())
 }

@@ -1,7 +1,6 @@
 package amr
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -28,10 +27,6 @@ func TestPatchIndexing(t *testing.T) {
 	if p.At(1, geom.Pt3(2, 2, 2)) != 0 {
 		t.Error("fields bleed into each other")
 	}
-	p.Add(0, geom.Pt3(2, 2, 2), 0.5)
-	if p.At(0, geom.Pt3(2, 2, 2)) != 2.0 {
-		t.Error("Add failed")
-	}
 }
 
 func TestPatchFieldLayout(t *testing.T) {
@@ -52,18 +47,23 @@ func TestPatchFieldLayout(t *testing.T) {
 func TestPatchFillAndNorms(t *testing.T) {
 	p := NewPatch(geom.Box2(0, 0, 9, 9), 1, 2)
 	p.Fill(0, -3)
-	if p.MaxAbs(0) != 3 {
-		t.Errorf("MaxAbs = %g", p.MaxAbs(0))
+	for i, v := range p.Field(0) {
+		if v != -3 {
+			t.Fatalf("Fill: field 0 cell %d = %g", i, v)
+		}
 	}
-	if math.Abs(p.L1(0)-3) > 1e-12 {
-		t.Errorf("L1 = %g", p.L1(0))
-	}
-	if p.MaxAbs(1) != 0 {
-		t.Error("Fill leaked across fields")
+	for _, v := range p.Field(1) {
+		if v != 0 {
+			t.Fatal("Fill leaked across fields")
+		}
 	}
 	p.FillAll(1)
-	if p.L1(1) != 1 {
-		t.Error("FillAll failed")
+	for f := 0; f < 2; f++ {
+		for _, v := range p.Field(f) {
+			if v != 1 {
+				t.Fatalf("FillAll: field %d holds %g", f, v)
+			}
+		}
 	}
 }
 

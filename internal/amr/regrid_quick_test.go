@@ -65,7 +65,7 @@ func TestQuickRegridInvariants(t *testing.T) {
 					parent := h.Level(l - 1)
 					for _, b := range lvl {
 						c := b.Coarsen(2)
-						if parent.CoverageOf(c) != c.Cells() {
+						if coverage(parent, c) != c.Cells() {
 							return false
 						}
 					}
@@ -83,7 +83,7 @@ func TestQuickRegridInvariants(t *testing.T) {
 						return
 					}
 					fine := geom.NewBox(2, pt, pt).Refine(2)
-					if l1.CoverageOf(fine) != fine.Cells() {
+					if coverage(l1, fine) != fine.Cells() {
 						covered = false
 					}
 				})

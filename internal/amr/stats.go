@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// LevelStats summarizes one level of a hierarchy.
-type LevelStats struct {
+// levelStats summarizes one level of a hierarchy.
+type levelStats struct {
 	Level int
 	Boxes int
 	Cells int64
@@ -18,17 +18,17 @@ type LevelStats struct {
 	MeanAspect float64
 }
 
-// Stats returns per-level statistics, the characterization data the SAMR
+// stats returns per-level statistics, the characterization data the SAMR
 // partitioning literature reports (cf. the paper's reference [17]).
-func (h *Hierarchy) Stats() []LevelStats {
-	out := make([]LevelStats, 0, h.NumLevels())
+func (h *Hierarchy) stats() []levelStats {
+	out := make([]levelStats, 0, h.NumLevels())
 	for l := 0; l < h.NumLevels(); l++ {
 		boxes := h.levels[l]
-		s := LevelStats{Level: l, Boxes: len(boxes)}
+		s := levelStats{Level: l, Boxes: len(boxes)}
 		var aspect float64
 		for _, b := range boxes {
 			s.Cells += b.Cells()
-			s.Work += WorkOf(b, h.cfg.RefineRatio)
+			s.Work += workOf(b, h.cfg.RefineRatio)
 			aspect += b.AspectRatio()
 		}
 		if len(boxes) > 0 {
@@ -43,7 +43,7 @@ func (h *Hierarchy) Stats() []LevelStats {
 }
 
 // String renders the stats as one line per level.
-func (s LevelStats) String() string {
+func (s levelStats) String() string {
 	return fmt.Sprintf("L%d: %d boxes, %d cells (%.1f%% of level domain), work %d, aspect %.2f",
 		s.Level, s.Boxes, s.Cells, s.CoverageFrac*100, s.Work, s.MeanAspect)
 }
@@ -51,7 +51,7 @@ func (s LevelStats) String() string {
 // Describe renders the whole hierarchy's statistics.
 func (h *Hierarchy) Describe() string {
 	var sb strings.Builder
-	for _, s := range h.Stats() {
+	for _, s := range h.stats() {
 		sb.WriteString(s.String())
 		sb.WriteByte('\n')
 	}

@@ -14,7 +14,7 @@ func TestHierarchyStats(t *testing.T) {
 	if err := h.Regrid([]*FlagField{f}); err != nil {
 		t.Fatal(err)
 	}
-	stats := h.Stats()
+	stats := h.stats()
 	if len(stats) != h.NumLevels() {
 		t.Fatalf("stats for %d levels, hierarchy has %d", len(stats), h.NumLevels())
 	}

@@ -44,8 +44,8 @@ func MemoryBiased() Weights { return Weights{CPU: 0.2, Memory: 0.6, Bandwidth: 0
 // CommBiased emphasizes bandwidth, for communication-bound applications.
 func CommBiased() Weights { return Weights{CPU: 0.2, Memory: 0.2, Bandwidth: 0.6} }
 
-// Validate checks the weights are non-negative and sum to 1.
-func (w Weights) Validate() error {
+// validate checks the weights are non-negative and sum to 1.
+func (w Weights) validate() error {
 	if w.CPU < 0 || w.Memory < 0 || w.Bandwidth < 0 {
 		return fmt.Errorf("capacity: negative weight %+v", w)
 	}
@@ -55,19 +55,19 @@ func (w Weights) Validate() error {
 	return nil
 }
 
-// ErrNoNodes is returned when no measurements are supplied.
-var ErrNoNodes = errors.New("capacity: no measurements")
+// errNoNodes is returned when no measurements are supplied.
+var errNoNodes = errors.New("capacity: no measurements")
 
-// ErrDegenerate is returned when a resource is non-positive on every node so
+// errDegenerate is returned when a resource is non-positive on every node so
 // it cannot be normalized.
-var ErrDegenerate = errors.New("capacity: resource totals are zero across the cluster")
+var errDegenerate = errors.New("capacity: resource totals are zero across the cluster")
 
-// ErrInvalidMeasurement is returned when a measurement carries a NaN or
+// errInvalidMeasurement is returned when a measurement carries a NaN or
 // infinite value. Without the explicit check, math.Max(NaN, 0) would
 // propagate NaN through the resource totals into every node's capacity and
 // from there into the partitioner's quotas; a sick sensor must surface as a
 // typed error the control loop can react to, never as silent NaN quotas.
-var ErrInvalidMeasurement = errors.New("capacity: non-finite measurement")
+var errInvalidMeasurement = errors.New("capacity: non-finite measurement")
 
 // Finite reports whether all three resource values are finite (no NaN/Inf).
 func (m Measurement) Finite() bool {
@@ -91,12 +91,12 @@ func Relative(ms []Measurement, w Weights) ([]float64, error) {
 // measurements on valid nodes are rejected with ErrInvalidMeasurement.
 func RelativeMasked(ms []Measurement, w Weights, valid []bool) ([]float64, error) {
 	if len(ms) == 0 {
-		return nil, ErrNoNodes
+		return nil, errNoNodes
 	}
 	if valid != nil && len(valid) != len(ms) {
 		return nil, fmt.Errorf("capacity: validity mask has %d entries for %d nodes", len(valid), len(ms))
 	}
-	if err := w.Validate(); err != nil {
+	if err := w.validate(); err != nil {
 		return nil, err
 	}
 	ok := func(k int) bool { return valid == nil || valid[k] }
@@ -107,7 +107,7 @@ func RelativeMasked(ms []Measurement, w Weights, valid []bool) ([]float64, error
 			continue
 		}
 		if !m.Finite() {
-			return nil, fmt.Errorf("capacity: node %d measurement %+v: %w", k, m, ErrInvalidMeasurement)
+			return nil, fmt.Errorf("capacity: node %d measurement %+v: %w", k, m, errInvalidMeasurement)
 		}
 		nValid++
 		totP += math.Max(m.CPUAvail, 0)
@@ -115,7 +115,7 @@ func RelativeMasked(ms []Measurement, w Weights, valid []bool) ([]float64, error
 		totB += math.Max(m.BandwidthMBps, 0)
 	}
 	if nValid == 0 {
-		return nil, fmt.Errorf("capacity: every node masked out: %w", ErrDegenerate)
+		return nil, fmt.Errorf("capacity: every node masked out: %w", errDegenerate)
 	}
 	// A resource that is zero everywhere carries no information; fold its
 	// weight into the others when possible, else fail.
@@ -143,7 +143,7 @@ func RelativeMasked(ms []Measurement, w Weights, valid []bool) ([]float64, error
 		redistribute(&wb, &wp, &wm)
 	}
 	if wp+wm+wb <= 0 || (totP <= 0 && totM <= 0 && totB <= 0) {
-		return nil, ErrDegenerate
+		return nil, errDegenerate
 	}
 	caps := make([]float64, len(ms))
 	for k, m := range ms {
@@ -168,7 +168,7 @@ func RelativeMasked(ms []Measurement, w Weights, valid []bool) ([]float64, error
 		sum += c
 	}
 	if sum <= 0 {
-		return nil, ErrDegenerate
+		return nil, errDegenerate
 	}
 	for k := range caps {
 		caps[k] /= sum

@@ -11,7 +11,7 @@ func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestWeightsValidate(t *testing.T) {
 	for _, w := range []Weights{EqualWeights(), ComputeBiased(), MemoryBiased(), CommBiased()} {
-		if err := w.Validate(); err != nil {
+		if err := w.validate(); err != nil {
 			t.Errorf("preset %+v invalid: %v", w, err)
 		}
 	}
@@ -21,7 +21,7 @@ func TestWeightsValidate(t *testing.T) {
 		{},
 	}
 	for _, w := range bad {
-		if err := w.Validate(); err == nil {
+		if err := w.validate(); err == nil {
 			t.Errorf("weights %+v accepted", w)
 		}
 	}
@@ -98,10 +98,10 @@ func TestRelativeWeightSensitivity(t *testing.T) {
 }
 
 func TestRelativeErrors(t *testing.T) {
-	if _, err := Relative(nil, EqualWeights()); err != ErrNoNodes {
+	if _, err := Relative(nil, EqualWeights()); err != errNoNodes {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := Relative([]Measurement{{}}, EqualWeights()); err != ErrDegenerate {
+	if _, err := Relative([]Measurement{{}}, EqualWeights()); err != errDegenerate {
 		t.Errorf("degenerate err = %v", err)
 	}
 	if _, err := Relative([]Measurement{{CPUAvail: 1}}, Weights{CPU: 2}); err == nil {

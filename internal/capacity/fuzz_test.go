@@ -23,7 +23,7 @@ func FuzzRelative(f *testing.F) {
 		}
 		caps, err := Relative(ms, EqualWeights())
 		if !ms[0].Finite() || !ms[1].Finite() {
-			if !errors.Is(err, ErrInvalidMeasurement) {
+			if !errors.Is(err, errInvalidMeasurement) {
 				t.Fatalf("non-finite input: err = %v, want ErrInvalidMeasurement", err)
 			}
 			if caps != nil {
@@ -32,7 +32,7 @@ func FuzzRelative(f *testing.F) {
 			return
 		}
 		if err != nil {
-			if !errors.Is(err, ErrDegenerate) {
+			if !errors.Is(err, errDegenerate) {
 				t.Fatalf("finite input: unexpected error %v", err)
 			}
 			return

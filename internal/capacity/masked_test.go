@@ -15,7 +15,7 @@ func TestRelativeRejectsNonFinite(t *testing.T) {
 	good := Measurement{CPUAvail: 0.5, FreeMemoryMB: 100, BandwidthMBps: 10}
 	for i, m := range bad {
 		caps, err := Relative([]Measurement{good, m}, EqualWeights())
-		if !errors.Is(err, ErrInvalidMeasurement) {
+		if !errors.Is(err, errInvalidMeasurement) {
 			t.Errorf("case %d: err = %v, want ErrInvalidMeasurement", i, err)
 		}
 		if caps != nil {
@@ -90,7 +90,7 @@ func TestRelativeMaskedErrors(t *testing.T) {
 	if _, err := RelativeMasked(ms, EqualWeights(), []bool{true}); err == nil {
 		t.Error("mask length mismatch accepted")
 	}
-	if _, err := RelativeMasked(ms, EqualWeights(), []bool{false, false}); !errors.Is(err, ErrDegenerate) {
+	if _, err := RelativeMasked(ms, EqualWeights(), []bool{false, false}); !errors.Is(err, errDegenerate) {
 		t.Errorf("all-masked err = %v, want ErrDegenerate", err)
 	}
 	// A non-finite value on a masked-out node must not trip the check.

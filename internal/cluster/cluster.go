@@ -26,8 +26,8 @@ type NodeSpec struct {
 	BandwidthMBps float64
 }
 
-// Validate checks that the spec is physically meaningful.
-func (s NodeSpec) Validate() error {
+// validate checks that the spec is physically meaningful.
+func (s NodeSpec) validate() error {
 	if s.SpeedMFlops <= 0 || s.MemoryMB <= 0 || s.BandwidthMBps <= 0 {
 		return fmt.Errorf("cluster: non-positive resource in spec %+v", s)
 	}
@@ -45,9 +45,9 @@ type Node struct {
 	gens []LoadGenerator
 }
 
-// NewNode returns a node with no background load.
-func NewNode(spec NodeSpec) (*Node, error) {
-	if err := spec.Validate(); err != nil {
+// newNode returns a node with no background load.
+func newNode(spec NodeSpec) (*Node, error) {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	return &Node{Spec: spec}, nil
@@ -97,20 +97,20 @@ func (n *Node) FreeMemoryMB(t float64) float64 {
 // static NIC bandwidth is returned.
 func (n *Node) Bandwidth(t float64) float64 { return n.Spec.BandwidthMBps }
 
-// EffectiveSpeed returns the application-visible compute rate at time t, in
+// effectiveSpeed returns the application-visible compute rate at time t, in
 // MFlop/s.
-func (n *Node) EffectiveSpeed(t float64) float64 {
+func (n *Node) effectiveSpeed(t float64) float64 {
 	return n.Spec.SpeedMFlops * n.CPUAvail(t)
 }
 
 // Params tunes the execution-time model.
 type Params struct {
-	// LatencySec is the per-message latency (fast Ethernet ~ 100 us).
-	LatencySec float64
-	// ProbeCostSec is the virtual-time cost of probing the resource
+	// latencySec is the per-message latency (fast Ethernet ~ 100 us).
+	latencySec float64
+	// probeCostSec is the virtual-time cost of probing the resource
 	// monitor for one node and recomputing its capacity (the paper
 	// measures ~0.5 s).
-	ProbeCostSec float64
+	probeCostSec float64
 	// RegridCostSec is the fixed cost of one regrid+repartition cycle
 	// (clustering, list exchange).
 	RegridCostSec float64
@@ -120,8 +120,8 @@ type Params struct {
 // measured 0.5 s NWS probe cost.
 func DefaultParams() Params {
 	return Params{
-		LatencySec:    100e-6,
-		ProbeCostSec:  0.5,
+		latencySec:    100e-6,
+		probeCostSec:  0.5,
 		RegridCostSec: 0.05,
 	}
 }
@@ -140,7 +140,7 @@ func New(specs []NodeSpec, params Params) (*Cluster, error) {
 	}
 	c := &Cluster{params: params}
 	for _, s := range specs {
-		n, err := NewNode(s)
+		n, err := newNode(s)
 		if err != nil {
 			return nil, err
 		}
@@ -169,25 +169,18 @@ func (c *Cluster) Advance(dt float64) {
 	c.clock += dt
 }
 
-// Reset rewinds the clock to zero (fresh experiment on the same cluster).
-func (c *Cluster) Reset() { c.clock = 0 }
-
-// ComputeTime returns how long node k needs for `flops` floating point
-// operations (in Mflops) at the current instant's availability.
-func (c *Cluster) ComputeTime(k int, mflops float64) float64 {
-	return mflops / c.nodes[k].EffectiveSpeed(c.clock)
-}
-
 // thrashFloor bounds the slowdown of a fully swapping node.
 const thrashFloor = 0.08
 
-// ComputeTimeMem is ComputeTime with memory pressure: when the working set
-// exceeds the node's free memory the node pages, and its effective speed
-// degrades proportionally to the resident fraction (floored — a year-2001
-// workstation swapping to disk still made some progress). This is the
-// mechanism that makes the capacity metric's memory term (w_m) matter.
+// ComputeTimeMem returns how long node k needs for mflops floating point
+// operations (in Mflops) at the current instant's availability, under
+// memory pressure: when the working set exceeds the node's free memory the
+// node pages, and its effective speed degrades proportionally to the
+// resident fraction (floored — a year-2001 workstation swapping to disk
+// still made some progress). This is the mechanism that makes the capacity
+// metric's memory term (w_m) matter.
 func (c *Cluster) ComputeTimeMem(k int, mflops, workingSetMB float64) float64 {
-	speed := c.nodes[k].EffectiveSpeed(c.clock)
+	speed := c.nodes[k].effectiveSpeed(c.clock)
 	if free := c.nodes[k].FreeMemoryMB(c.clock); workingSetMB > free && workingSetMB > 0 {
 		resident := free / workingSetMB
 		if resident < thrashFloor {
@@ -202,13 +195,13 @@ func (c *Cluster) ComputeTimeMem(k int, mflops, workingSetMB float64) float64 {
 // messages.
 func (c *Cluster) CommTime(k int, bytes float64, msgs int) float64 {
 	bw := c.nodes[k].Bandwidth(c.clock) * 1e6
-	return bytes/bw + float64(msgs)*c.params.LatencySec
+	return bytes/bw + float64(msgs)*c.params.latencySec
 }
 
 // SenseTime returns the virtual-time overhead of one full sensing sweep
 // (probing every node, as the paper's capacity calculator does).
 func (c *Cluster) SenseTime() float64 {
-	return c.params.ProbeCostSec * float64(len(c.nodes))
+	return c.params.probeCostSec * float64(len(c.nodes))
 }
 
 // Uniform builds n identical nodes, the homogeneous-hardware configuration

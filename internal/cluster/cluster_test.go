@@ -8,7 +8,7 @@ import (
 
 func TestNodeSpecValidate(t *testing.T) {
 	good := LinuxWorkstation()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []NodeSpec{
@@ -17,11 +17,11 @@ func TestNodeSpecValidate(t *testing.T) {
 		{SpeedMFlops: 300, MemoryMB: 256, BandwidthMBps: 0},
 	}
 	for _, s := range bad {
-		if err := s.Validate(); err == nil {
+		if err := s.validate(); err == nil {
 			t.Errorf("spec %+v accepted", s)
 		}
 	}
-	if _, err := NewNode(bad[0]); err == nil {
+	if _, err := newNode(bad[0]); err == nil {
 		t.Error("NewNode accepted invalid spec")
 	}
 }
@@ -75,7 +75,7 @@ func TestSinusoidLoadBounded(t *testing.T) {
 }
 
 func TestNoiseLoad(t *testing.T) {
-	n := Noise{Seed: 3, Mean: 0.4, Amplitude: 0.2, SlotSec: 0.5, MemMB: 10}
+	n := Noise{Seed: 3, Mean: 0.4, Amplitude: 0.2, SlotSec: 0.5, memMB: 10}
 	distinct := map[float64]bool{}
 	for ti := 0; ti < 200; ti++ {
 		tm := float64(ti) * 0.25
@@ -101,7 +101,7 @@ func TestNoiseLoad(t *testing.T) {
 }
 
 func TestNodeAvailability(t *testing.T) {
-	n, err := NewNode(LinuxWorkstation())
+	n, err := newNode(LinuxWorkstation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestNodeAvailability(t *testing.T) {
 }
 
 func TestNodeMemoryFloor(t *testing.T) {
-	n, _ := NewNode(LinuxWorkstation())
+	n, _ := newNode(LinuxWorkstation())
 	n.AddLoad(Step{CPU: 0, MemMB: 10000})
 	if got := n.FreeMemoryMB(0); got != 2.56 {
 		t.Errorf("memory floor = %g, want 2.56", got)
@@ -131,9 +131,9 @@ func TestNodeMemoryFloor(t *testing.T) {
 }
 
 func TestEffectiveSpeed(t *testing.T) {
-	n, _ := NewNode(LinuxWorkstation())
+	n, _ := newNode(LinuxWorkstation())
 	n.AddLoad(Step{CPU: 0.5})
-	if got := n.EffectiveSpeed(0); math.Abs(got-150) > 1e-9 {
+	if got := n.effectiveSpeed(0); math.Abs(got-150) > 1e-9 {
 		t.Errorf("effective speed = %g, want 150", got)
 	}
 }
@@ -150,10 +150,6 @@ func TestClusterClock(t *testing.T) {
 	c.Advance(1.5)
 	if c.Now() != 4 {
 		t.Errorf("Now = %g", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Error("Reset failed")
 	}
 	defer func() {
 		if recover() == nil {
@@ -172,30 +168,31 @@ func TestClusterRejectsEmpty(t *testing.T) {
 func TestComputeTimeTracksLoad(t *testing.T) {
 	c, _ := New(Uniform(2, LinuxWorkstation()), DefaultParams())
 	// 300 Mflops of work on an idle 300 MFlop/s node: 1 second.
-	if got := c.ComputeTime(0, 300); math.Abs(got-1) > 1e-12 {
+	if got := c.ComputeTimeMem(0, 300, 0); math.Abs(got-1) > 1e-12 {
 		t.Errorf("idle compute time = %g, want 1", got)
 	}
 	c.Node(1).AddLoad(Ramp{Start: 0, Rate: 0.1, Target: 0.5})
 	c.Advance(5) // load = 0.5 -> avail 0.5 -> 2 seconds
-	if got := c.ComputeTime(1, 300); math.Abs(got-2) > 1e-12 {
+	if got := c.ComputeTimeMem(1, 300, 0); math.Abs(got-2) > 1e-12 {
 		t.Errorf("loaded compute time = %g, want 2", got)
 	}
 	// Unloaded node unaffected.
-	if got := c.ComputeTime(0, 300); math.Abs(got-1) > 1e-12 {
+	if got := c.ComputeTimeMem(0, 300, 0); math.Abs(got-1) > 1e-12 {
 		t.Errorf("idle node affected by other node's load: %g", got)
 	}
 }
 
 func TestComputeTimeMem(t *testing.T) {
 	c, _ := New(Uniform(2, LinuxWorkstation()), DefaultParams())
-	// Fits in memory: identical to ComputeTime.
-	if got, want := c.ComputeTimeMem(0, 300, 100), c.ComputeTime(0, 300); got != want {
-		t.Errorf("in-memory time %g != %g", got, want)
+	// 300 Mflops on an idle 300 MFlop/s node take 1 s; fitting in memory
+	// costs nothing extra.
+	const base = 1.0
+	if got := c.ComputeTimeMem(0, 300, 100); got != base {
+		t.Errorf("in-memory time %g != %g", got, base)
 	}
 	// Working set twice the free memory: half resident -> twice as slow.
 	c.Node(1).AddLoad(Step{MemMB: 156}) // free = 100 MB
 	slow := c.ComputeTimeMem(1, 300, 200)
-	base := c.ComputeTime(1, 300)
 	if math.Abs(slow-2*base) > 1e-9 {
 		t.Errorf("paging time = %g, want %g", slow, 2*base)
 	}
@@ -236,7 +233,7 @@ func TestUniformNames(t *testing.T) {
 
 func TestQuickAvailabilityBounds(t *testing.T) {
 	f := func(rate, target, tSeed uint16) bool {
-		n, _ := NewNode(LinuxWorkstation())
+		n, _ := newNode(LinuxWorkstation())
 		n.AddLoad(Ramp{
 			Start:  0,
 			Rate:   float64(rate%100) / 50,

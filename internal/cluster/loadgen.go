@@ -103,8 +103,8 @@ type Noise struct {
 	Mean, Amplitude float64
 	// SlotSec is the jitter resolution (<= 0 means 1s slots).
 	SlotSec float64
-	// MemMB is a constant background memory footprint.
-	MemMB float64
+	// memMB is a constant background memory footprint.
+	memMB float64
 }
 
 // CPULoad implements LoadGenerator.
@@ -125,7 +125,7 @@ func (n Noise) CPULoad(t float64) float64 {
 }
 
 // MemoryMB implements LoadGenerator.
-func (n Noise) MemoryMB(t float64) float64 { return n.MemMB }
+func (n Noise) MemoryMB(t float64) float64 { return n.memMB }
 
 func clamp01(v float64) float64 {
 	if v < 0 {

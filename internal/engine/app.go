@@ -48,25 +48,25 @@ type WorkerConfigurable interface {
 	SetWorkers(n int)
 }
 
-// Feature is one moving refinement driver of the synthetic application: a
+// feature is one moving refinement driver of the synthetic application: a
 // planar front at x = Pos + Speed·iter (level-0 cells) that flags a slab of
 // half-width HalfWidth around itself, reflecting off the domain ends.
 // Pulsate modulates the width over iterations so the total workload varies
 // regrid to regrid, as it does in the paper's figures.
-type Feature struct {
-	Pos       float64
-	Speed     float64
-	HalfWidth float64
-	Pulsate   float64
+type feature struct {
+	pos       float64
+	speed     float64
+	halfWidth float64
+	pulsate   float64
 }
 
 // positionAt returns the feature position at an iteration, bouncing inside
 // [0, nx).
-func (f Feature) positionAt(iter int, nx float64) float64 {
+func (f feature) positionAt(iter int, nx float64) float64 {
 	if nx <= 1 {
 		return 0
 	}
-	p := f.Pos + f.Speed*float64(iter)
+	p := f.pos + f.speed*float64(iter)
 	period := 2 * (nx - 1)
 	p = math.Mod(p, period)
 	if p < 0 {
@@ -79,10 +79,10 @@ func (f Feature) positionAt(iter int, nx float64) float64 {
 }
 
 // widthAt returns the flag half-width at an iteration.
-func (f Feature) widthAt(iter int) float64 {
-	w := f.HalfWidth
-	if f.Pulsate > 0 {
-		w *= 1 + f.Pulsate*math.Sin(float64(iter)/4)
+func (f feature) widthAt(iter int) float64 {
+	w := f.halfWidth
+	if f.pulsate > 0 {
+		w *= 1 + f.pulsate*math.Sin(float64(iter)/4)
 	}
 	if w < 1 {
 		w = 1
@@ -98,11 +98,11 @@ func (f Feature) widthAt(iter int) float64 {
 // configuration models the paper's kernel: one fast shock plus a slower
 // interface feature in a 128x32x32 domain.
 type OracleApp struct {
-	// Features drive refinement.
-	Features []Feature
-	// Flops and Bytes are the time-model coefficients (per cell update and
+	// features drive refinement.
+	features []feature
+	// flops and Bytes are the time-model coefficients (per cell update and
 	// per ghost cell respectively).
-	Flops float64
+	flops float64
 	Bytes float64
 	name  string
 }
@@ -111,11 +111,11 @@ type OracleApp struct {
 // base grid: a fast shock front and a slower, wider interface feature.
 func NewRM3DOracle() *OracleApp {
 	return &OracleApp{
-		Features: []Feature{
-			{Pos: 20, Speed: 1.5, HalfWidth: 3, Pulsate: 0.25},
-			{Pos: 58, Speed: 0.4, HalfWidth: 5, Pulsate: 0.4},
+		features: []feature{
+			{pos: 20, speed: 1.5, halfWidth: 3, pulsate: 0.25},
+			{pos: 58, speed: 0.4, halfWidth: 5, pulsate: 0.4},
 		},
-		Flops: 350, // matches solver.Euler3D.FlopsPerCell
+		flops: 350, // matches solver.Euler3D.FlopsPerCell
 		Bytes: 40,  // 5 fields x 8 bytes
 		name:  "rm3d-oracle",
 	}
@@ -130,7 +130,7 @@ func (o *OracleApp) Name() string {
 }
 
 // FlopsPerCell implements Application.
-func (o *OracleApp) FlopsPerCell() float64 { return o.Flops }
+func (o *OracleApp) FlopsPerCell() float64 { return o.flops }
 
 // BytesPerCell implements Application.
 func (o *OracleApp) BytesPerCell() float64 { return o.Bytes }
@@ -154,7 +154,7 @@ func (o *OracleApp) Flags(h *amr.Hierarchy, iter int) ([]*amr.FlagField, error) 
 			ratio *= float64(cfg.RefineRatio)
 		}
 		levelBoxes := h.Level(l)
-		for _, feat := range o.Features {
+		for _, feat := range o.features {
 			pos := feat.positionAt(iter, nx) * ratio
 			// Features sharpen with level: the flagged slab narrows so
 			// refined regions nest inside coarser ones.
@@ -223,16 +223,16 @@ func forEachCell(b geom.Box, fn func(pt geom.Point)) {
 // prolongation and restriction. Flags come from the kernel's error
 // estimator, so refinement follows the physics.
 type SimApp struct {
-	Kernel solver.Kernel
-	// BaseGrid is the level-0 cell geometry.
-	BaseGrid solver.Grid
-	// Threshold is the error-estimator flag threshold.
-	Threshold float64
-	// Workers is the intra-node worker count for patch-level parallelism:
+	kernel solver.Kernel
+	// baseGrid is the level-0 cell geometry.
+	baseGrid solver.Grid
+	// threshold is the error-estimator flag threshold.
+	threshold float64
+	// workers is the intra-node worker count for patch-level parallelism:
 	// 0 fans out over all cores (GOMAXPROCS), 1 runs serially. Any worker
 	// count produces bit-identical solutions — per-patch tasks write only
 	// their own patch, and reductions fold in deterministic index order.
-	Workers int
+	workers int
 
 	// patches is the HDDA holding one solution patch per hierarchy box —
 	// the GrACE layering: application grid objects on the hierarchical
@@ -253,24 +253,24 @@ type SimApp struct {
 
 // NewSimApp builds a kernel-backed application.
 func NewSimApp(k solver.Kernel, baseGrid solver.Grid, threshold float64) *SimApp {
-	return &SimApp{Kernel: k, BaseGrid: baseGrid, Threshold: threshold}
+	return &SimApp{kernel: k, baseGrid: baseGrid, threshold: threshold}
 }
 
 // SetWorkers implements WorkerConfigurable.
-func (s *SimApp) SetWorkers(n int) { s.Workers = n }
+func (s *SimApp) SetWorkers(n int) { s.workers = n }
 
 // Name implements Application.
-func (s *SimApp) Name() string { return s.Kernel.Name() }
+func (s *SimApp) Name() string { return s.kernel.Name() }
 
 // FlopsPerCell implements Application.
-func (s *SimApp) FlopsPerCell() float64 { return s.Kernel.FlopsPerCell() }
+func (s *SimApp) FlopsPerCell() float64 { return s.kernel.FlopsPerCell() }
 
 // BytesPerCell implements Application.
-func (s *SimApp) BytesPerCell() float64 { return float64(s.Kernel.NumFields() * 8) }
+func (s *SimApp) BytesPerCell() float64 { return float64(s.kernel.NumFields() * 8) }
 
 // grid returns the cell geometry of a level.
 func (s *SimApp) grid(h *amr.Hierarchy, level int) solver.Grid {
-	g := s.BaseGrid
+	g := s.baseGrid
 	for l := 0; l < level; l++ {
 		g = g.Refined(h.Config().RefineRatio)
 	}
@@ -340,9 +340,9 @@ func (s *SimApp) Regridded(h *amr.Hierarchy) error {
 					continue
 				}
 			}
-			p := amr.NewPatch(b, s.Kernel.Ghost(), s.Kernel.NumFields())
+			p := amr.NewPatch(b, s.kernel.Ghost(), s.kernel.NumFields())
 			if l == 0 {
-				s.Kernel.Init(p, s.grid(h, 0))
+				s.kernel.Init(p, s.grid(h, 0))
 			} else {
 				// Parent data first (new region), then same-level overlap
 				// (finer history wins where it exists).
@@ -399,8 +399,8 @@ func (s *SimApp) Flags(h *amr.Hierarchy, iter int) ([]*amr.FlagField, error) {
 			return nil, err
 		}
 		s.curBuf = ps
-		parallel.For(s.Workers, len(ps), func(i int) {
-			s.Kernel.Flag(ps[i], g, f, s.Threshold)
+		parallel.For(s.workers, len(ps), func(i int) {
+			s.kernel.Flag(ps[i], g, f, s.threshold)
 		})
 		f.Buffer(1)
 		flags = append(flags, f)
@@ -424,8 +424,8 @@ func (s *SimApp) Advance(h *amr.Hierarchy, iter int) error {
 			return err
 		}
 		s.curBuf = ps
-		dt0 = parallel.MapReduce(s.Workers, len(ps), dt0,
-			func(i int) float64 { return s.Kernel.MaxDT(ps[i], g) * scale },
+		dt0 = parallel.MapReduce(s.workers, len(ps), dt0,
+			func(i int) float64 { return s.kernel.MaxDT(ps[i], g) * scale },
 			func(acc, dt float64) float64 { return math.Min(acc, dt) })
 	}
 	if math.IsInf(dt0, 1) {
@@ -450,7 +450,7 @@ func (s *SimApp) Advance(h *amr.Hierarchy, iter int) error {
 			return err
 		}
 		s.auxBuf = fps
-		parallel.For(s.Workers, len(cps), func(i int) {
+		parallel.For(s.workers, len(cps), func(i int) {
 			for _, fp := range fps {
 				amr.Restrict(cps[i], fp, ratio)
 			}
@@ -486,8 +486,8 @@ func (s *SimApp) stepLevel(h *amr.Hierarchy, level int, dt float64) error {
 			nexts[i] = amr.NewPatch(b, ps[i].Ghost, ps[i].NumFields)
 		}
 	}
-	parallel.For(s.Workers, len(boxes), func(i int) {
-		s.Kernel.Step(nexts[i], ps[i], g, dt)
+	parallel.For(s.workers, len(boxes), func(i int) {
+		s.kernel.Step(nexts[i], ps[i], g, dt)
 	})
 	for i, b := range boxes {
 		s.spares[b] = ps[i]
@@ -523,7 +523,7 @@ func (s *SimApp) fillHalos(h *amr.Hierarchy, level int) {
 		}
 	}
 	s.parentBuf = parents
-	parallel.For(s.Workers, len(boxes), func(i int) {
+	parallel.For(s.workers, len(boxes), func(i int) {
 		p := lps[i]
 		if p == nil {
 			return

@@ -8,9 +8,9 @@ import (
 	"samrpart/internal/geom"
 )
 
-// Checkpointer is implemented by applications that carry restorable
+// checkpointer is implemented by applications that carry restorable
 // solution data (SimApp does; the structure-only oracle does not).
-type Checkpointer interface {
+type checkpointer interface {
 	// ExportPatches snapshots the solution patches by box.
 	ExportPatches() map[geom.Box]*amr.Patch
 	// ImportPatches replaces the solution storage (domain and ratio
@@ -27,7 +27,7 @@ func (e *Engine) Checkpoint(iter int) (*checkpoint.State, error) {
 		Iter:        iter,
 		VirtualTime: e.clus.Now(),
 	}
-	if ck, ok := e.cfg.App.(Checkpointer); ok {
+	if ck, ok := e.cfg.App.(checkpointer); ok {
 		st.Patches = ck.ExportPatches()
 		if len(st.Patches) == 0 {
 			st.Patches = nil
@@ -55,7 +55,7 @@ func (e *Engine) Restore(st *checkpoint.State) error {
 			have.RefineRatio, have.Domain)
 	}
 	e.hier = st.Hierarchy
-	if ck, ok := e.cfg.App.(Checkpointer); ok && st.Patches != nil {
+	if ck, ok := e.cfg.App.(checkpointer); ok && st.Patches != nil {
 		ck.ImportPatches(st.Patches, have.Domain, have.RefineRatio)
 	}
 	return nil

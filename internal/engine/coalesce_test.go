@@ -243,8 +243,8 @@ func TestSPMDCoalescedMessageCount(t *testing.T) {
 			t.Errorf("rank %d sent %d messages, want exactly %d (%d peers x %d iters)",
 				r, res.MsgsSent, wantSent, len(pairs[r]), iters)
 		}
-		if res.MsgsRecvd != wantRecvd {
-			t.Errorf("rank %d received %d messages, want exactly %d", r, res.MsgsRecvd, wantRecvd)
+		if res.msgsRecvd != wantRecvd {
+			t.Errorf("rank %d received %d messages, want exactly %d", r, res.msgsRecvd, wantRecvd)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"samrpart/internal/checkpoint"
-	"samrpart/internal/monitor"
 	"samrpart/internal/transport"
 )
 
@@ -51,7 +50,7 @@ func TestSPMDCrashRejoinBitExact(t *testing.T) {
 	if results[2].Crashed {
 		t.Fatal("rank 2 reported a terminal crash despite the scheduled rejoin")
 	}
-	if !results[2].Rejoined {
+	if !results[2].rejoined {
 		t.Fatal("rank 2 never rejoined")
 	}
 	if len(results[2].OwnedBoxes) == 0 {
@@ -65,8 +64,8 @@ func TestSPMDCrashRejoinBitExact(t *testing.T) {
 		if res.Admissions != 1 {
 			t.Errorf("rank %d Admissions = %d, want 1", r, res.Admissions)
 		}
-		if len(res.DeadRanks) != 0 {
-			t.Errorf("rank %d still lists dead ranks %v after re-admission", r, res.DeadRanks)
+		if len(res.deadRanks) != 0 {
+			t.Errorf("rank %d still lists dead ranks %v after re-admission", r, res.deadRanks)
 		}
 	}
 	got := composeField(t, results, cfg.Domain)
@@ -98,9 +97,9 @@ func TestSPMDPauseBitExact(t *testing.T) {
 	}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
-	if results[3].Crashed || !results[3].Rejoined {
+	if results[3].Crashed || !results[3].rejoined {
 		t.Fatalf("paused rank: crashed=%v rejoined=%v, want clean rejoin",
-			results[3].Crashed, results[3].Rejoined)
+			results[3].Crashed, results[3].rejoined)
 	}
 	for _, r := range []int{0, 1, 2} {
 		if results[r].Recoveries != 1 || results[r].Admissions != 1 {
@@ -146,8 +145,8 @@ func TestSPMDRejoinTCP(t *testing.T) {
 	}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
-	if results[1].Crashed || !results[1].Rejoined {
-		t.Fatalf("rank 1: crashed=%v rejoined=%v, want rejoin", results[1].Crashed, results[1].Rejoined)
+	if results[1].Crashed || !results[1].rejoined {
+		t.Fatalf("rank 1: crashed=%v rejoined=%v, want rejoin", results[1].Crashed, results[1].rejoined)
 	}
 	got := composeField(t, results, cfg.Domain)
 	requireSameField(t, got, want, "tcp rejoin vs fault-free")
@@ -172,7 +171,7 @@ func TestSPMDStragglerShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := elasticConfig(t, iters, t.TempDir())
-	cfg.Straggler = monitor.DefaultStragglerPolicy()
+	cfg.Straggler = true
 	cfg.Faults = FaultSchedule{
 		{Kind: FaultSlow, Rank: 1, Iter: 6, Until: 20, Factor: 8},
 	}

@@ -36,7 +36,7 @@ func TestEngineCrashRejoinRestoresWork(t *testing.T) {
 	if caps[2] < 0.5*caps[0] {
 		t.Errorf("rejoined node capacity %g never recovered toward %g", caps[2], caps[0])
 	}
-	asn := e.Assignment()
+	asn := e.assign
 	if asn == nil || asn.TotalWork() == 0 {
 		t.Fatal("no final assignment")
 	}
@@ -68,7 +68,7 @@ func TestEngineRejoinIgnoredWhenStatic(t *testing.T) {
 	if tr.Repartitions == 0 {
 		t.Fatal("no repartitions at all")
 	}
-	if share := e.Assignment().Work[2] / e.Assignment().TotalWork(); share < 0.15 {
+	if share := e.assign.Work[2] / e.assign.TotalWork(); share < 0.15 {
 		t.Errorf("static run shed the crashed node (share %.0f%%)", 100*share)
 	}
 }
@@ -81,7 +81,7 @@ func TestEngineSlowWindowDemotesStraggler(t *testing.T) {
 	cfg := advectionConfig()
 	cfg.Iterations = 30
 	cfg.SenseEvery = 2
-	cfg.Straggler = monitor.DefaultStragglerPolicy()
+	cfg.Straggler = true
 	cfg.Faults = FaultSchedule{
 		{Kind: FaultSlow, Rank: 1, Iter: 4, Until: 16, Factor: 8},
 	}

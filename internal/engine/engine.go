@@ -44,17 +44,11 @@ type Config struct {
 	// paper's capacity calculator distributes on the *current* system
 	// state as reported by NWS.
 	Forecaster string
-	// Workers is the intra-node worker count forwarded to applications
-	// that support patch-level parallelism (WorkerConfigurable): 0 fans
-	// out over all cores, 1 forces serial execution. Either way the
-	// solution is bit-identical.
+	// Workers is the intra-node worker count: applications that support
+	// patch-level parallelism (WorkerConfigurable) and the monitor's probe
+	// sweep fan out over it. 0 uses all cores, 1 forces serial execution.
+	// Either way the run is bit-identical.
 	Workers int
-	// SenseWorkers bounds the monitor's probe fan-out (Monitor.SetWorkers):
-	// with n > 1 each Sense probes up to n nodes concurrently and merges
-	// the results in node order, bit-identical to the serial sweep. 0 or 1
-	// keeps probes serial — unlike Workers, concurrency here is opt-in
-	// because it requires a prober that tolerates concurrent Probe calls.
-	SenseWorkers int
 	// CheckpointEvery writes a checkpoint to CheckpointPath every N
 	// iterations (0 disables). The state is captured synchronously at the
 	// iteration boundary; the file write happens in the background and is
@@ -83,17 +77,17 @@ type Config struct {
 	// per-node compute times already charged by the cost model feed an
 	// EWMA/MAD slow-node detector, and sensed capacities are demoted by its
 	// shed/quarantine factors before partitioning, so work flows off a
-	// degrading node before its sensor ever reports trouble. The zero value
-	// disables it, preserving bit-identical behaviour.
-	Straggler monitor.StragglerPolicy
+	// degrading node before its sensor ever reports trouble. Off, the run
+	// is bit-identical to one without the detector.
+	Straggler bool
 	// SensorFaults, when set, wraps the monitor's prober with deterministic
 	// sensor-fault injection (timeouts, dropouts, frozen readings, garbage
 	// values) — the sensing-layer analogue of the transport fault spec.
 	SensorFaults *monitor.ProbeFaultSpec
-	// Hygiene configures the monitor's sensing hygiene (sanitization, MAD
-	// outlier rejection, health tracking, staleness decay). The zero value
-	// disables it, preserving the raw pre-hygiene behaviour bit for bit.
-	Hygiene monitor.Hygiene
+	// Hygiene switches on the monitor's sensing hygiene (sanitization, MAD
+	// outlier rejection, health tracking, staleness decay). Off keeps the
+	// raw pre-hygiene behaviour bit for bit.
+	Hygiene bool
 	// AffinityRemap relabels each adopted assignment's ownership groups
 	// (partition.RemapOwners) so they land on the nodes already holding
 	// most of their cells, shrinking redistribution volume without changing
@@ -168,11 +162,11 @@ type Engine struct {
 	// rejoin event) and the open gray-failure windows per cfg.Faults index.
 	crashGens map[int]*faultWindow
 	grayGens  map[int]*faultWindow
-	strag     *monitor.StragglerDetector
+	strag     *monitor.StragglerDetector // nil unless cfg.Straggler
 
 	ob    engineObs
 	pubMu sync.Mutex
-	pub   EngineState
+	pub   engineState
 
 	// stepCost scratch, reused every iteration so the cost model allocates
 	// nothing on the per-step path.
@@ -209,24 +203,27 @@ func New(cfg Config, clus *cluster.Cluster) (*Engine, error) {
 		return f
 	})
 	mon.SetHygiene(cfg.Hygiene)
-	mon.SetWorkers(cfg.SenseWorkers)
+	mon.SetWorkers(parallel.Workers(cfg.Workers))
 	if wc, ok := cfg.App.(WorkerConfigurable); ok {
 		wc.SetWorkers(cfg.Workers)
 	}
-	if err := cfg.Faults.Validate(clus.NumNodes()); err != nil {
+	if err := cfg.Faults.validate(clus.NumNodes()); err != nil {
 		return nil, err
 	}
 	mon.SetObs(cfg.Obs.Registry())
-	return &Engine{
+	e := &Engine{
 		cfg:       cfg,
 		clus:      clus,
 		mon:       mon,
 		hier:      h,
 		crashGens: make(map[int]*faultWindow),
 		grayGens:  make(map[int]*faultWindow),
-		strag:     monitor.NewStragglerDetector(clus.NumNodes(), cfg.Straggler),
 		ob:        newEngineObs(cfg.Obs, clus.NumNodes()),
-	}, nil
+	}
+	if cfg.Straggler {
+		e.strag = monitor.NewStragglerDetector(clus.NumNodes())
+	}
+	return e, nil
 }
 
 // faultWindow is a load generator whose stop time is set after installation
@@ -258,9 +255,6 @@ func (w *faultWindow) MemoryMB(t float64) float64 {
 // Hierarchy exposes the current grid hierarchy.
 func (e *Engine) Hierarchy() *amr.Hierarchy { return e.hier }
 
-// Assignment exposes the current partition (nil before Run).
-func (e *Engine) Assignment() *partition.Assignment { return e.assign }
-
 // Capacities exposes the capacities in effect (nil before Run).
 func (e *Engine) Capacities() []float64 { return e.caps }
 
@@ -279,7 +273,7 @@ func (e *Engine) sense(iter int) error {
 	defer sp.End()
 	ms := e.mon.Sense(e.clus.Now())
 	caps, err := capacity.RelativeMasked(ms, e.cfg.Weights, e.mon.Alive())
-	if err == nil && e.cfg.Straggler.Enabled {
+	if err == nil && e.strag != nil {
 		// Demote shed/quarantined nodes before the capacities are adopted,
 		// then renormalize to the unit sum the partitioners require. A
 		// quarantined node keeps a tiny floor so quotas stay finite even if
@@ -304,7 +298,7 @@ func (e *Engine) sense(iter int) error {
 	case e.caps != nil:
 		e.tr.SenseFailures++
 		e.ob.senseFailures.Inc()
-	case e.cfg.Hygiene.Enabled:
+	case e.cfg.Hygiene:
 		e.tr.SenseFailures++
 		e.ob.senseFailures.Inc()
 		e.caps = partition.UniformCaps(e.clus.NumNodes())
@@ -783,7 +777,7 @@ func (e *Engine) applyFaults(iter int) error {
 // assignments do not read as slowness. Transitions are counted into the
 // trace and metrics; capacity demotion happens at the next sense.
 func (e *Engine) feedStraggler(perNode []float64) {
-	if e.assign == nil {
+	if e.strag == nil || e.assign == nil {
 		return
 	}
 	perUnit := make([]float64, len(perNode))

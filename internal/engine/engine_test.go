@@ -88,7 +88,7 @@ func TestOracleFlagsTrackFeatures(t *testing.T) {
 }
 
 func TestFeatureBounces(t *testing.T) {
-	f := Feature{Pos: 0, Speed: 1}
+	f := feature{pos: 0, speed: 1}
 	nx := 128.0
 	for iter := 0; iter < 600; iter++ {
 		p := f.positionAt(iter, nx)
@@ -103,7 +103,7 @@ func TestFeatureBounces(t *testing.T) {
 }
 
 func TestFeatureWidthFloor(t *testing.T) {
-	f := Feature{HalfWidth: 0.5, Pulsate: 0.9}
+	f := feature{halfWidth: 0.5, pulsate: 0.9}
 	for iter := 0; iter < 50; iter++ {
 		if f.widthAt(iter) < 1 {
 			t.Fatal("width below floor")
@@ -154,14 +154,14 @@ func TestEngineRunProducesTrace(t *testing.T) {
 		t.Error("no refinement developed")
 	}
 	boxes := e.Hierarchy().AllBoxes()
-	if err := e.Assignment().Validate(boxes, partition.SubcycledWork(2)); err != nil {
+	if err := e.assign.Validate(boxes, partition.SubcycledWork(2)); err != nil {
 		t.Errorf("final assignment invalid: %v", err)
 	}
 	var total float64
 	for _, b := range boxes {
 		total += partition.SubcycledWork(2)(b)
 	}
-	if math.Abs(e.Assignment().TotalWork()-total) > 1e-6*total {
+	if math.Abs(e.assign.TotalWork()-total) > 1e-6*total {
 		t.Error("assignment does not cover hierarchy work")
 	}
 }

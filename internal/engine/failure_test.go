@@ -110,7 +110,7 @@ func TestEngineFallsBackOnPartitionerErrors(t *testing.T) {
 	if tr.Degraded.PartitionErrors == 0 || tr.Degraded.FallbackHetero == 0 {
 		t.Errorf("degradation not counted: %+v", tr.Degraded)
 	}
-	if e.Assignment() == nil {
+	if e.assign == nil {
 		t.Error("no assignment adopted")
 	}
 }
@@ -147,7 +147,7 @@ func TestEngineRejectsInvalidAssignments(t *testing.T) {
 		t.Errorf("invalid assignments not counted: %+v", tr.Degraded)
 	}
 	// Everything the engine adopted must itself be valid.
-	if a := e.Assignment(); a == nil || len(a.Boxes) == 0 {
+	if a := e.assign; a == nil || len(a.Boxes) == 0 {
 		t.Errorf("adopted assignment = %+v", a)
 	}
 }

@@ -63,8 +63,8 @@ type FaultEvent struct {
 // FaultSchedule is an ordered set of injections — one run's churn script.
 type FaultSchedule []FaultEvent
 
-// Validate checks internal consistency against a group of n ranks.
-func (fs FaultSchedule) Validate(n int) error {
+// validate checks internal consistency against a group of n ranks.
+func (fs FaultSchedule) validate(n int) error {
 	crashed := make(map[int]int) // rank → latest crash iter
 	for _, ev := range fs {
 		if ev.Rank < 0 || ev.Rank >= n {

@@ -54,7 +54,7 @@ func TestParseFaultSpecMultiEvent(t *testing.T) {
 	if len(sched) != 3 {
 		t.Fatalf("parsed %d events, want 3", len(sched))
 	}
-	if err := sched.Validate(4); err != nil {
+	if err := sched.validate(4); err != nil {
 		t.Fatal(err)
 	}
 	if got := sched.Crashes(); len(got) != 1 || got[0].Rank != 2 {
@@ -88,7 +88,7 @@ func TestFaultScheduleValidate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", tc.spec, err)
 		}
-		if err := sched.Validate(tc.n); (err == nil) != tc.ok {
+		if err := sched.validate(tc.n); (err == nil) != tc.ok {
 			t.Errorf("Validate(%q, n=%d) err=%v, want ok=%v", tc.spec, tc.n, err, tc.ok)
 		}
 	}
@@ -109,7 +109,7 @@ func TestEngineNodeCrashRepartitions(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	asn := e.Assignment()
+	asn := e.assign
 	if asn == nil {
 		t.Fatal("no assignment after run")
 	}

@@ -17,14 +17,18 @@ import (
 	"samrpart/internal/transport"
 )
 
-// DefaultRecvDeadline bounds blocking receives when SPMDConfig.RecvDeadline
+// defaultRecvDeadline bounds blocking receives when SPMDConfig.RecvDeadline
 // is unset. It is deliberately generous: it exists to turn a hung cluster
 // into a diagnosable ErrRankDown, not to race healthy ranks.
-const DefaultRecvDeadline = 30 * time.Second
+const defaultRecvDeadline = 30 * time.Second
 
-// DefaultRejoinDeadline bounds how long a restarted rank waits for the
-// survivors' welcome before giving up on re-admission.
-const DefaultRejoinDeadline = 10 * time.Second
+// rejoinDeadline bounds how long a restarted rank waits for the survivors'
+// welcome before giving up on re-admission.
+const rejoinDeadline = 10 * time.Second
+
+// maxRecoveries bounds how many rank failures a run absorbs before giving
+// up. Re-admissions do not count.
+const maxRecoveries = 3
 
 // rejoinPollEvery is the announce/welcome polling interval of the rejoin
 // handshake. It only bounds handshake latency, never correctness.
@@ -79,12 +83,6 @@ type FTConfig struct {
 	// falls back to the newest intact earlier epoch (counted in
 	// SPMDResult.CkptFallbacks), re-initializing when none survives.
 	ResumeFrom int
-	// MaxRecoveries bounds how many rank failures a run will absorb before
-	// giving up (default 3; -1 = unlimited). Re-admissions do not count.
-	MaxRecoveries int
-	// RejoinDeadline bounds how long a restarted rank waits for the
-	// survivors' welcome (default DefaultRejoinDeadline).
-	RejoinDeadline time.Duration
 }
 
 func (c FTConfig) validate() error {
@@ -105,9 +103,6 @@ func (c FTConfig) validate() error {
 	}
 	if c.ResumeFrom > 0 && c.CheckpointDir == "" {
 		return fmt.Errorf("engine: ResumeFrom set without CheckpointDir")
-	}
-	if c.RejoinDeadline < 0 {
-		return fmt.Errorf("engine: negative RejoinDeadline")
 	}
 	return nil
 }
@@ -222,7 +217,7 @@ func newSPMDRun(ep transport.Endpoint, cfg SPMDConfig) (*spmdRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Faults.Validate(ep.Size()); err != nil {
+	if err := cfg.Faults.validate(ep.Size()); err != nil {
 		return nil, err
 	}
 	ted, ok := ep.(transport.TimedEndpoint)
@@ -270,7 +265,7 @@ func RejoinSPMDRank(ep transport.Endpoint, cfg SPMDConfig) (*SPMDResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	r.res.Rejoined = true
+	r.res.rejoined = true
 	return r.loop(w.Iter, true)
 }
 
@@ -286,10 +281,6 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 	hbEvery := cfg.FT.HeartbeatEvery
 	if hbEvery < 1 {
 		hbEvery = 1
-	}
-	maxRec := cfg.FT.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = 3
 	}
 	for iter := start; iter < cfg.Iterations; {
 		if !skipCtl {
@@ -311,7 +302,7 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				res.Rejoined = true
+				res.rejoined = true
 				iter = w.Iter
 				skipCtl = true
 				continue
@@ -322,7 +313,7 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 					return nil, err
 				}
 				if len(newDead) > 0 {
-					if maxRec >= 0 && res.Recoveries >= maxRec {
+					if res.Recoveries >= maxRecoveries {
 						return nil, fmt.Errorf("engine: rank %d: giving up after %d recoveries (lost %v)",
 							r.me(), res.Recoveries, newDead)
 					}
@@ -360,7 +351,7 @@ func (r *spmdRun) loop(start int, skipCtl bool) (*SPMDResult, error) {
 	if ckptErr != nil {
 		return nil, fmt.Errorf("engine: async checkpoint failed: %w", ckptErr)
 	}
-	res.DeadRanks = r.deadList()
+	res.deadRanks = r.deadList()
 	finalizeSPMD(res, r.owned())
 	r.sc.om.sync(res)
 	return res, nil
@@ -425,8 +416,8 @@ func (r *spmdRun) slowFactor(iter int) float64 {
 // every member: the joiner has no EWMA history, and replicas must stay
 // identical for shedding decisions to agree without coordination.
 func (r *spmdRun) resetStraggler() {
-	if r.cfg.FT.Enabled && r.cfg.Straggler.Enabled {
-		r.strag = monitor.NewStragglerDetector(r.ep.Size(), r.cfg.Straggler)
+	if r.cfg.FT.Enabled && r.cfg.Straggler {
+		r.strag = monitor.NewStragglerDetector(r.ep.Size())
 	}
 }
 
@@ -998,13 +989,9 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 			return nil, err
 		}
 	}
-	deadline := r.cfg.FT.RejoinDeadline
-	if deadline <= 0 {
-		deadline = DefaultRejoinDeadline
-	}
 	var w welcomeMsg
 	found := false
-	for waited := time.Duration(0); !found && waited < deadline; {
+	for waited := time.Duration(0); !found && waited < rejoinDeadline; {
 		for p := 0; p < r.ep.Size() && !found; p++ {
 			if p == r.me() {
 				continue
@@ -1027,7 +1014,7 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("engine: rank %d: no rejoin welcome within %v", r.me(), deadline)
+		return nil, fmt.Errorf("engine: rank %d: no rejoin welcome within %v", r.me(), rejoinDeadline)
 	}
 	if len(w.Alive) != len(r.alive) {
 		return nil, fmt.Errorf("engine: rank %d: malformed rejoin welcome", r.me())
@@ -1234,7 +1221,7 @@ func (r *spmdRun) step(iter int) error {
 	// Global stable dt. MaxDT reads interiors only, so computing it while
 	// halos are in flight matches the serial value bit-exactly; the reduce
 	// also gives the network time to progress.
-	dt := cfg.DT
+	dt := cfg.dt
 	if dt == 0 {
 		local := math.Inf(1)
 		for _, i := range r.assign.mine {

@@ -123,8 +123,8 @@ func TestFaultRecoveryBitExact(t *testing.T) {
 		if res.RestoredFrom != 8 {
 			t.Errorf("rank %d RestoredFrom = %d, want 8", r, res.RestoredFrom)
 		}
-		if len(res.DeadRanks) != 1 || res.DeadRanks[0] != 2 {
-			t.Errorf("rank %d DeadRanks = %v, want [2]", r, res.DeadRanks)
+		if len(res.deadRanks) != 1 || res.deadRanks[0] != 2 {
+			t.Errorf("rank %d DeadRanks = %v, want [2]", r, res.deadRanks)
 		}
 		if res.Checkpoints == 0 {
 			t.Errorf("rank %d wrote no checkpoints", r)
@@ -324,7 +324,7 @@ func TestPlainRunIsFTWithMembershipOff(t *testing.T) {
 	var migrated int64
 	for r := range off {
 		a, b := off[r], on[r]
-		if a.MsgsSent != b.MsgsSent || a.MsgsRecvd != b.MsgsRecvd ||
+		if a.MsgsSent != b.MsgsSent || a.msgsRecvd != b.msgsRecvd ||
 			a.InteriorSteps != b.InteriorSteps || a.BoundarySteps != b.BoundarySteps ||
 			a.Repartitions != b.Repartitions || a.MigratedBytes != b.MigratedBytes {
 			t.Errorf("rank %d: data-plane counters differ:\n off %+v\n on  %+v", r, *a, *b)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"samrpart/internal/monitor"
 	"samrpart/internal/partition"
 	"samrpart/internal/transport"
 )
@@ -223,7 +222,7 @@ func hierElasticRun(t *testing.T, iters, ranks int, straggler bool, faults Fault
 	cfg.Partitioner = h
 	cfg.CapsAt = intraGroupShift
 	if straggler {
-		cfg.Straggler = monitor.DefaultStragglerPolicy()
+		cfg.Straggler = true
 	}
 	cfg.Faults = faults
 	return runSPMD(t, wrapFaulty(eps), cfg)
@@ -243,7 +242,7 @@ func TestGroupLocalPartitionBitExactElastic(t *testing.T) {
 		{Kind: FaultRejoin, Rank: 2, Iter: 12},
 	})
 	clean := hierElasticRun(t, iters, ranks, false, nil)
-	if !churned[2].Rejoined {
+	if !churned[2].rejoined {
 		t.Fatal("rank 2 never rejoined under group-local stage 2")
 	}
 	if churned[0].Admissions == 0 || churned[0].Repartitions <= clean[0].Repartitions {

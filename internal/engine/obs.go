@@ -106,10 +106,10 @@ func (ob *engineObs) setCaps(caps []float64) {
 	}
 }
 
-// EngineState is the /state snapshot of the control loop, published by the
+// engineState is the /state snapshot of the control loop, published by the
 // engine at sense and adopt points and read concurrently by the HTTP
 // endpoint. Field names are part of the endpoint's schema.
-type EngineState struct {
+type engineState struct {
 	Name                string                  `json:"name"`
 	Iter                int                     `json:"iter"`
 	VirtualTime         float64                 `json:"virtual_time_s"`
@@ -132,7 +132,7 @@ func (e *Engine) publish(iter int) {
 	if e.ob.rt == nil {
 		return
 	}
-	st := EngineState{
+	st := engineState{
 		Name:                e.tr.Name,
 		Iter:                iter,
 		VirtualTime:         e.clus.Now(),
@@ -166,6 +166,3 @@ func (e *Engine) Snapshot() any {
 	defer e.pubMu.Unlock()
 	return e.pub
 }
-
-// Obs exposes the runtime the engine was configured with (nil when off).
-func (e *Engine) Obs() *obs.Runtime { return e.ob.rt }

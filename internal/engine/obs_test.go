@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
 	"samrpart/internal/obs/trace"
 	"samrpart/internal/runlog"
@@ -110,7 +109,7 @@ func TestSPMDBitIdenticalWithObs(t *testing.T) {
 			if a.L1Sum != b.L1Sum {
 				t.Errorf("rank %d %s: L1 %.17g (off) != %.17g (on)", r, v.label, a.L1Sum, b.L1Sum)
 			}
-			if a.MsgsSent != b.MsgsSent || a.MsgsRecvd != b.MsgsRecvd || (v.wire && a.BytesSent != b.BytesSent) {
+			if a.MsgsSent != b.MsgsSent || a.msgsRecvd != b.msgsRecvd || (v.wire && a.BytesSent != b.BytesSent) {
 				t.Errorf("rank %d %s: transport counters differ: off=%+v on=%+v", r, v.label, a, b)
 			}
 			if a.MigratedBytes != b.MigratedBytes || a.RetainedBytes != b.RetainedBytes {
@@ -387,7 +386,7 @@ func TestEngineObsMetrics(t *testing.T) {
 		t.Errorf("migrate records carry %d bytes, moved-bytes counter %d", moved, got)
 	}
 
-	st, ok := eng.Snapshot().(EngineState)
+	st, ok := eng.Snapshot().(engineState)
 	if !ok {
 		t.Fatalf("snapshot type %T", eng.Snapshot())
 	}
@@ -413,7 +412,7 @@ func TestEngineBitIdenticalWithObs(t *testing.T) {
 		clus := newCluster(t, 4)
 		cfg := baseConfig()
 		cfg.SenseEvery = 2
-		cfg.Hygiene = monitor.DefaultHygiene()
+		cfg.Hygiene = true
 		cfg.RepartitionThreshold = 5
 		cfg.AffinityRemap = true
 		cfg.Obs = rt
@@ -482,7 +481,7 @@ func TestFailedExchangeClosesItsSpans(t *testing.T) {
 	cfg := spmdConfig(8)
 	cfg.CapsAt = func(int) []float64 { return []float64{0.5, 0.5} }
 	cfg.RepartEvery = 0
-	cfg.DT = 1e-3 // no dt reduce: the only blocking receive of a step is the halo's
+	cfg.dt = 1e-3 // no dt reduce: the only blocking receive of a step is the halo's
 	cfg.RecvDeadline = 200 * time.Millisecond
 	cfg.Obs = rt
 	errs := make([]error, 2)

@@ -169,7 +169,7 @@ func BenchmarkSPMDExchange(b *testing.B) {
 		}
 		for _, res := range results {
 			msgsSent += res.MsgsSent
-			msgsRecvd += res.MsgsRecvd
+			msgsRecvd += res.msgsRecvd
 			migrated += res.MigratedBytes
 			retained += res.RetainedBytes
 		}

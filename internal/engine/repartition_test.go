@@ -212,7 +212,7 @@ func swingConfig(domain geom.Box, tile int, k solver.Kernel) SPMDConfig {
 			}
 			return []float64{0.7, 0.3}
 		},
-		Iterations: 1, RepartEvery: 2, DT: 1e-3,
+		Iterations: 1, RepartEvery: 2, dt: 1e-3,
 	}
 }
 
@@ -257,10 +257,10 @@ func TestInstallRefillsSparesOffTheStepPath(t *testing.T) {
 			}
 			runtime.ReadMemStats(&before)
 			for _, i := range r.plan.interior {
-				stepPatch(k, cfg.BaseGrid, r.cur, r.spare, i, cfg.DT)
+				stepPatch(k, cfg.BaseGrid, r.cur, r.spare, i, cfg.dt)
 			}
 			for _, i := range r.plan.boundary {
-				stepPatch(k, cfg.BaseGrid, r.cur, r.spare, i, cfg.DT)
+				stepPatch(k, cfg.BaseGrid, r.cur, r.spare, i, cfg.dt)
 			}
 			runtime.ReadMemStats(&after)
 			if n := after.Mallocs - before.Mallocs; fresh && reparts >= 3 && n != 0 {

@@ -33,7 +33,7 @@ func faultedRun(t *testing.T, hygiene bool) *runlog.RunTrace {
 	cfg.SenseEvery = 2
 	cfg.SensorFaults = sensorFaultSpec()
 	if hygiene {
-		cfg.Hygiene = monitor.DefaultHygiene()
+		cfg.Hygiene = true
 	}
 	e, err := New(cfg, clus)
 	if err != nil {
@@ -43,7 +43,7 @@ func faultedRun(t *testing.T, hygiene bool) *runlog.RunTrace {
 	if err != nil {
 		t.Fatalf("hygiene=%v: Run err = %v", hygiene, err)
 	}
-	if e.Assignment() == nil || len(e.Assignment().Boxes) == 0 {
+	if e.assign == nil || len(e.assign.Boxes) == 0 {
 		t.Fatalf("hygiene=%v: no valid final assignment", hygiene)
 	}
 	return tr

@@ -9,7 +9,6 @@ import (
 
 	"samrpart/internal/amr"
 	"samrpart/internal/geom"
-	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
 	"samrpart/internal/obs/trace"
 	"samrpart/internal/parallel"
@@ -44,12 +43,12 @@ type SPMDConfig struct {
 	Iterations int
 	// RepartEvery repartitions every N iterations (0 = never after start).
 	RepartEvery int
-	// DT fixes the time step; 0 derives a global stable dt each step.
-	DT float64
+	// dt fixes the time step; 0 derives a global stable dt each step.
+	dt float64
 	// RecvDeadline bounds every blocking data-plane receive in the step loop
 	// (ghost exchange, dt agreement, migration, partition gather) so a
 	// silently-dead peer surfaces as transport.ErrRankDown instead of a
-	// hang. 0 selects DefaultRecvDeadline.
+	// hang. 0 selects defaultRecvDeadline.
 	RecvDeadline time.Duration
 	// ControlDeadline bounds the control-plane receives (heartbeats and
 	// admission rounds). Failure detection latency is this deadline, so it
@@ -83,7 +82,7 @@ type SPMDConfig struct {
 	// timings gossiped on heartbeats feed identical detector replicas, and
 	// demoted/quarantined ranks lose capacity (or all work) at the next
 	// repartition. Requires FT.Enabled to have any effect.
-	Straggler monitor.StragglerPolicy
+	Straggler bool
 	// Obs, when set, receives the rank's transport counters and hands out
 	// its span recorder: every phase span feeds samr_phase_seconds and, when
 	// the runtime has a run log, lands there beside message-level send/recv
@@ -109,7 +108,7 @@ type SPMDResult struct {
 	// coalesced exchange MsgsSent is exactly one per communicating rank pair
 	// per iteration.
 	MsgsSent  int64
-	MsgsRecvd int64
+	msgsRecvd int64
 	// MigratedBytes counts patch payload bytes this rank shipped to other
 	// ranks during redistributions; RetainedBytes counts the payload bytes
 	// repartitions let it keep in place. Together they expose the movement
@@ -126,9 +125,9 @@ type SPMDResult struct {
 	// Crashed reports this rank executed an injected fail-stop crash and
 	// returned early (its other counters stop at the crash point).
 	Crashed bool
-	// Rejoined reports this rank crashed (or paused) and was re-admitted
+	// rejoined reports this rank crashed (or paused) and was re-admitted
 	// into the group through the elastic-membership protocol.
-	Rejoined bool
+	rejoined bool
 	// Admissions counts dead ranks this rank helped re-admit.
 	Admissions int
 	// StragglerDemotions/StragglerPromotions count slow-rank state
@@ -143,8 +142,8 @@ type SPMDResult struct {
 	// the iteration the latest recovery rolled back to (0 = re-initialized).
 	Recoveries   int
 	RestoredFrom int
-	// DeadRanks lists the ranks this rank agreed were lost.
-	DeadRanks []int
+	// deadRanks lists the ranks this rank agreed were lost.
+	deadRanks []int
 	// Checkpoints counts distributed checkpoint shards this rank wrote.
 	Checkpoints int
 	// Patches are the rank's owned patches at exit, keyed by interior box,
@@ -194,7 +193,7 @@ func (c SPMDConfig) recvDeadline() time.Duration {
 	if c.RecvDeadline > 0 {
 		return c.RecvDeadline
 	}
-	return DefaultRecvDeadline
+	return defaultRecvDeadline
 }
 
 // controlDeadline resolves the control-plane (heartbeat) receive bound,
@@ -930,7 +929,7 @@ func (sc *commScratch) recvFrame(ep transport.Endpoint, peer int, tag string, wa
 	var traced bool
 	payload, err := ep.Recv(peer, tag)
 	if err == nil {
-		res.MsgsRecvd++
+		res.msgsRecvd++
 		sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
 	}
 	if err != nil {

@@ -106,7 +106,7 @@ func (om *spmdObs) sync(res *SPMDResult) {
 	}
 	om.bytesSent.Add(res.BytesSent - om.lastSync.BytesSent)
 	om.msgsSent.Add(res.MsgsSent - om.lastSync.MsgsSent)
-	om.msgsRecvd.Add(res.MsgsRecvd - om.lastSync.MsgsRecvd)
+	om.msgsRecvd.Add(res.msgsRecvd - om.lastSync.msgsRecvd)
 	om.migratedBytes.Add(res.MigratedBytes - om.lastSync.MigratedBytes)
 	om.retainedBytes.Add(res.RetainedBytes - om.lastSync.RetainedBytes)
 	om.interiorSteps.Add(res.InteriorSteps - om.lastSync.InteriorSteps)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"samrpart/internal/monitor"
 	"samrpart/internal/obs/trace"
 	"samrpart/internal/transport"
 )
@@ -150,7 +149,7 @@ func TestSPMDFTTraceChurn(t *testing.T) {
 
 	mkCfg := func(dir string) SPMDConfig {
 		cfg := elasticConfig(t, iters, dir)
-		cfg.Straggler = monitor.DefaultStragglerPolicy()
+		cfg.Straggler = true
 		cfg.ControlDeadline = 500 * time.Millisecond
 		cfg.Faults = FaultSchedule{
 			{Kind: FaultSlow, Rank: 1, Iter: 6, Until: 20, Factor: 8},
@@ -174,7 +173,7 @@ func TestSPMDFTTraceChurn(t *testing.T) {
 	}
 	cfg := mkCfg(t.TempDir())
 	results, recs := runTraced(t, wrapFaulty(eps), cfg)
-	if !results[2].Rejoined {
+	if !results[2].rejoined {
 		t.Fatal("rank 2 never rejoined")
 	}
 	if results[0].StragglerDemotions == 0 {

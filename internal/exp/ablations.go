@@ -12,45 +12,45 @@ import (
 	"samrpart/internal/sfc"
 )
 
-// AblationRow is one variant of an ablation sweep.
-type AblationRow struct {
-	Variant string
-	ExecSec float64
-	MeanImb float64
-	MovedMB float64
-	CommSec float64
+// ablationRow is one variant of an ablation sweep.
+type ablationRow struct {
+	variant string
+	execSec float64
+	meanImb float64
+	movedMB float64
+	commSec float64
 	hasComm bool
 }
 
 // AblationResult is a labelled set of variants.
 type AblationResult struct {
-	Title string
-	Rows  []AblationRow
+	title string
+	rows  []ablationRow
 }
 
 // Render writes the ablation table.
 func (r *AblationResult) Render(w io.Writer) error {
-	if len(r.Rows) > 0 && r.Rows[0].hasComm {
-		tab := runlog.NewTable(r.Title,
+	if len(r.rows) > 0 && r.rows[0].hasComm {
+		tab := runlog.NewTable(r.title,
 			"Variant", "Exec time (s)", "Mean max imbalance (%)", "Comm (s)", "Redistributed (MB)")
-		for _, row := range r.Rows {
-			tab.AddF(row.Variant, row.ExecSec, row.MeanImb, row.CommSec, row.MovedMB)
+		for _, row := range r.rows {
+			tab.AddF(row.variant, row.execSec, row.meanImb, row.commSec, row.movedMB)
 		}
 		return tab.Render(w)
 	}
-	tab := runlog.NewTable(r.Title, "Variant", "Exec time (s)", "Mean max imbalance (%)")
-	for _, row := range r.Rows {
-		tab.AddF(row.Variant, row.ExecSec, row.MeanImb)
+	tab := runlog.NewTable(r.title, "Variant", "Exec time (s)", "Mean max imbalance (%)")
+	for _, row := range r.rows {
+		tab.AddF(row.variant, row.execSec, row.meanImb)
 	}
 	return tab.Render(w)
 }
 
 // runVariant executes the standard loaded 8-node workload with a custom
 // engine configuration hook.
-func runVariant(name string, mutate func(cfg *engine.Config)) (AblationRow, error) {
+func runVariant(name string, mutate func(cfg *engine.Config)) (ablationRow, error) {
 	clus, err := NewCluster(8)
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
 	PaperLoadScript(clus)
 	cfg := engine.Config{
@@ -68,19 +68,19 @@ func runVariant(name string, mutate func(cfg *engine.Config)) (AblationRow, erro
 	}
 	e, err := engine.New(cfg, clus)
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
 	tr, err := e.Run()
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
-	return AblationRow{Variant: name, ExecSec: tr.ExecTime, MeanImb: tr.MeanMaxImbalance()}, nil
+	return ablationRow{variant: name, execSec: tr.ExecTime, meanImb: tr.MeanMaxImbalance()}, nil
 }
 
 // AblationWeights compares capacity-weight presets (§8: the weights should
 // reflect the application's resource demands).
 func AblationWeights() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: capacity weights (w_p, w_m, w_b)"}
+	res := &AblationResult{title: "Ablation: capacity weights (w_p, w_m, w_b)"}
 	variants := []struct {
 		name string
 		w    capacity.Weights
@@ -96,7 +96,7 @@ func AblationWeights() (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
@@ -105,7 +105,7 @@ func AblationWeights() (*AblationResult, error) {
 // longest-axis rule, the §8 any-axis extension, a large minimum box size,
 // and no splitting at all (greedy assignment).
 func AblationSplitting() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: box-splitting constraints"}
+	res := &AblationResult{title: "Ablation: box-splitting constraints"}
 	variants := []struct {
 		name string
 		p    partition.Partitioner
@@ -129,7 +129,7 @@ func AblationSplitting() (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
@@ -138,7 +138,7 @@ func AblationSplitting() (*AblationResult, error) {
 // partitioner (Hilbert vs Morton ordering), measuring the locality effect
 // on communication time.
 func AblationSFC() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: SFC choice for the composite baseline"}
+	res := &AblationResult{title: "Ablation: SFC choice for the composite baseline"}
 	for _, curve := range []sfc.Curve{sfc.Hilbert{}, sfc.Morton{}} {
 		p := partition.NewComposite(2)
 		p.Curve = curve
@@ -148,7 +148,7 @@ func AblationSFC() (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
@@ -157,7 +157,7 @@ func AblationSFC() (*AblationResult, error) {
 // dynamics: predicting the *current* state (last value) against smoothing
 // predictors, at a fixed sensing frequency.
 func AblationForecaster() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: monitor forecaster (Table III dynamics)"}
+	res := &AblationResult{title: "Ablation: monitor forecaster (Table III dynamics)"}
 	for _, fc := range []string{"last", "mean", "median", "ewma", "adaptive"} {
 		fc := fc
 		var sum float64
@@ -172,7 +172,7 @@ func AblationForecaster() (*AblationResult, error) {
 				Hierarchy:   RM3DHierarchy(),
 				App:         engine.NewRM3DOracle(),
 				Partitioner: partition.NewHetero(),
-				Iterations:  Table3Iterations,
+				Iterations:  table3Iterations,
 				RegridEvery: 5,
 				SenseEvery:  20,
 				Forecaster:  fc,
@@ -188,7 +188,7 @@ func AblationForecaster() (*AblationResult, error) {
 			}
 			sum += tr.ExecTime
 		}
-		res.Rows = append(res.Rows, AblationRow{Variant: fc, ExecSec: sum / 3})
+		res.rows = append(res.rows, ablationRow{variant: fc, execSec: sum / 3})
 	}
 	return res, nil
 }
@@ -197,7 +197,7 @@ func AblationForecaster() (*AblationResult, error) {
 // controlling the tension between partitioning precision (small boxes) and
 // bounded overheads (big boxes) — the granularity discussion of §5.3 / §7.
 func AblationGranularity() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: clustering granularity (min box side)"}
+	res := &AblationResult{title: "Ablation: clustering granularity (min box side)"}
 	for _, minSide := range []int{4, 8, 16} {
 		minSide := minSide
 		hier := RM3DHierarchy()
@@ -214,7 +214,7 @@ func AblationGranularity() (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
@@ -225,7 +225,7 @@ func AblationGranularity() (*AblationResult, error) {
 // memory pages (cluster.ComputeTimeMem). CPU-biased weights overload those
 // nodes into thrashing; memory-biased weights route work away from them.
 func AblationMemoryWeights() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: capacity weights on a memory-constrained cluster"}
+	res := &AblationResult{title: "Ablation: capacity weights on a memory-constrained cluster"}
 	variants := []struct {
 		name string
 		w    capacity.Weights
@@ -265,10 +265,10 @@ func AblationMemoryWeights() (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblationRow{
-			Variant: v.name,
-			ExecSec: tr.ExecTime,
-			MeanImb: tr.MeanMaxImbalance(),
+		res.rows = append(res.rows, ablationRow{
+			variant: v.name,
+			execSec: tr.ExecTime,
+			meanImb: tr.MeanMaxImbalance(),
 		})
 	}
 	return res, nil
@@ -281,7 +281,7 @@ func AblationMemoryWeights() (*AblationResult, error) {
 // locality) and the capacity-oblivious composite. Sensing every 20
 // iterations forces repeated repartitions so redistribution volume shows.
 func AblationLocality() (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: partitioner locality vs balance"}
+	res := &AblationResult{title: "Ablation: partitioner locality vs balance"}
 	variants := []partition.Partitioner{
 		partition.NewHetero(),
 		partition.NewSFCHetero(2),
@@ -316,12 +316,12 @@ func AblationLocality() (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblationRow{
-			Variant: p.Name(),
-			ExecSec: tr.ExecTime,
-			MeanImb: tr.MeanMaxImbalance(),
-			CommSec: tr.CommTime,
-			MovedMB: tr.MovedBytes / 1e6,
+		res.rows = append(res.rows, ablationRow{
+			variant: p.Name(),
+			execSec: tr.ExecTime,
+			meanImb: tr.MeanMaxImbalance(),
+			commSec: tr.CommTime,
+			movedMB: tr.MovedBytes / 1e6,
 			hasComm: true,
 		})
 	}

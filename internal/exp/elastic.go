@@ -11,40 +11,39 @@ import (
 	"samrpart/internal/checkpoint"
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
-	"samrpart/internal/monitor"
 	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 	"samrpart/internal/solver"
 	"samrpart/internal/transport"
 )
 
-// ElasticRow is one membership-policy scenario under the churn schedule.
-type ElasticRow struct {
-	Scenario string
-	// EndMembers is how many ranks finish the run as working members —
+// elasticRow is one membership-policy scenario under the churn schedule.
+type elasticRow struct {
+	scenario string
+	// endMembers is how many ranks finish the run as working members —
 	// the structural availability the policy preserved (wall-clock is
 	// meaningless for availability on one oversubscribed test machine).
-	EndMembers int
-	// LostShare is the fraction of total work owned by nobody-that-
+	endMembers int
+	// lostShare is the fraction of total work owned by nobody-that-
 	// finished: the capacity fail-stop permanently forfeits.
-	LostShare  float64
-	Recoveries int
-	Admissions int
-	Demotions  int
-	Promotions int
-	BitExact   bool
+	lostShare  float64
+	recoveries int
+	admissions int
+	demotions  int
+	promotions int
+	bitExact   bool
 }
 
 // ElasticResult is the elastic-membership study: the same seeded churn
 // schedule (crash + rejoin + slow window) run under increasingly capable
 // policies, plus a checkpoint-corruption survival check.
 type ElasticResult struct {
-	Rows []ElasticRow
-	// CorruptionSurvived reports the restart survived a corrupted newest
+	rows []elasticRow
+	// corruptionSurvived reports the restart survived a corrupted newest
 	// checkpoint epoch by falling back; Fallbacks counts the epochs skipped.
-	CorruptionSurvived bool
-	Fallbacks          int
-	Cells              int
+	corruptionSurvived bool
+	fallbacks          int
+	cells              int
 }
 
 // Elastic runs the elastic-membership study over `iters` iterations of the
@@ -154,7 +153,7 @@ func Elastic(iters int) (*ElasticResult, error) {
 		return nil, err
 	}
 	want := compose(ref)
-	res.Cells = len(want)
+	res.cells = len(want)
 
 	scenarios := []struct {
 		name   string
@@ -180,36 +179,34 @@ func Elastic(iters int) (*ElasticResult, error) {
 		}
 		cfg := base(dir)
 		cfg.Faults = sc.faults
-		if sc.shed {
-			cfg.Straggler = monitor.DefaultStragglerPolicy()
-		}
+		cfg.Straggler = sc.shed
 		results, err := runGroup(cfg)
 		if err != nil {
 			return nil, err
 		}
-		row := ElasticRow{Scenario: sc.name, BitExact: sameField(compose(results), want)}
+		row := elasticRow{scenario: sc.name, bitExact: sameField(compose(results), want)}
 		for _, r := range results {
 			if r.Crashed {
 				continue
 			}
-			row.EndMembers++
-			if r.Recoveries > row.Recoveries {
-				row.Recoveries = r.Recoveries
+			row.endMembers++
+			if r.Recoveries > row.recoveries {
+				row.recoveries = r.Recoveries
 			}
-			if r.Admissions > row.Admissions {
-				row.Admissions = r.Admissions
+			if r.Admissions > row.admissions {
+				row.admissions = r.Admissions
 			}
-			if r.StragglerDemotions > row.Demotions {
-				row.Demotions = r.StragglerDemotions
+			if r.StragglerDemotions > row.demotions {
+				row.demotions = r.StragglerDemotions
 			}
-			if r.StragglerPromotions > row.Promotions {
-				row.Promotions = r.StragglerPromotions
+			if r.StragglerPromotions > row.promotions {
+				row.promotions = r.StragglerPromotions
 			}
 		}
 		// The share a crashed rank held was redistributed to survivors, so
 		// the structural loss is the member deficit, not dangling work.
-		row.LostShare = 1 - float64(row.EndMembers)/4
-		res.Rows = append(res.Rows, row)
+		row.lostShare = 1 - float64(row.endMembers)/4
+		res.rows = append(res.rows, row)
 	}
 
 	// Corruption survival: restart the rejoin scenario from its newest
@@ -243,11 +240,11 @@ func Elastic(iters int) (*ElasticResult, error) {
 		return nil, err
 	}
 	for _, r := range restarted {
-		if r.CkptFallbacks > res.Fallbacks {
-			res.Fallbacks = r.CkptFallbacks
+		if r.CkptFallbacks > res.fallbacks {
+			res.fallbacks = r.CkptFallbacks
 		}
 	}
-	res.CorruptionSurvived = res.Fallbacks > 0 && sameField(compose(restarted), want)
+	res.corruptionSurvived = res.fallbacks > 0 && sameField(compose(restarted), want)
 	return res, nil
 }
 
@@ -257,19 +254,19 @@ func (r *ElasticResult) Render(w io.Writer) error {
 		"Elastic membership under seeded churn: fail-stop vs rejoin vs rejoin+shed",
 		"Scenario", "End members", "Lost share", "Recoveries", "Admissions",
 		"Demotions", "Promotions", "Bit-exact")
-	for _, row := range r.Rows {
-		tab.AddF(row.Scenario, row.EndMembers, row.LostShare, row.Recoveries,
-			row.Admissions, row.Demotions, row.Promotions, row.BitExact)
+	for _, row := range r.rows {
+		tab.AddF(row.scenario, row.endMembers, row.lostShare, row.recoveries,
+			row.admissions, row.demotions, row.promotions, row.bitExact)
 	}
 	if err := tab.Render(w); err != nil {
 		return err
 	}
 	status := "SURVIVED (fell back to previous intact epoch)"
-	if !r.CorruptionSurvived {
+	if !r.corruptionSurvived {
 		status = "FAILED"
 	}
 	_, err := fmt.Fprintf(w,
 		"Corrupted newest checkpoint epoch over %d cells: %s, %d epoch(s) skipped\n\n",
-		r.Cells, status, r.Fallbacks)
+		r.cells, status, r.fallbacks)
 	return err
 }

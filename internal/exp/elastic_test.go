@@ -13,32 +13,32 @@ func TestElasticExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	if len(res.rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(res.rows))
 	}
-	failStop, rejoin, shed := res.Rows[0], res.Rows[1], res.Rows[2]
-	if failStop.EndMembers != 3 || failStop.LostShare == 0 {
+	failStop, rejoin, shed := res.rows[0], res.rows[1], res.rows[2]
+	if failStop.endMembers != 3 || failStop.lostShare == 0 {
 		t.Errorf("fail-stop kept %d members (lost share %.2f), want a permanent loss",
-			failStop.EndMembers, failStop.LostShare)
+			failStop.endMembers, failStop.lostShare)
 	}
-	if rejoin.EndMembers != 4 || rejoin.Admissions != 1 {
+	if rejoin.endMembers != 4 || rejoin.admissions != 1 {
 		t.Errorf("rejoin ended with %d members, %d admissions, want 4 and 1",
-			rejoin.EndMembers, rejoin.Admissions)
+			rejoin.endMembers, rejoin.admissions)
 	}
-	if shed.EndMembers != 4 {
-		t.Errorf("rejoin+shed ended with %d members, want 4", shed.EndMembers)
+	if shed.endMembers != 4 {
+		t.Errorf("rejoin+shed ended with %d members, want 4", shed.endMembers)
 	}
-	if shed.Demotions == 0 {
+	if shed.demotions == 0 {
 		t.Error("rejoin+shed never demoted the slowed rank")
 	}
-	for _, row := range res.Rows {
-		if !row.BitExact {
-			t.Errorf("%s diverged from the fault-free solution", row.Scenario)
+	for _, row := range res.rows {
+		if !row.bitExact {
+			t.Errorf("%s diverged from the fault-free solution", row.scenario)
 		}
 	}
-	if !res.CorruptionSurvived || res.Fallbacks == 0 {
+	if !res.corruptionSurvived || res.fallbacks == 0 {
 		t.Errorf("corruption survival = %v with %d fallbacks, want survival",
-			res.CorruptionSurvived, res.Fallbacks)
+			res.corruptionSurvived, res.fallbacks)
 	}
 	var buf bytes.Buffer
 	if err := res.Render(&buf); err != nil {

@@ -16,13 +16,13 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// RM3DDomain is the paper's base grid: 128x32x32.
-func RM3DDomain() geom.Box { return geom.Box3(0, 0, 0, 127, 31, 31) }
+// rm3dDomain is the paper's base grid: 128x32x32.
+func rm3dDomain() geom.Box { return geom.Box3(0, 0, 0, 127, 31, 31) }
 
 // RM3DHierarchy is the paper's hierarchy: 3 levels of factor-2 refinement.
 func RM3DHierarchy() amr.Config {
 	return amr.Config{
-		Domain:        RM3DDomain(),
+		Domain:        rm3dDomain(),
 		RefineRatio:   2,
 		MaxLevels:     3,
 		NestingBuffer: 1,
@@ -48,11 +48,11 @@ func PaperLoadScript(c *cluster.Cluster) {
 	}
 }
 
-// FixedCapacityLoads loads the nodes so the equal-weight capacity metric
+// fixedCapacityLoads loads the nodes so the equal-weight capacity metric
 // reproduces the given target capacities exactly (the paper's Figures 8-10
 // fix C = 16%, 19%, 31%, 34%). It assumes equal per-node bandwidth; CPU and
 // memory fractions are set to (3·C_k − 1/K)/2 each.
-func FixedCapacityLoads(c *cluster.Cluster, caps []float64) error {
+func fixedCapacityLoads(c *cluster.Cluster, caps []float64) error {
 	k := float64(c.NumNodes())
 	if len(caps) != c.NumNodes() {
 		return fmt.Errorf("exp: %d capacities for %d nodes", len(caps), c.NumNodes())
@@ -82,9 +82,9 @@ func FixedCapacityLoads(c *cluster.Cluster, caps []float64) error {
 	return nil
 }
 
-// PaperCapacities are the four-node relative capacities used throughout the
+// paperCapacities are the four-node relative capacities used throughout the
 // paper's controlled experiments.
-func PaperCapacities() []float64 { return []float64{0.16, 0.19, 0.31, 0.34} }
+func paperCapacities() []float64 { return []float64{0.16, 0.19, 0.31, 0.34} }
 
 // runConfig bundles one engine run.
 type runConfig struct {

@@ -18,27 +18,27 @@ func TestFig7TableIShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if len(r.rows) != 4 {
+		t.Fatalf("rows = %d", len(r.rows))
 	}
 	prevHetero := math.Inf(1)
-	for _, row := range r.Rows {
+	for _, row := range r.rows {
 		// (a) Hetero wins at every P.
-		if row.HeteroSec >= row.DefaultSec {
+		if row.heteroSec >= row.defaultSec {
 			t.Errorf("P=%d: hetero %.1fs not faster than default %.1fs",
-				row.Nodes, row.HeteroSec, row.DefaultSec)
+				row.nodes, row.heteroSec, row.defaultSec)
 		}
 		// Execution time decreases with P (scalability; allow noise-level
 		// wiggle where the load script's heavy tier kicks in at P=16).
-		if row.HeteroSec > prevHetero*1.05 {
+		if row.heteroSec > prevHetero*1.05 {
 			t.Errorf("P=%d: hetero time %.1fs did not decrease (prev %.1f)",
-				row.Nodes, row.HeteroSec, prevHetero)
+				row.nodes, row.heteroSec, prevHetero)
 		}
-		prevHetero = row.HeteroSec
+		prevHetero = row.heteroSec
 	}
 	// Improvement grows toward ~18% at scale (paper: 7/6/18/18).
-	small := (r.Rows[0].ImprovementPct + r.Rows[1].ImprovementPct) / 2
-	large := (r.Rows[2].ImprovementPct + r.Rows[3].ImprovementPct) / 2
+	small := (r.rows[0].improvementPct + r.rows[1].improvementPct) / 2
+	large := (r.rows[2].improvementPct + r.rows[3].improvementPct) / 2
 	if large <= small {
 		t.Errorf("improvement did not grow with P: small %.1f%%, large %.1f%%", small, large)
 	}
@@ -62,20 +62,20 @@ func TestTable2Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if len(r.rows) != 4 {
+		t.Fatalf("rows = %d", len(r.rows))
 	}
-	for _, row := range r.Rows {
+	for _, row := range r.rows {
 		// (d) Dynamic sensing beats sense-once substantially at every P.
-		gain := (row.StaticSec - row.DynamicSec) / row.StaticSec * 100
+		gain := (row.staticSec - row.dynamicSec) / row.staticSec * 100
 		if gain < 10 {
-			t.Errorf("P=%d: dynamic gain %.1f%% too small (paper: 35-48%%)", row.Nodes, gain)
+			t.Errorf("P=%d: dynamic gain %.1f%% too small (paper: 35-48%%)", row.nodes, gain)
 		}
 	}
 	// Both policies scale down with P.
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].DynamicSec >= r.Rows[i-1].DynamicSec {
-			t.Errorf("dynamic time not decreasing at P=%d", r.Rows[i].Nodes)
+	for i := 1; i < len(r.rows); i++ {
+		if r.rows[i].dynamicSec >= r.rows[i-1].dynamicSec {
+			t.Errorf("dynamic time not decreasing at P=%d", r.rows[i].nodes)
 		}
 	}
 	var sb strings.Builder
@@ -92,13 +92,18 @@ func TestTable3Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if len(r.rows) != 4 {
+		t.Fatalf("rows = %d", len(r.rows))
 	}
 	// (e) The optimum is at an intermediate frequency (paper: 20), i.e.
 	// neither the most frequent nor the rarest sensing wins.
-	best := r.Best()
-	if best == 10 || best == 40 {
+	fastest := r.rows[0]
+	for _, row := range r.rows[1:] {
+		if row.execSec < fastest.execSec {
+			fastest = row
+		}
+	}
+	if best := fastest.senseEvery; best == 10 || best == 40 {
 		t.Errorf("optimum at extreme frequency %d; want intermediate (paper: 20)", best)
 	}
 	var sb strings.Builder
@@ -118,10 +123,10 @@ func TestAblationsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Splitting matters: the no-splitting greedy baseline must be worst.
-	greedy := split.Rows[len(split.Rows)-1]
-	for _, row := range split.Rows[:len(split.Rows)-1] {
-		if row.ExecSec >= greedy.ExecSec {
-			t.Errorf("splitting variant %q not better than no-splitting", row.Variant)
+	greedy := split.rows[len(split.rows)-1]
+	for _, row := range split.rows[:len(split.rows)-1] {
+		if row.execSec >= greedy.execSec {
+			t.Errorf("splitting variant %q not better than no-splitting", row.variant)
 		}
 	}
 	gran, err := AblationGranularity()
@@ -129,7 +134,7 @@ func TestAblationsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Finer granularity gives lower imbalance.
-	if gran.Rows[0].MeanImb > gran.Rows[len(gran.Rows)-1].MeanImb {
+	if gran.rows[0].meanImb > gran.rows[len(gran.rows)-1].meanImb {
 		t.Error("imbalance should grow with coarser granularity")
 	}
 	weights, err := AblationWeights()
@@ -147,7 +152,7 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sfcAbl.Rows) != 2 {
+	if len(sfcAbl.rows) != 2 {
 		t.Error("SFC ablation incomplete")
 	}
 }
@@ -157,21 +162,21 @@ func TestHeterogeneitySweepShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 5 {
-		t.Fatalf("rows: %d", len(r.Rows))
+	if len(r.rows) != 5 {
+		t.Fatalf("rows: %d", len(r.rows))
 	}
 	// Homogeneous cluster: both partitioners within noise of each other.
-	if imp := r.Rows[0].ImprovementPct; imp > 5 || imp < -5 {
+	if imp := r.rows[0].improvementPct; imp > 5 || imp < -5 {
 		t.Errorf("homogeneous improvement %.1f%% should be ~0", imp)
 	}
 	// The paper's expectation: improvement grows with heterogeneity.
-	for i := 2; i < len(r.Rows); i++ {
-		if r.Rows[i].ImprovementPct <= r.Rows[0].ImprovementPct {
+	for i := 2; i < len(r.rows); i++ {
+		if r.rows[i].improvementPct <= r.rows[0].improvementPct {
 			t.Errorf("improvement at load %.1f (%.1f%%) not above homogeneous (%.1f%%)",
-				r.Rows[i].LoadTarget, r.Rows[i].ImprovementPct, r.Rows[0].ImprovementPct)
+				r.rows[i].loadTarget, r.rows[i].improvementPct, r.rows[0].improvementPct)
 		}
 	}
-	if last := r.Rows[len(r.Rows)-1].ImprovementPct; last < 15 {
+	if last := r.rows[len(r.rows)-1].improvementPct; last < 15 {
 		t.Errorf("improvement at 80%% load = %.1f%%, expected substantial", last)
 	}
 }
@@ -181,20 +186,20 @@ func TestScalabilityShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 6 || r.Rows[0].Nodes != 1 {
-		t.Fatalf("rows: %+v", r.Rows)
+	if len(r.rows) != 6 || r.rows[0].nodes != 1 {
+		t.Fatalf("rows: %+v", r.rows)
 	}
 	// Speedup is monotone up to 16 and efficiency decays.
 	for i := 1; i < 5; i++ {
-		if r.Rows[i].Speedup <= r.Rows[i-1].Speedup*0.95 {
+		if r.rows[i].speedup <= r.rows[i-1].speedup*0.95 {
 			t.Errorf("speedup not growing at P=%d: %.2f after %.2f",
-				r.Rows[i].Nodes, r.Rows[i].Speedup, r.Rows[i-1].Speedup)
+				r.rows[i].nodes, r.rows[i].speedup, r.rows[i-1].speedup)
 		}
 	}
-	if r.Rows[1].Efficiency < 0.7 {
-		t.Errorf("2-node efficiency %.2f too low", r.Rows[1].Efficiency)
+	if r.rows[1].efficiency < 0.7 {
+		t.Errorf("2-node efficiency %.2f too low", r.rows[1].efficiency)
 	}
-	if r.Rows[5].Efficiency > r.Rows[1].Efficiency {
+	if r.rows[5].efficiency > r.rows[1].efficiency {
 		t.Error("efficiency should decay with P")
 	}
 	var sb strings.Builder
@@ -211,26 +216,26 @@ func TestAblationLocalityShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]AblationRow{}
-	for _, row := range r.Rows {
-		byName[row.Variant] = row
+	byName := map[string]ablationRow{}
+	for _, row := range r.rows {
+		byName[row.variant] = row
 	}
 	hetero := byName["ACEHeterogeneous"]
 	sfcH := byName["SFCHetero"]
 	comp := byName["ACEComposite"]
 	// The SFC-ordered capacity-aware scheme keeps hetero's balance...
-	if sfcH.MeanImb > hetero.MeanImb+5 {
+	if sfcH.meanImb > hetero.meanImb+5 {
 		t.Errorf("SFCHetero imbalance %.1f%% much worse than hetero %.1f%%",
-			sfcH.MeanImb, hetero.MeanImb)
+			sfcH.meanImb, hetero.meanImb)
 	}
 	// ...while moving less data between repartitions.
-	if sfcH.MovedMB >= hetero.MovedMB {
+	if sfcH.movedMB >= hetero.movedMB {
 		t.Errorf("SFCHetero moved %.0f MB, not less than hetero's %.0f MB",
-			sfcH.MovedMB, hetero.MovedMB)
+			sfcH.movedMB, hetero.movedMB)
 	}
 	// The capacity-oblivious composite has much worse balance than either.
-	if comp.MeanImb < 2*sfcH.MeanImb {
-		t.Errorf("composite imbalance %.1f%% suspiciously low", comp.MeanImb)
+	if comp.meanImb < 2*sfcH.meanImb {
+		t.Errorf("composite imbalance %.1f%% suspiciously low", comp.meanImb)
 	}
 }
 
@@ -240,8 +245,8 @@ func TestAblationForecasterPrefersCurrentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	byName := map[string]float64{}
-	for _, row := range r.Rows {
-		byName[row.Variant] = row.ExecSec
+	for _, row := range r.rows {
+		byName[row.variant] = row.execSec
 	}
 	// Under abrupt load switches, current-state (last) must beat the
 	// heavy smoothers, and the adaptive ensemble should stay close to the

@@ -17,8 +17,8 @@ func TestFixedCapacityLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := PaperCapacities()
-	if err := FixedCapacityLoads(clus, caps); err != nil {
+	caps := paperCapacities()
+	if err := fixedCapacityLoads(clus, caps); err != nil {
 		t.Fatal(err)
 	}
 	ms := make([]capacity.Measurement, 4)
@@ -40,11 +40,11 @@ func TestFixedCapacityLoads(t *testing.T) {
 		}
 	}
 	// Mismatched length rejected.
-	if err := FixedCapacityLoads(clus, []float64{0.5, 0.5}); err == nil {
+	if err := fixedCapacityLoads(clus, []float64{0.5, 0.5}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	// Unrealizably small capacity rejected.
-	if err := FixedCapacityLoads(clus, []float64{0.01, 0.33, 0.33, 0.33}); err == nil {
+	if err := fixedCapacityLoads(clus, []float64{0.01, 0.33, 0.33, 0.33}); err == nil {
 		t.Error("unrealizable capacity accepted")
 	}
 }
@@ -54,10 +54,10 @@ func TestFig8to10Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Hetero.Records) != 8 || len(r.Default.Records) != 8 {
-		t.Fatalf("want 8 regrids, got %d/%d", len(r.Hetero.Records), len(r.Default.Records))
+	if len(r.hetero.Records) != 8 || len(r.composite.Records) != 8 {
+		t.Fatalf("want 8 regrids, got %d/%d", len(r.hetero.Records), len(r.composite.Records))
 	}
-	for i, rec := range r.Hetero.Records {
+	for i, rec := range r.hetero.Records {
 		// (b) Hetero assignments track capacities: work ordered like caps
 		// and each node within 25% of its share.
 		for k := 0; k < 3; k++ {
@@ -69,7 +69,7 @@ func TestFig8to10Shapes(t *testing.T) {
 			t.Errorf("regrid %d: hetero imbalance %.1f%% above the paper's 40%% bound", i+1, imb)
 		}
 	}
-	for i, rec := range r.Default.Records {
+	for i, rec := range r.composite.Records {
 		// Default assigns near-equal work irrespective of capacity.
 		mean := 0.0
 		for _, w := range rec.Work {
@@ -83,9 +83,9 @@ func TestFig8to10Shapes(t *testing.T) {
 			}
 		}
 		// (c) Default imbalance far above hetero's.
-		if rec.MaxImbalance() < 2*r.Hetero.Records[i].MaxImbalance() {
+		if rec.MaxImbalance() < 2*r.hetero.Records[i].MaxImbalance() {
 			t.Errorf("regrid %d: default imbalance %.1f%% not well above hetero %.1f%%",
-				i+1, rec.MaxImbalance(), r.Hetero.Records[i].MaxImbalance())
+				i+1, rec.MaxImbalance(), r.hetero.Records[i].MaxImbalance())
 		}
 	}
 	// Render sanity.
@@ -105,12 +105,12 @@ func TestFig11Adapts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := r.Trace.Records
+	recs := r.trace.Records
 	if len(recs) < 30 {
 		t.Fatalf("want >= 30 regrids, got %d", len(recs))
 	}
-	if r.Trace.Senses != 3 {
-		t.Errorf("senses = %d, want 3 (once before + twice during)", r.Trace.Senses)
+	if r.trace.Senses != 3 {
+		t.Errorf("senses = %d, want 3 (once before + twice during)", r.trace.Senses)
 	}
 	// Early: equal capacities -> near-equal assignment.
 	first := recs[0]
@@ -145,11 +145,11 @@ func TestMixedHardwareShapes(t *testing.T) {
 	}
 	// Architectural skew alone must give the system-sensitive scheme a
 	// clear win, with fast nodes holding larger capacities.
-	if r.ImprovementPct < 5 {
-		t.Errorf("improvement %.1f%% too small for a 2x speed skew", r.ImprovementPct)
+	if r.improvementPct < 5 {
+		t.Errorf("improvement %.1f%% too small for a 2x speed skew", r.improvementPct)
 	}
-	if r.Caps[0] <= r.Caps[7] {
-		t.Errorf("fast node capacity %.3f not above slow node %.3f", r.Caps[0], r.Caps[7])
+	if r.caps[0] <= r.caps[7] {
+		t.Errorf("fast node capacity %.3f not above slow node %.3f", r.caps[0], r.caps[7])
 	}
 }
 
@@ -162,8 +162,8 @@ func TestAblationMemoryWeightsShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	byName := map[string]float64{}
-	for _, row := range r.Rows {
-		byName[row.Variant] = row.ExecSec
+	for _, row := range r.rows {
+		byName[row.variant] = row.execSec
 	}
 	cb := byName["compute-biased (.6,.2,.2)"]
 	mb := byName["memory-biased (.2,.6,.2)"]

@@ -15,23 +15,23 @@ import (
 	"samrpart/internal/transport"
 )
 
-// FaultClusterRow is one virtual-cluster scenario of the fault study.
-type FaultClusterRow struct {
-	Scenario string
-	ExecSec  float64
-	Slowdown float64 // vs the fault-free adaptive run
-	MovedMB  float64
-	Senses   int
+// faultClusterRow is one virtual-cluster scenario of the fault study.
+type faultClusterRow struct {
+	scenario string
+	execSec  float64
+	slowdown float64 // vs the fault-free adaptive run
+	movedMB  float64
+	senses   int
 }
 
-// FaultRankRow is one SPMD rank's recovery outcome.
-type FaultRankRow struct {
-	Rank         int
-	Crashed      bool
-	Recoveries   int
-	RestoredFrom int
-	Checkpoints  int
-	Boxes        int
+// faultRankRow is one SPMD rank's recovery outcome.
+type faultRankRow struct {
+	rank         int
+	crashed      bool
+	recoveries   int
+	restoredFrom int
+	checkpoints  int
+	boxes        int
 }
 
 // FaultRecoveryResult combines the two halves of the fault study: the
@@ -39,10 +39,10 @@ type FaultRankRow struct {
 // real SPMD runtime's checkpoint-based rank recovery with a bit-exactness
 // check against a fault-free run.
 type FaultRecoveryResult struct {
-	Cluster  []FaultClusterRow
-	Ranks    []FaultRankRow
-	BitExact bool
-	Cells    int
+	cluster  []faultClusterRow
+	ranks    []faultRankRow
+	bitExact bool
+	cells    int
 }
 
 // FaultRecovery runs both halves with a crash of rank/node `crashRank` at
@@ -91,16 +91,16 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 		if base == 0 {
 			base = tr.ExecTime
 		}
-		row := FaultClusterRow{
-			Scenario: sc.name,
-			ExecSec:  tr.ExecTime,
-			MovedMB:  tr.MovedBytes / 1e6,
-			Senses:   tr.Senses,
+		row := faultClusterRow{
+			scenario: sc.name,
+			execSec:  tr.ExecTime,
+			movedMB:  tr.MovedBytes / 1e6,
+			senses:   tr.Senses,
 		}
 		if base > 0 {
-			row.Slowdown = tr.ExecTime / base
+			row.slowdown = tr.ExecTime / base
 		}
-		res.Cluster = append(res.Cluster, row)
+		res.cluster = append(res.cluster, row)
 	}
 
 	// Half 2: the SPMD runtime. Four ranks over the in-process transport;
@@ -191,23 +191,23 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 		return nil, err
 	}
 	for _, r := range results {
-		res.Ranks = append(res.Ranks, FaultRankRow{
-			Rank:         r.Rank,
-			Crashed:      r.Crashed,
-			Recoveries:   r.Recoveries,
-			RestoredFrom: r.RestoredFrom,
-			Checkpoints:  r.Checkpoints,
-			Boxes:        len(r.OwnedBoxes),
+		res.ranks = append(res.ranks, faultRankRow{
+			rank:         r.Rank,
+			crashed:      r.Crashed,
+			recoveries:   r.Recoveries,
+			restoredFrom: r.RestoredFrom,
+			checkpoints:  r.Checkpoints,
+			boxes:        len(r.OwnedBoxes),
 		})
 	}
 	want := compose(ref)
 	got := compose(results)
-	res.Cells = len(want)
-	res.BitExact = len(got) == len(want)
-	if res.BitExact {
+	res.cells = len(want)
+	res.bitExact = len(got) == len(want)
+	if res.bitExact {
 		for pt, w := range want {
 			if got[pt] != w {
-				res.BitExact = false
+				res.bitExact = false
 				break
 			}
 		}
@@ -220,8 +220,8 @@ func (r *FaultRecoveryResult) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		"Node crash on the virtual cluster: adaptive repartitioning vs static",
 		"Scenario", "Exec time (s)", "Slowdown", "Moved (MB)", "Senses")
-	for _, row := range r.Cluster {
-		tab.AddF(row.Scenario, row.ExecSec, row.Slowdown, row.MovedMB, row.Senses)
+	for _, row := range r.cluster {
+		tab.AddF(row.scenario, row.execSec, row.slowdown, row.movedMB, row.senses)
 	}
 	if err := tab.Render(w); err != nil {
 		return err
@@ -229,18 +229,18 @@ func (r *FaultRecoveryResult) Render(w io.Writer) error {
 	tab = runlog.NewTable(
 		"SPMD rank crash: heartbeat detection + checkpoint recovery",
 		"Rank", "Crashed", "Recoveries", "Restored from", "Ckpt shards", "Boxes")
-	for _, row := range r.Ranks {
-		tab.AddF(row.Rank, row.Crashed, row.Recoveries, row.RestoredFrom,
-			row.Checkpoints, row.Boxes)
+	for _, row := range r.ranks {
+		tab.AddF(row.rank, row.crashed, row.recoveries, row.restoredFrom,
+			row.checkpoints, row.boxes)
 	}
 	if err := tab.Render(w); err != nil {
 		return err
 	}
 	status := "IDENTICAL (bit-exact)"
-	if !r.BitExact {
+	if !r.bitExact {
 		status = "DIVERGED"
 	}
 	_, err := fmt.Fprintf(w, "Recovered solution vs fault-free run over %d cells: %s\n\n",
-		r.Cells, status)
+		r.cells, status)
 	return err
 }

@@ -13,23 +13,23 @@ func TestFaultRecoveryExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cluster) != 3 {
-		t.Fatalf("cluster rows = %d, want 3", len(res.Cluster))
+	if len(res.cluster) != 3 {
+		t.Fatalf("cluster rows = %d, want 3", len(res.cluster))
 	}
-	static, adaptive := res.Cluster[1], res.Cluster[2]
-	if adaptive.ExecSec >= static.ExecSec {
+	static, adaptive := res.cluster[1], res.cluster[2]
+	if adaptive.execSec >= static.execSec {
 		t.Errorf("adaptive (%.1fs) not faster than static (%.1fs) after the crash",
-			adaptive.ExecSec, static.ExecSec)
+			adaptive.execSec, static.execSec)
 	}
-	if !res.BitExact {
+	if !res.bitExact {
 		t.Error("recovered SPMD solution diverged from the fault-free run")
 	}
 	crashed := 0
-	for _, r := range res.Ranks {
-		if r.Crashed {
+	for _, r := range res.ranks {
+		if r.crashed {
 			crashed++
-		} else if r.Recoveries != 1 {
-			t.Errorf("rank %d recoveries = %d, want 1", r.Rank, r.Recoveries)
+		} else if r.recoveries != 1 {
+			t.Errorf("rank %d recoveries = %d, want 1", r.rank, r.recoveries)
 		}
 	}
 	if crashed != 1 {

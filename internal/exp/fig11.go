@@ -14,7 +14,7 @@ import (
 // the start and twice during the run, while a synthetic load generator
 // varies the load on two of the four processors.
 type Fig11Result struct {
-	Trace *runlog.RunTrace
+	trace *runlog.RunTrace
 }
 
 // fig11Loads ramps background load up on processors 0 and 1 at different
@@ -39,7 +39,7 @@ func Fig11() (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fig11Result{Trace: tr}, nil
+	return &Fig11Result{trace: tr}, nil
 }
 
 // Render writes the per-regrid assignments, annotating the relative
@@ -50,7 +50,7 @@ func (r *Fig11Result) Render(w io.Writer) error {
 		"Regrid", "Processor 0", "Processor 1", "Processor 2", "Processor 3")
 	var prev []float64
 	var annotations []string
-	for i, rec := range r.Trace.Records {
+	for i, rec := range r.trace.Records {
 		s.Add(float64(i+1), rec.Work[0], rec.Work[1], rec.Work[2], rec.Work[3])
 		if prev == nil || !sameCaps(prev, rec.Caps) {
 			annotations = append(annotations, fmt.Sprintf(

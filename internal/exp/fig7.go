@@ -7,25 +7,25 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// Fig7Row is one cluster size of the Figure 7 / Table I experiment.
-type Fig7Row struct {
-	Nodes          int
-	HeteroSec      float64
-	DefaultSec     float64
-	ImprovementPct float64
-	// PaperImprovementPct is the paper's reported value for the row.
-	PaperImprovementPct float64
+// fig7Row is one cluster size of the Figure 7 / Table I experiment.
+type fig7Row struct {
+	nodes          int
+	heteroSec      float64
+	defaultSec     float64
+	improvementPct float64
+	// paperImprovementPct is the paper's reported value for the row.
+	paperImprovementPct float64
 }
 
 // Fig7Result reproduces Figure 7 (total execution time, system-sensitive vs
 // default partitioner) and Table I (percentage improvement) for
 // P = 4, 8, 16, 32.
 type Fig7Result struct {
-	Rows []Fig7Row
+	rows []fig7Row
 }
 
-// Fig7Iterations is the run length used for the execution-time comparison.
-const Fig7Iterations = 200
+// fig7Iterations is the run length used for the execution-time comparison.
+const fig7Iterations = 200
 
 // paperTable1 is Table I of the paper.
 var paperTable1 = map[int]float64{4: 7, 8: 6, 16: 18, 32: 18}
@@ -42,7 +42,7 @@ func Fig7TableI() (*Fig7Result, error) {
 			nodes:       nodes,
 			loads:       PaperLoadScript,
 			partitioner: partition.NewHetero(),
-			iterations:  Fig7Iterations,
+			iterations:  fig7Iterations,
 			regridEvery: 5,
 		})
 		if err != nil {
@@ -53,18 +53,18 @@ func Fig7TableI() (*Fig7Result, error) {
 			nodes:       nodes,
 			loads:       PaperLoadScript,
 			partitioner: partition.NewComposite(2),
-			iterations:  Fig7Iterations,
+			iterations:  fig7Iterations,
 			regridEvery: 5,
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, Fig7Row{
-			Nodes:               nodes,
-			HeteroSec:           ht.ExecTime,
-			DefaultSec:          dt.ExecTime,
-			ImprovementPct:      (dt.ExecTime - ht.ExecTime) / dt.ExecTime * 100,
-			PaperImprovementPct: paperTable1[nodes],
+		res.rows = append(res.rows, fig7Row{
+			nodes:               nodes,
+			heteroSec:           ht.ExecTime,
+			defaultSec:          dt.ExecTime,
+			improvementPct:      (dt.ExecTime - ht.ExecTime) / dt.ExecTime * 100,
+			paperImprovementPct: paperTable1[nodes],
 		})
 	}
 	return res, nil
@@ -75,8 +75,8 @@ func (r *Fig7Result) Render(w io.Writer) error {
 	fig := runlog.NewSeries(
 		"Figure 7: application execution time (s), RM3D kernel",
 		"P", "system-sensitive", "default")
-	for _, row := range r.Rows {
-		fig.Add(float64(row.Nodes), row.HeteroSec, row.DefaultSec)
+	for _, row := range r.rows {
+		fig.Add(float64(row.nodes), row.heteroSec, row.defaultSec)
 	}
 	if err := fig.Render(w); err != nil {
 		return err
@@ -84,8 +84,8 @@ func (r *Fig7Result) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		"\nTable I: improvement of the system-sensitive partitioner",
 		"Processors", "Improvement (measured)", "Improvement (paper)")
-	for _, row := range r.Rows {
-		tab.AddF(row.Nodes, row.ImprovementPct, row.PaperImprovementPct)
+	for _, row := range r.rows {
+		tab.AddF(row.nodes, row.improvementPct, row.paperImprovementPct)
 	}
 	return tab.Render(w)
 }

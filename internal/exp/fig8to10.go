@@ -15,9 +15,9 @@ import (
 // partitioners with relative capacities fixed at 16/19/31/34%, and the
 // resulting per-regrid load imbalance of both schemes (Fig 10).
 type Fig8to10Result struct {
-	Caps    []float64
-	Hetero  *runlog.RunTrace
-	Default *runlog.RunTrace
+	caps      []float64
+	hetero    *runlog.RunTrace
+	composite *runlog.RunTrace
 }
 
 // fig810Hierarchy coarsens the clustering granularity relative to the
@@ -34,14 +34,14 @@ func fig810Hierarchy() amr.Config {
 // Fig8to10 runs both partitioners for 8 regrids (regrid every 5
 // iterations) at the paper's fixed capacities.
 func Fig8to10() (*Fig8to10Result, error) {
-	caps := PaperCapacities()
+	caps := paperCapacities()
 	hier := fig810Hierarchy()
 	mkRun := func(name string, p partition.Partitioner) (*runlog.RunTrace, error) {
 		return run(runConfig{
 			name:  name,
 			nodes: 4,
 			loads: func(c *cluster.Cluster) {
-				if err := FixedCapacityLoads(c, caps); err != nil {
+				if err := fixedCapacityLoads(c, caps); err != nil {
 					panic(err)
 				}
 			},
@@ -63,7 +63,7 @@ func Fig8to10() (*Fig8to10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fig8to10Result{Caps: caps, Hetero: ht, Default: dt}, nil
+	return &Fig8to10Result{caps: caps, hetero: ht, composite: dt}, nil
 }
 
 // Render writes the three figures as data tables.
@@ -77,27 +77,27 @@ func (r *Fig8to10Result) Render(w io.Writer) error {
 		return s.Render(w)
 	}
 	if _, err := fmt.Fprintf(w, "Relative capacities: %.0f%% %.0f%% %.0f%% %.0f%%\n\n",
-		r.Caps[0]*100, r.Caps[1]*100, r.Caps[2]*100, r.Caps[3]*100); err != nil {
+		r.caps[0]*100, r.caps[1]*100, r.caps[2]*100, r.caps[3]*100); err != nil {
 		return err
 	}
 	if err := renderAssignments(
-		"Figure 8: work-load assignment, default partitioner (ACEComposite)", r.Default); err != nil {
+		"Figure 8: work-load assignment, default partitioner (ACEComposite)", r.composite); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
 	if err := renderAssignments(
-		"Figure 9: work-load assignment, system-sensitive partitioner (ACEHeterogeneous)", r.Hetero); err != nil {
+		"Figure 9: work-load assignment, system-sensitive partitioner (ACEHeterogeneous)", r.hetero); err != nil {
 		return err
 	}
 	imb := runlog.NewSeries(
 		"\nFigure 10: max load imbalance per regrid (%)",
 		"Regrid", "non system-sensitive", "system-sensitive")
-	for i := range r.Default.Records {
+	for i := range r.composite.Records {
 		imb.Add(float64(i+1),
-			r.Default.Records[i].MaxImbalance(),
-			r.Hetero.Records[i].MaxImbalance())
+			r.composite.Records[i].MaxImbalance(),
+			r.hetero.Records[i].MaxImbalance())
 	}
 	return imb.Render(w)
 }

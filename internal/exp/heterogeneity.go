@@ -8,14 +8,14 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// HeterogeneityRow is one skew level of the heterogeneity sweep.
-type HeterogeneityRow struct {
-	// LoadTarget is the background CPU load on the loaded half of the
+// heterogeneityRow is one skew level of the heterogeneity sweep.
+type heterogeneityRow struct {
+	// loadTarget is the background CPU load on the loaded half of the
 	// cluster (0 = homogeneous).
-	LoadTarget     float64
-	HeteroSec      float64
-	DefaultSec     float64
-	ImprovementPct float64
+	loadTarget     float64
+	heteroSec      float64
+	defaultSec     float64
+	improvementPct float64
 }
 
 // HeterogeneityResult tests the paper's central expectation directly: "we
@@ -24,7 +24,7 @@ type HeterogeneityRow struct {
 // carries background load swept from 0% to 80%; the system-sensitive
 // partitioner's advantage over the default must grow with the skew.
 type HeterogeneityResult struct {
-	Rows []HeterogeneityRow
+	rows []heterogeneityRow
 }
 
 // HeterogeneitySweep runs the sweep.
@@ -62,11 +62,11 @@ func HeterogeneitySweep() (*HeterogeneityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, HeterogeneityRow{
-			LoadTarget:     target,
-			HeteroSec:      ht.ExecTime,
-			DefaultSec:     dt.ExecTime,
-			ImprovementPct: (dt.ExecTime - ht.ExecTime) / dt.ExecTime * 100,
+		res.rows = append(res.rows, heterogeneityRow{
+			loadTarget:     target,
+			heteroSec:      ht.ExecTime,
+			defaultSec:     dt.ExecTime,
+			improvementPct: (dt.ExecTime - ht.ExecTime) / dt.ExecTime * 100,
 		})
 	}
 	return res, nil
@@ -77,8 +77,8 @@ func (r *HeterogeneityResult) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		"Improvement vs degree of heterogeneity (8 nodes, half loaded)",
 		"Background load", "Hetero (s)", "Default (s)", "Improvement (%)")
-	for _, row := range r.Rows {
-		tab.AddF(row.LoadTarget, row.HeteroSec, row.DefaultSec, row.ImprovementPct)
+	for _, row := range r.rows {
+		tab.AddF(row.loadTarget, row.heteroSec, row.defaultSec, row.improvementPct)
 	}
 	return tab.Render(w)
 }

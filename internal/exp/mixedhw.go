@@ -17,10 +17,10 @@ import (
 // through the same sensing path (relative CPU availability never differs;
 // the monitor reports absolute speed through the effective measurements).
 type MixedHardwareResult struct {
-	HeteroSec      float64
-	DefaultSec     float64
-	ImprovementPct float64
-	Caps           []float64
+	heteroSec      float64
+	defaultSec     float64
+	improvementPct float64
+	caps           []float64
 }
 
 // oldWorkstation is the previous hardware generation: half the speed and
@@ -73,10 +73,10 @@ func MixedHardware() (*MixedHardwareResult, error) {
 		return nil, err
 	}
 	return &MixedHardwareResult{
-		HeteroSec:      ht.ExecTime,
-		DefaultSec:     dt.ExecTime,
-		ImprovementPct: (dt.ExecTime - ht.ExecTime) / dt.ExecTime * 100,
-		Caps:           caps,
+		heteroSec:      ht.ExecTime,
+		defaultSec:     dt.ExecTime,
+		improvementPct: (dt.ExecTime - ht.ExecTime) / dt.ExecTime * 100,
+		caps:           caps,
 	}, nil
 }
 
@@ -85,8 +85,8 @@ func (r *MixedHardwareResult) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		"Mixed hardware generations (4 fast + 4 half-speed nodes, no load)",
 		"Partitioner", "Exec time (s)")
-	tab.AddF("system-sensitive", r.HeteroSec)
-	tab.AddF("default", r.DefaultSec)
-	tab.AddF("improvement (%)", r.ImprovementPct)
+	tab.AddF("system-sensitive", r.heteroSec)
+	tab.AddF("default", r.defaultSec)
+	tab.AddF("improvement (%)", r.improvementPct)
 	return tab.Render(w)
 }

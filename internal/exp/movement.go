@@ -14,15 +14,15 @@ import (
 	"samrpart/internal/transport"
 )
 
-// MovementRow is one configuration of the migration-cost study.
-type MovementRow struct {
-	Scenario     string
-	MigratedKB   float64
-	RetainedKB   float64
-	MigratedPct  float64 // migrated / (migrated + retained)
-	MsgsSent     int64
-	MaxImbalance float64 // of the post-shift assignment, percent
-	L1Sum        float64
+// movementRow is one configuration of the migration-cost study.
+type movementRow struct {
+	scenario     string
+	migratedKB   float64
+	retainedKB   float64
+	migratedPct  float64 // migrated / (migrated + retained)
+	msgsSent     int64
+	maxImbalance float64 // of the post-shift assignment, percent
+	l1Sum        float64
 }
 
 // MovementResult measures what movement-aware repartitioning saves. The
@@ -32,11 +32,11 @@ type MovementRow struct {
 // actual migration traffic with the owner-affinity remap on and off. Balance
 // must be identical in both rows; only the movement may differ.
 type MovementResult struct {
-	Rows []MovementRow
-	// BitExact reports that both configurations finished with identical
+	rows []movementRow
+	// bitExact reports that both configurations finished with identical
 	// solutions (the remap relabels ownership, never values).
-	BitExact bool
-	Cells    int
+	bitExact bool
+	cells    int
 }
 
 // movementConfig is the shared run shape: 36 tiles across 3 ranks, one
@@ -94,21 +94,21 @@ func Movement(iters int) (*MovementResult, error) {
 				return nil, err
 			}
 		}
-		row := MovementRow{Scenario: sc.name}
+		row := movementRow{scenario: sc.name}
 		field := map[geom.Point]float64{}
 		work := make([]float64, len(eps))
 		for _, r := range results {
-			row.MigratedKB += float64(r.MigratedBytes) / 1e3
-			row.RetainedKB += float64(r.RetainedBytes) / 1e3
-			row.MsgsSent += r.MsgsSent
-			row.L1Sum += r.L1Sum
+			row.migratedKB += float64(r.MigratedBytes) / 1e3
+			row.retainedKB += float64(r.RetainedBytes) / 1e3
+			row.msgsSent += r.MsgsSent
+			row.l1Sum += r.L1Sum
 			work[r.Rank] = float64(r.OwnedBoxes.TotalCells())
 			for _, p := range r.Patches {
 				p.EachInterior(func(pt geom.Point) { field[pt] = p.At(0, pt) })
 			}
 		}
-		if tot := row.MigratedKB + row.RetainedKB; tot > 0 {
-			row.MigratedPct = row.MigratedKB / tot * 100
+		if tot := row.migratedKB + row.retainedKB; tot > 0 {
+			row.migratedPct = row.migratedKB / tot * 100
 		}
 		// Post-shift balance, measured against the rotated capacity vector.
 		caps := cfg.CapsAt(iters)
@@ -120,18 +120,18 @@ func Movement(iters int) (*MovementResult, error) {
 		for k, c := range caps {
 			ideal[k] = total * c
 		}
-		row.MaxImbalance = capacity.MaxImbalance(work, ideal)
-		res.Rows = append(res.Rows, row)
+		row.maxImbalance = capacity.MaxImbalance(work, ideal)
+		res.rows = append(res.rows, row)
 		fields[sc.name] = field
 	}
 	withRemap := fields["repartition, affinity remap"]
 	without := fields["repartition, no remap"]
-	res.Cells = len(withRemap)
-	res.BitExact = len(withRemap) == len(without)
-	if res.BitExact {
+	res.cells = len(withRemap)
+	res.bitExact = len(withRemap) == len(without)
+	if res.bitExact {
 		for pt, v := range without {
 			if withRemap[pt] != v {
-				res.BitExact = false
+				res.bitExact = false
 				break
 			}
 		}
@@ -145,18 +145,18 @@ func (r *MovementResult) Render(w io.Writer) error {
 		"Migration cost of a mid-run capacity rotation (3 ranks, 36 tiles)",
 		"Scenario", "Migrated (KB)", "Retained (KB)", "Migrated (%)",
 		"Msgs sent", "Max imbalance (%)")
-	for _, row := range r.Rows {
-		tab.AddF(row.Scenario, row.MigratedKB, row.RetainedKB, row.MigratedPct,
-			row.MsgsSent, row.MaxImbalance)
+	for _, row := range r.rows {
+		tab.AddF(row.scenario, row.migratedKB, row.retainedKB, row.migratedPct,
+			row.msgsSent, row.maxImbalance)
 	}
 	if err := tab.Render(w); err != nil {
 		return err
 	}
 	status := "IDENTICAL (bit-exact)"
-	if !r.BitExact {
+	if !r.bitExact {
 		status = "DIVERGED"
 	}
 	_, err := fmt.Fprintf(w, "Solutions with and without remap over %d cells: %s\n\n",
-		r.Cells, status)
+		r.cells, status)
 	return err
 }

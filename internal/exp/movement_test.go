@@ -15,26 +15,26 @@ func TestMovementRemapSavesMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(res.Rows))
+	if len(res.rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(res.rows))
 	}
-	remap, plain := res.Rows[0], res.Rows[1]
-	if remap.MigratedKB <= 0 || plain.MigratedKB <= 0 {
+	remap, plain := res.rows[0], res.rows[1]
+	if remap.migratedKB <= 0 || plain.migratedKB <= 0 {
 		t.Fatalf("no migration happened (remap %.1f KB, plain %.1f KB): the rotation scenario is broken",
-			remap.MigratedKB, plain.MigratedKB)
+			remap.migratedKB, plain.migratedKB)
 	}
-	if remap.MigratedKB >= plain.MigratedKB {
+	if remap.migratedKB >= plain.migratedKB {
 		t.Errorf("affinity remap did not reduce migration: %.1f KB >= %.1f KB",
-			remap.MigratedKB, plain.MigratedKB)
+			remap.migratedKB, plain.migratedKB)
 	}
-	if math.Abs(remap.MaxImbalance-plain.MaxImbalance) > 1e-9 {
-		t.Errorf("remap changed balance: %.6f%% vs %.6f%%", remap.MaxImbalance, plain.MaxImbalance)
+	if math.Abs(remap.maxImbalance-plain.maxImbalance) > 1e-9 {
+		t.Errorf("remap changed balance: %.6f%% vs %.6f%%", remap.maxImbalance, plain.maxImbalance)
 	}
-	if !res.BitExact {
+	if !res.bitExact {
 		t.Error("solutions diverged between remap on and off")
 	}
-	if res.Cells != 48*48 {
-		t.Errorf("composed %d cells, want %d", res.Cells, 48*48)
+	if res.cells != 48*48 {
+		t.Errorf("composed %d cells, want %d", res.cells, 48*48)
 	}
 	if err := res.Render(io.Discard); err != nil {
 		t.Fatal(err)

@@ -7,12 +7,12 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// ScalabilityRow is one cluster size of the scaling study.
-type ScalabilityRow struct {
-	Nodes      int
-	ExecSec    float64
-	Speedup    float64
-	Efficiency float64
+// scalabilityRow is one cluster size of the scaling study.
+type scalabilityRow struct {
+	nodes      int
+	execSec    float64
+	speedup    float64
+	efficiency float64
 }
 
 // ScalabilityResult is a strong-scaling study of the runtime on an
@@ -22,7 +22,7 @@ type ScalabilityRow struct {
 // the "enabling scalable parallel implementations" context of the GrACE
 // line of work.
 type ScalabilityResult struct {
-	Rows []ScalabilityRow
+	rows []scalabilityRow
 }
 
 // Scalability runs the strong-scaling sweep.
@@ -43,12 +43,12 @@ func Scalability() (*ScalabilityResult, error) {
 		if nodes == 1 {
 			t1 = tr.ExecTime
 		}
-		row := ScalabilityRow{Nodes: nodes, ExecSec: tr.ExecTime}
+		row := scalabilityRow{nodes: nodes, execSec: tr.ExecTime}
 		if tr.ExecTime > 0 {
-			row.Speedup = t1 / tr.ExecTime
-			row.Efficiency = row.Speedup / float64(nodes)
+			row.speedup = t1 / tr.ExecTime
+			row.efficiency = row.speedup / float64(nodes)
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
@@ -58,8 +58,8 @@ func (r *ScalabilityResult) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		"Strong scaling on an idle homogeneous cluster (RM3D workload)",
 		"P", "Exec time (s)", "Speedup", "Parallel efficiency")
-	for _, row := range r.Rows {
-		tab.AddF(row.Nodes, row.ExecSec, row.Speedup, row.Efficiency)
+	for _, row := range r.rows {
+		tab.AddF(row.nodes, row.execSec, row.speedup, row.efficiency)
 	}
 	return tab.Render(w)
 }

@@ -10,37 +10,37 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// SensorFaultRow is one scenario of the degraded-sensing study.
-type SensorFaultRow struct {
-	Scenario string
-	ExecSec  float64
-	// BelievedImb is the mean max-imbalance against the capacities the
+// sensorFaultRow is one scenario of the degraded-sensing study.
+type sensorFaultRow struct {
+	scenario string
+	execSec  float64
+	// believedImb is the mean max-imbalance against the capacities the
 	// engine believed; TrueImb measures the same assignments against the
 	// ground-truth capacities. A run partitioning on garbage can look
 	// balanced on the former while being far off on the latter.
-	BelievedImb float64
-	TrueImb     float64
-	Senses      int
-	SenseFail   int
-	// Degraded is the number of probe readings that did not flow cleanly
+	believedImb float64
+	trueImb     float64
+	senses      int
+	senseFail   int
+	// degraded is the number of probe readings that did not flow cleanly
 	// into the capacity metric (timeouts, drops, panics, garbage, outliers).
-	Degraded int
-	// Fallbacks counts control-loop degradations (partitioner fallbacks and
+	degraded int
+	// fallbacks counts control-loop degradations (partitioner fallbacks and
 	// kept-last-good events); Skipped counts hysteresis-suppressed
 	// repartitions.
-	Fallbacks int
-	Skipped   int
+	fallbacks int
+	skipped   int
 }
 
 // SensorFaultResult is the rendered study.
 type SensorFaultResult struct {
-	Rows []SensorFaultRow
+	rows []sensorFaultRow
 }
 
-// DefaultSensorFaultSpec afflicts a quarter of the cluster with the full
+// defaultSensorFaultSpec afflicts a quarter of the cluster with the full
 // fault mix: occasional timeouts and dropouts, frequent garbage values, and
 // a chance of the sensor freezing outright.
-func DefaultSensorFaultSpec() monitor.ProbeFaultSpec {
+func defaultSensorFaultSpec() monitor.ProbeFaultSpec {
 	return monitor.ProbeFaultSpec{
 		Seed:        17,
 		Frac:        0.25,
@@ -70,7 +70,7 @@ func sensorFaultLoads(c *cluster.Cluster) {
 // sets the hygiene run's repartition hysteresis (0 = repartition on every
 // sense).
 func SensorFaults(iters int, spec *monitor.ProbeFaultSpec, threshold float64) (*SensorFaultResult, error) {
-	s := DefaultSensorFaultSpec()
+	s := defaultSensorFaultSpec()
 	if spec != nil {
 		s = *spec
 	}
@@ -107,9 +107,7 @@ func SensorFaults(iters int, spec *monitor.ProbeFaultSpec, threshold float64) (*
 		if sc.faults {
 			cfg.SensorFaults = &s
 		}
-		if sc.hygiene {
-			cfg.Hygiene = monitor.DefaultHygiene()
-		}
+		cfg.Hygiene = sc.hygiene
 		e, err := engine.New(cfg, clus)
 		if err != nil {
 			return nil, err
@@ -118,16 +116,16 @@ func SensorFaults(iters int, spec *monitor.ProbeFaultSpec, threshold float64) (*
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, SensorFaultRow{
-			Scenario:    sc.name,
-			ExecSec:     tr.ExecTime,
-			BelievedImb: tr.MeanMaxImbalance(),
-			TrueImb:     tr.MeanTrueMaxImbalance(),
-			Senses:      tr.Senses,
-			SenseFail:   tr.SenseFailures,
-			Degraded:    tr.Sensor.Degradations(),
-			Fallbacks:   tr.Degraded.Total(),
-			Skipped:     tr.RepartitionsSkipped,
+		res.rows = append(res.rows, sensorFaultRow{
+			scenario:    sc.name,
+			execSec:     tr.ExecTime,
+			believedImb: tr.MeanMaxImbalance(),
+			trueImb:     tr.MeanTrueMaxImbalance(),
+			senses:      tr.Senses,
+			senseFail:   tr.SenseFailures,
+			degraded:    tr.Sensor.Degradations(),
+			fallbacks:   tr.Degraded.Total(),
+			skipped:     tr.RepartitionsSkipped,
 		})
 	}
 	return res, nil
@@ -139,9 +137,9 @@ func (r *SensorFaultResult) Render(w io.Writer) error {
 		"Degraded sensing: repartitioning quality with faulty sensors (imbalance vs believed and true capacities)",
 		"Scenario", "Exec (s)", "Believed imb (%)", "True imb (%)",
 		"Senses", "Sense fail", "Degraded probes", "Fallbacks", "Skipped")
-	for _, row := range r.Rows {
-		tab.AddF(row.Scenario, row.ExecSec, row.BelievedImb, row.TrueImb,
-			row.Senses, row.SenseFail, row.Degraded, row.Fallbacks, row.Skipped)
+	for _, row := range r.rows {
+		tab.AddF(row.scenario, row.execSec, row.believedImb, row.trueImb,
+			row.senses, row.senseFail, row.degraded, row.fallbacks, row.skipped)
 	}
 	return tab.Render(w)
 }

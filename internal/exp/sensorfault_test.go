@@ -14,37 +14,37 @@ func TestSensorFaultExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
+	if len(res.rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(res.rows))
 	}
-	clean, static, naive, hygiene := res.Rows[0], res.Rows[1], res.Rows[2], res.Rows[3]
+	clean, static, naive, hygiene := res.rows[0], res.rows[1], res.rows[2], res.rows[3]
 	// Shape criteria (EXPERIMENTS.md): measured against ground-truth
 	// capacities, the hygienic adaptive run beats both the run that trusts
 	// every reading and the run that never re-senses; the fault-free run
 	// bounds them all.
-	if hygiene.TrueImb >= naive.TrueImb {
+	if hygiene.trueImb >= naive.trueImb {
 		t.Errorf("hygiene true imbalance %.1f%% not below naive %.1f%%",
-			hygiene.TrueImb, naive.TrueImb)
+			hygiene.trueImb, naive.trueImb)
 	}
-	if hygiene.TrueImb >= static.TrueImb {
+	if hygiene.trueImb >= static.trueImb {
 		t.Errorf("hygiene true imbalance %.1f%% not below static %.1f%%",
-			hygiene.TrueImb, static.TrueImb)
+			hygiene.trueImb, static.trueImb)
 	}
-	if clean.TrueImb >= hygiene.TrueImb {
+	if clean.trueImb >= hygiene.trueImb {
 		t.Errorf("fault-free imbalance %.1f%% should bound hygiene %.1f%%",
-			clean.TrueImb, hygiene.TrueImb)
+			clean.trueImb, hygiene.trueImb)
 	}
-	if clean.Degraded != 0 {
-		t.Errorf("fault-free run saw %d degraded probes", clean.Degraded)
+	if clean.degraded != 0 {
+		t.Errorf("fault-free run saw %d degraded probes", clean.degraded)
 	}
-	if naive.Degraded == 0 || hygiene.Degraded == 0 {
+	if naive.degraded == 0 || hygiene.degraded == 0 {
 		t.Errorf("fault injection inert: naive=%d hygiene=%d degraded probes",
-			naive.Degraded, hygiene.Degraded)
+			naive.degraded, hygiene.degraded)
 	}
 	// Hygiene absorbs the faults before the capacity metric: no sensing
 	// sweep fails outright.
-	if hygiene.SenseFail != 0 {
-		t.Errorf("hygiene run had %d failed senses", hygiene.SenseFail)
+	if hygiene.senseFail != 0 {
+		t.Errorf("hygiene run had %d failed senses", hygiene.senseFail)
 	}
 	var buf bytes.Buffer
 	if err := res.Render(&buf); err != nil {

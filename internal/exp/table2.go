@@ -8,21 +8,21 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// Table2Row is one cluster size of the dynamic-vs-static sensing
+// table2Row is one cluster size of the dynamic-vs-static sensing
 // comparison.
-type Table2Row struct {
-	Nodes      int
-	DynamicSec float64
-	StaticSec  float64
+type table2Row struct {
+	nodes      int
+	dynamicSec float64
+	staticSec  float64
 	// Paper values for reference.
-	PaperDynamicSec, PaperStaticSec float64
+	paperDynamicSec, paperStaticSec float64
 }
 
 // Table2Result reproduces Table II: execution time with dynamic sensing
 // (every 40 iterations) against sensing only once before the start, while
 // background load ramps up during the run.
 type Table2Result struct {
-	Rows []Table2Row
+	rows []table2Row
 }
 
 var paperTable2 = map[int][2]float64{
@@ -32,9 +32,9 @@ var paperTable2 = map[int][2]float64{
 	8: {225.0, 430.0},
 }
 
-// Table2Iterations is the run length; the ramps reach their plateaus in the
+// table2Iterations is the run length; the ramps reach their plateaus in the
 // first half of the run.
-const Table2Iterations = 200
+const table2Iterations = 200
 
 // table2Loads ramps heavy load onto half the nodes shortly after the
 // static configuration has taken its only measurement, so a sense-once run
@@ -60,7 +60,7 @@ func Table2() (*Table2Result, error) {
 			nodes:       nodes,
 			loads:       table2Loads,
 			partitioner: partition.NewHetero(),
-			iterations:  Table2Iterations,
+			iterations:  table2Iterations,
 			regridEvery: 5,
 			senseEvery:  40,
 		})
@@ -72,7 +72,7 @@ func Table2() (*Table2Result, error) {
 			nodes:       nodes,
 			loads:       table2Loads,
 			partitioner: partition.NewHetero(),
-			iterations:  Table2Iterations,
+			iterations:  table2Iterations,
 			regridEvery: 5,
 			senseEvery:  0,
 		})
@@ -80,12 +80,12 @@ func Table2() (*Table2Result, error) {
 			return nil, err
 		}
 		paper := paperTable2[nodes]
-		res.Rows = append(res.Rows, Table2Row{
-			Nodes:           nodes,
-			DynamicSec:      dyn.ExecTime,
-			StaticSec:       st.ExecTime,
-			PaperDynamicSec: paper[0],
-			PaperStaticSec:  paper[1],
+		res.rows = append(res.rows, table2Row{
+			nodes:           nodes,
+			dynamicSec:      dyn.ExecTime,
+			staticSec:       st.ExecTime,
+			paperDynamicSec: paper[0],
+			paperStaticSec:  paper[1],
 		})
 	}
 	return res, nil
@@ -97,9 +97,9 @@ func (r *Table2Result) Render(w io.Writer) error {
 		"Table II: execution time, dynamic sensing vs sensing once (s)",
 		"Processors", "Dynamic (measured)", "Once (measured)",
 		"Dynamic (paper)", "Once (paper)")
-	for _, row := range r.Rows {
-		tab.AddF(row.Nodes, row.DynamicSec, row.StaticSec,
-			row.PaperDynamicSec, row.PaperStaticSec)
+	for _, row := range r.rows {
+		tab.AddF(row.nodes, row.dynamicSec, row.staticSec,
+			row.paperDynamicSec, row.paperStaticSec)
 	}
 	return tab.Render(w)
 }

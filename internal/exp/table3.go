@@ -9,12 +9,12 @@ import (
 	"samrpart/internal/runlog"
 )
 
-// Table3Row is one sensing frequency of the Table III sweep.
-type Table3Row struct {
-	SenseEvery int
-	ExecSec    float64
-	PaperSec   float64
-	Trace      *runlog.RunTrace
+// table3Row is one sensing frequency of the Table III sweep.
+type table3Row struct {
+	senseEvery int
+	execSec    float64
+	paperSec   float64
+	trace      *runlog.RunTrace
 }
 
 // Table3Result reproduces Table III (execution time against sensing
@@ -23,13 +23,13 @@ type Table3Row struct {
 // iterations: sensing more often pays overhead without learning anything
 // new; sensing less often reacts too late to the load dynamics.
 type Table3Result struct {
-	Rows []Table3Row
+	rows []table3Row
 }
 
 var paperTable3 = map[int]float64{10: 316, 20: 277, 30: 286, 40: 293}
 
-// Table3Iterations is the sweep's run length.
-const Table3Iterations = 280
+// table3Iterations is the sweep's run length.
+const table3Iterations = 280
 
 // table3Loads alternates a heavy background job between two nodes in
 // irregular windows of 40-70 virtual seconds (a few tens of iterations):
@@ -86,7 +86,7 @@ func Table3() (*Table3Result, error) {
 				nodes:       4,
 				loads:       table3Loads(phase),
 				partitioner: partition.NewHetero(),
-				iterations:  Table3Iterations,
+				iterations:  table3Iterations,
 				regridEvery: 5,
 				senseEvery:  every,
 			})
@@ -98,25 +98,14 @@ func Table3() (*Table3Result, error) {
 				first = tr
 			}
 		}
-		res.Rows = append(res.Rows, Table3Row{
-			SenseEvery: every,
-			ExecSec:    sum / float64(len(table3Phases)),
-			PaperSec:   paperTable3[every],
-			Trace:      first,
+		res.rows = append(res.rows, table3Row{
+			senseEvery: every,
+			execSec:    sum / float64(len(table3Phases)),
+			paperSec:   paperTable3[every],
+			trace:      first,
 		})
 	}
 	return res, nil
-}
-
-// Best returns the sensing frequency with the lowest execution time.
-func (r *Table3Result) Best() int {
-	best := r.Rows[0]
-	for _, row := range r.Rows[1:] {
-		if row.ExecSec < best.ExecSec {
-			best = row
-		}
-	}
-	return best.SenseEvery
 }
 
 // Render writes Table III and the Figure 12-15 assignment traces.
@@ -124,18 +113,18 @@ func (r *Table3Result) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		"Table III: execution time vs sensing frequency (4 processors)",
 		"Sense every (iters)", "Execution time (measured s)", "Execution time (paper s)")
-	for _, row := range r.Rows {
-		tab.AddF(row.SenseEvery, row.ExecSec, row.PaperSec)
+	for _, row := range r.rows {
+		tab.AddF(row.senseEvery, row.execSec, row.paperSec)
 	}
 	if err := tab.Render(w); err != nil {
 		return err
 	}
-	for i, row := range r.Rows {
+	for i, row := range r.rows {
 		s := runlog.NewSeries(
 			fmt.Sprintf("\nFigure %d: dynamic allocation, sensing every %d iterations",
-				12+i, row.SenseEvery),
+				12+i, row.senseEvery),
 			"Regrid", "Processor 0", "Processor 1", "Processor 2", "Processor 3")
-		for j, rec := range row.Trace.Records {
+		for j, rec := range row.trace.Records {
 			s.Add(float64(j+1), rec.Work[0], rec.Work[1], rec.Work[2], rec.Work[3])
 		}
 		if err := s.Render(w); err != nil {

@@ -16,39 +16,39 @@ import (
 	"samrpart/internal/transport"
 )
 
-// TraceOverheadRow is one application's traced-vs-untraced comparison.
-type TraceOverheadRow struct {
-	App string
-	// UntracedMS/TracedMS are wall-clock for the full run (ms). On an
+// traceOverheadRow is one application's traced-vs-untraced comparison.
+type traceOverheadRow struct {
+	app string
+	// untracedMS/TracedMS are wall-clock for the full run (ms). On an
 	// oversubscribed test machine the delta is noisy; the honest overhead
 	// signal is the byte columns plus the benchmark gate in CI.
-	UntracedMS float64
-	TracedMS   float64
-	// WireBytes/TracedWireBytes are total transport payload bytes across all
+	untracedMS float64
+	tracedMS   float64
+	// wireBytes/TracedWireBytes are total transport payload bytes across all
 	// ranks; the difference is exactly the piggybacked trace contexts.
-	WireBytes       int64
-	TracedWireBytes int64
-	// LogBytes and Records measure the JSONL trace log the run produced.
-	LogBytes int64
-	Records  int
-	// BitExact reports the traced solution matched the untraced one
+	wireBytes       int64
+	tracedWireBytes int64
+	// logBytes and Records measure the JSONL trace log the run produced.
+	logBytes int64
+	records  int
+	// bitExact reports the traced solution matched the untraced one
 	// cell-bitwise — tracing observes, never perturbs.
-	BitExact bool
+	bitExact bool
 }
 
-// WirePct is the relative bytes-on-wire overhead (percent).
-func (r TraceOverheadRow) WirePct() float64 {
-	if r.WireBytes == 0 {
+// wirePct is the relative bytes-on-wire overhead (percent).
+func (r traceOverheadRow) wirePct() float64 {
+	if r.wireBytes == 0 {
 		return 0
 	}
-	return 100 * float64(r.TracedWireBytes-r.WireBytes) / float64(r.WireBytes)
+	return 100 * float64(r.tracedWireBytes-r.wireBytes) / float64(r.wireBytes)
 }
 
 // TraceOverheadResult is the tracing-overhead mini-study across the solver
 // suite.
 type TraceOverheadResult struct {
-	Ranks, Iters int
-	Rows         []TraceOverheadRow
+	ranks, iters int
+	rows         []traceOverheadRow
 }
 
 // countingWriter tallies bytes and JSONL records written to the trace log.
@@ -73,7 +73,7 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 		iters = 8
 	}
 	const ranks = 4
-	res := &TraceOverheadResult{Ranks: ranks, Iters: iters}
+	res := &TraceOverheadResult{ranks: ranks, iters: iters}
 
 	apps := []struct {
 		name   string
@@ -154,12 +154,12 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 			return nil, err
 		}
 
-		row := TraceOverheadRow{
-			App:        app.name,
-			UntracedMS: float64(plainWall.Microseconds()) / 1e3,
-			TracedMS:   float64(tracedWall.Microseconds()) / 1e3,
-			LogBytes:   cw.n,
-			BitExact:   true,
+		row := traceOverheadRow{
+			app:        app.name,
+			untracedMS: float64(plainWall.Microseconds()) / 1e3,
+			tracedMS:   float64(tracedWall.Microseconds()) / 1e3,
+			logBytes:   cw.n,
+			bitExact:   true,
 		}
 		fields := [2]map[geom.Point]float64{{}, {}}
 		for i, results := range [][]*engine.SPMDResult{plain, traced} {
@@ -168,30 +168,30 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 					p.EachInterior(func(pt geom.Point) { fields[i][pt] = p.At(0, pt) })
 				}
 				if i == 0 {
-					row.WireBytes += r.BytesSent
+					row.wireBytes += r.BytesSent
 				} else {
-					row.TracedWireBytes += r.BytesSent
+					row.tracedWireBytes += r.BytesSent
 				}
 			}
 		}
 		if len(fields[0]) != len(fields[1]) {
-			row.BitExact = false
+			row.bitExact = false
 		}
 		for pt, w := range fields[0] {
 			if fields[1][pt] != w {
-				row.BitExact = false
+				row.bitExact = false
 				break
 			}
 		}
-		row.Records = int(cw.lines)
-		if row.Records == 0 {
+		row.records = int(cw.lines)
+		if row.records == 0 {
 			return nil, fmt.Errorf("exp: trace overhead %s: traced run produced no trace records", app.name)
 		}
-		if row.TracedWireBytes <= row.WireBytes {
+		if row.tracedWireBytes <= row.wireBytes {
 			return nil, fmt.Errorf("exp: trace overhead %s: traced run sent %d bytes <= untraced %d (contexts missing)",
-				app.name, row.TracedWireBytes, row.WireBytes)
+				app.name, row.tracedWireBytes, row.wireBytes)
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
@@ -199,18 +199,18 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 // Render writes the tracing-overhead table.
 func (r *TraceOverheadResult) Render(w io.Writer) error {
 	tab := runlog.NewTable(
-		fmt.Sprintf("Tracing overhead: %d ranks, %d iterations (wall-clock on a shared machine is indicative only)", r.Ranks, r.Iters),
+		fmt.Sprintf("Tracing overhead: %d ranks, %d iterations (wall-clock on a shared machine is indicative only)", r.ranks, r.iters),
 		"App", "Untraced ms", "Traced ms", "Wire MB", "Traced wire MB", "Wire +%", "Log MB", "Records", "Bit-exact")
-	for _, row := range r.Rows {
-		tab.Add(row.App,
-			fmt.Sprintf("%.1f", row.UntracedMS),
-			fmt.Sprintf("%.1f", row.TracedMS),
-			fmt.Sprintf("%.3f", float64(row.WireBytes)/1e6),
-			fmt.Sprintf("%.3f", float64(row.TracedWireBytes)/1e6),
-			fmt.Sprintf("%.2f%%", row.WirePct()),
-			fmt.Sprintf("%.3f", float64(row.LogBytes)/1e6),
-			fmt.Sprint(row.Records),
-			fmt.Sprint(row.BitExact))
+	for _, row := range r.rows {
+		tab.Add(row.app,
+			fmt.Sprintf("%.1f", row.untracedMS),
+			fmt.Sprintf("%.1f", row.tracedMS),
+			fmt.Sprintf("%.3f", float64(row.wireBytes)/1e6),
+			fmt.Sprintf("%.3f", float64(row.tracedWireBytes)/1e6),
+			fmt.Sprintf("%.2f%%", row.wirePct()),
+			fmt.Sprintf("%.3f", float64(row.logBytes)/1e6),
+			fmt.Sprint(row.records),
+			fmt.Sprint(row.bitExact))
 	}
 	return tab.Render(w)
 }

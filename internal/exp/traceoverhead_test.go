@@ -14,23 +14,23 @@ func TestTraceOverheadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
+	if len(res.rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(res.rows))
 	}
 	apps := map[string]bool{}
-	for _, row := range res.Rows {
-		apps[row.App] = true
-		if !row.BitExact {
-			t.Errorf("%s: traced run not bit-exact with untraced", row.App)
+	for _, row := range res.rows {
+		apps[row.app] = true
+		if !row.bitExact {
+			t.Errorf("%s: traced run not bit-exact with untraced", row.app)
 		}
-		if row.TracedWireBytes <= row.WireBytes {
-			t.Errorf("%s: traced wire %d <= untraced %d", row.App, row.TracedWireBytes, row.WireBytes)
+		if row.tracedWireBytes <= row.wireBytes {
+			t.Errorf("%s: traced wire %d <= untraced %d", row.app, row.tracedWireBytes, row.wireBytes)
 		}
-		if row.LogBytes <= 0 || row.Records <= 0 {
-			t.Errorf("%s: empty trace log (%d bytes, %d records)", row.App, row.LogBytes, row.Records)
+		if row.logBytes <= 0 || row.records <= 0 {
+			t.Errorf("%s: empty trace log (%d bytes, %d records)", row.app, row.logBytes, row.records)
 		}
-		if row.WirePct() <= 0 {
-			t.Errorf("%s: wire overhead %.3f%% not positive", row.App, row.WirePct())
+		if row.wirePct() <= 0 {
+			t.Errorf("%s: wire overhead %.3f%% not positive", row.app, row.wirePct())
 		}
 	}
 	for _, name := range []string{"advect2d", "muscl2d", "buckley", "euler3d"} {

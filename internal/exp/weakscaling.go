@@ -16,30 +16,30 @@ import (
 // grows with the rank count is a scalability wall.
 const weakBoxesPerRank = 4
 
-// WeakScalingRow is one virtual cluster size of the sweep.
-type WeakScalingRow struct {
-	Ranks int
-	Boxes int // partitioner output boxes (tiles plus any quota splits)
-	// Stage1MS is the hierarchical stage-1 wall time (group the nodes, cut
+// weakScalingRow is one virtual cluster size of the sweep.
+type weakScalingRow struct {
+	ranks int
+	boxes int // partitioner output boxes (tiles plus any quota splits)
+	// stage1MS is the hierarchical stage-1 wall time (group the nodes, cut
 	// the SFC curve into group segments) — the short global decision that
 	// remains centralized.
-	Stage1MS float64
-	// PerRankUS is the mean wall time a sampled rank spends building its own
+	stage1MS float64
+	// perRankUS is the mean wall time a sampled rank spends building its own
 	// ghost and migration plans (distributed path, steady state).
-	PerRankUS float64
-	// CentralMS is one centralized build of every rank's plans — the cost
+	perRankUS float64
+	// centralMS is one centralized build of every rank's plans — the cost
 	// each rank paid per repartition before plan construction was
 	// distributed.
-	CentralMS float64
-	// Speedup is CentralMS over PerRankUS (same units).
-	Speedup float64
-	// FullKB and DeltaKB are the broadcast sizes of the full box→owner table
+	centralMS float64
+	// speedup is CentralMS over PerRankUS (same units).
+	speedup float64
+	// fullKB and DeltaKB are the broadcast sizes of the full box→owner table
 	// and the owner-delta wire form for this repartition.
-	FullKB  float64
-	DeltaKB float64
-	// OracleOK reports the sampled distributed plans matched the
+	fullKB  float64
+	deltaKB float64
+	// oracleOK reports the sampled distributed plans matched the
 	// centralized oracle bit-for-bit.
-	OracleOK bool
+	oracleOK bool
 }
 
 // WeakScalingResult is a weak-scaling study of repartition plan
@@ -51,9 +51,9 @@ type WeakScalingRow struct {
 // spun up — the study measures exactly the decision+plan path whose scaling
 // the rank-0 bottleneck used to cap.
 type WeakScalingResult struct {
-	BoxesPerRank int
-	GroupSize    int
-	Rows         []WeakScalingRow
+	boxesPerRank int
+	groupSize    int
+	rows         []weakScalingRow
 }
 
 // weakCaps builds the deterministic heterogeneous capacity vector (values
@@ -110,7 +110,7 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 	if groupSize < 1 {
 		groupSize = 64
 	}
-	res := &WeakScalingResult{BoxesPerRank: weakBoxesPerRank, GroupSize: groupSize}
+	res := &WeakScalingResult{boxesPerRank: weakBoxesPerRank, groupSize: groupSize}
 	for _, ranks := range []int{16, 64, 256, 1024, 4096} {
 		if ranks > maxRanks {
 			break
@@ -137,43 +137,43 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := WeakScalingRow{
-			Ranks:     ranks,
-			Boxes:     len(next.Boxes),
-			Stage1MS:  stage1.Seconds() * 1e3,
-			PerRankUS: rep.PerRankSec * 1e6,
-			CentralMS: rep.CentralSec * 1e3,
-			FullKB:    float64(rep.FullWireBytes) / 1e3,
-			DeltaKB:   float64(rep.DeltaWireBytes) / 1e3,
-			OracleOK:  rep.OracleOK,
+		row := weakScalingRow{
+			ranks:     ranks,
+			boxes:     len(next.Boxes),
+			stage1MS:  stage1.Seconds() * 1e3,
+			perRankUS: rep.PerRankSec * 1e6,
+			centralMS: rep.CentralSec * 1e3,
+			fullKB:    float64(rep.FullWireBytes) / 1e3,
+			deltaKB:   float64(rep.DeltaWireBytes) / 1e3,
+			oracleOK:  rep.OracleOK,
 		}
 		if rep.PerRankSec > 0 {
-			row.Speedup = rep.CentralSec / rep.PerRankSec
+			row.speedup = rep.CentralSec / rep.PerRankSec
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
 
-// Stage2Row is one rank count of the stage-2 decentralization sweep.
-type Stage2Row struct {
-	Ranks  int
-	Groups int
-	Boxes  int
-	// Stage1MS is the replicated stage-1 wall time (grouping + curve cut) —
+// stage2Row is one rank count of the stage-2 decentralization sweep.
+type stage2Row struct {
+	ranks  int
+	groups int
+	boxes  int
+	// stage1MS is the replicated stage-1 wall time (grouping + curve cut) —
 	// paid identically by both modes, reported for context.
-	Stage1MS float64
-	// ReplicatedUS is the per-rank wall time when stage 2 is replicated:
+	stage1MS float64
+	// replicatedUS is the per-rank wall time when stage 2 is replicated:
 	// slice every group's segment and assemble the global assignment.
-	ReplicatedUS float64
-	// GroupLocalUS is the decentralized per-rank cost: slice only the
+	replicatedUS float64
+	// groupLocalUS is the decentralized per-rank cost: slice only the
 	// rank's own group.
-	GroupLocalUS float64
-	// Speedup is ReplicatedUS over GroupLocalUS.
-	Speedup float64
-	// OracleOK reports that assembling the per-group slices reproduced the
+	groupLocalUS float64
+	// speedup is ReplicatedUS over GroupLocalUS.
+	speedup float64
+	// oracleOK reports that assembling the per-group slices reproduced the
 	// one-shot replicated Partition bit-for-bit.
-	OracleOK bool
+	oracleOK bool
 }
 
 // Stage2Result is a weak-scaling study of the hierarchical partitioner's
@@ -182,9 +182,9 @@ type Stage2Row struct {
 // instead of replicating every group's slicing. Stage 1 stays replicated in
 // both modes and is timed separately.
 type Stage2Result struct {
-	BoxesPerRank int
-	GroupSize    int
-	Rows         []Stage2Row
+	boxesPerRank int
+	groupSize    int
+	rows         []stage2Row
 }
 
 // WeakScalingStage2 runs the stage-2 sweep over the rank ladder
@@ -196,7 +196,7 @@ func WeakScalingStage2(maxRanks, groupSize int) (*Stage2Result, error) {
 	if groupSize < 1 {
 		groupSize = 64
 	}
-	res := &Stage2Result{BoxesPerRank: weakBoxesPerRank, GroupSize: groupSize}
+	res := &Stage2Result{boxesPerRank: weakBoxesPerRank, groupSize: groupSize}
 	for _, ranks := range []int{16, 64, 256, 1024, 4096} {
 		if ranks > maxRanks {
 			break
@@ -243,19 +243,19 @@ func WeakScalingStage2(maxRanks, groupSize int) (*Stage2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Stage2Row{
-			Ranks:        ranks,
-			Groups:       groups,
-			Boxes:        len(assembled.Boxes),
-			Stage1MS:     stage1.Seconds() * 1e3,
-			ReplicatedUS: replicated.Seconds() * 1e6 / float64(reps),
-			GroupLocalUS: local.Seconds() * 1e6 / float64(reps),
-			OracleOK:     assignmentsIdentical(assembled, oracle),
+		row := stage2Row{
+			ranks:        ranks,
+			groups:       groups,
+			boxes:        len(assembled.Boxes),
+			stage1MS:     stage1.Seconds() * 1e3,
+			replicatedUS: replicated.Seconds() * 1e6 / float64(reps),
+			groupLocalUS: local.Seconds() * 1e6 / float64(reps),
+			oracleOK:     assignmentsIdentical(assembled, oracle),
 		}
-		if row.GroupLocalUS > 0 {
-			row.Speedup = row.ReplicatedUS / row.GroupLocalUS
+		if row.groupLocalUS > 0 {
+			row.speedup = row.replicatedUS / row.groupLocalUS
 		}
-		res.Rows = append(res.Rows, row)
+		res.rows = append(res.rows, row)
 	}
 	return res, nil
 }
@@ -286,16 +286,16 @@ func assignmentsIdentical(a, b *partition.Assignment) bool {
 func (r *Stage2Result) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		fmt.Sprintf("Stage-2 slicing: replicated vs group-local (%d boxes/rank, groups of %d)",
-			r.BoxesPerRank, r.GroupSize),
+			r.boxesPerRank, r.groupSize),
 		"Ranks", "Groups", "Boxes", "Stage1 (ms)", "Replicated (µs)",
 		"Group-local (µs)", "Speedup (×)", "Oracle")
-	for _, row := range r.Rows {
+	for _, row := range r.rows {
 		oracle := "OK"
-		if !row.OracleOK {
+		if !row.oracleOK {
 			oracle = "MISMATCH"
 		}
-		tab.AddF(row.Ranks, row.Groups, row.Boxes, row.Stage1MS,
-			row.ReplicatedUS, row.GroupLocalUS, row.Speedup, oracle)
+		tab.AddF(row.ranks, row.groups, row.boxes, row.stage1MS,
+			row.replicatedUS, row.groupLocalUS, row.speedup, oracle)
 	}
 	return tab.Render(w)
 }
@@ -306,10 +306,10 @@ func (r *Stage2Result) WriteCSV(w io.Writer) error {
 		"ranks,groups,boxes,stage1_ms,replicated_us,grouplocal_us,speedup,oracle_ok"); err != nil {
 		return err
 	}
-	for _, row := range r.Rows {
+	for _, row := range r.rows {
 		if _, err := fmt.Fprintf(w, "%d,%d,%d,%.4f,%.4f,%.4f,%.2f,%t\n",
-			row.Ranks, row.Groups, row.Boxes, row.Stage1MS,
-			row.ReplicatedUS, row.GroupLocalUS, row.Speedup, row.OracleOK); err != nil {
+			row.ranks, row.groups, row.boxes, row.stage1MS,
+			row.replicatedUS, row.groupLocalUS, row.speedup, row.oracleOK); err != nil {
 			return err
 		}
 	}
@@ -320,16 +320,16 @@ func (r *Stage2Result) WriteCSV(w io.Writer) error {
 func (r *WeakScalingResult) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		fmt.Sprintf("Weak scaling of repartition plan construction (%d boxes/rank, hierarchical groups of %d)",
-			r.BoxesPerRank, r.GroupSize),
+			r.boxesPerRank, r.groupSize),
 		"Ranks", "Boxes", "Stage1 (ms)", "Per-rank plan (µs)", "Central (ms)",
 		"Speedup (×)", "Full bcast (KB)", "Delta bcast (KB)", "Oracle")
-	for _, row := range r.Rows {
+	for _, row := range r.rows {
 		oracle := "OK"
-		if !row.OracleOK {
+		if !row.oracleOK {
 			oracle = "MISMATCH"
 		}
-		tab.AddF(row.Ranks, row.Boxes, row.Stage1MS, row.PerRankUS, row.CentralMS,
-			row.Speedup, row.FullKB, row.DeltaKB, oracle)
+		tab.AddF(row.ranks, row.boxes, row.stage1MS, row.perRankUS, row.centralMS,
+			row.speedup, row.fullKB, row.deltaKB, oracle)
 	}
 	return tab.Render(w)
 }
@@ -340,10 +340,10 @@ func (r *WeakScalingResult) WriteCSV(w io.Writer) error {
 		"ranks,boxes,stage1_ms,per_rank_us,central_ms,speedup,full_kb,delta_kb,oracle_ok"); err != nil {
 		return err
 	}
-	for _, row := range r.Rows {
+	for _, row := range r.rows {
 		if _, err := fmt.Fprintf(w, "%d,%d,%.4f,%.4f,%.4f,%.2f,%.3f,%.3f,%t\n",
-			row.Ranks, row.Boxes, row.Stage1MS, row.PerRankUS, row.CentralMS,
-			row.Speedup, row.FullKB, row.DeltaKB, row.OracleOK); err != nil {
+			row.ranks, row.boxes, row.stage1MS, row.perRankUS, row.centralMS,
+			row.speedup, row.fullKB, row.deltaKB, row.oracleOK); err != nil {
 			return err
 		}
 	}

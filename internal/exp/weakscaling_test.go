@@ -15,26 +15,26 @@ func TestWeakScalingOracleAndDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3 (16, 64, 256)", len(res.Rows))
+	if len(res.rows) != 3 {
+		t.Fatalf("got %d rows, want 3 (16, 64, 256)", len(res.rows))
 	}
-	for _, row := range res.Rows {
-		if !row.OracleOK {
-			t.Errorf("%d ranks: distributed plans diverged from the oracle", row.Ranks)
+	for _, row := range res.rows {
+		if !row.oracleOK {
+			t.Errorf("%d ranks: distributed plans diverged from the oracle", row.ranks)
 		}
-		if row.DeltaKB >= row.FullKB {
+		if row.deltaKB >= row.fullKB {
 			t.Errorf("%d ranks: delta broadcast %.3f KB not below full %.3f KB",
-				row.Ranks, row.DeltaKB, row.FullKB)
+				row.ranks, row.deltaKB, row.fullKB)
 		}
-		if row.Boxes < weakBoxesPerRank*row.Ranks {
-			t.Errorf("%d ranks: only %d boxes, want >= %d", row.Ranks, row.Boxes,
-				weakBoxesPerRank*row.Ranks)
+		if row.boxes < weakBoxesPerRank*row.ranks {
+			t.Errorf("%d ranks: only %d boxes, want >= %d", row.ranks, row.boxes,
+				weakBoxesPerRank*row.ranks)
 		}
 	}
 	// Both builds run in this process, so the ratio is hardware-independent
 	// (measured 179x at 256 ranks).
-	if last := res.Rows[len(res.Rows)-1]; last.Speedup < 5 {
-		t.Errorf("256-rank per-rank plan build only %.1fx faster than the central build, want >= 5x", last.Speedup)
+	if last := res.rows[len(res.rows)-1]; last.speedup < 5 {
+		t.Errorf("256-rank per-rank plan build only %.1fx faster than the central build, want >= 5x", last.speedup)
 	}
 	var csv strings.Builder
 	if err := res.WriteCSV(&csv); err != nil {
@@ -61,20 +61,20 @@ func TestWeakScalingStage2Oracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3 (16, 64, 256)", len(res.Rows))
+	if len(res.rows) != 3 {
+		t.Fatalf("got %d rows, want 3 (16, 64, 256)", len(res.rows))
 	}
-	for _, row := range res.Rows {
-		if !row.OracleOK {
-			t.Errorf("%d ranks: assembled slices diverged from the replicated oracle", row.Ranks)
+	for _, row := range res.rows {
+		if !row.oracleOK {
+			t.Errorf("%d ranks: assembled slices diverged from the replicated oracle", row.ranks)
 		}
-		if row.Groups != (row.Ranks+res.GroupSize-1)/res.GroupSize {
-			t.Errorf("%d ranks: %d groups with group size %d", row.Ranks, row.Groups, res.GroupSize)
+		if row.groups != (row.ranks+res.groupSize-1)/res.groupSize {
+			t.Errorf("%d ranks: %d groups with group size %d", row.ranks, row.groups, res.groupSize)
 		}
 	}
-	last := res.Rows[len(res.Rows)-1]
-	if last.Speedup < 4 {
-		t.Errorf("256-rank stage-2 speedup %.1fx below the 4x floor", last.Speedup)
+	last := res.rows[len(res.rows)-1]
+	if last.speedup < 4 {
+		t.Errorf("256-rank stage-2 speedup %.1fx below the 4x floor", last.speedup)
 	}
 	var csv strings.Builder
 	if err := res.WriteCSV(&csv); err != nil {

@@ -21,8 +21,8 @@ type Box struct {
 	Level int
 }
 
-// ErrEmptyBox is returned by operations that require a non-empty box.
-var ErrEmptyBox = errors.New("geom: empty box")
+// errEmptyBox is returned by operations that require a non-empty box.
+var errEmptyBox = errors.New("geom: empty box")
 
 // NewBox returns a box of the given rank spanning lo..hi inclusive.
 // It panics if rank is out of range; an inverted bound yields an empty box.
@@ -104,9 +104,9 @@ func (b Box) LongestAxis() int {
 	return best
 }
 
-// ShortestAxis returns the axis with the smallest extent, preferring the
+// shortestAxis returns the axis with the smallest extent, preferring the
 // lowest axis index on ties.
-func (b Box) ShortestAxis() int {
+func (b Box) shortestAxis() int {
 	best, bestLen := 0, b.Size(0)
 	for d := 1; d < b.Rank; d++ {
 		if n := b.Size(d); n < bestLen {
@@ -123,16 +123,8 @@ func (b Box) AspectRatio() float64 {
 		return 0
 	}
 	long := b.Size(b.LongestAxis())
-	short := b.Size(b.ShortestAxis())
+	short := b.Size(b.shortestAxis())
 	return float64(long) / float64(short)
-}
-
-// MinSide returns the smallest extent across the box's axes.
-func (b Box) MinSide() int {
-	if b.Empty() {
-		return 0
-	}
-	return b.Size(b.ShortestAxis())
 }
 
 // Contains reports whether p lies inside the box.
@@ -177,8 +169,8 @@ func (b Box) Intersect(o Box) Box {
 	return r
 }
 
-// BoundingUnion returns the smallest box covering both b and o.
-func (b Box) BoundingUnion(o Box) Box {
+// boundingUnion returns the smallest box covering both b and o.
+func (b Box) boundingUnion(o Box) Box {
 	if b.Empty() {
 		return o
 	}
@@ -197,16 +189,6 @@ func (b Box) Equal(o Box) bool {
 		return b.Rank == o.Rank && b.Level == o.Level
 	}
 	return b.Rank == o.Rank && b.Level == o.Level && b.Lo == o.Lo && b.Hi == o.Hi
-}
-
-// Translate returns the box shifted by offset.
-func (b Box) Translate(offset Point) Box {
-	b.Lo = b.Lo.Add(offset)
-	b.Hi = b.Hi.Add(offset)
-	for d := b.Rank; d < MaxDim; d++ {
-		b.Lo[d], b.Hi[d] = 0, 0
-	}
-	return b
 }
 
 // Grow returns the box expanded by n cells on every face (n may be negative
@@ -288,17 +270,6 @@ func (b Box) SplitFraction(d int, frac float64, minSide int) (low, high Box, ok 
 		cut = n - minSide
 	}
 	low, high = b.Split(d, b.Lo[d]+cut)
-	return low, high, true
-}
-
-// Halve cuts the box in two equal parts along its longest axis. It returns
-// ok=false if the longest axis has fewer than 2 cells.
-func (b Box) Halve() (low, high Box, ok bool) {
-	d := b.LongestAxis()
-	if b.Size(d) < 2 {
-		return b, Box{}, false
-	}
-	low, high = b.Split(d, b.Lo[d]+b.Size(d)/2)
 	return low, high, true
 }
 

@@ -157,20 +157,6 @@ func TestSplitFraction(t *testing.T) {
 	}
 }
 
-func TestHalve(t *testing.T) {
-	b := Box3(0, 0, 0, 15, 3, 3)
-	lo, hi, ok := b.Halve()
-	if !ok {
-		t.Fatal("Halve failed")
-	}
-	if lo.Cells() != hi.Cells() {
-		t.Errorf("Halve unequal: %d vs %d", lo.Cells(), hi.Cells())
-	}
-	if _, _, ok := Box2(3, 0, 3, 0).Halve(); ok {
-		t.Error("Halve of single cell should fail")
-	}
-}
-
 func TestSubtract(t *testing.T) {
 	b := Box2(0, 0, 9, 9)
 	inner := Box2(3, 3, 6, 6)
@@ -204,45 +190,28 @@ func TestAspectRatioAndAxes(t *testing.T) {
 	if b.LongestAxis() != 0 {
 		t.Errorf("LongestAxis = %d, want 0", b.LongestAxis())
 	}
-	if b.ShortestAxis() != 1 {
-		t.Errorf("ShortestAxis = %d, want 1", b.ShortestAxis())
+	if b.shortestAxis() != 1 {
+		t.Errorf("ShortestAxis = %d, want 1", b.shortestAxis())
 	}
 	if ar := b.AspectRatio(); ar != 4.0 {
 		t.Errorf("AspectRatio = %g, want 4", ar)
-	}
-	if b.MinSide() != 4 {
-		t.Errorf("MinSide = %d, want 4", b.MinSide())
-	}
-}
-
-func TestTranslate(t *testing.T) {
-	b := Box2(0, 0, 3, 3)
-	m := b.Translate(Pt2(10, -2))
-	if !m.Equal(Box2(10, -2, 13, 1)) {
-		t.Errorf("Translate = %v", m)
-	}
-	if m.Cells() != b.Cells() {
-		t.Error("Translate changed cell count")
 	}
 }
 
 func TestBoundingUnion(t *testing.T) {
 	a := Box2(0, 0, 3, 3)
 	b := Box2(10, 10, 12, 12)
-	u := a.BoundingUnion(b)
+	u := a.boundingUnion(b)
 	if !u.ContainsBox(a) || !u.ContainsBox(b) {
 		t.Error("BoundingUnion does not contain operands")
 	}
-	if !a.BoundingUnion(Box{Rank: 2, Lo: Pt2(1, 1), Hi: Pt2(0, 0)}).Equal(a) {
+	if !a.boundingUnion(Box{Rank: 2, Lo: Pt2(1, 1), Hi: Pt2(0, 0)}).Equal(a) {
 		t.Error("BoundingUnion with empty should return the other operand")
 	}
 }
 
 func TestPointOps(t *testing.T) {
 	p, q := Pt3(1, 2, 3), Pt3(4, 0, 3)
-	if p.Add(q) != Pt3(5, 2, 6) {
-		t.Error("Add wrong")
-	}
 	if p.Sub(q) != Pt3(-3, 2, 0) {
 		t.Error("Sub wrong")
 	}

@@ -3,7 +3,6 @@ package geom
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
 // BoxList is an ordered collection of boxes, the unit of currency between the
@@ -59,23 +58,6 @@ func (l BoxList) Filter(keep func(Box) bool) BoxList {
 	return out
 }
 
-// SortByCells orders the list by ascending cell count, breaking ties by
-// level then lexicographic lower bound so the order is deterministic. The
-// ACEHeterogeneous partitioner sorts boxes this way so the smallest box goes
-// to the smallest-capacity processor.
-func (l BoxList) SortByCells() {
-	sort.SliceStable(l, func(i, j int) bool {
-		ci, cj := l[i].Cells(), l[j].Cells()
-		if ci != cj {
-			return ci < cj
-		}
-		if l[i].Level != l[j].Level {
-			return l[i].Level < l[j].Level
-		}
-		return l[i].Lo.Less(l[j].Lo)
-	})
-}
-
 // SortBy orders the list by an arbitrary key, breaking ties
 // deterministically by level then lower bound; boxes equal in all three keep
 // their input order. The key is evaluated once per box, and a list already
@@ -110,30 +92,6 @@ func (l BoxList) SortBy(key func(Box) int64) {
 	}
 }
 
-// Intersecting returns the sublist of boxes intersecting the probe box at
-// the same level.
-func (l BoxList) Intersecting(probe Box) BoxList {
-	var out BoxList
-	for _, b := range l {
-		if b.Level == probe.Level && b.Intersects(probe) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// CoverageOf returns the number of cells of probe covered by boxes of the
-// list at the same level. Boxes in the list are assumed disjoint.
-func (l BoxList) CoverageOf(probe Box) int64 {
-	var n int64
-	for _, b := range l {
-		if b.Level == probe.Level {
-			n += b.Intersect(probe).Cells()
-		}
-	}
-	return n
-}
-
 // Disjoint reports whether no two boxes of the list overlap. Levels are
 // respected: boxes on different levels never conflict.
 func (l BoxList) Disjoint() bool {
@@ -161,10 +119,10 @@ func (l BoxList) BoundingBox() (Box, error) {
 			found = true
 			continue
 		}
-		acc = acc.BoundingUnion(b)
+		acc = acc.boundingUnion(b)
 	}
 	if !found {
-		return Box{}, ErrEmptyBox
+		return Box{}, errEmptyBox
 	}
 	return acc, nil
 }

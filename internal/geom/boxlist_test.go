@@ -24,7 +24,7 @@ func TestBoxListSortByCells(t *testing.T) {
 		Box2(0, 0, 4, 4),   // 25
 		Box2(20, 0, 21, 1), // 4, later origin
 	}
-	l.SortByCells()
+	l.SortBy(Box.Cells)
 	want := []int64{4, 4, 25, 100}
 	for i, b := range l {
 		if b.Cells() != want[i] {
@@ -45,11 +45,11 @@ func TestBoxListSortByStable(t *testing.T) {
 	}
 	a := l.Clone()
 	b := l.Clone()
-	a.SortByCells()
-	b.SortByCells()
+	a.SortBy(Box.Cells)
+	b.SortBy(Box.Cells)
 	for i := range a {
 		if !a[i].Equal(b[i]) {
-			t.Fatal("SortByCells not deterministic")
+			t.Fatal("SortBy(Box.Cells) not deterministic")
 		}
 	}
 }
@@ -78,22 +78,6 @@ func TestBoxListDisjoint(t *testing.T) {
 	}
 }
 
-func TestBoxListIntersectingAndCoverage(t *testing.T) {
-	l := BoxList{
-		Box2(0, 0, 3, 3),
-		Box2(4, 0, 7, 3),
-		Box2(0, 0, 3, 3).WithLevel(1),
-	}
-	probe := Box2(2, 0, 5, 3)
-	hits := l.Intersecting(probe)
-	if len(hits) != 2 {
-		t.Fatalf("Intersecting returned %d boxes, want 2", len(hits))
-	}
-	if cov := l.CoverageOf(probe); cov != 16 {
-		t.Errorf("CoverageOf = %d, want 16", cov)
-	}
-}
-
 func TestBoxListBoundingBox(t *testing.T) {
 	l := BoxList{Box2(0, 0, 3, 3), Box2(10, 10, 12, 12)}
 	bb, err := l.BoundingBox()
@@ -103,7 +87,7 @@ func TestBoxListBoundingBox(t *testing.T) {
 	if !bb.Equal(Box2(0, 0, 12, 12)) {
 		t.Errorf("BoundingBox = %v", bb)
 	}
-	if _, err := BoxList(nil).BoundingBox(); err != ErrEmptyBox {
+	if _, err := BoxList(nil).BoundingBox(); err != errEmptyBox {
 		t.Errorf("empty BoundingBox err = %v, want ErrEmptyBox", err)
 	}
 }

@@ -1,20 +1,19 @@
 package geom
 
-// Coalesce greedily merges boxes that together form an exact rectilinear
-// box (same level, equal extents on all axes but one, adjacent on that
-// axis). Clustering and quota splitting can fragment a region into slivers;
-// coalescing them back reduces per-box overheads (ghost halos, messages)
-// without changing coverage. The result covers exactly the same cells.
+// CoalesceBounded greedily merges boxes that together form an exact
+// rectilinear box (same level, equal extents on all axes but one, adjacent
+// on that axis). Clustering and quota splitting can fragment a region into
+// slivers; coalescing them back reduces per-box overheads (ghost halos,
+// messages) without changing coverage. The result covers exactly the same
+// cells.
+//
+// Merges that would produce a box with any side longer than maxSide are
+// skipped (0 = unbounded). Callers that cap box sizes for partitioning
+// granularity use the bound so coalescing cannot undo it.
 //
 // The merge is a fixed point of pairwise merging; with n input boxes it
 // costs O(n^2) per pass and at most n-1 passes, fine for the box counts
 // SAMR hierarchies produce.
-func Coalesce(l BoxList) BoxList { return CoalesceBounded(l, 0) }
-
-// CoalesceBounded is Coalesce with a cap: merges that would produce a box
-// with any side longer than maxSide are skipped (0 = unbounded). Callers
-// that cap box sizes for partitioning granularity use the bound so
-// coalescing cannot undo it.
 func CoalesceBounded(l BoxList, maxSide int) BoxList {
 	out := l.Clone()
 	for {
@@ -61,7 +60,7 @@ func mergePair(a, b Box) (Box, bool) {
 		return a, true
 	}
 	if a.Hi[diff]+1 == b.Lo[diff] || b.Hi[diff]+1 == a.Lo[diff] {
-		return a.BoundingUnion(b), true
+		return a.boundingUnion(b), true
 	}
 	return Box{}, false
 }

@@ -8,7 +8,7 @@ import (
 
 func TestCoalesceAdjacentPair(t *testing.T) {
 	l := BoxList{Box2(0, 0, 3, 7), Box2(4, 0, 7, 7)}
-	out := Coalesce(l)
+	out := CoalesceBounded(l, 0)
 	if len(out) != 1 || !out[0].Equal(Box2(0, 0, 7, 7)) {
 		t.Errorf("Coalesce = %v", out)
 	}
@@ -20,7 +20,7 @@ func TestCoalesceChain(t *testing.T) {
 		Box2(0, 0, 3, 3), Box2(4, 0, 7, 3),
 		Box2(0, 4, 3, 7), Box2(4, 4, 7, 7),
 	}
-	out := Coalesce(l)
+	out := CoalesceBounded(l, 0)
 	if len(out) != 1 || !out[0].Equal(Box2(0, 0, 7, 7)) {
 		t.Errorf("Coalesce = %v", out)
 	}
@@ -32,18 +32,18 @@ func TestCoalesceRespectsLevelsAndShape(t *testing.T) {
 		Box2(4, 0, 7, 3).WithLevel(1), // different level: no merge
 		Box2(1, 4, 3, 7),              // different x extent: union not a box
 	}
-	out := Coalesce(l)
+	out := CoalesceBounded(l, 0)
 	if len(out) != 3 {
 		t.Errorf("Coalesce merged unmergeable boxes: %v", out)
 	}
 	// Diagonal neighbors never merge.
 	diag := BoxList{Box2(0, 0, 3, 3), Box2(4, 4, 7, 7)}
-	if len(Coalesce(diag)) != 2 {
+	if len(CoalesceBounded(diag, 0)) != 2 {
 		t.Error("diagonal boxes merged")
 	}
 	// Gap on the merge axis: no merge.
 	gap := BoxList{Box2(0, 0, 3, 3), Box2(5, 0, 8, 3)}
-	if len(Coalesce(gap)) != 2 {
+	if len(CoalesceBounded(gap, 0)) != 2 {
 		t.Error("non-adjacent boxes merged")
 	}
 }
@@ -53,7 +53,7 @@ func TestCoalesce3D(t *testing.T) {
 		Box3(0, 0, 0, 7, 7, 3),
 		Box3(0, 0, 4, 7, 7, 7),
 	}
-	out := Coalesce(l)
+	out := CoalesceBounded(l, 0)
 	if len(out) != 1 || !out[0].Equal(Box3(0, 0, 0, 7, 7, 7)) {
 		t.Errorf("3D Coalesce = %v", out)
 	}
@@ -85,8 +85,8 @@ func TestCoalesceBounded(t *testing.T) {
 }
 
 func TestCoalesceEmpty(t *testing.T) {
-	if out := Coalesce(nil); len(out) != 0 {
-		t.Error("Coalesce(nil) not empty")
+	if out := CoalesceBounded(nil, 0); len(out) != 0 {
+		t.Error("CoalesceBounded(nil, 0) not empty")
 	}
 }
 
@@ -110,7 +110,7 @@ func TestQuickCoalescePreservesCoverage(t *testing.T) {
 		}
 		r.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
 		before := parts.TotalCells()
-		out := Coalesce(parts)
+		out := CoalesceBounded(parts, 0)
 		if out.TotalCells() != before {
 			return false
 		}

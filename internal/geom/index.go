@@ -67,7 +67,7 @@ func NewIndex(boxes BoxList) *Index {
 func buildLevelGrid(boxes BoxList, idxs []int) levelGrid {
 	g := levelGrid{bounds: boxes[idxs[0]]}
 	for _, i := range idxs[1:] {
-		g.bounds = g.bounds.BoundingUnion(boxes[i])
+		g.bounds = g.bounds.boundingUnion(boxes[i])
 	}
 	rank := g.bounds.Rank
 	per := int(math.Ceil(math.Pow(float64(len(idxs)), 1/float64(rank))))

@@ -25,14 +25,6 @@ func Pt2(x, y int) Point { return Point{x, y, 0} }
 // Pt3 returns a 3-dimensional point.
 func Pt3(x, y, z int) Point { return Point{x, y, z} }
 
-// Add returns the component-wise sum p+q.
-func (p Point) Add(q Point) Point {
-	for d := 0; d < MaxDim; d++ {
-		p[d] += q[d]
-	}
-	return p
-}
-
 // Sub returns the component-wise difference p-q.
 func (p Point) Sub(q Point) Point {
 	for d := 0; d < MaxDim; d++ {

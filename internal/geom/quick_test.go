@@ -171,7 +171,7 @@ func TestQuickGrowShrinkIdentity(t *testing.T) {
 
 func TestQuickBoundingUnionContains(t *testing.T) {
 	f := func(g boxPairGen) bool {
-		u := g.A.BoundingUnion(g.B)
+		u := g.A.boundingUnion(g.B)
 		return u.ContainsBox(g.A) && u.ContainsBox(g.B)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {

@@ -1,17 +1,14 @@
 // Package hdda implements the core of GrACE's Hierarchical Distributed
 // Dynamic Array (HDDA) substrate: a hierarchical index space derived from a
 // space-filling curve (index locality = spatial locality) and an extendible
-// hash directory (Fagin 1979) providing dynamic storage that grows and
-// shrinks with the grid hierarchy.
+// hash directory (Fagin 1979) providing dynamic storage that grows with the
+// grid hierarchy.
 //
 // The HDDA stores one entry per component-grid patch, keyed by (level, SFC
-// index). Ownership of key ranges is assigned to processors as contiguous
-// spans of the index space, which is how GrACE turns a partitioning decision
-// into a data layout.
+// index).
 package hdda
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -24,9 +21,6 @@ const bucketCap = 8
 // beyond any realistic hierarchy and guards pathological hash behaviour.
 const maxGlobalDepth = 24
 
-// ErrNotFound is returned by Get/Delete for missing keys.
-var ErrNotFound = errors.New("hdda: key not found")
-
 type entry[V any] struct {
 	key   uint64
 	value V
@@ -37,18 +31,18 @@ type bucket[V any] struct {
 	entries    []entry[V]
 }
 
-// Directory is an extendible hash table from uint64 keys to values of type
+// directory is an extendible hash table from uint64 keys to values of type
 // V. The zero value is not usable; call NewDirectory.
-type Directory[V any] struct {
+type directory[V any] struct {
 	globalDepth int
 	buckets     []*bucket[V] // len == 1<<globalDepth
 	size        int
 }
 
-// NewDirectory returns an empty extendible hash directory.
-func NewDirectory[V any]() *Directory[V] {
+// newDirectory returns an empty extendible hash directory.
+func newDirectory[V any]() *directory[V] {
 	b := &bucket[V]{localDepth: 0}
-	return &Directory[V]{globalDepth: 0, buckets: []*bucket[V]{b}}
+	return &directory[V]{globalDepth: 0, buckets: []*bucket[V]{b}}
 }
 
 // hash mixes the key; splitmix64 finalizer gives well-distributed low bits,
@@ -60,19 +54,12 @@ func hash(k uint64) uint64 {
 	return k ^ (k >> 31)
 }
 
-func (d *Directory[V]) slot(k uint64) int {
+func (d *directory[V]) slot(k uint64) int {
 	return int(hash(k) & (1<<uint(d.globalDepth) - 1))
 }
 
-// Len returns the number of stored entries.
-func (d *Directory[V]) Len() int { return d.size }
-
-// GlobalDepth returns the current directory depth (the directory has
-// 2^GlobalDepth slots).
-func (d *Directory[V]) GlobalDepth() int { return d.globalDepth }
-
 // Get returns the value stored under key.
-func (d *Directory[V]) Get(key uint64) (V, bool) {
+func (d *directory[V]) Get(key uint64) (V, bool) {
 	b := d.buckets[d.slot(key)]
 	for _, e := range b.entries {
 		if e.key == key {
@@ -84,7 +71,7 @@ func (d *Directory[V]) Get(key uint64) (V, bool) {
 }
 
 // Put stores value under key, replacing any existing entry.
-func (d *Directory[V]) Put(key uint64, value V) {
+func (d *directory[V]) Put(key uint64, value V) {
 	for {
 		b := d.buckets[d.slot(key)]
 		for i := range b.entries {
@@ -108,24 +95,9 @@ func (d *Directory[V]) Put(key uint64, value V) {
 	}
 }
 
-// Delete removes the entry under key; it returns ErrNotFound if absent.
-func (d *Directory[V]) Delete(key uint64) error {
-	b := d.buckets[d.slot(key)]
-	for i := range b.entries {
-		if b.entries[i].key == key {
-			last := len(b.entries) - 1
-			b.entries[i] = b.entries[last]
-			b.entries = b.entries[:last]
-			d.size--
-			return nil
-		}
-	}
-	return ErrNotFound
-}
-
 // Range calls fn for every (key, value) pair until fn returns false.
 // Iteration order is unspecified.
-func (d *Directory[V]) Range(fn func(key uint64, value V) bool) {
+func (d *directory[V]) Range(fn func(key uint64, value V) bool) {
 	seen := make(map[*bucket[V]]bool)
 	for _, b := range d.buckets {
 		if seen[b] {
@@ -143,7 +115,7 @@ func (d *Directory[V]) Range(fn func(key uint64, value V) bool) {
 // split divides an overflowing bucket, doubling the directory if the bucket
 // is already at global depth. Returns false when the directory refuses to
 // grow past maxGlobalDepth.
-func (d *Directory[V]) split(b *bucket[V]) bool {
+func (d *directory[V]) split(b *bucket[V]) bool {
 	if b.localDepth == d.globalDepth {
 		if d.globalDepth >= maxGlobalDepth {
 			return false
@@ -181,7 +153,7 @@ func (d *Directory[V]) split(b *bucket[V]) bool {
 }
 
 // checkInvariants validates directory structure; used by tests.
-func (d *Directory[V]) checkInvariants() error {
+func (d *directory[V]) checkInvariants() error {
 	if len(d.buckets) != 1<<uint(d.globalDepth) {
 		return fmt.Errorf("directory has %d slots, want %d", len(d.buckets), 1<<uint(d.globalDepth))
 	}

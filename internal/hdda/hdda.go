@@ -18,24 +18,21 @@ type patch[V any] struct {
 // application objects (grids, meshes) on top of.
 type Array[V any] struct {
 	space *IndexSpace
-	dir   *Directory[[]patch[V]]
+	dir   *directory[[]patch[V]]
 	count int
 }
 
 // NewArray creates an empty HDDA over the given index space.
 func NewArray[V any](space *IndexSpace) *Array[V] {
-	return &Array[V]{space: space, dir: NewDirectory[[]patch[V]]()}
+	return &Array[V]{space: space, dir: newDirectory[[]patch[V]]()}
 }
 
 // Space returns the array's hierarchical index space.
 func (a *Array[V]) Space() *IndexSpace { return a.space }
 
-// Len returns the number of stored patches.
-func (a *Array[V]) Len() int { return a.count }
-
 // Put stores v under box b, replacing an existing entry for the same box.
 func (a *Array[V]) Put(b geom.Box, v V) {
-	key := a.space.KeyFor(b).Packed()
+	key := a.space.keyFor(b).packed()
 	list, _ := a.dir.Get(key)
 	for i := range list {
 		if list[i].box.Equal(b) {
@@ -50,7 +47,7 @@ func (a *Array[V]) Put(b geom.Box, v V) {
 
 // Get returns the value stored for box b.
 func (a *Array[V]) Get(b geom.Box) (V, bool) {
-	key := a.space.KeyFor(b).Packed()
+	key := a.space.keyFor(b).packed()
 	list, ok := a.dir.Get(key)
 	if ok {
 		for _, p := range list {
@@ -63,27 +60,6 @@ func (a *Array[V]) Get(b geom.Box) (V, bool) {
 	return zero, false
 }
 
-// Delete removes the entry for box b; ErrNotFound if absent.
-func (a *Array[V]) Delete(b geom.Box) error {
-	key := a.space.KeyFor(b).Packed()
-	list, ok := a.dir.Get(key)
-	if !ok {
-		return ErrNotFound
-	}
-	for i := range list {
-		if list[i].box.Equal(b) {
-			list = append(list[:i], list[i+1:]...)
-			a.count--
-			if len(list) == 0 {
-				return a.dir.Delete(key)
-			}
-			a.dir.Put(key, list)
-			return nil
-		}
-	}
-	return ErrNotFound
-}
-
 // Range calls fn for every (box, value) pair until fn returns false.
 func (a *Array[V]) Range(fn func(b geom.Box, v V) bool) {
 	a.dir.Range(func(_ uint64, list []patch[V]) bool {
@@ -94,21 +70,4 @@ func (a *Array[V]) Range(fn func(b geom.Box, v V) bool) {
 		}
 		return true
 	})
-}
-
-// Boxes returns all stored boxes in hierarchical index order.
-func (a *Array[V]) Boxes() geom.BoxList {
-	out := make(geom.BoxList, 0, a.count)
-	a.Range(func(b geom.Box, _ V) bool {
-		out = append(out, b)
-		return true
-	})
-	a.space.Sort(out)
-	return out
-}
-
-// LevelBoxes returns the stored boxes of one level in index order.
-func (a *Array[V]) LevelBoxes(level int) geom.BoxList {
-	out := a.Boxes().Filter(func(b geom.Box) bool { return b.Level == level })
-	return out
 }

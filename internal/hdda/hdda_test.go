@@ -10,7 +10,7 @@ import (
 )
 
 func TestDirectoryBasic(t *testing.T) {
-	d := NewDirectory[string]()
+	d := newDirectory[string]()
 	if _, ok := d.Get(42); ok {
 		t.Error("empty directory returned a value")
 	}
@@ -23,30 +23,21 @@ func TestDirectoryBasic(t *testing.T) {
 	if v, _ := d.Get(42); v != "c" {
 		t.Errorf("replace failed: %q", v)
 	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d, want 2", d.Len())
-	}
-	if err := d.Delete(42); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Delete(42); err != ErrNotFound {
-		t.Errorf("double delete err = %v", err)
-	}
-	if d.Len() != 1 {
-		t.Errorf("Len after delete = %d", d.Len())
+	if d.size != 2 {
+		t.Errorf("size = %d, want 2", d.size)
 	}
 }
 
 func TestDirectoryGrowth(t *testing.T) {
-	d := NewDirectory[int]()
+	d := newDirectory[int]()
 	const n = 10000
 	for i := 0; i < n; i++ {
 		d.Put(uint64(i)*2654435761, i)
 	}
-	if d.Len() != n {
-		t.Fatalf("Len = %d, want %d", d.Len(), n)
+	if d.size != n {
+		t.Fatalf("size = %d, want %d", d.size, n)
 	}
-	if d.GlobalDepth() == 0 {
+	if d.globalDepth == 0 {
 		t.Error("directory never grew")
 	}
 	if err := d.checkInvariants(); err != nil {
@@ -60,7 +51,7 @@ func TestDirectoryGrowth(t *testing.T) {
 }
 
 func TestDirectoryRange(t *testing.T) {
-	d := NewDirectory[int]()
+	d := newDirectory[int]()
 	for i := 0; i < 100; i++ {
 		d.Put(uint64(i), i)
 	}
@@ -79,23 +70,16 @@ func TestDirectoryRange(t *testing.T) {
 func TestQuickDirectoryModel(t *testing.T) {
 	// Model-check against a plain map under random operation sequences.
 	f := func(ops []uint16, seed int64) bool {
-		d := NewDirectory[uint16]()
+		d := newDirectory[uint16]()
 		model := make(map[uint64]uint16)
 		r := rand.New(rand.NewSource(seed))
 		for _, op := range ops {
 			key := uint64(op % 64) // small key space forces collisions
-			switch r.Intn(3) {
+			switch r.Intn(2) {
 			case 0:
 				d.Put(key, op)
 				model[key] = op
 			case 1:
-				err := d.Delete(key)
-				_, had := model[key]
-				if had != (err == nil) {
-					return false
-				}
-				delete(model, key)
-			case 2:
 				v, ok := d.Get(key)
 				mv, mok := model[key]
 				if ok != mok || (ok && v != mv) {
@@ -103,7 +87,7 @@ func TestQuickDirectoryModel(t *testing.T) {
 				}
 			}
 		}
-		if d.Len() != len(model) {
+		if d.size != len(model) {
 			return false
 		}
 		return d.checkInvariants() == nil
@@ -114,19 +98,20 @@ func TestQuickDirectoryModel(t *testing.T) {
 }
 
 func TestKeyPackUnpack(t *testing.T) {
-	cases := []Key{
+	cases := []key{
 		{Level: 0, Index: 0},
 		{Level: 3, Index: 12345},
-		{Level: MaxLevel, Index: 1<<(64-levelBits) - 1},
+		{Level: maxLevel, Index: 1<<(64-levelBits) - 1},
 	}
 	for _, k := range cases {
-		if got := UnpackKey(k.Packed()); got != k {
-			t.Errorf("UnpackKey(Packed(%+v)) = %+v", k, got)
+		p := k.packed()
+		if level, index := int(p>>(64-levelBits)), p&(1<<(64-levelBits)-1); level != k.Level || index != k.Index {
+			t.Errorf("Packed(%+v) = %#x holds level %d, index %d", k, p, level, index)
 		}
 	}
 	// Packed keys order by (level, index).
-	a := Key{Level: 1, Index: 1 << 40}.Packed()
-	b := Key{Level: 2, Index: 0}.Packed()
+	a := key{Level: 1, Index: 1 << 40}.packed()
+	b := key{Level: 2, Index: 0}.packed()
 	if a >= b {
 		t.Error("packed keys do not order by level first")
 	}
@@ -138,44 +123,7 @@ func TestKeyPackedPanicsOutOfRange(t *testing.T) {
 			t.Error("Packed should panic for level > MaxLevel")
 		}
 	}()
-	Key{Level: MaxLevel + 1}.Packed()
-}
-
-func TestOwnerMap(t *testing.T) {
-	m, err := NewOwnerMap([]Span{
-		{From: 100, To: 200, Owner: 1},
-		{From: 0, To: 100, Owner: 0},
-		{From: 300, To: 400, Owner: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		key  uint64
-		want int
-	}{
-		{0, 0}, {99, 0}, {100, 1}, {199, 1}, {200, -1}, {299, -1}, {300, 2}, {399, 2}, {400, -1},
-	}
-	for _, c := range cases {
-		if got := m.Owner(c.key); got != c.want {
-			t.Errorf("Owner(%d) = %d, want %d", c.key, got, c.want)
-		}
-	}
-	if len(m.Spans()) != 3 {
-		t.Error("Spans lost entries")
-	}
-}
-
-func TestOwnerMapRejectsBadSpans(t *testing.T) {
-	if _, err := NewOwnerMap([]Span{{From: 10, To: 10, Owner: 0}}); err == nil {
-		t.Error("empty span accepted")
-	}
-	if _, err := NewOwnerMap([]Span{
-		{From: 0, To: 100, Owner: 0},
-		{From: 50, To: 150, Owner: 1},
-	}); err == nil {
-		t.Error("overlapping spans accepted")
-	}
+	key{Level: maxLevel + 1}.packed()
 }
 
 func newTestSpace() *IndexSpace {
@@ -190,8 +138,8 @@ func TestArrayPutGetDelete(t *testing.T) {
 	a.Put(b1, 1)
 	a.Put(b2, 2)
 	a.Put(b3, 3)
-	if a.Len() != 3 {
-		t.Fatalf("Len = %d", a.Len())
+	if a.count != 3 {
+		t.Fatalf("count = %d", a.count)
 	}
 	for _, c := range []struct {
 		b    geom.Box
@@ -205,17 +153,8 @@ func TestArrayPutGetDelete(t *testing.T) {
 	if v, _ := a.Get(b1); v != 10 {
 		t.Error("replace failed")
 	}
-	if a.Len() != 3 {
-		t.Error("replace changed Len")
-	}
-	if err := a.Delete(b2); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := a.Get(b2); ok {
-		t.Error("deleted box still present")
-	}
-	if err := a.Delete(b2); err != ErrNotFound {
-		t.Errorf("double delete err = %v", err)
+	if a.count != 3 {
+		t.Error("replace changed count")
 	}
 }
 
@@ -225,8 +164,8 @@ func TestArrayCollidingKeys(t *testing.T) {
 	a := NewArray[string](newTestSpace())
 	coarse := geom.Box3(4, 4, 4, 5, 5, 5)
 	fine := geom.Box3(8, 8, 8, 11, 11, 11).WithLevel(1) // centroid (9,9,9)->(4,4,4) at L0
-	k1 := a.Space().KeyFor(coarse)
-	k2 := a.Space().KeyFor(fine)
+	k1 := a.Space().keyFor(coarse)
+	k2 := a.Space().keyFor(fine)
 	if k1.Index != k2.Index {
 		t.Skip("test construction assumption changed")
 	}
@@ -237,31 +176,6 @@ func TestArrayCollidingKeys(t *testing.T) {
 	}
 	if v, _ := a.Get(fine); v != "fine" {
 		t.Error("fine entry lost")
-	}
-}
-
-func TestArrayBoxesSortedByLevelIndex(t *testing.T) {
-	a := NewArray[int](newTestSpace())
-	r := rand.New(rand.NewSource(3))
-	n := 0
-	for i := 0; i < 60; i++ {
-		x, y, z := r.Intn(120), r.Intn(24), r.Intn(24)
-		b := geom.Box3(x, y, z, x+7, y+7, z+7).WithLevel(r.Intn(3))
-		if _, ok := a.Get(b); ok {
-			continue
-		}
-		a.Put(b, i)
-		n++
-	}
-	boxes := a.Boxes()
-	if len(boxes) != n {
-		t.Fatalf("Boxes returned %d, want %d", len(boxes), n)
-	}
-	lvl1 := a.LevelBoxes(1)
-	for _, b := range lvl1 {
-		if b.Level != 1 {
-			t.Error("LevelBoxes returned wrong level")
-		}
 	}
 }
 
@@ -276,7 +190,7 @@ func TestQuickArrayRoundTrip(t *testing.T) {
 			a.Put(b, i)
 			model[b] = i
 		}
-		if a.Len() != len(model) {
+		if a.count != len(model) {
 			return false
 		}
 		for b, want := range model {

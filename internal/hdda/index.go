@@ -2,16 +2,15 @@ package hdda
 
 import (
 	"fmt"
-	"sort"
 
 	"samrpart/internal/geom"
 	"samrpart/internal/sfc"
 )
 
-// Key identifies a patch in the hierarchical index space: the refinement
+// key identifies a patch in the hierarchical index space: the refinement
 // level and the space-filling-curve index of the patch on the base level's
 // lattice. Packed keys preserve SFC ordering within a level.
-type Key struct {
+type key struct {
 	Level int
 	Index uint64
 }
@@ -20,29 +19,19 @@ type Key struct {
 // by (level, index).
 const levelBits = 4
 
-// MaxLevel is the largest refinement level representable in a packed key.
-const MaxLevel = 1<<levelBits - 1
+// maxLevel is the largest refinement level representable in a packed key.
+const maxLevel = 1<<levelBits - 1
 
-// Packed returns the key as a single uint64 ordered by (level, index).
-func (k Key) Packed() uint64 {
-	if k.Level < 0 || k.Level > MaxLevel {
+// packed returns the key as a single uint64 ordered by (level, index).
+func (k key) packed() uint64 {
+	if k.Level < 0 || k.Level > maxLevel {
 		panic(fmt.Sprintf("hdda: level %d out of range", k.Level))
 	}
 	return uint64(k.Level)<<(64-levelBits) | k.Index&(1<<(64-levelBits)-1)
 }
 
-// UnpackKey inverts Key.Packed.
-func UnpackKey(p uint64) Key {
-	return Key{
-		Level: int(p >> (64 - levelBits)),
-		Index: p & (1<<(64-levelBits) - 1),
-	}
-}
-
 // IndexSpace maps boxes of an adaptive grid hierarchy to Keys using a
-// space-filling curve over the level-0 domain. It also resolves ownership:
-// processors own contiguous spans of the per-level index space, so placement
-// is a binary search.
+// space-filling curve over the level-0 domain.
 type IndexSpace struct {
 	mapper *sfc.Mapper
 }
@@ -52,56 +41,7 @@ func NewIndexSpace(curve sfc.Curve, domain geom.Box, refineRatio int) *IndexSpac
 	return &IndexSpace{mapper: sfc.NewMapper(curve, domain, refineRatio)}
 }
 
-// KeyFor returns the hierarchical key of a box.
-func (s *IndexSpace) KeyFor(b geom.Box) Key {
-	return Key{Level: b.Level, Index: s.mapper.BoxIndex(b)}
-}
-
-// Sort orders a box list along the curve (see sfc.Mapper.Sort).
-func (s *IndexSpace) Sort(l geom.BoxList) { s.mapper.Sort(l) }
-
-// Span is a half-open interval [From, To) of packed keys owned by one
-// processor.
-type Span struct {
-	From, To uint64
-	Owner    int
-}
-
-// OwnerMap resolves packed keys to owning processors via contiguous spans.
-type OwnerMap struct {
-	spans []Span
-}
-
-// NewOwnerMap builds an owner map from spans; the spans are sorted and must
-// not overlap.
-func NewOwnerMap(spans []Span) (*OwnerMap, error) {
-	out := make([]Span, len(spans))
-	copy(out, spans)
-	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
-	for i := range out {
-		if out[i].From >= out[i].To {
-			return nil, fmt.Errorf("hdda: empty span %+v", out[i])
-		}
-		if i > 0 && out[i].From < out[i-1].To {
-			return nil, fmt.Errorf("hdda: spans overlap: %+v and %+v", out[i-1], out[i])
-		}
-	}
-	return &OwnerMap{spans: out}, nil
-}
-
-// Owner returns the processor owning a packed key, or -1 if no span covers
-// it.
-func (m *OwnerMap) Owner(packed uint64) int {
-	i := sort.Search(len(m.spans), func(i int) bool { return m.spans[i].To > packed })
-	if i == len(m.spans) || packed < m.spans[i].From {
-		return -1
-	}
-	return m.spans[i].Owner
-}
-
-// Spans returns a copy of the owner map's spans, sorted by From.
-func (m *OwnerMap) Spans() []Span {
-	out := make([]Span, len(m.spans))
-	copy(out, m.spans)
-	return out
+// keyFor returns the hierarchical key of a box.
+func (s *IndexSpace) keyFor(b geom.Box) key {
+	return key{Level: b.Level, Index: s.mapper.BoxIndex(b)}
 }

@@ -12,18 +12,18 @@ import (
 	"samrpart/internal/capacity"
 )
 
-// ErrProbeTimeout reports a probe that exceeded its deadline: the sensor is
+// errProbeTimeout reports a probe that exceeded its deadline: the sensor is
 // alive but too slow, so the sweep proceeds without its reading.
-var ErrProbeTimeout = errors.New("monitor: probe timed out")
+var errProbeTimeout = errors.New("monitor: probe timed out")
 
-// ErrProbeDropped reports a probe that returned nothing at all (lost
+// errProbeDropped reports a probe that returned nothing at all (lost
 // request, crashed sensor daemon).
-var ErrProbeDropped = errors.New("monitor: probe dropped")
+var errProbeDropped = errors.New("monitor: probe dropped")
 
-// CheckedProber is a Prober whose probes can fail. The Monitor prefers
+// checkedProber is a Prober whose probes can fail. The Monitor prefers
 // ProbeChecked when available so it can distinguish "no data" from "zero";
 // plain Probers are treated as always succeeding.
-type CheckedProber interface {
+type checkedProber interface {
 	Prober
 	// ProbeChecked returns the node's resource state or an error when the
 	// probe produced no usable reading (timeout, dropout).
@@ -37,9 +37,9 @@ type CheckedProber interface {
 type ProbeFaultSpec struct {
 	// Seed initializes the per-node injection PRNGs.
 	Seed int64
-	// Nodes restricts injection to these node ids (nil = governed by Frac,
+	// nodes restricts injection to these node ids (nil = governed by Frac,
 	// or all nodes when Frac is 0 too).
-	Nodes []int
+	nodes []int
 	// Frac, when Nodes is empty and Frac > 0, afflicts the first
 	// ceil(Frac·N) nodes.
 	Frac float64
@@ -69,7 +69,7 @@ func (s ProbeFaultSpec) Validate() error {
 			return fmt.Errorf("monitor: fault spec %s=%g outside [0,1]", p.name, p.v)
 		}
 	}
-	for _, n := range s.Nodes {
+	for _, n := range s.nodes {
 		if n < 0 {
 			return fmt.Errorf("monitor: fault spec names negative node %d", n)
 		}
@@ -116,7 +116,7 @@ func ParseProbeFaultSpec(s string) (*ProbeFaultSpec, error) {
 				}
 			}
 			for k := a; k <= b; k++ {
-				spec.Nodes = append(spec.Nodes, k)
+				spec.nodes = append(spec.nodes, k)
 			}
 		case "timeout", "drop", "freeze", "garbage", "frac":
 			p, err := strconv.ParseFloat(val, 64)
@@ -145,15 +145,6 @@ func ParseProbeFaultSpec(s string) (*ProbeFaultSpec, error) {
 	return spec, nil
 }
 
-// ProbeFaultStats counts the injections a FaultyProber performed.
-type ProbeFaultStats struct {
-	Probes   int64
-	Timeouts int64
-	Drops    int64
-	Frozen   int64 // probes answered with a frozen reading
-	Garbage  int64
-}
-
 // FaultyProber wraps a Prober and injects deterministic, seedable sensor
 // failures: probe timeouts, dropouts, permanently frozen readings, and
 // garbage values. It is the sensing-layer mirror of transport.Faulty — the
@@ -167,7 +158,6 @@ type FaultyProber struct {
 	frozen    []bool
 	frozenVal []capacity.Measurement
 	garbageN  []int // per-node garbage counter, cycles the garbage kinds
-	stats     ProbeFaultStats
 	afflicted []bool
 }
 
@@ -189,8 +179,8 @@ func NewFaultyProber(p Prober, spec ProbeFaultSpec) *FaultyProber {
 		f.rngs[k] = rand.New(rand.NewSource(spec.Seed + int64(k)*0x9E37))
 	}
 	switch {
-	case len(spec.Nodes) > 0:
-		for _, k := range spec.Nodes {
+	case len(spec.nodes) > 0:
+		for _, k := range spec.nodes {
 			if k < n {
 				f.afflicted[k] = true
 			}
@@ -206,13 +196,6 @@ func NewFaultyProber(p Prober, spec ProbeFaultSpec) *FaultyProber {
 		}
 	}
 	return f
-}
-
-// Stats returns the injection counters so far.
-func (f *FaultyProber) Stats() ProbeFaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
 }
 
 // NumNodes implements Prober.
@@ -252,12 +235,10 @@ func garbageValue(kind int, truth capacity.Measurement) capacity.Measurement {
 func (f *FaultyProber) ProbeChecked(k int) (capacity.Measurement, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.stats.Probes++
 	if k < 0 || k >= len(f.afflicted) || !f.afflicted[k] {
 		return f.inner.Probe(k), nil
 	}
 	if f.frozen[k] {
-		f.stats.Frozen++
 		return f.frozenVal[k], nil
 	}
 	rng := f.rngs[k]
@@ -268,16 +249,13 @@ func (f *FaultyProber) ProbeChecked(k int) (capacity.Measurement, error) {
 	uGarbage := rng.Float64()
 	uFreeze := rng.Float64()
 	if f.spec.TimeoutProb > 0 && uTimeout < f.spec.TimeoutProb {
-		f.stats.Timeouts++
-		return capacity.Measurement{}, ErrProbeTimeout
+		return capacity.Measurement{}, errProbeTimeout
 	}
 	if f.spec.DropProb > 0 && uDrop < f.spec.DropProb {
-		f.stats.Drops++
-		return capacity.Measurement{}, ErrProbeDropped
+		return capacity.Measurement{}, errProbeDropped
 	}
 	truth := f.inner.Probe(k)
 	if f.spec.GarbageProb > 0 && uGarbage < f.spec.GarbageProb {
-		f.stats.Garbage++
 		g := garbageValue(f.garbageN[k], truth)
 		f.garbageN[k]++
 		return g, nil

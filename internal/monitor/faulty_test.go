@@ -25,7 +25,7 @@ func TestParseProbeFaultSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Seed != 42 || len(spec.Nodes) != 3 || spec.Nodes[2] != 2 {
+	if spec.Seed != 42 || len(spec.nodes) != 3 || spec.nodes[2] != 2 {
 		t.Errorf("parsed %+v", spec)
 	}
 	if spec.DropProb != 0.1 || spec.TimeoutProb != 0.05 || spec.FreezeProb != 0.02 || spec.GarbageProb != 0.2 {
@@ -34,7 +34,7 @@ func TestParseProbeFaultSpec(t *testing.T) {
 	if spec, err = ParseProbeFaultSpec("sensor:frac=0.25,garbage=0.5"); err != nil || spec.Frac != 0.25 {
 		t.Errorf("frac spec: %+v, %v", spec, err)
 	}
-	if spec, err = ParseProbeFaultSpec("sensor:nodes=3"); err != nil || len(spec.Nodes) != 1 || spec.Nodes[0] != 3 {
+	if spec, err = ParseProbeFaultSpec("sensor:nodes=3"); err != nil || len(spec.nodes) != 1 || spec.nodes[0] != 3 {
 		t.Errorf("single node: %+v, %v", spec, err)
 	}
 	for _, bad := range []string{
@@ -82,22 +82,17 @@ func TestFaultyProberInjectsEveryKind(t *testing.T) {
 		for k := 0; k < 2; k++ {
 			m, err := f.ProbeChecked(k)
 			switch {
-			case errors.Is(err, ErrProbeTimeout):
+			case errors.Is(err, errProbeTimeout):
 				timeouts++
-			case errors.Is(err, ErrProbeDropped):
+			case errors.Is(err, errProbeDropped):
 				drops++
 			case err == nil && !m.Finite():
 				garbage++
 			}
 		}
 	}
-	st := f.Stats()
-	if timeouts == 0 || drops == 0 || garbage == 0 || st.Frozen == 0 {
-		t.Errorf("fault kinds not all seen: timeouts=%d drops=%d garbage=%d frozen=%d",
-			timeouts, drops, garbage, st.Frozen)
-	}
-	if st.Timeouts != int64(timeouts) || st.Drops != int64(drops) {
-		t.Errorf("stats mismatch: %+v vs counted %d/%d", st, timeouts, drops)
+	if timeouts == 0 || drops == 0 || garbage == 0 {
+		t.Errorf("fault kinds not all seen: timeouts=%d drops=%d garbage=%d", timeouts, drops, garbage)
 	}
 }
 
@@ -129,7 +124,7 @@ func (p *mutableProber) Probe(int) capacity.Measurement { return p.m }
 
 func TestFaultyProberAffectedSubset(t *testing.T) {
 	// Only node 0 is afflicted; nodes 1-3 always read the truth.
-	spec := ProbeFaultSpec{Seed: 9, Nodes: []int{0}, DropProb: 1}
+	spec := ProbeFaultSpec{Seed: 9, nodes: []int{0}, DropProb: 1}
 	f := NewFaultyProber(steady(4), spec)
 	if _, err := f.ProbeChecked(0); err == nil {
 		t.Error("afflicted node did not fail")

@@ -14,8 +14,8 @@ import (
 
 // Sample is one timestamped sensor reading.
 type Sample struct {
-	Time  float64
-	Value float64
+	time  float64
+	value float64
 }
 
 // Forecaster predicts the next value of a resource time series.
@@ -33,83 +33,83 @@ type Forecaster interface {
 func NewForecaster(name string) (Forecaster, error) {
 	switch name {
 	case "last":
-		return &LastValue{}, nil
+		return &lastValue{}, nil
 	case "mean":
-		return &RunningMean{}, nil
+		return &runningMean{}, nil
 	case "median":
-		return NewSlidingMedian(10), nil
+		return newSlidingMedian(10), nil
 	case "ewma":
-		return NewEWMA(0.4), nil
+		return newEWMA(0.4), nil
 	case "adaptive":
-		return NewAdaptive(), nil
+		return newAdaptive(), nil
 	default:
 		return nil, fmt.Errorf("monitor: unknown forecaster %q", name)
 	}
 }
 
-// LastValue predicts the most recent observation.
-type LastValue struct {
+// lastValue predicts the most recent observation.
+type lastValue struct {
 	last float64
 	seen bool
 }
 
 // Name implements Forecaster.
-func (f *LastValue) Name() string { return "last" }
+func (f *lastValue) Name() string { return "last" }
 
 // Update implements Forecaster.
-func (f *LastValue) Update(s Sample) { f.last, f.seen = s.Value, true }
+func (f *lastValue) Update(s Sample) { f.last, f.seen = s.value, true }
 
 // Forecast implements Forecaster.
-func (f *LastValue) Forecast() float64 { return f.last }
+func (f *lastValue) Forecast() float64 { return f.last }
 
-// RunningMean predicts the mean of all observations.
-type RunningMean struct {
+// runningMean predicts the mean of all observations.
+type runningMean struct {
 	sum float64
 	n   int
 }
 
 // Name implements Forecaster.
-func (f *RunningMean) Name() string { return "mean" }
+func (f *runningMean) Name() string { return "mean" }
 
 // Update implements Forecaster.
-func (f *RunningMean) Update(s Sample) { f.sum += s.Value; f.n++ }
+func (f *runningMean) Update(s Sample) { f.sum += s.value; f.n++ }
 
 // Forecast implements Forecaster.
-func (f *RunningMean) Forecast() float64 {
+func (f *runningMean) Forecast() float64 {
 	if f.n == 0 {
 		return 0
 	}
 	return f.sum / float64(f.n)
 }
 
-// SlidingMedian predicts the median of the last Window observations, robust
+// slidingMedian predicts the median of the last Window observations, robust
 // to measurement spikes.
-type SlidingMedian struct {
+type slidingMedian struct {
 	window int
 	buf    []float64
 }
 
-// NewSlidingMedian returns a median forecaster over the given window.
-func NewSlidingMedian(window int) *SlidingMedian {
+// newSlidingMedian returns a median forecaster over the given window.
+func newSlidingMedian(window int) *slidingMedian {
 	if window < 1 {
 		window = 1
 	}
-	return &SlidingMedian{window: window}
+	return &slidingMedian{window: window}
 }
 
 // Name implements Forecaster.
-func (f *SlidingMedian) Name() string { return "median" }
+func (f *slidingMedian) Name() string { return "median" }
 
 // Update implements Forecaster.
-func (f *SlidingMedian) Update(s Sample) {
-	f.buf = append(f.buf, s.Value)
+func (f *slidingMedian) Update(s Sample) {
+	f.buf = append(f.buf, s.value)
 	if len(f.buf) > f.window {
 		f.buf = f.buf[1:]
 	}
 }
 
 // Forecast implements Forecaster.
-func (f *SlidingMedian) Forecast() float64 {
+func (f *slidingMedian) Forecast() float64 {
 	if len(f.buf) == 0 {
 		return 0
 	}
@@ -123,73 +123,73 @@ func (f *SlidingMedian) Forecast() float64 {
 	return (tmp[mid-1] + tmp[mid]) / 2
 }
 
-// EWMA predicts an exponentially weighted moving average with smoothing
+// ewma predicts an exponentially weighted moving average with smoothing
 // factor alpha (higher alpha = more reactive).
-type EWMA struct {
+type ewma struct {
 	alpha float64
 	value float64
 	seen  bool
 }
 
-// NewEWMA returns an EWMA forecaster; alpha is clamped to (0, 1].
-func NewEWMA(alpha float64) *EWMA {
+// newEWMA returns an EWMA forecaster; alpha is clamped to (0, 1].
+func newEWMA(alpha float64) *ewma {
 	if alpha <= 0 {
 		alpha = 0.1
 	}
 	if alpha > 1 {
 		alpha = 1
 	}
-	return &EWMA{alpha: alpha}
+	return &ewma{alpha: alpha}
 }
 
 // Name implements Forecaster.
-func (f *EWMA) Name() string { return "ewma" }
+func (f *ewma) Name() string { return "ewma" }
 
 // Update implements Forecaster.
-func (f *EWMA) Update(s Sample) {
+func (f *ewma) Update(s Sample) {
 	if !f.seen {
-		f.value, f.seen = s.Value, true
+		f.value, f.seen = s.value, true
 		return
 	}
-	f.value += f.alpha * (s.Value - f.value)
+	f.value += f.alpha * (s.value - f.value)
 }
 
 // Forecast implements Forecaster.
-func (f *EWMA) Forecast() float64 { return f.value }
+func (f *ewma) Forecast() float64 { return f.value }
 
-// Adaptive is the NWS-style ensemble: it runs several forecasters in
+// adaptive is the NWS-style ensemble: it runs several forecasters in
 // parallel, tracks each one's mean absolute prediction error against
 // incoming samples, and forecasts with the member whose error is currently
 // lowest.
-type Adaptive struct {
+type adaptive struct {
 	members []Forecaster
 	absErr  []float64
 	n       int
 }
 
-// NewAdaptive returns an adaptive ensemble over last-value, running-mean,
+// newAdaptive returns an adaptive ensemble over last-value, running-mean,
 // sliding-median and EWMA members.
-func NewAdaptive() *Adaptive {
-	return &Adaptive{
+func newAdaptive() *adaptive {
+	return &adaptive{
 		members: []Forecaster{
-			&LastValue{},
-			&RunningMean{},
-			NewSlidingMedian(10),
-			NewEWMA(0.4),
+			&lastValue{},
+			&runningMean{},
+			newSlidingMedian(10),
+			newEWMA(0.4),
 		},
 		absErr: make([]float64, 4),
 	}
 }
 
 // Name implements Forecaster.
-func (f *Adaptive) Name() string { return "adaptive" }
+func (f *adaptive) Name() string { return "adaptive" }
 
 // Update implements Forecaster.
-func (f *Adaptive) Update(s Sample) {
+func (f *adaptive) Update(s Sample) {
 	// Score each member's standing forecast against the new truth first.
 	if f.n > 0 {
 		for i, m := range f.members {
-			f.absErr[i] += math.Abs(m.Forecast() - s.Value)
+			f.absErr[i] += math.Abs(m.Forecast() - s.value)
 		}
 	}
 	for _, m := range f.members {
@@ -199,7 +199,7 @@ func (f *Adaptive) Update(s Sample) {
 }
 
 // Forecast implements Forecaster.
-func (f *Adaptive) Forecast() float64 {
+func (f *adaptive) Forecast() float64 {
 	if f.n == 0 {
 		return 0
 	}
@@ -210,15 +210,4 @@ func (f *Adaptive) Forecast() float64 {
 		}
 	}
 	return f.members[best].Forecast()
-}
-
-// Best returns the name of the currently selected member (for diagnostics).
-func (f *Adaptive) Best() string {
-	best := 0
-	for i := 1; i < len(f.members); i++ {
-		if f.absErr[i] < f.absErr[best] {
-			best = i
-		}
-	}
-	return f.members[best].Name()
 }

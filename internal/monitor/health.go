@@ -45,76 +45,39 @@ func (h Health) String() string {
 	}
 }
 
-// Hygiene configures the monitor's input sanitization and degradation
-// policy. The zero value disables hygiene entirely: probes feed the
-// forecasters raw, exactly the pre-hygiene behaviour (failed probes then
-// read as zero, the naive "no data means nothing available"
-// interpretation).
-type Hygiene struct {
-	// Enabled turns the pipeline on.
-	Enabled bool
-	// SuspectAfter is the consecutive-miss count at which a node turns
-	// Suspect (default 2; 1..SuspectAfter-1 misses = Stale).
-	SuspectAfter int
-	// DeadAfter is the consecutive-miss count at which a node is declared
-	// Dead and masked out of the capacity metric (default 4).
-	DeadAfter int
-	// StalenessBudget is how many consecutive misses a node may ride on its
-	// last forecast unchanged before decay starts (default 1).
-	StalenessBudget int
-	// DecayFactor multiplies the remaining capacity above the floor on each
-	// miss past the budget (default 0.5).
-	DecayFactor float64
-	// CPUFloor is the CPU-availability floor the decay approaches
-	// (default 0.02): a silent node is assumed nearly — but never exactly —
-	// useless, so quotas stay finite.
-	CPUFloor float64
-	// CPUMax is the sanity ceiling on reported CPU availability
-	// (default 1.5): availability is a fraction of one node, so anything
-	// far above 1 is garbage even before the outlier filter has history.
-	CPUMax float64
-	// MADWindow is how many accepted samples per resource feed the
-	// median-absolute-deviation outlier filter (default 8).
-	MADWindow int
-	// MADK is the rejection threshold in robust standard deviations
-	// (default 4): a reading further than MADK·1.4826·MAD from the window
-	// median is rejected.
-	MADK float64
-}
-
-// DefaultHygiene returns the enabled policy with default thresholds.
-func DefaultHygiene() Hygiene {
-	return Hygiene{Enabled: true}.withDefaults()
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (h Hygiene) withDefaults() Hygiene {
-	if h.SuspectAfter <= 0 {
-		h.SuspectAfter = 2
-	}
-	if h.DeadAfter <= h.SuspectAfter {
-		h.DeadAfter = h.SuspectAfter + 2
-	}
-	if h.StalenessBudget <= 0 {
-		h.StalenessBudget = 1
-	}
-	if h.DecayFactor <= 0 || h.DecayFactor >= 1 {
-		h.DecayFactor = 0.5
-	}
-	if h.CPUFloor <= 0 {
-		h.CPUFloor = 0.02
-	}
-	if h.CPUMax <= 0 {
-		h.CPUMax = 1.5
-	}
-	if h.MADWindow <= 0 {
-		h.MADWindow = 8
-	}
-	if h.MADK <= 0 {
-		h.MADK = 4
-	}
-	return h
-}
+// Sensing hygiene thresholds (DESIGN.md §8). Hygiene itself is switched
+// on per monitor (SetHygiene); off, probes feed the forecasters raw,
+// exactly the pre-hygiene behaviour (failed probes then read as zero, the
+// naive "no data means nothing available" interpretation).
+const (
+	// suspectAfter is the consecutive-miss count at which a node turns
+	// Suspect (1..suspectAfter-1 misses = Stale).
+	suspectAfter = 2
+	// deadAfter is the consecutive-miss count at which a node is declared
+	// Dead and masked out of the capacity metric.
+	deadAfter = suspectAfter + 2
+	// stalenessBudget is how many consecutive misses a node may ride on
+	// its last forecast unchanged before decay starts.
+	stalenessBudget = 1
+	// decayFactor multiplies the remaining capacity above the floor on
+	// each miss past the budget.
+	decayFactor = 0.5
+	// cpuFloor is the CPU-availability floor the decay approaches: a
+	// silent node is assumed nearly — but never exactly — useless, so
+	// quotas stay finite.
+	cpuFloor = 0.02
+	// cpuMax is the sanity ceiling on reported CPU availability:
+	// availability is a fraction of one node, so anything far above 1 is
+	// garbage even before the outlier filter has history.
+	cpuMax = 1.5
+	// madWindow is how many accepted samples per resource feed the
+	// median-absolute-deviation outlier filter.
+	madWindow = 8
+	// hygieneMADK is the rejection threshold in robust standard
+	// deviations: a reading further than hygieneMADK·1.4826·MAD from the
+	// window median is rejected.
+	hygieneMADK = 4
+)
 
 // SenseStats counts what the sensing pipeline did, for traces and studies.
 type SenseStats struct {
@@ -142,37 +105,26 @@ type nodeHealth struct {
 // errProbePanic classifies a recovered prober panic.
 var errProbePanic = errors.New("monitor: prober panicked")
 
-// healthOf maps a miss streak to a state under the policy.
-func healthOf(misses int, h Hygiene) Health {
-	h = h.withDefaults()
+// healthOf maps a miss streak to a state.
+func healthOf(misses int) Health {
 	switch {
 	case misses == 0:
 		return HealthOK
-	case misses < h.SuspectAfter:
+	case misses < suspectAfter:
 		return HealthStale
-	case misses < h.DeadAfter:
+	case misses < deadAfter:
 		return HealthSuspect
 	default:
 		return HealthDead
 	}
 }
 
-// SetHygiene installs the hygiene policy (defaults filled in). Call before
-// the first Sense; switching mid-run is safe but resets no state.
-func (m *Monitor) SetHygiene(h Hygiene) {
+// SetHygiene switches the hygiene pipeline on or off. Call before the
+// first Sense; switching mid-run is safe but resets no state.
+func (m *Monitor) SetHygiene(on bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if h.Enabled {
-		h = h.withDefaults()
-	}
-	m.hygiene = h
-}
-
-// Hygiene returns the active policy.
-func (m *Monitor) Hygiene() Hygiene {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hygiene
+	m.hygiene = on
 }
 
 // Health returns node k's sensor health state.
@@ -182,7 +134,7 @@ func (m *Monitor) Health(k int) Health {
 	if k < 0 || k >= len(m.health) {
 		return HealthDead
 	}
-	return healthOf(m.health[k].misses, m.hygiene)
+	return healthOf(m.health[k].misses)
 }
 
 // Alive returns the capacity validity mask: false marks nodes whose sensor
@@ -193,7 +145,7 @@ func (m *Monitor) Alive() []bool {
 	defer m.mu.Unlock()
 	out := make([]bool, len(m.health))
 	for k := range out {
-		out[k] = !m.hygiene.Enabled || healthOf(m.health[k].misses, m.hygiene) != HealthDead
+		out[k] = !m.hygiene || healthOf(m.health[k].misses) != HealthDead
 	}
 	return out
 }
@@ -207,10 +159,10 @@ func (m *Monitor) SenseStats() SenseStats {
 
 // sane reports whether a reading passes basic sanitization: finite,
 // non-negative, CPU availability below the plausibility ceiling.
-func (h Hygiene) sane(m capacity.Measurement) bool {
+func sane(m capacity.Measurement) bool {
 	return m.Finite() &&
 		m.CPUAvail >= 0 && m.FreeMemoryMB >= 0 && m.BandwidthMBps >= 0 &&
-		m.CPUAvail <= h.CPUMax
+		m.CPUAvail <= cpuMax
 }
 
 // madOutlier reports whether x is a MAD outlier against the window. With
@@ -254,8 +206,8 @@ func push(win []float64, v float64, cap int) []float64 {
 
 // decayed shrinks a stale forecast toward the floor: after n misses past
 // the staleness budget each resource is floor + (value−floor)·factor^n.
-func (h Hygiene) decayed(m capacity.Measurement, n int) capacity.Measurement {
-	f := math.Pow(h.DecayFactor, float64(n))
+func decayed(m capacity.Measurement, n int) capacity.Measurement {
+	f := math.Pow(decayFactor, float64(n))
 	decay := func(v, floor float64) float64 {
 		if v < floor {
 			return v
@@ -263,7 +215,7 @@ func (h Hygiene) decayed(m capacity.Measurement, n int) capacity.Measurement {
 		return floor + (v-floor)*f
 	}
 	return capacity.Measurement{
-		CPUAvail:      decay(m.CPUAvail, h.CPUFloor),
+		CPUAvail:      decay(m.CPUAvail, cpuFloor),
 		FreeMemoryMB:  decay(m.FreeMemoryMB, 0),
 		BandwidthMBps: decay(m.BandwidthMBps, 0),
 	}

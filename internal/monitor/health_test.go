@@ -62,14 +62,14 @@ func TestHealthStateMachine(t *testing.T) {
 	p := newScripted(2)
 	p.script[1] = []func() (capacity.Measurement, error){
 		ok(p.good), // sense 0: ok
-		fail(ErrProbeDropped),
-		fail(ErrProbeTimeout),
-		fail(ErrProbeDropped),
-		fail(ErrProbeDropped), // sense 4: 4 consecutive misses -> dead
+		fail(errProbeDropped),
+		fail(errProbeTimeout),
+		fail(errProbeDropped),
+		fail(errProbeDropped), // sense 4: 4 consecutive misses -> dead
 		ok(p.good),            // sense 5: recovers
 	}
-	m := New(p, func() Forecaster { return &LastValue{} })
-	m.SetHygiene(DefaultHygiene()) // SuspectAfter=2, DeadAfter=4
+	m := New(p, func() Forecaster { return &lastValue{} })
+	m.SetHygiene(true) // suspectAfter=2, deadAfter=4
 	m.Sense(0)
 	if h := m.Health(1); h != HealthOK {
 		t.Fatalf("after good probe: %v", h)
@@ -105,12 +105,11 @@ func TestStaleFallbackThenDecay(t *testing.T) {
 	var seq []func() (capacity.Measurement, error)
 	seq = append(seq, ok(p.good))
 	for i := 0; i < 6; i++ {
-		seq = append(seq, fail(ErrProbeDropped))
+		seq = append(seq, fail(errProbeDropped))
 	}
 	p.script[0] = seq
-	m := New(p, func() Forecaster { return &LastValue{} })
-	hy := DefaultHygiene()
-	m.SetHygiene(hy)
+	m := New(p, func() Forecaster { return &lastValue{} })
+	m.SetHygiene(true)
 	out := m.Sense(0)
 	if out[0].CPUAvail != 0.8 {
 		t.Fatalf("good sense = %+v", out[0])
@@ -128,8 +127,8 @@ func TestStaleFallbackThenDecay(t *testing.T) {
 		if v >= prev {
 			t.Errorf("miss %d: capacity %g did not decay below %g", i, v, prev)
 		}
-		if v < hy.CPUFloor {
-			t.Errorf("miss %d: capacity %g fell below the floor %g", i, v, hy.CPUFloor)
+		if v < cpuFloor {
+			t.Errorf("miss %d: capacity %g fell below the floor %g", i, v, cpuFloor)
 		}
 		prev = v
 	}
@@ -148,8 +147,8 @@ func TestGarbageRejected(t *testing.T) {
 		ok(capacity.Measurement{CPUAvail: -0.5, FreeMemoryMB: 200, BandwidthMBps: 10}),
 		ok(capacity.Measurement{CPUAvail: 900, FreeMemoryMB: 200, BandwidthMBps: 10}),
 	}
-	m := New(p, func() Forecaster { return &LastValue{} })
-	m.SetHygiene(DefaultHygiene())
+	m := New(p, func() Forecaster { return &lastValue{} })
+	m.SetHygiene(true)
 	for i := 0; i < 5; i++ {
 		out := m.Sense(float64(i))
 		if v := out[0].CPUAvail; math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1.5 {
@@ -172,8 +171,8 @@ func TestMADOutlierRejected(t *testing.T) {
 	// ...then a wild-but-finite spike the sanitizer alone cannot catch.
 	seq = append(seq, ok(capacity.Measurement{CPUAvail: 0.8, FreeMemoryMB: 200 * 500, BandwidthMBps: 10}))
 	p.script[0] = seq
-	m := New(p, func() Forecaster { return &LastValue{} })
-	m.SetHygiene(DefaultHygiene())
+	m := New(p, func() Forecaster { return &lastValue{} })
+	m.SetHygiene(true)
 	out := senseN(m, 9)
 	if out[0].FreeMemoryMB > 300 {
 		t.Errorf("spike leaked into forecast: %+v", out[0])
@@ -204,10 +203,11 @@ func (p panicProber) Probe(k int) capacity.Measurement {
 }
 
 func TestProberPanicRecoveredAsDeadSensor(t *testing.T) {
-	m := New(panicProber{n: 3, panic: 1}, func() Forecaster { return &LastValue{} })
-	m.SetHygiene(DefaultHygiene())
+	m := New(panicProber{n: 3, panic: 1}, func() Forecaster { return &lastValue{} })
+	m.SetHygiene(true)
+	var out []capacity.Measurement
 	for i := 0; i < 5; i++ {
-		m.Sense(float64(i)) // must not crash
+		out = m.Sense(float64(i)) // must not crash
 	}
 	if h := m.Health(1); h != HealthDead {
 		t.Errorf("panicking sensor health = %v, want dead", h)
@@ -219,7 +219,7 @@ func TestProberPanicRecoveredAsDeadSensor(t *testing.T) {
 		t.Errorf("Panics = %d, want 5", st.Panics)
 	}
 	// Healthy nodes keep reporting normally.
-	if out := m.Last(); out[0].CPUAvail != 0.8 || out[2].CPUAvail != 0.8 {
+	if out[0].CPUAvail != 0.8 || out[2].CPUAvail != 0.8 {
 		t.Errorf("healthy nodes disturbed: %+v", out)
 	}
 }
@@ -227,11 +227,12 @@ func TestProberPanicRecoveredAsDeadSensor(t *testing.T) {
 func TestProberPanicRecoveredWithoutHygiene(t *testing.T) {
 	// Even on the raw path a panic must not crash; the reading is zero and
 	// the sensor is reportable as dead through Health().
-	m := New(panicProber{n: 2, panic: 0}, func() Forecaster { return &LastValue{} })
+	m := New(panicProber{n: 2, panic: 0}, func() Forecaster { return &lastValue{} })
+	var out []capacity.Measurement
 	for i := 0; i < 5; i++ {
-		m.Sense(float64(i))
+		out = m.Sense(float64(i))
 	}
-	if out := m.Last(); out[0].CPUAvail != 0 {
+	if out[0].CPUAvail != 0 {
 		t.Errorf("raw path panic reading = %g, want 0", out[0].CPUAvail)
 	}
 	if h := m.Health(0); h != HealthDead {
@@ -245,8 +246,8 @@ func TestProberPanicRecoveredWithoutHygiene(t *testing.T) {
 
 func TestMonitorConcurrentAccess(t *testing.T) {
 	f := NewFaultyProber(steady(4), ProbeFaultSpec{Seed: 11, DropProb: 0.2, GarbageProb: 0.2})
-	m := New(f, func() Forecaster { return NewAdaptive() })
-	m.SetHygiene(DefaultHygiene())
+	m := New(f, func() Forecaster { return newAdaptive() })
+	m.SetHygiene(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -257,10 +258,8 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 				switch (g + i) % 5 {
 				case 0:
 					m.Sense(float64(i))
-				case 1:
-					m.Last()
-				case 2:
-					m.Senses()
+				case 1, 2:
+					_ = m.String()
 				case 3:
 					m.Alive()
 				default:
@@ -271,7 +270,7 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Senses() == 0 {
+	if m.senses == 0 {
 		t.Fatal("no senses ran")
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // Prober supplies ground-truth resource measurements for each node; the
-// virtual cluster implements it via ClusterProber, and cmd/nwsmon wraps a
-// TCP client around a remote Monitor.
+// virtual cluster implements it via ClusterProber, and cmd/nwsmon over the
+// local host's /proc.
 type Prober interface {
 	// NumNodes returns the cluster size.
 	NumNodes() int
@@ -67,7 +67,7 @@ type nodeSeries struct {
 
 // Monitor is the resource monitoring service: on every Sense it probes each
 // node, feeds the per-resource forecasters, and returns forecast
-// measurements. With a Hygiene policy installed (SetHygiene) it sanitizes
+// measurements. With hygiene switched on (SetHygiene) it sanitizes
 // readings, rejects outliers, tracks per-node sensor health and degrades
 // silent nodes gracefully instead of poisoning the forecasts. Safe for
 // concurrent use.
@@ -76,8 +76,7 @@ type Monitor struct {
 	prober  Prober
 	nodes   []nodeSeries
 	senses  int
-	last    []capacity.Measurement
-	hygiene Hygiene
+	hygiene bool
 	health  []nodeHealth
 	stats   SenseStats
 	ob      monObs
@@ -117,7 +116,7 @@ func New(prober Prober, mkForecaster func() Forecaster) *Monitor {
 
 // NewAdaptiveMonitor builds a monitor with NWS-style adaptive forecasters.
 func NewAdaptiveMonitor(prober Prober) *Monitor {
-	return New(prober, func() Forecaster { return NewAdaptive() })
+	return New(prober, func() Forecaster { return newAdaptive() })
 }
 
 // probeOne probes node k with panic recovery: a panicking prober is a
@@ -130,7 +129,7 @@ func (m *Monitor) probeOne(k int) (meas capacity.Measurement, err error) {
 			err = fmt.Errorf("%w on node %d: %v", errProbePanic, k, r)
 		}
 	}()
-	if cp, ok := m.prober.(CheckedProber); ok {
+	if cp, ok := m.prober.(checkedProber); ok {
 		return cp.ProbeChecked(k)
 	}
 	return m.prober.Probe(k), nil
@@ -152,7 +151,7 @@ func (m *Monitor) forecastOf(k int) capacity.Measurement {
 // With hygiene enabled, each probe runs the gauntlet
 // sanitize → MAD-outlier-filter before reaching the forecasters; a probe
 // that fails (timeout, dropout, panic) or is rejected counts as a miss.
-// Missing nodes answer from their last forecast for StalenessBudget senses,
+// Missing nodes answer from their last forecast for stalenessBudget senses,
 // then decay toward the floor, and are masked from Alive() once Dead.
 // With hygiene disabled, probes feed the forecasters raw and failed probes
 // read as zero (the naive interpretation this PR's hygiene replaces).
@@ -199,7 +198,6 @@ func (m *Monitor) Sense(now float64) []capacity.Measurement {
 		}
 	}
 	m.senses++
-	m.last = out
 	return out
 }
 
@@ -210,20 +208,20 @@ func (m *Monitor) Sense(now float64) []capacity.Measurement {
 // sweeps, which is what makes them bit-identical.
 func (m *Monitor) absorb(k int, now float64, truth capacity.Measurement, err error, out []capacity.Measurement) {
 	prevStats := m.stats
-	healthBefore := healthOf(m.health[k].misses, m.hygiene)
+	healthBefore := healthOf(m.health[k].misses)
 	m.stats.Probes++
 	if err != nil {
 		switch {
 		case errors.Is(err, errProbePanic):
 			m.stats.Panics++
-		case errors.Is(err, ErrProbeTimeout):
+		case errors.Is(err, errProbeTimeout):
 			m.stats.Timeouts++
 		default:
 			m.stats.Drops++
 		}
 	}
 	h := &m.health[k]
-	if !m.hygiene.Enabled {
+	if !m.hygiene {
 		// Raw path: a failed probe reads as zero. Health is still
 		// tracked so a broken sensor is reportable either way.
 		if err != nil {
@@ -238,33 +236,33 @@ func (m *Monitor) absorb(k int, now float64, truth capacity.Measurement, err err
 		return
 	}
 	reject := err != nil
-	if !reject && !m.hygiene.sane(truth) {
+	if !reject && !sane(truth) {
 		m.stats.Garbage++
 		reject = true
 	}
-	if !reject && (madOutlier(h.win[0], truth.CPUAvail, m.hygiene.MADK) ||
-		madOutlier(h.win[1], truth.FreeMemoryMB, m.hygiene.MADK) ||
-		madOutlier(h.win[2], truth.BandwidthMBps, m.hygiene.MADK)) {
+	if !reject && (madOutlier(h.win[0], truth.CPUAvail, hygieneMADK) ||
+		madOutlier(h.win[1], truth.FreeMemoryMB, hygieneMADK) ||
+		madOutlier(h.win[2], truth.BandwidthMBps, hygieneMADK)) {
 		m.stats.Outliers++
 		reject = true
 	}
 	if reject {
 		h.misses++
 		fc := m.forecastOf(k)
-		if h.misses <= m.hygiene.StalenessBudget {
+		if h.misses <= stalenessBudget {
 			m.stats.StaleFallbacks++
 			out[k] = fc
 		} else {
 			m.stats.Decays++
-			out[k] = m.hygiene.decayed(fc, h.misses-m.hygiene.StalenessBudget)
+			out[k] = decayed(fc, h.misses-stalenessBudget)
 		}
 		m.syncObs(k, healthBefore, prevStats)
 		return
 	}
 	h.misses = 0
-	h.win[0] = push(h.win[0], truth.CPUAvail, m.hygiene.MADWindow)
-	h.win[1] = push(h.win[1], truth.FreeMemoryMB, m.hygiene.MADWindow)
-	h.win[2] = push(h.win[2], truth.BandwidthMBps, m.hygiene.MADWindow)
+	h.win[0] = push(h.win[0], truth.CPUAvail, madWindow)
+	h.win[1] = push(h.win[1], truth.FreeMemoryMB, madWindow)
+	h.win[2] = push(h.win[2], truth.BandwidthMBps, madWindow)
 	m.update(k, now, truth)
 	out[k] = m.forecastOf(k)
 	m.syncObs(k, healthBefore, prevStats)
@@ -272,28 +270,9 @@ func (m *Monitor) absorb(k int, now float64, truth capacity.Measurement, err err
 
 // update feeds one accepted reading into node k's forecasters.
 func (m *Monitor) update(k int, now float64, truth capacity.Measurement) {
-	m.nodes[k].cpu.Update(Sample{Time: now, Value: truth.CPUAvail})
-	m.nodes[k].mem.Update(Sample{Time: now, Value: truth.FreeMemoryMB})
-	m.nodes[k].bw.Update(Sample{Time: now, Value: truth.BandwidthMBps})
-}
-
-// Last returns the most recent Sense result (nil before the first Sense).
-func (m *Monitor) Last() []capacity.Measurement {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.last == nil {
-		return nil
-	}
-	out := make([]capacity.Measurement, len(m.last))
-	copy(out, m.last)
-	return out
-}
-
-// Senses returns how many sensing sweeps have run.
-func (m *Monitor) Senses() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.senses
+	m.nodes[k].cpu.Update(Sample{time: now, value: truth.CPUAvail})
+	m.nodes[k].mem.Update(Sample{time: now, value: truth.FreeMemoryMB})
+	m.nodes[k].bw.Update(Sample{time: now, value: truth.BandwidthMBps})
 }
 
 // NumNodes returns the monitored cluster size.
@@ -301,5 +280,7 @@ func (m *Monitor) NumNodes() int { return len(m.nodes) }
 
 // String summarizes the monitor state.
 func (m *Monitor) String() string {
-	return fmt.Sprintf("monitor{%d nodes, %d senses}", m.NumNodes(), m.Senses())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return fmt.Sprintf("monitor{%d nodes, %d senses}", len(m.nodes), m.senses)
 }

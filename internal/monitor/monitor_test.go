@@ -10,12 +10,12 @@ import (
 
 func feed(f Forecaster, values ...float64) {
 	for i, v := range values {
-		f.Update(Sample{Time: float64(i), Value: v})
+		f.Update(Sample{time: float64(i), value: v})
 	}
 }
 
 func TestLastValue(t *testing.T) {
-	f := &LastValue{}
+	f := &lastValue{}
 	if f.Forecast() != 0 {
 		t.Error("empty forecast != 0")
 	}
@@ -26,7 +26,7 @@ func TestLastValue(t *testing.T) {
 }
 
 func TestRunningMean(t *testing.T) {
-	f := &RunningMean{}
+	f := &runningMean{}
 	feed(f, 2, 4, 6)
 	if f.Forecast() != 4 {
 		t.Errorf("Forecast = %g", f.Forecast())
@@ -34,7 +34,7 @@ func TestRunningMean(t *testing.T) {
 }
 
 func TestSlidingMedian(t *testing.T) {
-	f := NewSlidingMedian(3)
+	f := newSlidingMedian(3)
 	feed(f, 1, 100, 2)
 	if f.Forecast() != 2 {
 		t.Errorf("median = %g, want 2", f.Forecast())
@@ -43,18 +43,18 @@ func TestSlidingMedian(t *testing.T) {
 	if f.Forecast() != 3 {
 		t.Errorf("median after slide = %g, want 3", f.Forecast())
 	}
-	even := NewSlidingMedian(4)
+	even := newSlidingMedian(4)
 	feed(even, 1, 2, 3, 4)
 	if even.Forecast() != 2.5 {
 		t.Errorf("even median = %g, want 2.5", even.Forecast())
 	}
-	if NewSlidingMedian(0).window != 1 {
+	if newSlidingMedian(0).window != 1 {
 		t.Error("window floor missing")
 	}
 }
 
 func TestEWMA(t *testing.T) {
-	f := NewEWMA(0.5)
+	f := newEWMA(0.5)
 	feed(f, 10)
 	if f.Forecast() != 10 {
 		t.Error("first sample should seed EWMA")
@@ -63,36 +63,33 @@ func TestEWMA(t *testing.T) {
 	if f.Forecast() != 15 {
 		t.Errorf("EWMA = %g, want 15", f.Forecast())
 	}
-	if NewEWMA(-1).alpha <= 0 || NewEWMA(5).alpha > 1 {
+	if newEWMA(-1).alpha <= 0 || newEWMA(5).alpha > 1 {
 		t.Error("alpha clamping broken")
 	}
 }
 
 func TestAdaptivePicksGoodMember(t *testing.T) {
 	// Constant series: every member converges, error ~0, any pick is fine.
-	f := NewAdaptive()
+	f := newAdaptive()
 	feed(f, 0.5, 0.5, 0.5, 0.5)
 	if math.Abs(f.Forecast()-0.5) > 1e-12 {
 		t.Errorf("constant series forecast = %g", f.Forecast())
 	}
 	// Trending series: last-value beats running-mean badly; the ensemble
 	// must not answer with the global mean.
-	g := NewAdaptive()
+	g := newAdaptive()
 	for i := 0; i < 50; i++ {
-		g.Update(Sample{Time: float64(i), Value: float64(i)})
+		g.Update(Sample{time: float64(i), value: float64(i)})
 	}
 	if got := g.Forecast(); got < 40 {
-		t.Errorf("adaptive forecast %g lags a linear trend (best=%s)", got, g.Best())
+		t.Errorf("adaptive forecast %g lags a linear trend", got)
 	}
 }
 
 func TestAdaptiveEmpty(t *testing.T) {
-	f := NewAdaptive()
+	f := newAdaptive()
 	if f.Forecast() != 0 {
 		t.Error("empty adaptive forecast != 0")
-	}
-	if f.Best() == "" {
-		t.Error("Best should name a member")
 	}
 }
 
@@ -139,10 +136,7 @@ func TestClusterProber(t *testing.T) {
 func TestMonitorSense(t *testing.T) {
 	c := newTestCluster(t)
 	c.Node(0).AddLoad(cluster.Ramp{Start: 0, Rate: 0.1, Target: 0.8})
-	m := New(ClusterProber{C: c}, func() Forecaster { return &LastValue{} })
-	if m.Last() != nil {
-		t.Error("Last before Sense should be nil")
-	}
+	m := New(ClusterProber{C: c}, func() Forecaster { return &lastValue{} })
 	ms := m.Sense(c.Now())
 	if len(ms) != 4 {
 		t.Fatalf("Sense returned %d", len(ms))
@@ -155,12 +149,8 @@ func TestMonitorSense(t *testing.T) {
 	if math.Abs(ms[0].CPUAvail-0.6) > 1e-12 {
 		t.Errorf("t=4 avail = %g, want 0.6", ms[0].CPUAvail)
 	}
-	if m.Senses() != 2 {
-		t.Errorf("Senses = %d", m.Senses())
-	}
-	last := m.Last()
-	if last[0] != ms[0] {
-		t.Error("Last mismatch")
+	if m.senses != 2 {
+		t.Errorf("senses = %d", m.senses)
 	}
 }
 

@@ -74,7 +74,7 @@ func (m *Monitor) syncObs(k int, before Health, prev SenseStats) {
 	m.ob.outliers.Add(int64(m.stats.Outliers - prev.Outliers))
 	m.ob.staleFbs.Add(int64(m.stats.StaleFallbacks - prev.StaleFallbacks))
 	m.ob.decays.Add(int64(m.stats.Decays - prev.Decays))
-	after := healthOf(m.health[k].misses, m.hygiene)
+	after := healthOf(m.health[k].misses)
 	if after != before {
 		m.ob.transitions.Inc()
 	}

@@ -57,7 +57,7 @@ func TestSenseWorkersBitIdentical(t *testing.T) {
 	}
 	run := func(workers int) ([][]capacity.Measurement, SenseStats, []Health, []bool) {
 		m := NewAdaptiveMonitor(NewFaultyProber(newWaveProber(nodes), spec))
-		m.SetHygiene(DefaultHygiene())
+		m.SetHygiene(true)
 		m.SetWorkers(workers)
 		outs := make([][]capacity.Measurement, sweeps)
 		for i := 0; i < sweeps; i++ {
@@ -97,7 +97,7 @@ func TestSenseConcurrentHammer(t *testing.T) {
 	const nodes, goroutines, sweeps = 16, 6, 25
 	spec := ProbeFaultSpec{Seed: 11, TimeoutProb: 0.1, DropProb: 0.1}
 	m := NewAdaptiveMonitor(NewFaultyProber(newWaveProber(nodes), spec))
-	m.SetHygiene(DefaultHygiene())
+	m.SetHygiene(true)
 	m.SetWorkers(4)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -110,7 +110,7 @@ func TestSenseConcurrentHammer(t *testing.T) {
 					t.Errorf("goroutine %d: sense returned %d nodes", g, len(out))
 					return
 				}
-				m.Last()
+				_ = m.String()
 				m.Alive()
 				m.SenseStats()
 				m.Health(i % nodes)
@@ -118,7 +118,7 @@ func TestSenseConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := m.Senses(); got != goroutines*sweeps {
+	if got := m.senses; got != goroutines*sweeps {
 		t.Fatalf("senses = %d, want %d", got, goroutines*sweeps)
 	}
 }
@@ -158,7 +158,7 @@ func BenchmarkSense(b *testing.B) {
 	for _, w := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			m := NewAdaptiveMonitor(laggyProber{n: nodes, rtt: 50 * time.Microsecond, work: 200})
-			m.SetHygiene(DefaultHygiene())
+			m.SetHygiene(true)
 			m.SetWorkers(w)
 			m.Sense(0) // warm the pooled slots and forecaster state
 			b.ReportAllocs()

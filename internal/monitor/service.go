@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"samrpart/internal/capacity"
@@ -27,9 +26,6 @@ type Service struct {
 	mon     *Monitor
 	weights capacity.Weights
 	clock   func() float64
-
-	mu sync.Mutex
-	ln net.Listener
 }
 
 // NewService wraps a monitor. clock supplies the sensing timestamps (e.g.
@@ -38,12 +34,9 @@ func NewService(mon *Monitor, weights capacity.Weights, clock func() float64) *S
 	return &Service{mon: mon, weights: weights, clock: clock}
 }
 
-// Serve accepts and handles connections until the listener fails or Close
-// is called. It blocks.
+// Serve accepts and handles connections until the listener fails or is
+// closed. It blocks.
 func (s *Service) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -51,16 +44,6 @@ func (s *Service) Serve(ln net.Listener) error {
 		}
 		go s.handle(conn)
 	}
-}
-
-// Close stops the service's listener.
-func (s *Service) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln != nil {
-		return s.ln.Close()
-	}
-	return nil
 }
 
 func (s *Service) handle(conn net.Conn) {
@@ -110,44 +93,4 @@ func Query(addr string, timeout time.Duration) (*Response, error) {
 		return nil, fmt.Errorf("monitor: remote error: %s", resp.Error)
 	}
 	return &resp, nil
-}
-
-// RemoteProber adapts a remote monitor Service to the Prober interface: a
-// consumer (e.g. a capacity calculator on another machine) can feed a local
-// Monitor from a remote one. Probe results come from the most recent Sync.
-type RemoteProber struct {
-	Addr    string
-	Timeout time.Duration
-
-	mu   sync.Mutex
-	last []capacity.Measurement
-}
-
-// Sync queries the remote service and caches its measurements.
-func (p *RemoteProber) Sync() error {
-	resp, err := Query(p.Addr, p.Timeout)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.last = resp.Measurements
-	p.mu.Unlock()
-	return nil
-}
-
-// NumNodes implements Prober (0 before the first successful Sync).
-func (p *RemoteProber) NumNodes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.last)
-}
-
-// Probe implements Prober.
-func (p *RemoteProber) Probe(k int) capacity.Measurement {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if k < 0 || k >= len(p.last) {
-		return capacity.Measurement{}
-	}
-	return p.last[k]
 }

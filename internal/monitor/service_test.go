@@ -9,23 +9,23 @@ import (
 	"samrpart/internal/cluster"
 )
 
-func startService(t *testing.T) (addr string, clus *cluster.Cluster, svc *Service) {
+func startService(t *testing.T) (addr string, clus *cluster.Cluster) {
 	t.Helper()
 	clus = newTestCluster(t)
 	clus.Node(0).AddLoad(cluster.Step{CPU: 0.6, MemMB: 100})
 	mon := NewAdaptiveMonitor(ClusterProber{C: clus})
-	svc = NewService(mon, capacity.EqualWeights(), clus.Now)
+	svc := NewService(mon, capacity.EqualWeights(), clus.Now)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go svc.Serve(ln)
-	t.Cleanup(func() { svc.Close() })
-	return ln.Addr().String(), clus, svc
+	t.Cleanup(func() { ln.Close() })
+	return ln.Addr().String(), clus
 }
 
 func TestServiceQuery(t *testing.T) {
-	addr, _, _ := startService(t)
+	addr, _ := startService(t)
 	resp, err := Query(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestServiceQuery(t *testing.T) {
 }
 
 func TestServiceRepeatedQueriesTrackLoad(t *testing.T) {
-	addr, clus, _ := startService(t)
+	addr, clus := startService(t)
 	first, err := Query(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestServiceRepeatedQueriesTrackLoad(t *testing.T) {
 }
 
 func TestServiceUnknownCommand(t *testing.T) {
-	addr, _, _ := startService(t)
+	addr, _ := startService(t)
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -98,35 +98,5 @@ func contains(s, sub string) bool {
 func TestQueryErrors(t *testing.T) {
 	if _, err := Query("127.0.0.1:1", 200*time.Millisecond); err == nil {
 		t.Error("query to dead address succeeded")
-	}
-}
-
-func TestRemoteProber(t *testing.T) {
-	addr, _, _ := startService(t)
-	p := &RemoteProber{Addr: addr, Timeout: 2 * time.Second}
-	if p.NumNodes() != 0 {
-		t.Error("prober has nodes before Sync")
-	}
-	if m := p.Probe(0); m != (capacity.Measurement{}) {
-		t.Error("Probe before Sync not zero")
-	}
-	if err := p.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if p.NumNodes() != 4 {
-		t.Fatalf("NumNodes = %d", p.NumNodes())
-	}
-	m := p.Probe(1)
-	if m.CPUAvail <= 0 || m.BandwidthMBps <= 0 {
-		t.Errorf("Probe(1) = %+v", m)
-	}
-	if p.Probe(99) != (capacity.Measurement{}) {
-		t.Error("out-of-range probe should be zero")
-	}
-	// A local monitor can be layered on the remote prober.
-	local := New(p, func() Forecaster { return &LastValue{} })
-	ms := local.Sense(0)
-	if len(ms) != 4 {
-		t.Errorf("layered monitor senses %d nodes", len(ms))
 	}
 }

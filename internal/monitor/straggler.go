@@ -41,76 +41,38 @@ func (s StragglerState) String() string {
 	}
 }
 
-// StragglerPolicy configures the detector. The zero value disables it:
-// Observe becomes a no-op and every rank stays Normal, bit-identical to a
-// build without the detector.
-type StragglerPolicy struct {
-	// Enabled turns detection on.
-	Enabled bool
-	// Alpha is the EWMA smoothing factor applied to per-rank step-time
-	// samples (default 0.5). Higher reacts faster, lower rides out noise.
-	Alpha float64
-	// SlowFactor is the shed threshold: a rank is "slow" in a round when
-	// its EWMA exceeds both SlowFactor×median and median + MADK robust
-	// sigmas of the group's EWMAs (default 2).
-	SlowFactor float64
-	// QuarantineFactor is the quarantine threshold, same construction
-	// (default 6).
-	QuarantineFactor float64
-	// MADK is the robust-sigma multiplier backing both thresholds
-	// (default 4), reusing the sensing hygiene's MAD machinery so ordinary
-	// jitter on a near-uniform group never trips the ratio test.
-	MADK float64
-	// EnterAfter is how many consecutive rounds a rank must breach a
-	// threshold before it is demoted (default 2) — hysteresis against
-	// one-off stalls like a GC pause.
-	EnterAfter int
-	// ExitAfter is how many consecutive clean rounds before a demoted rank
-	// is promoted one step back (default 3; exits are slower than entries
-	// so a flapping node does not thrash the partitioner).
-	ExitAfter int
-	// ShedCapacity is the effective-capacity multiplier for a Shed rank
-	// (default 0.5). Quarantined ranks always weigh zero.
-	ShedCapacity float64
-}
-
-// DefaultStragglerPolicy returns the enabled policy with default thresholds.
-func DefaultStragglerPolicy() StragglerPolicy {
-	return StragglerPolicy{Enabled: true}.withDefaults()
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (p StragglerPolicy) withDefaults() StragglerPolicy {
-	if p.Alpha <= 0 || p.Alpha > 1 {
-		p.Alpha = 0.5
-	}
-	if p.SlowFactor <= 1 {
-		p.SlowFactor = 2
-	}
-	if p.QuarantineFactor <= p.SlowFactor {
-		p.QuarantineFactor = 3 * p.SlowFactor
-	}
-	if p.MADK <= 0 {
-		p.MADK = 4
-	}
-	if p.EnterAfter <= 0 {
-		p.EnterAfter = 2
-	}
-	if p.ExitAfter <= 0 {
-		p.ExitAfter = 3
-	}
-	if p.ShedCapacity <= 0 || p.ShedCapacity >= 1 {
-		p.ShedCapacity = 0.5
-	}
-	return p
-}
+// Straggler thresholds (DESIGN.md §13).
+const (
+	// stragglerAlpha is the EWMA smoothing factor applied to per-rank
+	// step-time samples. Higher reacts faster, lower rides out noise.
+	stragglerAlpha = 0.5
+	// slowFactor is the shed threshold: a rank is "slow" in a round when
+	// its EWMA exceeds both slowFactor×median and median + stragglerMADK
+	// robust sigmas of the group's EWMAs.
+	slowFactor = 2
+	// quarantineFactor is the quarantine threshold, same construction.
+	quarantineFactor = 3 * slowFactor
+	// stragglerMADK is the robust-sigma multiplier backing both thresholds,
+	// reusing the sensing hygiene's MAD machinery so ordinary jitter on a
+	// near-uniform group never trips the ratio test.
+	stragglerMADK = 4
+	// enterAfter is how many consecutive rounds a rank must breach a
+	// threshold before it is demoted — hysteresis against one-off stalls
+	// like a GC pause.
+	enterAfter = 2
+	// exitAfter is how many consecutive clean rounds before a demoted rank
+	// is promoted one step back (exits are slower than entries so a
+	// flapping node does not thrash the partitioner).
+	exitAfter = 3
+	// shedCapacity is the effective-capacity multiplier for a Shed rank.
+	// Quarantined ranks always weigh zero.
+	shedCapacity = 0.5
+)
 
 // StragglerTransition records one observable state change.
 type StragglerTransition struct {
 	Rank     int
 	From, To StragglerState
-	// Round is the Observe call (0-based) the transition happened in.
-	Round int
 }
 
 // StragglerDetector turns per-rank step-time samples into degradation
@@ -119,26 +81,16 @@ type StragglerTransition struct {
 // heartbeat-gossiped timing vector and reach the same shedding decision
 // with no extra coordination round.
 type StragglerDetector struct {
-	pol    StragglerPolicy
 	ewma   []float64
 	seen   []bool
 	state  []StragglerState
 	breach []int // consecutive rounds at or past a higher-than-state threshold
 	clean  []int // consecutive rounds below every threshold
-	round  int
-
-	transitions []StragglerTransition
-	demotions   int
-	promotions  int
 }
 
 // NewStragglerDetector builds a detector for n ranks.
-func NewStragglerDetector(n int, pol StragglerPolicy) *StragglerDetector {
-	if pol.Enabled {
-		pol = pol.withDefaults()
-	}
+func NewStragglerDetector(n int) *StragglerDetector {
 	return &StragglerDetector{
-		pol:    pol,
 		ewma:   make([]float64, n),
 		seen:   make([]bool, n),
 		state:  make([]StragglerState, n),
@@ -153,10 +105,6 @@ func NewStragglerDetector(n int, pol StragglerPolicy) *StragglerDetector {
 // dead ranks are reset to Normal so a later rejoin starts clean. It returns
 // the transitions this round caused.
 func (d *StragglerDetector) Observe(perCell []float64, alive []bool) []StragglerTransition {
-	if !d.pol.Enabled {
-		return nil
-	}
-	defer func() { d.round++ }()
 	n := len(d.state)
 	// Update EWMAs for ranks with data.
 	for k := 0; k < n && k < len(perCell); k++ {
@@ -169,7 +117,7 @@ func (d *StragglerDetector) Observe(perCell []float64, alive []bool) []Straggler
 			if !d.seen[k] {
 				d.ewma[k], d.seen[k] = v, true
 			} else {
-				d.ewma[k] += d.pol.Alpha * (v - d.ewma[k])
+				d.ewma[k] += stragglerAlpha * (v - d.ewma[k])
 			}
 		}
 	}
@@ -201,9 +149,9 @@ func (d *StragglerDetector) Observe(perCell []float64, alive []bool) []Straggler
 		// the ratio keeps a tight group from shedding its natural slowest
 		// member; the deviation floor keeps a noisy group honest.
 		level := StragglerNormal
-		if d.ewma[k] > d.pol.QuarantineFactor*med && d.ewma[k] > med+d.pol.MADK*sigma {
+		if d.ewma[k] > quarantineFactor*med && d.ewma[k] > med+stragglerMADK*sigma {
 			level = StragglerQuarantined
-		} else if d.ewma[k] > d.pol.SlowFactor*med && d.ewma[k] > med+d.pol.MADK*sigma {
+		} else if d.ewma[k] > slowFactor*med && d.ewma[k] > med+stragglerMADK*sigma {
 			level = StragglerShed
 		}
 		prev := d.state[k]
@@ -211,14 +159,14 @@ func (d *StragglerDetector) Observe(perCell []float64, alive []bool) []Straggler
 		case level > prev:
 			d.breach[k]++
 			d.clean[k] = 0
-			if d.breach[k] >= d.pol.EnterAfter {
+			if d.breach[k] >= enterAfter {
 				d.transition(k, level, &out)
 				d.breach[k] = 0
 			}
 		case level < prev:
 			d.clean[k]++
 			d.breach[k] = 0
-			if d.clean[k] >= d.pol.ExitAfter {
+			if d.clean[k] >= exitAfter {
 				d.transition(k, prev-1, &out) // promote one step at a time
 				d.clean[k] = 0
 			}
@@ -229,21 +177,15 @@ func (d *StragglerDetector) Observe(perCell []float64, alive []bool) []Straggler
 	return out
 }
 
-// transition applies a state change and records it.
+// transition applies a state change and reports it in out. The detector
+// keeps no history: a flapping rank must not grow a replica's memory.
 func (d *StragglerDetector) transition(k int, to StragglerState, out *[]StragglerTransition) {
 	from := d.state[k]
 	if from == to {
 		return
 	}
 	d.state[k] = to
-	if to > from {
-		d.demotions++
-	} else {
-		d.promotions++
-	}
-	tr := StragglerTransition{Rank: k, From: from, To: to, Round: d.round}
-	d.transitions = append(d.transitions, tr)
-	*out = append(*out, tr)
+	*out = append(*out, StragglerTransition{Rank: k, From: from, To: to})
 }
 
 // reset clears rank k's streaks and state (used when it dies).
@@ -263,11 +205,11 @@ func (d *StragglerDetector) State(k int) StragglerState {
 }
 
 // CapacityFactor is the multiplier the partitioner applies to rank k's
-// sensed capacity: 1 for Normal, ShedCapacity for Shed, 0 for Quarantined.
+// sensed capacity: 1 for Normal, shedCapacity for Shed, 0 for Quarantined.
 func (d *StragglerDetector) CapacityFactor(k int) float64 {
 	switch d.State(k) {
 	case StragglerShed:
-		return d.pol.ShedCapacity
+		return shedCapacity
 	case StragglerQuarantined:
 		return 0
 	default:
@@ -278,13 +220,4 @@ func (d *StragglerDetector) CapacityFactor(k int) float64 {
 // WorkEligible reports whether rank k should be assigned any work at all.
 func (d *StragglerDetector) WorkEligible(k int) bool {
 	return d.State(k) != StragglerQuarantined
-}
-
-// Demotions and Promotions count state transitions so far.
-func (d *StragglerDetector) Demotions() int  { return d.demotions }
-func (d *StragglerDetector) Promotions() int { return d.promotions }
-
-// Transitions returns every recorded transition in order.
-func (d *StragglerDetector) Transitions() []StragglerTransition {
-	return append([]StragglerTransition(nil), d.transitions...)
 }

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -22,23 +23,8 @@ func allAlive(n int) []bool {
 	return out
 }
 
-func TestStragglerDisabledIsInert(t *testing.T) {
-	d := NewStragglerDetector(4, StragglerPolicy{})
-	for i := 0; i < 10; i++ {
-		if tr := d.Observe(round4(1e-6, 100, 2), allAlive(4)); tr != nil {
-			t.Fatalf("disabled detector emitted transitions: %v", tr)
-		}
-	}
-	for k := 0; k < 4; k++ {
-		if d.State(k) != StragglerNormal || d.CapacityFactor(k) != 1 || !d.WorkEligible(k) {
-			t.Fatalf("disabled detector changed rank %d", k)
-		}
-	}
-}
-
 func TestStragglerShedAndRecover(t *testing.T) {
-	pol := StragglerPolicy{Enabled: true, EnterAfter: 2, ExitAfter: 3}
-	d := NewStragglerDetector(4, pol)
+	d := NewStragglerDetector(4)
 	alive := allAlive(4)
 	// Healthy warm-up: no transitions.
 	for i := 0; i < 3; i++ {
@@ -46,7 +32,7 @@ func TestStragglerShedAndRecover(t *testing.T) {
 			t.Fatalf("healthy round %d: %v", i, tr)
 		}
 	}
-	// Rank 2 turns 4x slow: demotion after EnterAfter breaching rounds, not
+	// Rank 2 turns 4x slow: demotion after enterAfter breaching rounds, not
 	// the first (hysteresis).
 	if tr := d.Observe(round4(1e-6, 4, 2), alive); len(tr) != 0 {
 		t.Fatalf("single slow round already demoted: %v", tr)
@@ -65,21 +51,21 @@ func TestStragglerShedAndRecover(t *testing.T) {
 		t.Fatal("shed rank must still receive (reduced) work")
 	}
 	// Recovery: the EWMA needs some healthy rounds to drift back under the
-	// threshold, then ExitAfter clean rounds promote it.
+	// threshold, then exitAfter clean rounds promote it.
+	var back []StragglerTransition
 	for i := 0; i < 20 && d.State(2) != StragglerNormal; i++ {
-		d.Observe(round4(1e-6, 1, -1), alive)
+		back = append(back, d.Observe(round4(1e-6, 1, -1), alive)...)
 	}
 	if d.State(2) != StragglerNormal {
 		t.Fatal("rank 2 never recovered to Normal")
 	}
-	if d.Demotions() != 1 || d.Promotions() != 1 {
-		t.Fatalf("demotions=%d promotions=%d", d.Demotions(), d.Promotions())
+	if len(back) != 1 || back[0] != (StragglerTransition{Rank: 2, From: StragglerShed, To: StragglerNormal}) {
+		t.Fatalf("recovery transitions = %v, want one promotion", back)
 	}
 }
 
 func TestStragglerQuarantineChain(t *testing.T) {
-	pol := StragglerPolicy{Enabled: true, EnterAfter: 2, ExitAfter: 2}
-	d := NewStragglerDetector(4, pol)
+	d := NewStragglerDetector(4)
 	alive := allAlive(4)
 	for i := 0; i < 3; i++ {
 		d.Observe(round4(1e-6, 1, -1), alive)
@@ -96,8 +82,9 @@ func TestStragglerQuarantineChain(t *testing.T) {
 	}
 	// Recovery is stepwise: quarantined → shed → normal, never a jump.
 	var states []StragglerState
+	var trs []StragglerTransition
 	for i := 0; i < 40 && d.State(1) != StragglerNormal; i++ {
-		d.Observe(round4(1e-6, 1, -1), alive)
+		trs = append(trs, d.Observe(round4(1e-6, 1, -1), alive)...)
 		states = append(states, d.State(1))
 	}
 	if d.State(1) != StragglerNormal {
@@ -112,7 +99,7 @@ func TestStragglerQuarantineChain(t *testing.T) {
 	if !sawShed {
 		t.Errorf("recovery skipped the Shed step: %v", states)
 	}
-	for _, tr := range d.Transitions() {
+	for _, tr := range trs {
 		if tr.From == StragglerQuarantined && tr.To == StragglerNormal {
 			t.Errorf("direct quarantine→normal jump: %+v", tr)
 		}
@@ -122,7 +109,7 @@ func TestStragglerQuarantineChain(t *testing.T) {
 func TestStragglerTightGroupNeverSheds(t *testing.T) {
 	// Ordinary jitter — everyone within ±10% — must never demote anyone,
 	// even over many rounds.
-	d := NewStragglerDetector(4, DefaultStragglerPolicy())
+	d := NewStragglerDetector(4)
 	alive := allAlive(4)
 	samples := [][]float64{
 		{1.0e-6, 1.05e-6, 0.95e-6, 1.1e-6},
@@ -138,7 +125,7 @@ func TestStragglerTightGroupNeverSheds(t *testing.T) {
 
 func TestStragglerDeterministic(t *testing.T) {
 	feed := func() []StragglerTransition {
-		d := NewStragglerDetector(4, StragglerPolicy{Enabled: true, EnterAfter: 2, ExitAfter: 2})
+		d := NewStragglerDetector(4)
 		alive := allAlive(4)
 		var all []StragglerTransition
 		for i := 0; i < 8; i++ {
@@ -164,7 +151,7 @@ func TestStragglerDeterministic(t *testing.T) {
 }
 
 func TestStragglerDeadRankResets(t *testing.T) {
-	d := NewStragglerDetector(4, StragglerPolicy{Enabled: true, EnterAfter: 1})
+	d := NewStragglerDetector(4)
 	alive := allAlive(4)
 	for i := 0; i < 4; i++ {
 		d.Observe(round4(1e-6, 10, 2), alive)
@@ -182,5 +169,40 @@ func TestStragglerDeadRankResets(t *testing.T) {
 	alive[2] = true
 	if tr := d.Observe([]float64{1e-6, 0, -1, 1e-6}, alive); len(tr) != 0 {
 		t.Fatalf("no-sample round transitions: %v", tr)
+	}
+}
+
+// TestStragglerFlappingKeepsHeapFlat: a rank that flaps between slow and
+// normal forever must not grow its detector replica; every SPMD rank runs
+// one for the whole job.
+func TestStragglerFlappingKeepsHeapFlat(t *testing.T) {
+	d := NewStragglerDetector(4)
+	alive := allAlive(4)
+	flap := func(rounds int) (transitions int) {
+		for i := 0; i < rounds; i++ {
+			factor := 1.0
+			if i%12 < 4 {
+				factor = 50
+			}
+			transitions += len(d.Observe(round4(1e-6, factor, 2), alive))
+		}
+		return transitions
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	flap(1200)
+	before := liveHeap()
+	n := flap(100_000)
+	after := liveHeap()
+	runtime.KeepAlive(d)
+	if n < 10_000 {
+		t.Fatalf("%d transitions in 1e5 rounds: the rank is not flapping", n)
+	}
+	if after > before+64<<10 {
+		t.Errorf("live heap grew %d -> %d bytes over %d transitions", before, after, n)
 	}
 }

@@ -14,11 +14,11 @@ var hotPaths = []struct {
 	op   func() func(i int)
 }{
 	{"CounterAdd", func() func(int) {
-		c := NewRegistry().Counter("samr_bench_total", "b", Label{"rank", "0"})
+		c := newRegistry().Counter("samr_bench_total", "b", Label{"rank", "0"})
 		return func(int) { c.Add(1) }
 	}},
 	{"HistogramObserve", func() func(int) {
-		h := NewRegistry().Histogram("samr_bench_seconds", "b", DurationBuckets())
+		h := newRegistry().Histogram("samr_bench_seconds", "b", DurationBuckets())
 		return func(int) { h.Observe(3.5e-4) }
 	}},
 	{"SpanEnabled", func() func(int) {

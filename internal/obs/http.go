@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Handler returns the observability endpoint:
+// handler returns the observability endpoint:
 //
 //	/metrics       Prometheus text exposition of the registry
 //	/state         JSON snapshot of every registered state provider
@@ -17,7 +17,7 @@ import (
 //
 // The nil runtime still serves (empty metrics, ok health), so callers can
 // wire the handler unconditionally.
-func (rt *Runtime) Handler() http.Handler {
+func (rt *Runtime) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -27,13 +27,13 @@ func (rt *Runtime) Handler() http.Handler {
 		writeJSON(w, healthResponse{
 			Status:  "ok",
 			Run:     rt.RunIDString(),
-			UptimeS: rt.Uptime().Seconds(),
+			UptimeS: rt.uptime().Seconds(),
 		})
 	})
 	mux.HandleFunc("/state", func(w http.ResponseWriter, _ *http.Request) {
 		resp := stateResponse{
 			Run:     rt.RunIDString(),
-			UptimeS: rt.Uptime().Seconds(),
+			UptimeS: rt.uptime().Seconds(),
 			State:   map[string]any{},
 		}
 		if rt != nil {
@@ -86,7 +86,7 @@ func (rt *Runtime) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: rt.handler(), ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -68,7 +68,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &health); err != nil {
 		t.Fatalf("/healthz json: %v", err)
 	}
-	if health["status"] != "ok" || health["run"] != RunID(7) {
+	if health["status"] != "ok" || health["run"] != runID(7) {
 		t.Errorf("/healthz = %v", health)
 	}
 	if _, ok := health["uptime_s"].(float64); !ok {
@@ -87,7 +87,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &state); err != nil {
 		t.Fatalf("/state json: %v", err)
 	}
-	if state.Run != RunID(7) {
+	if state.Run != runID(7) {
 		t.Errorf("/state run = %q", state.Run)
 	}
 	eng := state.State["engine"]

@@ -69,8 +69,8 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Value returns the current value (0 on the nil gauge).
-func (g *Gauge) Value() float64 {
+// value returns the current value (0 on the nil gauge).
+func (g *Gauge) value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -135,7 +135,6 @@ type instance struct {
 	labels string // pre-rendered `{k="v",...}` or ""
 	c      *Counter
 	g      *Gauge
-	gf     func() float64
 	h      *Histogram
 }
 
@@ -155,8 +154,8 @@ type Registry struct {
 	order    []string
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
@@ -212,18 +211,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return inst.g
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time. The
-// function must be safe for concurrent use. No-op on the nil registry.
-func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	inst := r.register(name, help, "gauge", labels)
-	inst.gf = f
-}
-
 // Histogram registers (or finds) a fixed-bucket histogram; bounds must be
 // sorted ascending. Nil registry returns nil.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
@@ -262,10 +249,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case inst.c != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, inst.labels, inst.c.Value())
-			case inst.gf != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, inst.labels, formatFloat(inst.gf()))
 			case inst.g != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, inst.labels, formatFloat(inst.g.Value()))
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, inst.labels, formatFloat(inst.g.value()))
 			case inst.h != nil:
 				writeHistogram(bw, f.name, inst.labels, inst.h)
 			}

@@ -19,18 +19,17 @@ func TestNilHandlesDiscard(t *testing.T) {
 	c.Inc()
 	g.Set(1)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Errorf("nil registry exposition = %q, %v", sb.String(), err)
 	}
-	r.GaugeFunc("f", "", func() float64 { return 1 })
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("c_total", "help")
 	c.Add(2)
 	c.Inc()
@@ -39,8 +38,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	g := r.Gauge("g", "help")
 	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Errorf("gauge = %g", g.Value())
+	if g.value() != 2.5 {
+		t.Errorf("gauge = %g", g.value())
 	}
 	h := r.Histogram("h_seconds", "help", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -55,7 +54,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 }
 
 func TestRegistrationIdempotent(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.Counter("c_total", "h", Label{"rank", "0"})
 	b := r.Counter("c_total", "h", Label{"rank", "0"})
 	if a != b {
@@ -74,11 +73,11 @@ func TestRegistrationIdempotent(t *testing.T) {
 }
 
 func TestPrometheusExpositionGolden(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("samr_msgs_total", "Messages.", Label{"rank", "1"}).Add(7)
 	r.Counter("samr_msgs_total", "Messages.", Label{"rank", "0"}).Add(4)
 	r.Gauge("samr_imbalance_pct", "Imbalance.").Set(12.5)
-	r.GaugeFunc("samr_up", "Always one.", func() float64 { return 1 })
+	r.Gauge("samr_up", "Always one.").Set(1)
 	h := r.Histogram("samr_wait_seconds", "Wait time.", []float64{0.01, 0.1})
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -112,7 +111,7 @@ samr_wait_seconds_count 3
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("c_total", "h", Label{"k", "a\"b\\c\nd"}).Inc()
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -127,7 +126,7 @@ func TestLabelEscaping(t *testing.T) {
 // writers (one per simulated SPMD rank) while a scraper polls the
 // exposition, the -race test the issue asks for.
 func TestRegistryConcurrentScrape(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const ranks = 8
 	const updates = 2000
 	var writers sync.WaitGroup

@@ -42,9 +42,9 @@ func New(cfg Config) *Runtime {
 		seed = time.Now().UnixNano()
 	}
 	rt := &Runtime{
-		reg:   NewRegistry(),
+		reg:   newRegistry(),
 		log:   cfg.Trace,
-		runID: RunID(seed),
+		runID: runID(seed),
 		start: time.Now(),
 		state: map[string]func() any{},
 	}
@@ -56,9 +56,9 @@ func New(cfg Config) *Runtime {
 	return rt
 }
 
-// RunID derives a stable run identifier from a seed (splitmix64), so runs
+// runID derives a stable run identifier from a seed (splitmix64), so runs
 // seeded identically report the same ID on /state and /healthz.
-func RunID(seed int64) string {
+func runID(seed int64) string {
 	z := uint64(seed) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -83,8 +83,8 @@ func (rt *Runtime) RunIDString() string {
 	return rt.runID
 }
 
-// Uptime is the wall time since New (0 on the nil runtime).
-func (rt *Runtime) Uptime() time.Duration {
+// uptime is the wall time since New (0 on the nil runtime).
+func (rt *Runtime) uptime() time.Duration {
 	if rt == nil {
 		return 0
 	}

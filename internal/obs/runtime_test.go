@@ -14,7 +14,7 @@ func TestNilRuntimeIsOff(t *testing.T) {
 	if rt.Registry() != nil {
 		t.Error("nil runtime must expose nil registry")
 	}
-	if rt.RunIDString() != "" || rt.Uptime() != 0 {
+	if rt.RunIDString() != "" || rt.uptime() != 0 {
 		t.Error("nil runtime metadata must be zero")
 	}
 	rec := rt.Recorder(0)
@@ -37,8 +37,8 @@ func TestRuntimeRecorder(t *testing.T) {
 	var buf bytes.Buffer
 	log := trace.NewLog(&buf)
 	rt := New(Config{Seed: 42, Trace: log})
-	if rt.RunIDString() != RunID(42) {
-		t.Errorf("run ID = %q, want %q", rt.RunIDString(), RunID(42))
+	if rt.RunIDString() != runID(42) {
+		t.Errorf("run ID = %q, want %q", rt.RunIDString(), runID(42))
 	}
 
 	rec := rt.Recorder(3)
@@ -102,13 +102,13 @@ func TestRuntimeRecorder(t *testing.T) {
 }
 
 func TestRunIDDeterministic(t *testing.T) {
-	if RunID(42) != RunID(42) {
+	if runID(42) != runID(42) {
 		t.Error("same seed must give same run ID")
 	}
-	if RunID(1) == RunID(2) {
+	if runID(1) == runID(2) {
 		t.Error("distinct seeds must give distinct run IDs")
 	}
-	if !strings.HasPrefix(RunID(7), "run-") || len(RunID(7)) != len("run-")+16 {
-		t.Errorf("run ID shape: %q", RunID(7))
+	if !strings.HasPrefix(runID(7), "run-") || len(runID(7)) != len("run-")+16 {
+		t.Errorf("run ID shape: %q", runID(7))
 	}
 }

@@ -10,20 +10,20 @@ import (
 type Segment struct {
 	Rank  int
 	Phase string
-	Peer  int
-	Start int64
+	peer  int
+	start int64
 	End   int64
 }
 
 // Dur returns the segment length in ns.
-func (s Segment) Dur() int64 { return s.End - s.Start }
+func (s Segment) Dur() int64 { return s.End - s.start }
 
 // Cause is critical-path time aggregated by (rank, phase, blocking peer).
 type Cause struct {
 	Rank  int
 	Phase string
 	Peer  int
-	NS    int64
+	ns    int64
 	Frac  float64
 }
 
@@ -31,7 +31,7 @@ type Cause struct {
 // iteration window, the chronological hop chain, and the aggregated causes.
 type IterPath struct {
 	Epoch, Iter int
-	Start, End  int64 // aligned ns, global
+	start, end  int64 // aligned ns, global
 	Wall        int64
 	Covered     int64 // chain time; ≈ Wall by construction
 	Chain       []Segment
@@ -61,7 +61,7 @@ type Timeline struct {
 	Iters    []*IterPath
 	Shares   []RankShare // descending, wait time charged to the blocking peer
 	Verdicts []Verdict
-	Skipped  int // malformed lines skipped by the reader
+	skipped  int // malformed lines skipped by the reader
 }
 
 // rspan is an aligned span on one rank's timeline.
@@ -83,7 +83,7 @@ func Stitch(recs []Record, skipped int) *Timeline {
 	tl := &Timeline{
 		Offsets: map[int]int64{},
 		RTTs:    map[int]int64{},
-		Skipped: skipped,
+		skipped: skipped,
 	}
 
 	rankSet := map[int]bool{}
@@ -159,21 +159,21 @@ func Stitch(recs []Record, skipped int) *Timeline {
 			k := iterKey{sp.epoch, sp.iter}
 			w := windows[k]
 			if w == nil {
-				w = &IterPath{Epoch: int(sp.epoch), Iter: int(sp.iter), Start: sp.t0, End: sp.t1}
+				w = &IterPath{Epoch: int(sp.epoch), Iter: int(sp.iter), start: sp.t0, end: sp.t1}
 				windows[k] = w
 				lastRank[k] = r
 			}
-			if sp.t0 < w.Start {
-				w.Start = sp.t0
+			if sp.t0 < w.start {
+				w.start = sp.t0
 			}
-			if sp.t1 > w.End {
-				w.End = sp.t1
+			if sp.t1 > w.end {
+				w.end = sp.t1
 				lastRank[k] = r
 			}
 		}
 	}
 	for k, w := range windows {
-		w.Wall = w.End - w.Start
+		w.Wall = w.end - w.start
 		walk(w, lastRank[k], byRank, prefMax, tl.Offsets)
 		tl.Iters = append(tl.Iters, w)
 	}
@@ -191,8 +191,8 @@ func Stitch(recs []Record, skipped int) *Timeline {
 	for _, w := range tl.Iters {
 		for _, seg := range w.Chain {
 			blame := seg.Rank
-			if seg.Peer >= 0 {
-				blame = seg.Peer
+			if seg.peer >= 0 {
+				blame = seg.peer
 			}
 			share[blame] += seg.Dur()
 			total += seg.Dur()
@@ -290,41 +290,41 @@ func median(xs []int64) int64 {
 // non-empty interval and t strictly decreases, so the chain partitions
 // [Start, End] exactly and attribution sums to the full wall-clock.
 func walk(w *IterPath, rank int, byRank map[int][]rspan, prefMax map[int][]int, base map[int]int64) {
-	t := w.End
+	t := w.end
 	var chain []Segment
 	emit := func(seg Segment) {
-		if seg.End > seg.Start {
+		if seg.End > seg.start {
 			chain = append(chain, seg)
 		}
 	}
-	for steps := 0; t > w.Start && steps < 1<<20; steps++ {
+	for steps := 0; t > w.start && steps < 1<<20; steps++ {
 		sps := byRank[rank]
 		idx := sort.Search(len(sps), func(i int) bool { return sps[i].t0 >= t }) - 1
 		if idx < 0 {
-			emit(Segment{Rank: rank, Phase: PhaseUntracked, Peer: -1, Start: w.Start, End: t})
-			t = w.Start
+			emit(Segment{Rank: rank, Phase: PhaseUntracked, peer: -1, start: w.start, End: t})
+			t = w.start
 			break
 		}
 		sp := sps[prefMax[rank][idx]]
 		if sp.t1 < t {
 			// Nothing recorded on this rank over (sp.t1, t): idle.
 			lo := sp.t1
-			if lo < w.Start {
-				lo = w.Start
+			if lo < w.start {
+				lo = w.start
 			}
-			emit(Segment{Rank: rank, Phase: PhaseIdle, Peer: -1, Start: lo, End: t})
+			emit(Segment{Rank: rank, Phase: PhaseIdle, peer: -1, start: lo, End: t})
 			t = lo
 			continue
 		}
 		lo := sp.t0
-		if lo < w.Start {
-			lo = w.Start
+		if lo < w.start {
+			lo = w.start
 		}
 		if sp.ts != 0 && sp.peer >= 0 {
 			// Gated wait: hop to the blocking peer at its send time.
 			sendG := sp.ts - base[int(sp.peer)]
 			if sendG > lo && sendG < t {
-				emit(Segment{Rank: rank, Phase: sp.ph, Peer: int(sp.peer), Start: sendG, End: t})
+				emit(Segment{Rank: rank, Phase: sp.ph, peer: int(sp.peer), start: sendG, End: t})
 				t = sendG
 				rank = int(sp.peer)
 				continue
@@ -334,12 +334,12 @@ func walk(w *IterPath, rank int, byRank map[int][]rspan, prefMax map[int][]int, 
 		if sp.peer >= 0 {
 			peer = int(sp.peer)
 		}
-		emit(Segment{Rank: rank, Phase: sp.ph, Peer: peer, Start: lo, End: t})
+		emit(Segment{Rank: rank, Phase: sp.ph, peer: peer, start: lo, End: t})
 		t = lo
 	}
-	if t > w.Start {
+	if t > w.start {
 		// Safety valve: the guard tripped; account the remainder.
-		emit(Segment{Rank: rank, Phase: PhaseUntracked, Peer: -1, Start: w.Start, End: t})
+		emit(Segment{Rank: rank, Phase: PhaseUntracked, peer: -1, start: w.start, End: t})
 	}
 	// Reverse into chronological order and aggregate causes.
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
@@ -354,10 +354,10 @@ func walk(w *IterPath, rank int, byRank map[int][]rspan, prefMax map[int][]int, 
 	agg := map[causeKey]int64{}
 	for _, seg := range chain {
 		w.Covered += seg.Dur()
-		agg[causeKey{seg.Rank, seg.Phase, seg.Peer}] += seg.Dur()
+		agg[causeKey{seg.Rank, seg.Phase, seg.peer}] += seg.Dur()
 	}
 	for k, ns := range agg {
-		c := Cause{Rank: k.rank, Phase: k.ph, Peer: k.peer, NS: ns}
+		c := Cause{Rank: k.rank, Phase: k.ph, Peer: k.peer, ns: ns}
 		if w.Wall > 0 {
 			c.Frac = float64(ns) / float64(w.Wall)
 		}
@@ -365,8 +365,8 @@ func walk(w *IterPath, rank int, byRank map[int][]rspan, prefMax map[int][]int, 
 	}
 	sort.Slice(w.Causes, func(i, j int) bool {
 		a, b := w.Causes[i], w.Causes[j]
-		if a.NS != b.NS {
-			return a.NS > b.NS
+		if a.ns != b.ns {
+			return a.ns > b.ns
 		}
 		if a.Rank != b.Rank {
 			return a.Rank < b.Rank

@@ -103,27 +103,15 @@ const (
 // distributed deployment would open one per process and hand the stitcher
 // all the files.
 type Log struct {
-	mu   sync.Mutex
-	w    *bufio.Writer
-	buf  []byte
-	skew map[int]int64
-	err  error
+	mu  sync.Mutex
+	w   *bufio.Writer
+	buf []byte
+	err error
 }
 
 // NewLog returns a Log writing JSONL records to w.
 func NewLog(w io.Writer) *Log {
 	return &Log{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// SetSkew injects a fixed clock skew (ns) for rank's recorders, so tests can
-// prove the offset estimator recovers known skews. Call before Recorder.
-func (l *Log) SetSkew(rank int, ns int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.skew == nil {
-		l.skew = make(map[int]int64)
-	}
-	l.skew[rank] = ns
 }
 
 // Flush drains the buffered writer and reports the first write error.
@@ -155,18 +143,12 @@ func NewRecorder(l *Log, rank int, observe func(Phase, float64)) *Recorder {
 	if l == nil && observe == nil {
 		return nil
 	}
-	r := &Recorder{
+	return &Recorder{
 		log:       l,
 		observe:   observe,
 		rank:      int32(rank),
 		lastDelta: make(map[int32]int64),
 	}
-	if l != nil {
-		l.mu.Lock()
-		r.skew = l.skew[rank]
-		l.mu.Unlock()
-	}
-	return r
 }
 
 // Recorder records one rank's spans, messages, clock observations, and
@@ -177,7 +159,7 @@ type Recorder struct {
 	log       *Log
 	observe   func(Phase, float64)
 	rank      int32
-	skew      int64
+	skew      int64 // clock offset (ns) tests inject to check the estimator
 	epoch     int32
 	iter      int32
 	lastDelta map[int32]int64

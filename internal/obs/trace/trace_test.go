@@ -201,8 +201,8 @@ func TestClockOffsetEstimate(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLog(&buf)
 	const skew = int64(5_000_000)
-	l.SetSkew(1, skew)
 	r0, r1 := l.Recorder(0), l.Recorder(1)
+	r1.skew = skew
 
 	// Several rounds: each rank observes the other's stamp plus the delta
 	// the SENDER last measured for this receiver, as the FT heartbeat does.
@@ -254,7 +254,7 @@ func TestStitchCriticalPath(t *testing.T) {
 		t.Fatalf("got %d iteration windows, want 1", len(tl.Iters))
 	}
 	w := tl.Iters[0]
-	if w.Epoch != 0 || w.Iter != 7 || w.Start != 0 || w.End != 550 {
+	if w.Epoch != 0 || w.Iter != 7 || w.start != 0 || w.end != 550 {
 		t.Fatalf("window = %+v", w)
 	}
 	if w.Covered != w.Wall {
@@ -266,7 +266,7 @@ func TestStitchCriticalPath(t *testing.T) {
 	for i, seg := range w.Chain {
 		if seg.Rank == 0 && seg.Phase == PhaseHaloWait.String() {
 			sawWait = true
-			if seg.Peer != 1 || seg.Start != 450 {
+			if seg.peer != 1 || seg.start != 450 {
 				t.Fatalf("wait segment = %+v", seg)
 			}
 			if i == 0 || w.Chain[i-1].Rank != 1 {

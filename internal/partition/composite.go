@@ -18,16 +18,16 @@ type Composite struct {
 	// Curve orders the composite list (GrACE uses space-filling mappings;
 	// Hilbert by default, Morton available for the ablation).
 	Curve sfc.Curve
-	// RefineRatio relates hierarchy levels for the inter-level mapping.
-	RefineRatio int
+	// refineRatio relates hierarchy levels for the inter-level mapping.
+	refineRatio int
 }
 
 // NewComposite returns the GrACE default partitioner.
 func NewComposite(refineRatio int) *Composite {
 	return &Composite{
-		Constraints: DefaultConstraints(),
+		Constraints: defaultConstraints(),
 		Curve:       sfc.Hilbert{},
-		RefineRatio: refineRatio,
+		refineRatio: refineRatio,
 	}
 }
 
@@ -39,7 +39,7 @@ func (c *Composite) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 	if err := checkInputs(boxes, caps); err != nil {
 		return nil, err
 	}
-	if err := c.Constraints.Validate(); err != nil {
+	if err := c.Constraints.validate(); err != nil {
 		return nil, err
 	}
 	total := 0.0
@@ -59,7 +59,7 @@ func (c *Composite) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 		for i := range base {
 			b := base[i]
 			for l := b.Level; l > 0; l-- {
-				b = b.Coarsen(c.RefineRatio)
+				b = b.Coarsen(c.refineRatio)
 			}
 			base[i] = b
 		}
@@ -68,7 +68,7 @@ func (c *Composite) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 			return nil, err
 		}
 		domain.Level = 0
-		mapper := sfc.NewMapper(c.Curve, domain, c.RefineRatio)
+		mapper := sfc.NewMapper(c.Curve, domain, c.refineRatio)
 		mapper.Sort(ordered)
 	}
 	nodeOrder := make([]int, k)

@@ -79,7 +79,7 @@ func FuzzPlanGroups(f *testing.F) {
 		}
 		got := 0.0
 		for g := 0; g < plan.NumGroups(); g++ {
-			for _, b := range plan.GroupBoxes(g) {
+			for _, b := range plan.groupBoxes(g) {
 				got += CellWork(b)
 			}
 		}

@@ -25,7 +25,7 @@ type Hetero struct {
 // NewHetero returns an ACEHeterogeneous partitioner with the paper's
 // default constraints.
 func NewHetero() *Hetero {
-	return &Hetero{Constraints: DefaultConstraints()}
+	return &Hetero{Constraints: defaultConstraints()}
 }
 
 // Name implements Partitioner.
@@ -36,7 +36,7 @@ func (h *Hetero) Partition(boxes geom.BoxList, caps []float64, work WorkFunc) (*
 	if err := checkInputs(boxes, caps); err != nil {
 		return nil, err
 	}
-	if err := h.Constraints.Validate(); err != nil {
+	if err := h.Constraints.validate(); err != nil {
 		return nil, err
 	}
 	total := 0.0

@@ -24,9 +24,9 @@ import (
 // coordinator can treat stage 1 as the short global decision and slice the
 // groups independently; Partition composes both stages for the common case.
 type Hierarchical struct {
-	Constraints Constraints
-	Curve       sfc.Curve
-	RefineRatio int
+	constraints Constraints
+	curve       sfc.Curve
+	refineRatio int
 	// GroupSize is the number of nodes per group (the last group may be
 	// smaller). Must be >= 1.
 	GroupSize int
@@ -35,9 +35,9 @@ type Hierarchical struct {
 // NewHierarchical returns a hierarchical partitioner with 4-node groups.
 func NewHierarchical(refineRatio int) *Hierarchical {
 	return &Hierarchical{
-		Constraints: DefaultConstraints(),
-		Curve:       sfc.Hilbert{},
-		RefineRatio: refineRatio,
+		constraints: defaultConstraints(),
+		curve:       sfc.Hilbert{},
+		refineRatio: refineRatio,
 		GroupSize:   4,
 	}
 }
@@ -54,8 +54,8 @@ func (h *Hierarchical) Name() string { return "Hierarchical" }
 type GroupPlan struct {
 	// Members[g] lists the global node ids of group g.
 	Members [][]int
-	// GroupCaps[g] is group g's aggregate relative capacity.
-	GroupCaps []float64
+	// groupCaps[g] is group g's aggregate relative capacity.
+	groupCaps []float64
 
 	caps   []float64
 	work   WorkFunc
@@ -67,8 +67,8 @@ type GroupPlan struct {
 // NumGroups returns the number of capacity groups.
 func (p *GroupPlan) NumGroups() int { return len(p.Members) }
 
-// GroupBoxes returns group g's contiguous curve segment.
-func (p *GroupPlan) GroupBoxes(g int) geom.BoxList { return p.stage1.NodeBoxes(g) }
+// groupBoxes returns group g's contiguous curve segment.
+func (p *GroupPlan) groupBoxes(g int) geom.BoxList { return p.stage1.NodeBoxes(g) }
 
 // PlanGroups runs stage 1: group the nodes, SFC-order the boxes, and cut the
 // curve into per-group segments proportional to aggregate group capacity.
@@ -76,13 +76,13 @@ func (h *Hierarchical) PlanGroups(boxes geom.BoxList, caps []float64, work WorkF
 	if err := checkInputs(boxes, caps); err != nil {
 		return nil, err
 	}
-	if err := h.Constraints.Validate(); err != nil {
+	if err := h.constraints.validate(); err != nil {
 		return nil, err
 	}
 	if h.GroupSize < 1 {
 		return nil, fmt.Errorf("partition: group size %d < 1", h.GroupSize)
 	}
-	p := &GroupPlan{caps: caps, work: work, cons: h.Constraints}
+	p := &GroupPlan{caps: caps, work: work, cons: h.constraints}
 	for start := 0; start < len(caps); start += h.GroupSize {
 		end := start + h.GroupSize
 		if end > len(caps) {
@@ -95,7 +95,7 @@ func (h *Hierarchical) PlanGroups(boxes geom.BoxList, caps []float64, work WorkF
 			gcap += caps[k]
 		}
 		p.Members = append(p.Members, members)
-		p.GroupCaps = append(p.GroupCaps, gcap)
+		p.groupCaps = append(p.groupCaps, gcap)
 	}
 	total := 0.0
 	for _, b := range boxes {
@@ -107,19 +107,19 @@ func (h *Hierarchical) PlanGroups(boxes geom.BoxList, caps []float64, work WorkF
 		return p, nil
 	}
 	ordered := boxes.Clone()
-	domain, err := baseFootprint(ordered, h.RefineRatio)
+	domain, err := baseFootprint(ordered, h.refineRatio)
 	if err != nil {
 		return nil, err
 	}
-	mapper := sfc.NewMapper(h.Curve, domain, h.RefineRatio)
+	mapper := sfc.NewMapper(h.curve, domain, h.refineRatio)
 	mapper.Sort(ordered)
 	groupQuotas := make([]float64, p.NumGroups())
 	groupOrder := make([]int, p.NumGroups())
-	for g, gcap := range p.GroupCaps {
+	for g, gcap := range p.groupCaps {
 		groupQuotas[g] = gcap * total
 		groupOrder[g] = g
 	}
-	p.stage1 = fillQuotas(ordered, groupOrder, groupQuotas, work, h.Constraints)
+	p.stage1 = fillQuotas(ordered, groupOrder, groupQuotas, work, h.constraints)
 	return p, nil
 }
 
@@ -129,7 +129,7 @@ func (h *Hierarchical) PlanGroups(boxes geom.BoxList, caps []float64, work WorkF
 // reads only stage-1 state, so calls are independent across groups.
 func (p *GroupPlan) PartitionGroup(g int) (geom.BoxList, []int) {
 	members := p.Members[g]
-	segment := p.GroupBoxes(g)
+	segment := p.groupBoxes(g)
 	if len(segment) == 0 {
 		return nil, nil
 	}
@@ -139,8 +139,8 @@ func (p *GroupPlan) PartitionGroup(g int) (geom.BoxList, []int) {
 	}
 	memberCaps := make([]float64, len(members))
 	for i, k := range members {
-		if p.GroupCaps[g] > 0 {
-			memberCaps[i] = p.caps[k] / p.GroupCaps[g]
+		if p.groupCaps[g] > 0 {
+			memberCaps[i] = p.caps[k] / p.groupCaps[g]
 		} else {
 			memberCaps[i] = 1 / float64(len(members))
 		}

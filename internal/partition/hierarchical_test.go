@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"samrpart/internal/capacity"
 	"samrpart/internal/geom"
 )
 
@@ -20,7 +21,7 @@ func TestHierarchicalMatchesCapacities(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range caps {
-		if imb := a.Imbalance(k); imb > 50 {
+		if imb := capacity.Imbalance(a.Work[k], a.Ideal[k]); imb > 50 {
 			t.Errorf("node %d imbalance %.1f%%", k, imb)
 		}
 	}
@@ -178,7 +179,7 @@ func TestHierarchicalDeadRanks(t *testing.T) {
 func TestHierarchicalSingleBoxGroups(t *testing.T) {
 	p := NewHierarchical(2)
 	p.GroupSize = 2
-	p.Constraints = Constraints{MinBoxSize: 8} // tiles are 8 wide: unsplittable
+	p.constraints = Constraints{MinBoxSize: 8} // tiles are 8 wide: unsplittable
 	var boxes geom.BoxList
 	for i := 0; i < 4; i++ {
 		boxes = append(boxes, geom.Box2(i*8, 0, i*8+7, 7))

@@ -15,17 +15,17 @@ import (
 // fine box and the coarse box under it generally land on different nodes,
 // making prolongation/restriction remote.
 type LevelWise struct {
-	Constraints Constraints
-	Curve       sfc.Curve
-	RefineRatio int
+	constraints Constraints
+	curve       sfc.Curve
+	refineRatio int
 }
 
 // NewLevelWise returns the per-level partitioner.
 func NewLevelWise(refineRatio int) *LevelWise {
 	return &LevelWise{
-		Constraints: DefaultConstraints(),
-		Curve:       sfc.Hilbert{},
-		RefineRatio: refineRatio,
+		constraints: defaultConstraints(),
+		curve:       sfc.Hilbert{},
+		refineRatio: refineRatio,
 	}
 }
 
@@ -37,7 +37,7 @@ func (l *LevelWise) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 	if err := checkInputs(boxes, caps); err != nil {
 		return nil, err
 	}
-	if err := l.Constraints.Validate(); err != nil {
+	if err := l.constraints.validate(); err != nil {
 		return nil, err
 	}
 	total := 0.0
@@ -65,15 +65,15 @@ func (l *LevelWise) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 		for _, b := range lvlBoxes {
 			lvlTotal += work(b)
 		}
-		domain, err := baseFootprint(lvlBoxes, l.RefineRatio)
+		domain, err := baseFootprint(lvlBoxes, l.refineRatio)
 		if err != nil {
 			return nil, err
 		}
-		mapper := sfc.NewMapper(l.Curve, domain, l.RefineRatio)
+		mapper := sfc.NewMapper(l.curve, domain, l.refineRatio)
 		ordered := lvlBoxes.Clone()
 		mapper.Sort(ordered)
 		quotas := capacity.Shares(caps, lvlTotal)
-		sub := fillQuotas(ordered, nodeOrder, quotas, work, l.Constraints)
+		sub := fillQuotas(ordered, nodeOrder, quotas, work, l.constraints)
 		out.Boxes = append(out.Boxes, sub.Boxes...)
 		out.Owners = append(out.Owners, sub.Owners...)
 		for k := range out.Work {

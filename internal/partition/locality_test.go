@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"samrpart/internal/capacity"
 	"samrpart/internal/geom"
 )
 
@@ -18,7 +19,7 @@ func TestSFCHeteroMatchesCapacities(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range paperCaps {
-		if imb := a.Imbalance(k); imb > 40 {
+		if imb := capacity.Imbalance(a.Work[k], a.Ideal[k]); imb > 40 {
 			t.Errorf("node %d imbalance %.1f%%", k, imb)
 		}
 	}
@@ -146,7 +147,7 @@ func TestLevelWiseEmptyAndErrors(t *testing.T) {
 		t.Error("bad capacities accepted")
 	}
 	bad := NewLevelWise(2)
-	bad.Constraints.MinBoxSize = 0
+	bad.constraints.MinBoxSize = 0
 	if _, err := bad.Partition(geom.BoxList{geom.Box2(0, 0, 3, 3)}, UniformCaps(2), CellWork); err == nil {
 		t.Error("bad constraints accepted")
 	}
@@ -158,7 +159,7 @@ func TestSFCHeteroErrors(t *testing.T) {
 		t.Error("no nodes accepted")
 	}
 	bad := NewSFCHetero(2)
-	bad.Constraints.MinBoxSize = -1
+	bad.constraints.MinBoxSize = -1
 	if _, err := bad.Partition(geom.BoxList{geom.Box2(0, 0, 3, 3)}, UniformCaps(2), CellWork); err == nil {
 		t.Error("bad constraints accepted")
 	}

@@ -54,22 +54,22 @@ type Constraints struct {
 	// axis — the finer-granularity extension §8 proposes. The longest-axis
 	// default is what maintains aspect ratio.
 	SplitAllAxes bool
-	// MaxSplitsPerBox caps recursion when one box spans several nodes'
+	// maxSplitsPerBox caps recursion when one box spans several nodes'
 	// quotas (0 = unlimited).
-	MaxSplitsPerBox int
+	maxSplitsPerBox int
 }
 
-// DefaultConstraints matches the paper's configuration.
-func DefaultConstraints() Constraints {
+// defaultConstraints matches the paper's configuration.
+func defaultConstraints() Constraints {
 	return Constraints{MinBoxSize: 4}
 }
 
-// Validate checks the constraints.
-func (c Constraints) Validate() error {
+// validate checks the constraints.
+func (c Constraints) validate() error {
 	if c.MinBoxSize < 1 {
 		return fmt.Errorf("partition: MinBoxSize %d < 1", c.MinBoxSize)
 	}
-	if c.MaxSplitsPerBox < 0 {
+	if c.maxSplitsPerBox < 0 {
 		return fmt.Errorf("partition: negative MaxSplitsPerBox")
 	}
 	return nil
@@ -88,8 +88,8 @@ type Assignment struct {
 	Ideal []float64
 }
 
-// NumNodes returns the cluster size the assignment targets.
-func (a *Assignment) NumNodes() int { return len(a.Work) }
+// numNodes returns the cluster size the assignment targets.
+func (a *Assignment) numNodes() int { return len(a.Work) }
 
 // NodeBoxes returns the boxes assigned to node k.
 func (a *Assignment) NodeBoxes(k int) geom.BoxList {
@@ -102,9 +102,6 @@ func (a *Assignment) NodeBoxes(k int) geom.BoxList {
 	return out
 }
 
-// Owner returns the owner of the i'th output box.
-func (a *Assignment) Owner(i int) int { return a.Owners[i] }
-
 // TotalWork returns Σ W_k.
 func (a *Assignment) TotalWork() float64 {
 	sum := 0.0
@@ -114,12 +111,8 @@ func (a *Assignment) TotalWork() float64 {
 	return sum
 }
 
-// Imbalance returns the paper's per-node metric I_k = |W_k−L_k|/L_k·100.
-func (a *Assignment) Imbalance(k int) float64 {
-	return capacity.Imbalance(a.Work[k], a.Ideal[k])
-}
-
-// MaxImbalance returns max_k I_k.
+// MaxImbalance returns max_k of the paper's per-node metric
+// I_k = |W_k−L_k|/L_k·100.
 func (a *Assignment) MaxImbalance() float64 {
 	return capacity.MaxImbalance(a.Work, a.Ideal)
 }

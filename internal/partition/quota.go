@@ -63,7 +63,7 @@ func fillQuotas(boxes geom.BoxList, nodeOrder []int, quotas []float64, work Work
 			cur++
 			continue
 		}
-		canSplit := cons.MaxSplitsPerBox == 0 || item.splits < cons.MaxSplitsPerBox
+		canSplit := cons.maxSplitsPerBox == 0 || item.splits < cons.maxSplitsPerBox
 		if canSplit {
 			if lo, hi, ok := trySplit(item.box, rem/w, cons); ok {
 				// Replace the item with its low part and queue the high

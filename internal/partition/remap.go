@@ -30,8 +30,8 @@ const remapEps = 1e-6
 // immutable); next itself is returned unchanged when no beneficial feasible
 // relabeling exists, when prev is nil, or when the node counts differ.
 func RemapOwners(prev, next *Assignment) *Assignment {
-	k := next.NumNodes()
-	if prev == nil || prev.NumNodes() != k || k < 2 {
+	k := next.numNodes()
+	if prev == nil || prev.numNodes() != k || k < 2 {
 		return next
 	}
 	resident := residentCells(prev, next, k)

@@ -194,7 +194,7 @@ func TestResidentCellsMatchesReference(t *testing.T) {
 	permuted := tiles.Clone()
 	permuted[3], permuted[20] = permuted[20], permuted[3]
 	halved := tiles.Clone()
-	lo, hi, _ := halved[5].Halve()
+	lo, hi := halved[5].Split(0, halved[5].Lo[0]+halved[5].Size(0)/2)
 	halved[5] = lo
 	halved = append(halved, hi)
 	relevel := tiles.Clone()

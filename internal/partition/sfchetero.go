@@ -17,18 +17,18 @@ import (
 // somewhat more frequent than under ACEHeterogeneous' sorted order; the
 // same constraints bound the effect.
 type SFCHetero struct {
-	Constraints Constraints
-	Curve       sfc.Curve
-	RefineRatio int
+	constraints Constraints
+	curve       sfc.Curve
+	refineRatio int
 }
 
 // NewSFCHetero returns the locality-preserving system-sensitive
 // partitioner.
 func NewSFCHetero(refineRatio int) *SFCHetero {
 	return &SFCHetero{
-		Constraints: DefaultConstraints(),
-		Curve:       sfc.Hilbert{},
-		RefineRatio: refineRatio,
+		constraints: defaultConstraints(),
+		curve:       sfc.Hilbert{},
+		refineRatio: refineRatio,
 	}
 }
 
@@ -40,7 +40,7 @@ func (s *SFCHetero) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 	if err := checkInputs(boxes, caps); err != nil {
 		return nil, err
 	}
-	if err := s.Constraints.Validate(); err != nil {
+	if err := s.constraints.validate(); err != nil {
 		return nil, err
 	}
 	total := 0.0
@@ -50,11 +50,11 @@ func (s *SFCHetero) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 	quotas := capacity.Shares(caps, total)
 	ordered := boxes.Clone()
 	if len(ordered) > 0 {
-		domain, err := baseFootprint(ordered, s.RefineRatio)
+		domain, err := baseFootprint(ordered, s.refineRatio)
 		if err != nil {
 			return nil, err
 		}
-		mapper := sfc.NewMapper(s.Curve, domain, s.RefineRatio)
+		mapper := sfc.NewMapper(s.curve, domain, s.refineRatio)
 		mapper.Sort(ordered)
 	}
 	// Nodes in natural order: consecutive curve segments go to consecutive
@@ -63,7 +63,7 @@ func (s *SFCHetero) Partition(boxes geom.BoxList, caps []float64, work WorkFunc)
 	for i := range nodeOrder {
 		nodeOrder[i] = i
 	}
-	return fillQuotas(ordered, nodeOrder, quotas, work, s.Constraints), nil
+	return fillQuotas(ordered, nodeOrder, quotas, work, s.constraints), nil
 }
 
 // baseFootprint returns the level-0 bounding box of a multi-level list.

@@ -44,12 +44,12 @@ func (r AssignmentRecord) MaxImbalance() float64 {
 	return capacity.MaxImbalance(r.Work, r.Ideal)
 }
 
-// TrueMaxImbalance returns the max imbalance of the assigned work against
+// trueMaxImbalance returns the max imbalance of the assigned work against
 // the ground-truth capacity shares (NaN when TrueCaps is unavailable). A
 // run that partitions on garbage capacities can look balanced against its
 // own believed ideal while being badly unbalanced against the truth; this
 // is the metric that exposes it.
-func (r AssignmentRecord) TrueMaxImbalance() float64 {
+func (r AssignmentRecord) trueMaxImbalance() float64 {
 	if r.TrueCaps == nil {
 		return math.NaN()
 	}
@@ -163,7 +163,7 @@ func (t *RunTrace) MeanTrueMaxImbalance() float64 {
 		if r.TrueCaps == nil {
 			continue
 		}
-		sum += r.TrueMaxImbalance()
+		sum += r.trueMaxImbalance()
 		n++
 	}
 	if n == 0 {
@@ -235,58 +235,27 @@ func (t *RunTrace) WriteSummary(w io.Writer) error {
 	return nil
 }
 
-// WriteCSV writes one row per regrid record: the event coordinates, the
-// believed and ground-truth imbalance, and the per-node capacity/work
-// vectors (vectors are ;-joined so the column count stays fixed across
-// cluster sizes). Writer errors propagate.
-func (t *RunTrace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "regrid,iter,virtual_time_s,boxes,max_imbalance_pct,true_max_imbalance_pct,caps,true_caps,work"); err != nil {
-		return err
-	}
-	join := func(vs []float64) string {
-		parts := make([]string, len(vs))
-		for i, v := range vs {
-			parts[i] = strconv.FormatFloat(v, 'g', 6, 64)
-		}
-		return strings.Join(parts, ";")
-	}
-	for _, r := range t.Records {
-		trueImb := ""
-		if r.TrueCaps != nil {
-			trueImb = strconv.FormatFloat(r.TrueMaxImbalance(), 'g', 6, 64)
-		}
-		_, err := fmt.Fprintf(w, "%d,%d,%g,%d,%s,%s,%s,%s,%s\n",
-			r.Regrid, r.Iter, r.VirtualTime, r.Boxes,
-			strconv.FormatFloat(r.MaxImbalance(), 'g', 6, 64), trueImb,
-			join(r.Caps), join(r.TrueCaps), join(r.Work))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Table is a simple aligned-text / CSV table.
 type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
+	title  string
+	header []string
+	rows   [][]string
 }
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, header ...string) *Table {
-	return &Table{Title: title, Header: header}
+	return &Table{title: title, header: header}
 }
 
 // Add appends a row; it pads or truncates to the header width.
 func (t *Table) Add(cells ...string) {
-	row := make([]string, len(t.Header))
+	row := make([]string, len(t.header))
 	for i := range row {
 		if i < len(cells) {
 			row[i] = cells[i]
 		}
 	}
-	t.Rows = append(t.Rows, row)
+	t.rows = append(t.rows, row)
 }
 
 // AddF appends a row of formatted values: strings pass through, float64
@@ -312,19 +281,19 @@ func (t *Table) AddF(cells ...any) {
 
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
+	widths := make([]int, len(t.header))
+	for i, h := range t.header {
 		widths[i] = len(h)
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		for i, c := range row {
 			if len(c) > widths[i] {
 				widths[i] = len(c)
 			}
 		}
 	}
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n", t.Title); err != nil {
+	if t.title != "" {
+		if _, err := fmt.Fprintf(w, "%s\n", t.title); err != nil {
 			return err
 		}
 	}
@@ -342,17 +311,17 @@ func (t *Table) Render(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%s\n", strings.TrimRight(sb.String(), " "))
 		return err
 	}
-	if err := line(t.Header); err != nil {
+	if err := line(t.header); err != nil {
 		return err
 	}
-	rule := make([]string, len(t.Header))
+	rule := make([]string, len(t.header))
 	for i := range rule {
 		rule[i] = strings.Repeat("-", widths[i])
 	}
 	if err := line(rule); err != nil {
 		return err
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		if err := line(row); err != nil {
 			return err
 		}
@@ -363,10 +332,10 @@ func (t *Table) Render(w io.Writer) error {
 // CSV writes the table as comma-separated values (header first).
 func (t *Table) CSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
+	if err := cw.Write(t.header); err != nil {
 		return err
 	}
-	if err := cw.WriteAll(t.Rows); err != nil {
+	if err := cw.WriteAll(t.rows); err != nil {
 		return err
 	}
 	cw.Flush()
@@ -376,33 +345,33 @@ func (t *Table) CSV(w io.Writer) error {
 // Series is a labelled data series for figure-style output (one line per
 // x-value with one column per label).
 type Series struct {
-	Title  string
-	XName  string
-	Labels []string
-	X      []float64
-	Y      [][]float64 // Y[i][j] = value of Labels[j] at X[i]
+	title  string
+	xName  string
+	labels []string
+	x      []float64
+	y      [][]float64 // y[i][j] = value of Labels[j] at X[i]
 }
 
 // NewSeries creates a series container.
 func NewSeries(title, xname string, labels ...string) *Series {
-	return &Series{Title: title, XName: xname, Labels: labels}
+	return &Series{title: title, xName: xname, labels: labels}
 }
 
 // Add appends one x row with len(Labels) values.
 func (s *Series) Add(x float64, ys ...float64) {
-	s.X = append(s.X, x)
-	row := make([]float64, len(s.Labels))
+	s.x = append(s.x, x)
+	row := make([]float64, len(s.labels))
 	copy(row, ys)
-	s.Y = append(s.Y, row)
+	s.y = append(s.y, row)
 }
 
 // Render writes the series as an aligned table.
 func (s *Series) Render(w io.Writer) error {
-	t := NewTable(s.Title, append([]string{s.XName}, s.Labels...)...)
-	for i, x := range s.X {
-		cells := make([]string, 0, 1+len(s.Labels))
+	t := NewTable(s.title, append([]string{s.xName}, s.labels...)...)
+	for i, x := range s.x {
+		cells := make([]string, 0, 1+len(s.labels))
 		cells = append(cells, strconv.FormatFloat(x, 'f', -1, 64))
-		for _, y := range s.Y[i] {
+		for _, y := range s.y[i] {
 			cells = append(cells, strconv.FormatFloat(y, 'f', 1, 64))
 		}
 		t.Add(cells...)

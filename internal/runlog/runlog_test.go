@@ -67,11 +67,11 @@ func TestTableRender(t *testing.T) {
 func TestTableAddPads(t *testing.T) {
 	tab := NewTable("", "a", "b", "c")
 	tab.Add("only")
-	if len(tab.Rows[0]) != 3 || tab.Rows[0][1] != "" {
-		t.Errorf("Rows[0] = %v", tab.Rows[0])
+	if len(tab.rows[0]) != 3 || tab.rows[0][1] != "" {
+		t.Errorf("Rows[0] = %v", tab.rows[0])
 	}
 	tab.Add("1", "2", "3", "4") // extra truncated
-	if len(tab.Rows[1]) != 3 {
+	if len(tab.rows[1]) != 3 {
 		t.Error("extra cells not truncated")
 	}
 }
@@ -79,7 +79,7 @@ func TestTableAddPads(t *testing.T) {
 func TestTableAddF(t *testing.T) {
 	tab := NewTable("", "s", "f", "i", "i64", "other")
 	tab.AddF("x", 3.14159, 7, int64(9), true)
-	row := tab.Rows[0]
+	row := tab.rows[0]
 	if row[0] != "x" || row[1] != "3.1" || row[2] != "7" || row[3] != "9" || row[4] != "true" {
 		t.Errorf("AddF row = %v", row)
 	}
@@ -110,7 +110,7 @@ func TestSeries(t *testing.T) {
 	if !strings.Contains(out, "p0") || !strings.Contains(out, "30.0") {
 		t.Errorf("Series render = %q", out)
 	}
-	if s.Y[1][1] != 0 {
+	if s.y[1][1] != 0 {
 		t.Error("missing value not padded")
 	}
 }
@@ -200,35 +200,6 @@ func TestWriteSummary(t *testing.T) {
 
 	for _, budget := range []int{0, 40, 120, 200} {
 		if err := tr.WriteSummary(&failAfter{n: budget}); err == nil {
-			t.Errorf("no error from writer failing after %d bytes", budget)
-		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	tr := sampleTrace()
-	var sb strings.Builder
-	if err := tr.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 rows, got %d lines:\n%s", len(lines), sb.String())
-	}
-	if !strings.HasPrefix(lines[0], "regrid,iter,") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "0.16;0.19;0.31;0.34") ||
-		!strings.Contains(lines[1], "0.25;0.25;0.25;0.25") {
-		t.Errorf("row 1 missing caps/true-caps vectors: %q", lines[1])
-	}
-	// Record 2 has no TrueCaps: empty true-imbalance and true-caps columns.
-	if !strings.Contains(lines[2], ",,") {
-		t.Errorf("row 2 should have empty true-cap columns: %q", lines[2])
-	}
-
-	for _, budget := range []int{0, 80} {
-		if err := tr.WriteCSV(&failAfter{n: budget}); err == nil {
 			t.Errorf("no error from writer failing after %d bytes", budget)
 		}
 	}

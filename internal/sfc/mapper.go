@@ -35,12 +35,9 @@ func NewMapper(curve Curve, domain geom.Box, refineRatio int) *Mapper {
 		curve:       curve,
 		domain:      domain,
 		refineRatio: refineRatio,
-		bits:        BitsFor(maxExtent),
+		bits:        bitsFor(maxExtent),
 	}
 }
-
-// Curve returns the underlying space-filling curve.
-func (m *Mapper) Curve() Curve { return m.curve }
 
 // BoxIndex returns the curve position of a box: the SFC index of its
 // centroid mapped to the level-0 index space, relative to the domain origin.

@@ -17,9 +17,9 @@ import (
 	"samrpart/internal/geom"
 )
 
-// MaxBits is the largest supported number of bits per axis. With rank 3
+// maxBits is the largest supported number of bits per axis. With rank 3
 // this yields 60-bit curve indices.
-const MaxBits = 20
+const maxBits = 20
 
 // Curve enumerates points of an axis-aligned lattice in a locality
 // preserving order. Implementations must be bijections between
@@ -33,9 +33,9 @@ type Curve interface {
 	Point(idx uint64, rank, bits int) geom.Point
 }
 
-// BitsFor returns the number of bits per axis needed to index extents up to
+// bitsFor returns the number of bits per axis needed to index extents up to
 // n cells (n >= 1).
-func BitsFor(n int) int {
+func bitsFor(n int) int {
 	bits := 0
 	for v := n - 1; v > 0; v >>= 1 {
 		bits++
@@ -50,20 +50,8 @@ func checkArgs(rank, bits int) {
 	if rank < 1 || rank > geom.MaxDim {
 		panic(fmt.Sprintf("sfc: invalid rank %d", rank))
 	}
-	if bits < 1 || bits > MaxBits {
+	if bits < 1 || bits > maxBits {
 		panic(fmt.Sprintf("sfc: invalid bits %d", bits))
-	}
-}
-
-// ByName returns the named curve ("morton" or "hilbert").
-func ByName(name string) (Curve, error) {
-	switch name {
-	case "morton":
-		return Morton{}, nil
-	case "hilbert":
-		return Hilbert{}, nil
-	default:
-		return nil, fmt.Errorf("sfc: unknown curve %q", name)
 	}
 }
 

@@ -13,24 +13,9 @@ func TestBitsFor(t *testing.T) {
 		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {32, 5}, {33, 6}, {128, 7},
 	}
 	for _, c := range cases {
-		if got := BitsFor(c.n); got != c.want {
+		if got := bitsFor(c.n); got != c.want {
 			t.Errorf("BitsFor(%d) = %d, want %d", c.n, got, c.want)
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"morton", "hilbert"} {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, c.Name())
-		}
-	}
-	if _, err := ByName("peano"); err == nil {
-		t.Error("ByName should reject unknown curves")
 	}
 }
 

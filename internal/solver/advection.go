@@ -11,21 +11,21 @@ import (
 // a constant velocity field, in 2 or 3 dimensions. It is monotone (obeys a
 // discrete maximum principle), which the tests exploit.
 type Advection struct {
-	Dim      int
-	Velocity [geom.MaxDim]float64
-	// Center and Width shape the initial Gaussian pulse (physical units).
-	Center [geom.MaxDim]float64
-	Width  float64
+	dim      int
+	velocity [geom.MaxDim]float64
+	// center and Width shape the initial Gaussian pulse (physical units).
+	center [geom.MaxDim]float64
+	width  float64
 }
 
 // NewAdvection2D returns a 2D advection kernel with a pulse at center moving
 // with velocity (vx, vy).
 func NewAdvection2D(vx, vy, cx, cy, width float64) *Advection {
 	return &Advection{
-		Dim:      2,
-		Velocity: [geom.MaxDim]float64{vx, vy, 0},
-		Center:   [geom.MaxDim]float64{cx, cy, 0},
-		Width:    width,
+		dim:      2,
+		velocity: [geom.MaxDim]float64{vx, vy, 0},
+		center:   [geom.MaxDim]float64{cx, cy, 0},
+		width:    width,
 	}
 }
 
@@ -33,10 +33,10 @@ func NewAdvection2D(vx, vy, cx, cy, width float64) *Advection {
 // center, constant velocity).
 func NewAdvection3D(vx, vy, vz, cx, cy, cz, width float64) *Advection {
 	return &Advection{
-		Dim:      3,
-		Velocity: [geom.MaxDim]float64{vx, vy, vz},
-		Center:   [geom.MaxDim]float64{cx, cy, cz},
-		Width:    width,
+		dim:      3,
+		velocity: [geom.MaxDim]float64{vx, vy, vz},
+		center:   [geom.MaxDim]float64{cx, cy, cz},
+		width:    width,
 	}
 }
 
@@ -44,7 +44,7 @@ func NewAdvection3D(vx, vy, vz, cx, cy, cz, width float64) *Advection {
 func (a *Advection) Name() string { return "advection" }
 
 // Rank implements Kernel.
-func (a *Advection) Rank() int { return a.Dim }
+func (a *Advection) Rank() int { return a.dim }
 
 // NumFields implements Kernel.
 func (a *Advection) NumFields() int { return 1 }
@@ -58,12 +58,12 @@ func (a *Advection) FlopsPerCell() float64 { return 12 }
 // Init implements Kernel.
 func (a *Advection) Init(p *amr.Patch, g Grid) {
 	fd := p.Field(0)
-	w2 := a.Width * a.Width
+	w2 := a.width * a.width
 	fillPadded(p, func(pt geom.Point) {
-		x, y, z := g.CellCenter(pt)
-		r2 := sq(x-a.Center[0]) + sq(y-a.Center[1])
-		if a.Dim == 3 {
-			r2 += sq(z - a.Center[2])
+		x, y, z := g.cellCenter(pt)
+		r2 := sq(x-a.center[0]) + sq(y-a.center[1])
+		if a.dim == 3 {
+			r2 += sq(z - a.center[2])
 		}
 		fd[offsetOf(p, pt)] = math.Exp(-r2 / w2)
 	})
@@ -72,8 +72,8 @@ func (a *Advection) Init(p *amr.Patch, g Grid) {
 // MaxDT implements Kernel.
 func (a *Advection) MaxDT(_ *amr.Patch, g Grid) float64 {
 	sum := 0.0
-	for d := 0; d < a.Dim; d++ {
-		sum += math.Abs(a.Velocity[d]) / g.H[d]
+	for d := 0; d < a.dim; d++ {
+		sum += math.Abs(a.velocity[d]) / g.h[d]
 	}
 	if sum == 0 {
 		return math.Inf(1)
@@ -91,11 +91,11 @@ func (a *Advection) Step(next, cur *amr.Patch, g Grid, dt float64) {
 	box := cur.Box
 	nx := box.Size(0)
 	sy, sz := cur.Stride(1), cur.Stride(2)
-	vx, vy, vz := a.Velocity[0], a.Velocity[1], a.Velocity[2]
-	cx := dt * vx / g.H[0]
-	cy := dt * vy / g.H[1]
-	cz := dt * vz / g.H[2]
-	if a.Dim < 3 {
+	vx, vy, vz := a.velocity[0], a.velocity[1], a.velocity[2]
+	cx := dt * vx / g.h[0]
+	cy := dt * vy / g.h[1]
+	cz := dt * vz / g.h[2]
+	if a.dim < 3 {
 		vz = 0
 	}
 	for z := box.Lo[2]; z <= box.Hi[2]; z++ {
@@ -134,18 +134,18 @@ func (a *Advection) stepRef(next, cur *amr.Patch, g Grid, dt float64) {
 	cur.EachInterior(func(pt geom.Point) {
 		v := src[offsetOf(cur, pt)]
 		acc := v
-		for d := 0; d < a.Dim; d++ {
-			vel := a.Velocity[d]
+		for d := 0; d < a.dim; d++ {
+			vel := a.velocity[d]
 			if vel == 0 {
 				continue
 			}
 			up := pt
 			if vel > 0 {
 				up[d]--
-				acc -= dt * vel / g.H[d] * (v - src[offsetOf(cur, up)])
+				acc -= dt * vel / g.h[d] * (v - src[offsetOf(cur, up)])
 			} else {
 				up[d]++
-				acc -= dt * vel / g.H[d] * (src[offsetOf(cur, up)] - v)
+				acc -= dt * vel / g.h[d] * (src[offsetOf(cur, up)] - v)
 			}
 		}
 		dst[offsetOf(next, pt)] = acc
@@ -162,7 +162,7 @@ func (a *Advection) Flag(p *amr.Patch, g Grid, f *amr.FlagField, threshold float
 
 // flagRef is the retained per-point reference implementation.
 func (a *Advection) flagRef(p *amr.Patch, g Grid, f *amr.FlagField, threshold float64) {
-	GradientFlag(p, 0, 1.0, threshold, f)
+	gradientFlag(p, 0, 1.0, threshold, f)
 }
 
 // fillPadded visits every cell of the patch's padded region.

@@ -14,29 +14,29 @@ import (
 // GrACE application suite (the paper's Figure 3 shows the 2D
 // Buckley–Leverette oil reservoir hierarchy).
 type BuckleyLeverett struct {
-	// M is the water/oil mobility ratio.
-	M float64
-	// Velocity is the (divergence-free, here constant) total velocity.
-	Velocity [2]float64
-	// InjectX, InjectY, InjectR define the initial injected-water disc
+	// m is the water/oil mobility ratio.
+	m float64
+	// velocity is the (divergence-free, here constant) total velocity.
+	velocity [2]float64
+	// injectX, injectY, injectR define the initial injected-water disc
 	// (s = 1 inside, s = SInit outside).
-	InjectX, InjectY, InjectR float64
-	// SInit is the initial background water saturation.
-	SInit float64
-	CFL   float64
+	injectX, injectY, injectR float64
+	// sInit is the initial background water saturation.
+	sInit float64
+	cfl   float64
 }
 
 // NewBuckleyLeverett returns a water-flood problem with injection near the
 // domain origin, sweeping along the velocity (vx, vy).
 func NewBuckleyLeverett(vx, vy float64) *BuckleyLeverett {
 	return &BuckleyLeverett{
-		M:        0.5,
-		Velocity: [2]float64{vx, vy},
-		InjectX:  0.1,
-		InjectY:  0.1,
-		InjectR:  0.08,
-		SInit:    0.0,
-		CFL:      0.45,
+		m:        0.5,
+		velocity: [2]float64{vx, vy},
+		injectX:  0.1,
+		injectY:  0.1,
+		injectR:  0.08,
+		sInit:    0.0,
+		cfl:      0.45,
 	}
 }
 
@@ -65,7 +65,7 @@ func (b *BuckleyLeverett) frac(s float64) float64 {
 	}
 	s2 := s * s
 	o := 1 - s
-	return s2 / (s2 + b.M*o*o)
+	return s2 / (s2 + b.m*o*o)
 }
 
 // dfracMax bounds |f'(s)| over [0,1] numerically (computed once per call;
@@ -88,9 +88,9 @@ func (b *BuckleyLeverett) dfracMax() float64 {
 func (b *BuckleyLeverett) Init(p *amr.Patch, g Grid) {
 	fd := p.Field(0)
 	fillPadded(p, func(pt geom.Point) {
-		x, y, _ := g.CellCenter(pt)
-		s := b.SInit
-		if sq(x-b.InjectX)+sq(y-b.InjectY) < sq(b.InjectR) {
+		x, y, _ := g.cellCenter(pt)
+		s := b.sInit
+		if sq(x-b.injectX)+sq(y-b.injectY) < sq(b.injectR) {
 			s = 1.0
 		}
 		fd[offsetOf(p, pt)] = s
@@ -100,11 +100,11 @@ func (b *BuckleyLeverett) Init(p *amr.Patch, g Grid) {
 // MaxDT implements Kernel.
 func (b *BuckleyLeverett) MaxDT(_ *amr.Patch, g Grid) float64 {
 	df := b.dfracMax()
-	rate := math.Abs(b.Velocity[0])*df/g.H[0] + math.Abs(b.Velocity[1])*df/g.H[1]
+	rate := math.Abs(b.velocity[0])*df/g.h[0] + math.Abs(b.velocity[1])*df/g.h[1]
 	if rate == 0 {
 		return math.Inf(1)
 	}
-	return b.CFL / rate
+	return b.cfl / rate
 }
 
 // Step implements Kernel: conservative upwind differencing of v·f(s),
@@ -117,9 +117,9 @@ func (b *BuckleyLeverett) Step(next, cur *amr.Patch, g Grid, dt float64) {
 	src, dst := cur.Field(0), next.Field(0)
 	box := cur.Box
 	nx := box.Size(0)
-	vx, vy := b.Velocity[0], b.Velocity[1]
-	cx := dt / g.H[0]
-	cy := dt / g.H[1]
+	vx, vy := b.velocity[0], b.velocity[1]
+	cx := dt / g.h[0]
+	cy := dt / g.h[1]
 	// frac rows span the interior x-extent grown by one cell on each side;
 	// cell x = Lo[0]+i sits at row index i+1.
 	nfx := nx + 2
@@ -187,7 +187,7 @@ func (b *BuckleyLeverett) stepRef(next, cur *amr.Patch, g Grid, dt float64) {
 		s := src[off]
 		acc := s
 		for d := 0; d < 2; d++ {
-			vel := b.Velocity[d]
+			vel := b.velocity[d]
 			if vel == 0 {
 				continue
 			}
@@ -202,7 +202,7 @@ func (b *BuckleyLeverett) stepRef(next, cur *amr.Patch, g Grid, dt float64) {
 				fluxIn = vel * b.frac(s)
 				fluxOut = vel * b.frac(src[offsetOf(cur, hi)])
 			}
-			acc -= dt / g.H[d] * (fluxOut - fluxIn)
+			acc -= dt / g.h[d] * (fluxOut - fluxIn)
 		}
 		// Clamp: upwind under CFL keeps s in [0,1]; the clamp guards halo
 		// boundary transients.
@@ -225,5 +225,5 @@ func (b *BuckleyLeverett) Flag(p *amr.Patch, g Grid, f *amr.FlagField, threshold
 
 // flagRef is the retained per-point reference implementation.
 func (b *BuckleyLeverett) flagRef(p *amr.Patch, g Grid, f *amr.FlagField, threshold float64) {
-	GradientFlag(p, 0, 1.0, threshold, f)
+	gradientFlag(p, 0, 1.0, threshold, f)
 }

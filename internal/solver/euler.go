@@ -9,11 +9,11 @@ import (
 
 // Euler field indices.
 const (
-	QRho  = 0 // density
-	QMomX = 1 // x momentum
-	QMomY = 2 // y momentum
-	QMomZ = 3 // z momentum
-	QEner = 4 // total energy
+	qRho  = 0 // density
+	qMomX = 1 // x momentum
+	qMomY = 2 // y momentum
+	qMomZ = 3 // z momentum
+	qEner = 4 // total energy
 	qN    = 5
 )
 
@@ -23,19 +23,19 @@ const (
 // travelling toward a corrugated density interface, matching the paper's 3D
 // compressible turbulence kernel in character.
 type Euler3D struct {
-	Gamma float64
-	// DomainLen is the physical domain extent per axis, used to scale the
+	gamma float64
+	// domainLen is the physical domain extent per axis, used to scale the
 	// interface corrugation.
-	DomainLen [geom.MaxDim]float64
+	domainLen [geom.MaxDim]float64
 	// ShockX is the initial shock plane position; InterfaceX the mean
 	// interface position; Amplitude the corrugation amplitude.
 	ShockX, InterfaceX, Amplitude float64
-	// RhoLight / RhoHeavy are the densities on either side of the
+	// rhoLight / rhoHeavy are the densities on either side of the
 	// interface; the post-shock state is (RhoPost, UPost, PPost).
-	RhoLight, RhoHeavy    float64
-	RhoPost, UPost, PPost float64
-	PAmbient              float64
-	CFL                   float64
+	rhoLight, rhoHeavy    float64
+	rhoPost, uPost, pPost float64
+	pAmbient              float64
+	cfl                   float64
 }
 
 // NewRichtmyerMeshkov returns the paper's evaluation kernel: a Mach ~1.5
@@ -43,18 +43,18 @@ type Euler3D struct {
 // shaped domain (the RM3D base grid is 128x32x32, i.e. 4:1:1).
 func NewRichtmyerMeshkov(domainLen [geom.MaxDim]float64) *Euler3D {
 	return &Euler3D{
-		Gamma:      1.4,
-		DomainLen:  domainLen,
+		gamma:      1.4,
+		domainLen:  domainLen,
 		ShockX:     0.15 * domainLen[0],
 		InterfaceX: 0.45 * domainLen[0],
 		Amplitude:  0.04 * domainLen[0],
-		RhoLight:   1.0,
-		RhoHeavy:   3.0,
-		RhoPost:    1.862,
-		UPost:      0.7,
-		PPost:      2.458,
-		PAmbient:   1.0,
-		CFL:        0.4,
+		rhoLight:   1.0,
+		rhoHeavy:   3.0,
+		rhoPost:    1.862,
+		uPost:      0.7,
+		pPost:      2.458,
+		pAmbient:   1.0,
+		cfl:        0.4,
 	}
 }
 
@@ -77,28 +77,28 @@ func (e *Euler3D) FlopsPerCell() float64 { return 350 }
 // Init implements Kernel.
 func (e *Euler3D) Init(p *amr.Patch, g Grid) {
 	fillPadded(p, func(pt geom.Point) {
-		x, y, z := g.CellCenter(pt)
+		x, y, z := g.cellCenter(pt)
 		var rho, u, pr float64
 		iface := e.InterfaceX
-		if e.DomainLen[1] > 0 && e.DomainLen[2] > 0 {
+		if e.domainLen[1] > 0 && e.domainLen[2] > 0 {
 			iface += e.Amplitude *
-				math.Cos(2*math.Pi*y/e.DomainLen[1]) *
-				math.Cos(2*math.Pi*z/e.DomainLen[2])
+				math.Cos(2*math.Pi*y/e.domainLen[1]) *
+				math.Cos(2*math.Pi*z/e.domainLen[2])
 		}
 		switch {
 		case x < e.ShockX: // post-shock
-			rho, u, pr = e.RhoPost, e.UPost, e.PPost
+			rho, u, pr = e.rhoPost, e.uPost, e.pPost
 		case x < iface: // pre-shock light gas
-			rho, u, pr = e.RhoLight, 0, e.PAmbient
+			rho, u, pr = e.rhoLight, 0, e.pAmbient
 		default: // heavy gas
-			rho, u, pr = e.RhoHeavy, 0, e.PAmbient
+			rho, u, pr = e.rhoHeavy, 0, e.pAmbient
 		}
 		off := offsetOf(p, pt)
-		p.Field(QRho)[off] = rho
-		p.Field(QMomX)[off] = rho * u
-		p.Field(QMomY)[off] = 0
-		p.Field(QMomZ)[off] = 0
-		p.Field(QEner)[off] = pr/(e.Gamma-1) + 0.5*rho*u*u
+		p.Field(qRho)[off] = rho
+		p.Field(qMomX)[off] = rho * u
+		p.Field(qMomY)[off] = 0
+		p.Field(qMomZ)[off] = 0
+		p.Field(qEner)[off] = pr/(e.gamma-1) + 0.5*rho*u*u
 	})
 }
 
@@ -108,8 +108,8 @@ type state struct {
 }
 
 func (e *Euler3D) decode(p *amr.Patch, off int) state {
-	return e.decodeVals(p.Field(QRho)[off], p.Field(QMomX)[off],
-		p.Field(QMomY)[off], p.Field(QMomZ)[off], p.Field(QEner)[off])
+	return e.decodeVals(p.Field(qRho)[off], p.Field(qMomX)[off],
+		p.Field(qMomY)[off], p.Field(qMomZ)[off], p.Field(qEner)[off])
 }
 
 // decodeVals converts one cell's conserved values to primitives. It is the
@@ -125,11 +125,11 @@ func (e *Euler3D) decodeVals(rho, momx, momy, momz, ener float64) state {
 	s.v = momy / s.rho
 	s.w = momz / s.rho
 	kin := 0.5 * s.rho * (s.u*s.u + s.v*s.v + s.w*s.w)
-	s.p = (e.Gamma - 1) * (ener - kin)
+	s.p = (e.gamma - 1) * (ener - kin)
 	if s.p < 1e-12 {
 		s.p = 1e-12
 	}
-	s.c = math.Sqrt(e.Gamma * s.p / s.rho)
+	s.c = math.Sqrt(e.gamma * s.p / s.rho)
 	return s
 }
 
@@ -168,7 +168,7 @@ type cell struct {
 
 // decodeRow decodes the cells of one field row into dst, one record each.
 func (e *Euler3D) decodeRow(dst []cell, rho, momx, momy, momz, ener []float64) {
-	gamma := e.Gamma
+	gamma := e.gamma
 	n := len(dst)
 	rho, momx, momy, momz, ener = rho[:n], momx[:n], momy[:n], momz[:n], ener[:n]
 	for i := range dst {
@@ -188,21 +188,21 @@ func (s state) flux(d int, gamma float64) [qN]float64 {
 	vel := [3]float64{s.u, s.v, s.w}[d]
 	ener := s.p/(gamma-1) + 0.5*s.rho*(s.u*s.u+s.v*s.v+s.w*s.w)
 	var f [qN]float64
-	f[QRho] = s.rho * vel
-	f[QMomX] = s.rho * s.u * vel
-	f[QMomY] = s.rho * s.v * vel
-	f[QMomZ] = s.rho * s.w * vel
-	f[QMomX+d] += s.p
-	f[QEner] = (ener + s.p) * vel
+	f[qRho] = s.rho * vel
+	f[qMomX] = s.rho * s.u * vel
+	f[qMomY] = s.rho * s.v * vel
+	f[qMomZ] = s.rho * s.w * vel
+	f[qMomX+d] += s.p
+	f[qEner] = (ener + s.p) * vel
 	return f
 }
 
 func (s state) cons() [qN]float64 {
 	var q [qN]float64
-	q[QRho] = s.rho
-	q[QMomX] = s.rho * s.u
-	q[QMomY] = s.rho * s.v
-	q[QMomZ] = s.rho * s.w
+	q[qRho] = s.rho
+	q[qMomX] = s.rho * s.u
+	q[qMomY] = s.rho * s.v
+	q[qMomZ] = s.rho * s.w
 	// p was decoded with gamma-law; re-encode with the same law in Step via
 	// closure over gamma; set energy there.
 	return q
@@ -213,9 +213,9 @@ func (e *Euler3D) maxDTRef(p *amr.Patch, g Grid) float64 {
 	maxRate := 0.0
 	p.EachInterior(func(pt geom.Point) {
 		s := e.decode(p, offsetOf(p, pt))
-		rate := (math.Abs(s.u)+s.c)/g.H[0] +
-			(math.Abs(s.v)+s.c)/g.H[1] +
-			(math.Abs(s.w)+s.c)/g.H[2]
+		rate := (math.Abs(s.u)+s.c)/g.h[0] +
+			(math.Abs(s.v)+s.c)/g.h[1] +
+			(math.Abs(s.w)+s.c)/g.h[2]
 		if rate > maxRate {
 			maxRate = rate
 		}
@@ -223,12 +223,12 @@ func (e *Euler3D) maxDTRef(p *amr.Patch, g Grid) float64 {
 	if maxRate == 0 {
 		return math.Inf(1)
 	}
-	return e.CFL / maxRate
+	return e.cfl / maxRate
 }
 
 // stepRef is the retained per-point reference implementation.
 func (e *Euler3D) stepRef(next, cur *amr.Patch, g Grid, dt float64) {
-	gamma := e.Gamma
+	gamma := e.gamma
 	cur.EachInterior(func(pt geom.Point) {
 		off := offsetOf(cur, pt)
 		var dq [qN]float64
@@ -241,7 +241,7 @@ func (e *Euler3D) stepRef(next, cur *amr.Patch, g Grid, dt float64) {
 			sr := e.decode(cur, offsetOf(cur, hi))
 			fL := rusanov(sl, sc, d, gamma)
 			fR := rusanov(sc, sr, d, gamma)
-			coef := dt / g.H[d]
+			coef := dt / g.h[d]
 			for q := 0; q < qN; q++ {
 				dq[q] -= coef * (fR[q] - fL[q])
 			}
@@ -262,8 +262,8 @@ func rusanov(l, r state, d int, gamma float64) [qN]float64 {
 	rvel := [3]float64{r.u, r.v, r.w}[d]
 	smax := math.Max(math.Abs(lvel)+l.c, math.Abs(rvel)+r.c)
 	ql, qr := l.cons(), r.cons()
-	ql[QEner] = l.p/(gamma-1) + 0.5*l.rho*(l.u*l.u+l.v*l.v+l.w*l.w)
-	qr[QEner] = r.p/(gamma-1) + 0.5*r.rho*(r.u*r.u+r.v*r.v+r.w*r.w)
+	ql[qEner] = l.p/(gamma-1) + 0.5*l.rho*(l.u*l.u+l.v*l.v+l.w*l.w)
+	qr[qEner] = r.p/(gamma-1) + 0.5*r.rho*(r.u*r.u+r.v*r.v+r.w*r.w)
 	var f [qN]float64
 	for q := 0; q < qN; q++ {
 		f[q] = 0.5*(fl[q]+fr[q]) - 0.5*smax*(qr[q]-ql[q])
@@ -274,18 +274,18 @@ func rusanov(l, r state, d int, gamma float64) [qN]float64 {
 // Flag implements Kernel: refine where the density gradient is steep,
 // normalized by the light/heavy contrast.
 func (e *Euler3D) Flag(p *amr.Patch, g Grid, f *amr.FlagField, threshold float64) {
-	scale := e.RhoHeavy - e.RhoLight
+	scale := e.rhoHeavy - e.rhoLight
 	if scale <= 0 {
 		scale = 1
 	}
-	gradientFlagPencil(p, QRho, scale, threshold, f)
+	gradientFlagPencil(p, qRho, scale, threshold, f)
 }
 
 // flagRef is the retained per-point reference implementation.
 func (e *Euler3D) flagRef(p *amr.Patch, g Grid, f *amr.FlagField, threshold float64) {
-	scale := e.RhoHeavy - e.RhoLight
+	scale := e.rhoHeavy - e.rhoLight
 	if scale <= 0 {
 		scale = 1
 	}
-	GradientFlag(p, QRho, scale, threshold, f)
+	gradientFlag(p, qRho, scale, threshold, f)
 }

@@ -76,16 +76,16 @@ func getEulerScratch(planeN, fzN, fyN int) *eulerScratch {
 func faceFlux(f *[qN]float64, l, r *cell, d int) {
 	lv, rv := l.vel[d], r.vel[d]
 	hs := 0.5 * maxSpeed(l.spd[d], r.spd[d])
-	f[QRho] = 0.5*(l.rho*lv+r.rho*rv) - hs*(r.rho-l.rho)
+	f[qRho] = 0.5*(l.rho*lv+r.rho*rv) - hs*(r.rho-l.rho)
 	for k := 0; k < 3; k++ {
 		fl, fr := l.mom[k]*lv, r.mom[k]*rv
 		if k == d {
 			fl += l.p
 			fr += r.p
 		}
-		f[QMomX+k] = 0.5*(fl+fr) - hs*(r.mom[k]-l.mom[k])
+		f[qMomX+k] = 0.5*(fl+fr) - hs*(r.mom[k]-l.mom[k])
 	}
-	f[QEner] = 0.5*(l.enthp*lv+r.enthp*rv) - hs*(r.ener-l.ener)
+	f[qEner] = 0.5*(l.enthp*lv+r.enthp*rv) - hs*(r.ener-l.ener)
 }
 
 // maxSpeed is math.Max(x, y) for two wave speeds |u_d|+c, inlined. A speed
@@ -128,16 +128,16 @@ func (e *Euler3D) Step(next, cur *amr.Patch, g Grid, dt float64) {
 // next.
 func (e *Euler3D) stepTile(next, cur *amr.Patch, g Grid, dt float64, y0, y1 int) {
 	box := cur.Box
-	cx, cy, cz := dt/g.H[0], dt/g.H[1], dt/g.H[2]
+	cx, cy, cz := dt/g.h[0], dt/g.h[1], dt/g.h[2]
 	nx := box.Size(0)
 	nxs := nx + 2     // records per row: x in [Lo[0]-1, Hi[0]+1]
 	ty := y1 - y0 + 1 // interior rows in this tile
 	tys := ty + 2     // record rows: y in [y0-1, y1+1]
 
-	rho, mox, moy, moz, ener := cur.Field(QRho), cur.Field(QMomX),
-		cur.Field(QMomY), cur.Field(QMomZ), cur.Field(QEner)
-	nrho, nmox, nmoy, nmoz, nener := next.Field(QRho), next.Field(QMomX),
-		next.Field(QMomY), next.Field(QMomZ), next.Field(QEner)
+	rho, mox, moy, moz, ener := cur.Field(qRho), cur.Field(qMomX),
+		cur.Field(qMomY), cur.Field(qMomZ), cur.Field(qEner)
+	nrho, nmox, nmoy, nmoz, nener := next.Field(qRho), next.Field(qMomX),
+		next.Field(qMomY), next.Field(qMomZ), next.Field(qEner)
 
 	sc := getEulerScratch(tys*nxs, ty*nx, nx)
 	defer eulerPool.Put(sc)
@@ -199,11 +199,11 @@ func (e *Euler3D) stepTile(next, cur *amr.Patch, g Grid, dt float64, y0, y1 int)
 				faceFlux(&fyHi, c, &north[i], 1)
 				faceFlux(&fzHi, c, &up[i], 2)
 				fyLo, fzLo := &fy[i], &fz[i]
-				drho[i] = update(srho[i], cx, cy, cz, QRho, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
-				dmox[i] = update(smox[i], cx, cy, cz, QMomX, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
-				dmoy[i] = update(smoy[i], cx, cy, cz, QMomY, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
-				dmoz[i] = update(smoz[i], cx, cy, cz, QMomZ, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
-				dener[i] = update(sener[i], cx, cy, cz, QEner, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
+				drho[i] = update(srho[i], cx, cy, cz, qRho, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
+				dmox[i] = update(smox[i], cx, cy, cz, qMomX, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
+				dmoy[i] = update(smoy[i], cx, cy, cz, qMomY, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
+				dmoz[i] = update(smoz[i], cx, cy, cz, qMomZ, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
+				dener[i] = update(sener[i], cx, cy, cz, qEner, &fxLo, &fxHi, fyLo, &fyHi, fzLo, &fzHi)
 				fxLo = fxHi
 				*fyLo = fyHi
 				*fzLo = fzHi
@@ -228,17 +228,17 @@ func (e *Euler3D) MaxDT(p *amr.Patch, g Grid) float64 {
 	maxRate := 0.0
 	box := p.Box
 	nx := box.Size(0)
-	rho, mox, moy, moz, ener := p.Field(QRho), p.Field(QMomX),
-		p.Field(QMomY), p.Field(QMomZ), p.Field(QEner)
+	rho, mox, moy, moz, ener := p.Field(qRho), p.Field(qMomX),
+		p.Field(qMomY), p.Field(qMomZ), p.Field(qEner)
 	for z := box.Lo[2]; z <= box.Hi[2]; z++ {
 		for y := box.Lo[1]; y <= box.Hi[1]; y++ {
 			b := rowBase(p, box.Lo[0], y, z)
 			r, mx, my, mz, en := rho[b:][:nx], mox[b:][:nx], moy[b:][:nx], moz[b:][:nx], ener[b:][:nx]
 			for i := range r {
-				_, u, v, w, _, c := primitives(e.Gamma, r[i], mx[i], my[i], mz[i], en[i])
-				rate := (math.Abs(u)+c)/g.H[0] +
-					(math.Abs(v)+c)/g.H[1] +
-					(math.Abs(w)+c)/g.H[2]
+				_, u, v, w, _, c := primitives(e.gamma, r[i], mx[i], my[i], mz[i], en[i])
+				rate := (math.Abs(u)+c)/g.h[0] +
+					(math.Abs(v)+c)/g.h[1] +
+					(math.Abs(w)+c)/g.h[2]
 				if rate > maxRate {
 					maxRate = rate
 				}
@@ -248,5 +248,5 @@ func (e *Euler3D) MaxDT(p *amr.Patch, g Grid) float64 {
 	if maxRate == 0 {
 		return math.Inf(1)
 	}
-	return e.CFL / maxRate
+	return e.cfl / maxRate
 }

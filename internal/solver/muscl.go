@@ -30,29 +30,29 @@ func getStage(n int) *[]float64 {
 // features with far less numerical diffusion at the cost of a 2-cell halo —
 // the scheme family the production SAMR codes of the period used.
 type MUSCLAdvection struct {
-	Velocity [geom.MaxDim]float64
-	Center   [geom.MaxDim]float64
-	Width    float64
-	Dim      int
+	velocity [geom.MaxDim]float64
+	center   [geom.MaxDim]float64
+	width    float64
+	dim      int
 }
 
 // NewMUSCLAdvection2D returns a 2D MUSCL kernel with a Gaussian pulse.
 func NewMUSCLAdvection2D(vx, vy, cx, cy, width float64) *MUSCLAdvection {
 	return &MUSCLAdvection{
-		Dim:      2,
-		Velocity: [geom.MaxDim]float64{vx, vy, 0},
-		Center:   [geom.MaxDim]float64{cx, cy, 0},
-		Width:    width,
+		dim:      2,
+		velocity: [geom.MaxDim]float64{vx, vy, 0},
+		center:   [geom.MaxDim]float64{cx, cy, 0},
+		width:    width,
 	}
 }
 
 // NewMUSCLAdvection3D returns a 3D MUSCL kernel with a Gaussian pulse.
 func NewMUSCLAdvection3D(vx, vy, vz, cx, cy, cz, width float64) *MUSCLAdvection {
 	return &MUSCLAdvection{
-		Dim:      3,
-		Velocity: [geom.MaxDim]float64{vx, vy, vz},
-		Center:   [geom.MaxDim]float64{cx, cy, cz},
-		Width:    width,
+		dim:      3,
+		velocity: [geom.MaxDim]float64{vx, vy, vz},
+		center:   [geom.MaxDim]float64{cx, cy, cz},
+		width:    width,
 	}
 }
 
@@ -60,7 +60,7 @@ func NewMUSCLAdvection3D(vx, vy, vz, cx, cy, cz, width float64) *MUSCLAdvection 
 func (a *MUSCLAdvection) Name() string { return "muscl-advection" }
 
 // Rank implements Kernel.
-func (a *MUSCLAdvection) Rank() int { return a.Dim }
+func (a *MUSCLAdvection) Rank() int { return a.dim }
 
 // NumFields implements Kernel.
 func (a *MUSCLAdvection) NumFields() int { return 1 }
@@ -76,12 +76,12 @@ func (a *MUSCLAdvection) FlopsPerCell() float64 { return 30 }
 // Init implements Kernel.
 func (a *MUSCLAdvection) Init(p *amr.Patch, g Grid) {
 	fd := p.Field(0)
-	w2 := a.Width * a.Width
+	w2 := a.width * a.width
 	fillPadded(p, func(pt geom.Point) {
-		x, y, z := g.CellCenter(pt)
-		r2 := sq(x-a.Center[0]) + sq(y-a.Center[1])
-		if a.Dim == 3 {
-			r2 += sq(z - a.Center[2])
+		x, y, z := g.cellCenter(pt)
+		r2 := sq(x-a.center[0]) + sq(y-a.center[1])
+		if a.dim == 3 {
+			r2 += sq(z - a.center[2])
 		}
 		fd[offsetOf(p, pt)] = math.Exp(-r2 / w2)
 	})
@@ -90,8 +90,8 @@ func (a *MUSCLAdvection) Init(p *amr.Patch, g Grid) {
 // MaxDT implements Kernel.
 func (a *MUSCLAdvection) MaxDT(_ *amr.Patch, g Grid) float64 {
 	sum := 0.0
-	for d := 0; d < a.Dim; d++ {
-		sum += math.Abs(a.Velocity[d]) / g.H[d]
+	for d := 0; d < a.dim; d++ {
+		sum += math.Abs(a.velocity[d]) / g.h[d]
 	}
 	if sum == 0 {
 		return math.Inf(1)
@@ -138,8 +138,8 @@ func (a *MUSCLAdvection) rhs(p *amr.Patch, src []float64, g Grid, pt geom.Point)
 		return src[offsetOf(p, u0)] - 0.5*s
 	}
 	acc := 0.0
-	for d := 0; d < a.Dim; d++ {
-		vel := a.Velocity[d]
+	for d := 0; d < a.dim; d++ {
+		vel := a.velocity[d]
 		if vel == 0 {
 			continue
 		}
@@ -153,7 +153,7 @@ func (a *MUSCLAdvection) rhs(p *amr.Patch, src []float64, g Grid, pt geom.Point)
 			fluxLo = vel * faceValueNeg(pt, d)
 			fluxHi = vel * faceValueNeg(hi, d)
 		}
-		acc -= (fluxHi - fluxLo) / g.H[d]
+		acc -= (fluxHi - fluxLo) / g.h[d]
 	}
 	return acc
 }
@@ -213,7 +213,7 @@ func (a *MUSCLAdvection) Flag(p *amr.Patch, g Grid, f *amr.FlagField, threshold 
 
 // flagRef is the retained per-point reference implementation.
 func (a *MUSCLAdvection) flagRef(p *amr.Patch, g Grid, f *amr.FlagField, threshold float64) {
-	GradientFlag(p, 0, 1.0, threshold, f)
+	gradientFlag(p, 0, 1.0, threshold, f)
 }
 
 // maxDTRef mirrors MaxDT, which has no per-cell sweep to fuse.

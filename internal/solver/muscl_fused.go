@@ -76,18 +76,18 @@ func (a *MUSCLAdvection) rhsRegion(p *amr.Patch, rhs, u []float64, g Grid, regio
 			}
 		}
 	}
-	for d := 0; d < a.Dim; d++ {
-		vel := a.Velocity[d]
+	for d := 0; d < a.dim; d++ {
+		vel := a.velocity[d]
 		if vel == 0 {
 			continue
 		}
 		switch d {
 		case 0:
-			a.rhsPassX(p, rhs, u, region, vel, g.H[0])
+			a.rhsPassX(p, rhs, u, region, vel, g.h[0])
 		case 1:
-			a.rhsPassY(p, rhs, u, region, vel, g.H[1])
+			a.rhsPassY(p, rhs, u, region, vel, g.h[1])
 		default:
-			a.rhsPassZ(p, rhs, u, region, vel, g.H[2])
+			a.rhsPassZ(p, rhs, u, region, vel, g.h[2])
 		}
 	}
 }

@@ -33,7 +33,7 @@ func advectL1Error(t *testing.T, k Kernel, n int, vx, vy, tEnd float64) float64 
 	const cx, cy, w = 0.3, 0.3, 0.08
 	errSum := 0.0
 	cur.EachInterior(func(pt geom.Point) {
-		x, y, _ := g.CellCenter(pt)
+		x, y, _ := g.cellCenter(pt)
 		exact := math.Exp(-(sq(x-cx-vx*tEnd) + sq(y-cy-vy*tEnd)) / (w * w))
 		errSum += math.Abs(cur.At(0, pt) - exact)
 	})
@@ -103,7 +103,7 @@ func TestMUSCLMetadata(t *testing.T) {
 	if k.Rank() != 2 || k.NumFields() != 1 || k.FlopsPerCell() <= 0 {
 		t.Error("metadata wrong")
 	}
-	if !math.IsInf((&MUSCLAdvection{Dim: 2}).MaxDT(nil, UniformGrid(0.1)), 1) {
+	if !math.IsInf((&MUSCLAdvection{dim: 2}).MaxDT(nil, UniformGrid(0.1)), 1) {
 		t.Error("zero-velocity dt should be infinite")
 	}
 }

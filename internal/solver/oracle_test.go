@@ -69,7 +69,7 @@ func (a adversarialEuler) Init(p *amr.Patch, g Grid) {
 // fillAdversarialEuler fills every cell of p, halo included, with
 // adversarialCell values.
 func fillAdversarialEuler(p *amr.Patch, r *rand.Rand) {
-	for off := range p.Field(QRho) {
+	for off := range p.Field(qRho) {
 		for q, v := range adversarialCell(r) {
 			p.Field(q)[off] = v
 		}
@@ -84,13 +84,13 @@ func adversarialCell(r *rand.Rand) [qN]float64 {
 	var c [qN]float64
 	switch r.Intn(4) {
 	case 0:
-		c[QRho] = 1e-12 * r.Float64()
+		c[qRho] = 1e-12 * r.Float64()
 	case 1:
-		c[QRho] = -r.Float64()
+		c[qRho] = -r.Float64()
 	default:
-		c[QRho] = 0.2 + 3*r.Float64()
+		c[qRho] = 0.2 + 3*r.Float64()
 	}
-	for q := QMomX; q <= QMomZ; q++ {
+	for q := qMomX; q <= qMomZ; q++ {
 		switch r.Intn(4) {
 		case 0:
 			c[q] = math.Copysign(0, float64(r.Intn(2))-0.5)
@@ -100,12 +100,12 @@ func adversarialCell(r *rand.Rand) [qN]float64 {
 			c[q] = 0.01 + 2*r.Float64()
 		}
 	}
-	rho := max(c[QRho], 1e-12)
-	kin := 0.5 * (c[QMomX]*c[QMomX] + c[QMomY]*c[QMomY] + c[QMomZ]*c[QMomZ]) / rho
+	rho := max(c[qRho], 1e-12)
+	kin := 0.5 * (c[qMomX]*c[qMomX] + c[qMomY]*c[qMomY] + c[qMomZ]*c[qMomZ]) / rho
 	if r.Intn(3) == 0 {
-		c[QEner] = kin * r.Float64()
+		c[qEner] = kin * r.Float64()
 	} else {
-		c[QEner] = kin + (0.5+2*r.Float64())/0.4
+		c[qEner] = kin + (0.5+2*r.Float64())/0.4
 	}
 	return c
 }
@@ -235,8 +235,8 @@ func FuzzEulerStepMatchesReference(f *testing.F) {
 		cur := amr.NewPatch(box, k.Ghost(), k.NumFields())
 		r := rand.New(rand.NewSource(seed))
 		fillAdversarialEuler(cur, r)
-		at := r.Intn(len(cur.Field(QRho)))
-		for off := range cur.Field(QRho) {
+		at := r.Intn(len(cur.Field(qRho)))
+		for off := range cur.Field(qRho) {
 			if uniform || off == at {
 				for q, v := range planted {
 					cur.Field(q)[off] = v

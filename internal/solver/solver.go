@@ -19,27 +19,27 @@ import (
 // Grid carries the geometry of one refinement level: the physical cell
 // width per axis.
 type Grid struct {
-	H [geom.MaxDim]float64
+	h [geom.MaxDim]float64
 }
 
 // UniformGrid returns a grid with the same cell width on every axis.
 func UniformGrid(h float64) Grid {
-	return Grid{H: [geom.MaxDim]float64{h, h, h}}
+	return Grid{h: [geom.MaxDim]float64{h, h, h}}
 }
 
 // Refined returns the grid of the next finer level.
 func (g Grid) Refined(ratio int) Grid {
-	for d := range g.H {
-		g.H[d] /= float64(ratio)
+	for d := range g.h {
+		g.h[d] /= float64(ratio)
 	}
 	return g
 }
 
-// CellCenter returns the physical coordinates of cell pt's center.
-func (g Grid) CellCenter(pt geom.Point) (x, y, z float64) {
-	x = (float64(pt[0]) + 0.5) * g.H[0]
-	y = (float64(pt[1]) + 0.5) * g.H[1]
-	z = (float64(pt[2]) + 0.5) * g.H[2]
+// cellCenter returns the physical coordinates of cell pt's center.
+func (g Grid) cellCenter(pt geom.Point) (x, y, z float64) {
+	x = (float64(pt[0]) + 0.5) * g.h[0]
+	y = (float64(pt[1]) + 0.5) * g.h[1]
+	z = (float64(pt[2]) + 0.5) * g.h[2]
 	return
 }
 
@@ -115,11 +115,11 @@ func offsetOf(p *amr.Patch, pt geom.Point) int {
 	return off
 }
 
-// GradientFlag is the shared error estimator: it flags interior cells where
+// gradientFlag is the shared error estimator: it flags interior cells where
 // the normalized central-difference gradient magnitude of field f exceeds
 // threshold. scale normalizes the field's dynamic range (use the expected
 // max-min of the field).
-func GradientFlag(p *amr.Patch, field int, scale, threshold float64, flags *amr.FlagField) {
+func gradientFlag(p *amr.Patch, field int, scale, threshold float64, flags *amr.FlagField) {
 	if scale <= 0 {
 		scale = 1
 	}

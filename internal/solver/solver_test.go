@@ -61,7 +61,7 @@ func TestAdvectionTransportsPulse(t *testing.T) {
 	com := func(p *amr.Patch) float64 {
 		var wx, w float64
 		p.EachInterior(func(pt geom.Point) {
-			x, _, _ := g.CellCenter(pt)
+			x, _, _ := g.cellCenter(pt)
 			v := p.At(0, pt)
 			wx += x * v
 			w += v
@@ -91,7 +91,7 @@ func TestAdvectionMaxDT(t *testing.T) {
 	if dt <= 0 || dt > 0.01/2.0 {
 		t.Errorf("MaxDT = %g out of stable range", dt)
 	}
-	still := &Advection{Dim: 2}
+	still := &Advection{dim: 2}
 	if !math.IsInf(still.MaxDT(nil, g), 1) {
 		t.Error("zero velocity should give infinite dt")
 	}
@@ -104,18 +104,18 @@ func TestEulerUniformStateInvariant(t *testing.T) {
 	g := UniformGrid(1.0 / 8)
 	cur := amr.NewPatch(box, k.Ghost(), k.NumFields())
 	next := amr.NewPatch(box, k.Ghost(), k.NumFields())
-	cur.Fill(QRho, 1.0)
-	cur.Fill(QEner, 2.5) // p = 1, gamma = 1.4
+	cur.Fill(qRho, 1.0)
+	cur.Fill(qEner, 2.5) // p = 1, gamma = 1.4
 	for i := 0; i < 5; i++ {
 		ApplyOutflowBC(cur)
 		k.Step(next, cur, g, k.MaxDT(cur, g))
 		cur, next = next, cur
 	}
 	cur.EachInterior(func(pt geom.Point) {
-		if math.Abs(cur.At(QRho, pt)-1.0) > 1e-12 {
-			t.Fatalf("uniform density drifted at %v: %g", pt, cur.At(QRho, pt))
+		if math.Abs(cur.At(qRho, pt)-1.0) > 1e-12 {
+			t.Fatalf("uniform density drifted at %v: %g", pt, cur.At(qRho, pt))
 		}
-		if math.Abs(cur.At(QMomX, pt)) > 1e-12 {
+		if math.Abs(cur.At(qMomX, pt)) > 1e-12 {
 			t.Fatalf("uniform momentum drifted at %v", pt)
 		}
 	})
@@ -133,7 +133,7 @@ func TestEulerShockMovesRight(t *testing.T) {
 	k.Init(cur, g)
 	// Momentum ahead of the shock is zero initially.
 	probe := geom.Pt3(20, 1, 1) // x=1.28, between shock (0.6) and interface (1.8)
-	if cur.At(QMomX, probe) != 0 {
+	if cur.At(qMomX, probe) != 0 {
 		t.Fatal("probe cell not quiescent initially")
 	}
 	elapsed := 0.0
@@ -144,12 +144,12 @@ func TestEulerShockMovesRight(t *testing.T) {
 		cur, next = next, cur
 		elapsed += dt
 	}
-	if cur.At(QMomX, probe) <= 1e-6 {
-		t.Errorf("shock did not reach probe: momx = %g", cur.At(QMomX, probe))
+	if cur.At(qMomX, probe) <= 1e-6 {
+		t.Errorf("shock did not reach probe: momx = %g", cur.At(qMomX, probe))
 	}
 	// Density stays positive and bounded.
 	cur.EachInterior(func(pt geom.Point) {
-		rho := cur.At(QRho, pt)
+		rho := cur.At(qRho, pt)
 		if rho <= 0 || rho > 10 {
 			t.Fatalf("unphysical density %g at %v", rho, pt)
 		}
@@ -163,7 +163,7 @@ func TestEulerMassConservedAwayFromBoundary(t *testing.T) {
 	cur := amr.NewPatch(box, k.Ghost(), k.NumFields())
 	next := amr.NewPatch(box, k.Ghost(), k.NumFields())
 	k.Init(cur, g)
-	mass0 := interiorSum(cur, QRho)
+	mass0 := interiorSum(cur, qRho)
 	// A few steps: waves have not reached the x boundaries, and outflow
 	// boundaries carry zero-gradient flux, so interior mass changes only
 	// through the boundary flux at x=0 (upstream, uniform post-shock
@@ -173,7 +173,7 @@ func TestEulerMassConservedAwayFromBoundary(t *testing.T) {
 		k.Step(next, cur, g, k.MaxDT(cur, g))
 		cur, next = next, cur
 	}
-	mass1 := interiorSum(cur, QRho)
+	mass1 := interiorSum(cur, qRho)
 	if rel := math.Abs(mass1-mass0) / mass0; rel > 0.02 {
 		t.Errorf("mass drifted %.2f%% in 5 steps", rel*100)
 	}
@@ -293,7 +293,7 @@ func TestGradientFlagLocalized(t *testing.T) {
 		p.Set(0, pt, v)
 	})
 	f := amr.NewFlagField(p.Box)
-	GradientFlag(p, 0, 1.0, 0.25, f)
+	gradientFlag(p, 0, 1.0, 0.25, f)
 	if f.Count() != 2*32 {
 		t.Errorf("flagged %d cells, want 64 (two columns)", f.Count())
 	}

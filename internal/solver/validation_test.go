@@ -16,9 +16,9 @@ import (
 func TestEulerSodShockTube(t *testing.T) {
 	const n = 256
 	e := &Euler3D{
-		Gamma:     1.4,
-		DomainLen: [geom.MaxDim]float64{1, 1.0 / float64(n) * 4, 1.0 / float64(n) * 4},
-		CFL:       0.4,
+		gamma:     1.4,
+		domainLen: [geom.MaxDim]float64{1, 1.0 / float64(n) * 4, 1.0 / float64(n) * 4},
+		cfl:       0.4,
 	}
 	g := UniformGrid(1.0 / n)
 	box := geom.Box3(0, 0, 0, n-1, 3, 3)
@@ -33,8 +33,8 @@ func TestEulerSodShockTube(t *testing.T) {
 		for y := 0; y < 4; y++ {
 			for z := 0; z < 4; z++ {
 				pt := geom.Pt3(x, y, z)
-				cur.Set(QRho, pt, rho)
-				cur.Set(QEner, pt, pr/(e.Gamma-1))
+				cur.Set(qRho, pt, rho)
+				cur.Set(qEner, pt, pr/(e.gamma-1))
 			}
 		}
 	}
@@ -50,7 +50,7 @@ func TestEulerSodShockTube(t *testing.T) {
 		elapsed += dt
 	}
 	probe := func(xfrac float64) float64 {
-		return cur.At(QRho, geom.Pt3(int(xfrac*n), 1, 1))
+		return cur.At(qRho, geom.Pt3(int(xfrac*n), 1, 1))
 	}
 	cases := []struct {
 		x, want, tol float64

@@ -46,7 +46,7 @@ func (e *chanEndpoint) Send(to int, tag string, payload []byte) error {
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
 	if to < 0 || to >= len(e.inboxes) {
 		return fmt.Errorf("transport: send to invalid rank %d", to)

@@ -71,11 +71,11 @@ func TestFaultyReviveRestoresTraffic(t *testing.T) {
 	if err := f.Send(1, "x", []byte("lost")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Recv(1, "x"); !errors.Is(err, ErrClosed) {
+	if _, err := f.Recv(1, "x"); !errors.Is(err, errClosed) {
 		t.Fatalf("killed recv err = %v", err)
 	}
 	f.Revive()
-	if f.Killed() {
+	if f.isKilled() {
 		t.Fatal("Revive did not clear the killed state")
 	}
 	if err := f.Send(1, "x", []byte("back")); err != nil {
@@ -101,10 +101,12 @@ func TestFaultyPauseWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeAll(eps)
-	f := NewFaulty(eps[0], FaultSpec{})
-	f.Pause()
-	if err := f.Send(1, "x", []byte("swallowed")); err != nil {
-		t.Fatalf("paused send must not error: %v", err)
+	// Send 2 falls inside the window [PauseAfterSends, ResumeAfterSends).
+	f := NewFaulty(eps[0], FaultSpec{PauseAfterSends: 1, ResumeAfterSends: 2})
+	for _, m := range []string{"before", "swallowed"} {
+		if err := f.Send(1, "x", []byte(m)); err != nil {
+			t.Fatalf("send %q must not error: %v", m, err)
+		}
 	}
 	// The paused rank still receives (asymmetric partition).
 	if err := eps[1].Send(0, "in", []byte("heard")); err != nil {
@@ -113,16 +115,17 @@ func TestFaultyPauseWindow(t *testing.T) {
 	if msg, err := f.RecvTimeout(1, "in", time.Second); err != nil || string(msg) != "heard" {
 		t.Fatalf("paused rank recv = %q, %v", msg, err)
 	}
-	f.Resume()
 	if err := f.Send(1, "x", []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := eps[1].(TimedEndpoint).RecvTimeout(0, "x", time.Second)
-	if err != nil || string(msg) != "after" {
-		t.Fatalf("post-resume delivery = %q, %v", msg, err)
+	for _, want := range []string{"before", "after"} {
+		msg, err := eps[1].(TimedEndpoint).RecvTimeout(0, "x", time.Second)
+		if err != nil || string(msg) != want {
+			t.Fatalf("delivery = %q, %v; want %q", msg, err, want)
+		}
 	}
-	if st := f.Stats(); st.Paused != 1 {
-		t.Errorf("Paused = %d, want 1", st.Paused)
+	if f.stats.paused != 1 {
+		t.Errorf("paused = %d, want 1", f.stats.paused)
 	}
 }
 
@@ -139,8 +142,8 @@ func TestFaultyPauseWindowBySends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := f.Stats(); st.Paused != 2 {
-		t.Fatalf("Paused = %d, want 2 (stats %+v)", st.Paused, st)
+	if st := f.stats; st.paused != 2 {
+		t.Fatalf("paused = %d, want 2 (stats %+v)", st.paused, st)
 	}
 	var got []byte
 	for {
@@ -152,33 +155,5 @@ func TestFaultyPauseWindowBySends(t *testing.T) {
 	}
 	if string(got) != string([]byte{0, 1, 4, 5}) {
 		t.Errorf("delivered sends %v, want [0 1 4 5]", got)
-	}
-}
-
-func TestFaultySlowLink(t *testing.T) {
-	eps, err := NewGroup(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeAll(eps)
-	f := NewFaulty(eps[0], FaultSpec{})
-	f.SetSlowLink(20 * time.Millisecond)
-	start := time.Now()
-	if err := f.Send(1, "s", []byte("slow")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("slow-link send returned after %v, want >= 20ms", elapsed)
-	}
-	if st := f.Stats(); st.Slowed != 1 {
-		t.Errorf("Slowed = %d, want 1", st.Slowed)
-	}
-	f.SetSlowLink(0)
-	start = time.Now()
-	if err := f.Send(1, "s", []byte("fast")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
-		t.Errorf("cleared slow link still delayed %v", elapsed)
 	}
 }

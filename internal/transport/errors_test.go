@@ -28,26 +28,26 @@ func TestAllMethodsErrClosedAfterClose(t *testing.T) {
 			if err := eps[0].Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := eps[0].Send(1, "x", nil); !errors.Is(err, ErrClosed) {
+			if err := eps[0].Send(1, "x", nil); !errors.Is(err, errClosed) {
 				t.Errorf("Send = %v", err)
 			}
-			if _, err := eps[0].Recv(1, "x"); !errors.Is(err, ErrClosed) {
+			if _, err := eps[0].Recv(1, "x"); !errors.Is(err, errClosed) {
 				t.Errorf("Recv = %v", err)
 			}
-			if _, err := eps[0].(TimedEndpoint).RecvTimeout(1, "x", time.Second); !errors.Is(err, ErrClosed) {
+			if _, err := eps[0].(TimedEndpoint).RecvTimeout(1, "x", time.Second); !errors.Is(err, errClosed) {
 				t.Errorf("RecvTimeout = %v", err)
 			}
-			if err := eps[0].Barrier(); !errors.Is(err, ErrClosed) {
+			if err := eps[0].Barrier(); !errors.Is(err, errClosed) {
 				t.Errorf("Barrier = %v", err)
 			}
-			if _, err := eps[0].AllGather(nil); !errors.Is(err, ErrClosed) {
+			if _, err := eps[0].AllGather(nil); !errors.Is(err, errClosed) {
 				t.Errorf("AllGather = %v", err)
 			}
 			// Non-root Bcast takes the Recv path; root takes the Send path.
-			if _, err := eps[0].Bcast(1, nil); !errors.Is(err, ErrClosed) {
+			if _, err := eps[0].Bcast(1, nil); !errors.Is(err, errClosed) {
 				t.Errorf("Bcast (non-root) = %v", err)
 			}
-			if _, err := eps[0].Bcast(0, []byte("x")); !errors.Is(err, ErrClosed) {
+			if _, err := eps[0].Bcast(0, []byte("x")); !errors.Is(err, errClosed) {
 				t.Errorf("Bcast (root) = %v", err)
 			}
 			if err := eps[0].Close(); err != nil {
@@ -74,7 +74,7 @@ func TestRecvTimeoutExpires(t *testing.T) {
 			if !errors.Is(err, ErrRankDown) {
 				t.Fatalf("err = %v, want ErrRankDown", err)
 			}
-			var rde *RankDownError
+			var rde *rankDownError
 			if !errors.As(err, &rde) || rde.Rank != 1 {
 				t.Errorf("error does not identify peer: %v", err)
 			}
@@ -229,7 +229,7 @@ func TestTCPPeerDisconnectMidRecv(t *testing.T) {
 		if !errors.Is(r.err, ErrRankDown) {
 			t.Errorf("mid-recv disconnect err = %v, want ErrRankDown", r.err)
 		}
-		var rde *RankDownError
+		var rde *rankDownError
 		if !errors.As(r.err, &rde) || rde.Rank != 0 {
 			t.Errorf("error does not identify peer 0: %v", r.err)
 		}

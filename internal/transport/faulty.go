@@ -27,20 +27,17 @@ type FaultSpec struct {
 	// Send whose ordinal falls in [PauseAfterSends, ResumeAfterSends) — a
 	// deterministic transient network partition: the rank stays alive and
 	// keeps receiving, but its outgoing traffic vanishes for the window.
-	// Iteration-precise windows are injected through Pause/Resume instead.
 	PauseAfterSends  int64
 	ResumeAfterSends int64
 }
 
-// FaultStats counts the injections a Faulty endpoint performed.
-type FaultStats struct {
-	Sends   int64
-	Dropped int64
-	Delayed int64
-	// Paused counts sends swallowed by a pause window (transient partition).
-	Paused int64
-	// Slowed counts sends delayed by an injected slow link.
-	Slowed int64
+// faultStats counts the injections a Faulty endpoint performed.
+type faultStats struct {
+	sends   int64
+	dropped int64
+	delayed int64
+	// paused counts sends swallowed by a pause window (transient partition).
+	paused int64
 }
 
 // Killer is implemented by endpoints that can simulate a rank crash. After
@@ -69,10 +66,8 @@ type Faulty struct {
 
 	mu     sync.Mutex
 	rng    *rand.Rand
-	stats  FaultStats
+	stats  faultStats
 	killed bool
-	paused bool
-	slow   time.Duration
 }
 
 // NewFaulty wraps ep with the given fault specification.
@@ -100,43 +95,11 @@ func (f *Faulty) Revive() {
 	f.mu.Unlock()
 }
 
-// Pause opens a transient-partition window: subsequent sends are silently
-// swallowed (the rank looks partitioned away) until Resume. Receives still
-// work, mirroring an asymmetric gray failure.
-func (f *Faulty) Pause() {
-	f.mu.Lock()
-	f.paused = true
-	f.mu.Unlock()
-}
-
-// Resume closes the window opened by Pause.
-func (f *Faulty) Resume() {
-	f.mu.Lock()
-	f.paused = false
-	f.mu.Unlock()
-}
-
-// SetSlowLink injects a fixed per-send latency (0 clears it) — a
-// deterministic slow-link/gray-failure injection, unlike the probabilistic
-// DelayProb. The rank stays correct but visibly lags its peers.
-func (f *Faulty) SetSlowLink(d time.Duration) {
-	f.mu.Lock()
-	f.slow = d
-	f.mu.Unlock()
-}
-
-// Killed reports whether the endpoint crashed.
-func (f *Faulty) Killed() bool {
+// isKilled reports whether the endpoint crashed.
+func (f *Faulty) isKilled() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.killed
-}
-
-// Stats returns the injection counters so far.
-func (f *Faulty) Stats() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
 }
 
 // Rank implements Endpoint.
@@ -152,28 +115,23 @@ func (f *Faulty) Send(to int, tag string, payload []byte) error {
 		f.mu.Unlock()
 		return nil // a dead rank's messages vanish without an error
 	}
-	f.stats.Sends++
-	paused := f.paused ||
-		(f.spec.PauseAfterSends > 0 && f.stats.Sends > f.spec.PauseAfterSends &&
-			(f.spec.ResumeAfterSends <= 0 || f.stats.Sends <= f.spec.ResumeAfterSends))
+	f.stats.sends++
+	paused := f.spec.PauseAfterSends > 0 && f.stats.sends > f.spec.PauseAfterSends &&
+		(f.spec.ResumeAfterSends <= 0 || f.stats.sends <= f.spec.ResumeAfterSends)
 	if paused {
-		f.stats.Paused++
+		f.stats.paused++
 		f.mu.Unlock()
 		return nil // partitioned away: the message vanishes, no error
 	}
 	drop := f.spec.DropProb > 0 && f.rng.Float64() < f.spec.DropProb
 	delay := f.spec.DelayProb > 0 && f.rng.Float64() < f.spec.DelayProb
 	if drop {
-		f.stats.Dropped++
+		f.stats.dropped++
 	}
 	if delay && !drop {
-		f.stats.Delayed++
+		f.stats.delayed++
 	}
-	slow := f.slow
-	if slow > 0 && !drop {
-		f.stats.Slowed++
-	}
-	kill := f.spec.KillAfterSends > 0 && f.stats.Sends >= f.spec.KillAfterSends
+	kill := f.spec.KillAfterSends > 0 && f.stats.sends >= f.spec.KillAfterSends
 	if kill {
 		f.killed = true
 	}
@@ -184,16 +142,13 @@ func (f *Faulty) Send(to int, tag string, payload []byte) error {
 	if delay {
 		time.Sleep(f.spec.Delay)
 	}
-	if slow > 0 {
-		time.Sleep(slow)
-	}
 	return f.inner.Send(to, tag, payload)
 }
 
 // Recv implements Endpoint.
 func (f *Faulty) Recv(from int, tag string) ([]byte, error) {
-	if f.Killed() {
-		return nil, ErrClosed
+	if f.isKilled() {
+		return nil, errClosed
 	}
 	return f.inner.Recv(from, tag)
 }
@@ -201,8 +156,8 @@ func (f *Faulty) Recv(from int, tag string) ([]byte, error) {
 // RecvTimeout implements TimedEndpoint (delegating; an untimed inner
 // endpoint falls back to a blocking Recv).
 func (f *Faulty) RecvTimeout(from int, tag string, d time.Duration) ([]byte, error) {
-	if f.Killed() {
-		return nil, ErrClosed
+	if f.isKilled() {
+		return nil, errClosed
 	}
 	if te, ok := f.inner.(TimedEndpoint); ok {
 		return te.RecvTimeout(from, tag, d)
@@ -213,8 +168,8 @@ func (f *Faulty) RecvTimeout(from int, tag string, d time.Duration) ([]byte, err
 // TryRecv implements Poller when the inner endpoint does. A killed endpoint
 // reports ErrClosed like every other local operation.
 func (f *Faulty) TryRecv(from int, tag string) ([]byte, bool, error) {
-	if f.Killed() {
-		return nil, false, ErrClosed
+	if f.isKilled() {
+		return nil, false, errClosed
 	}
 	if p, ok := f.inner.(Poller); ok {
 		return p.TryRecv(from, tag)
@@ -232,8 +187,8 @@ func (f *Faulty) SetDeadline(d time.Duration) {
 // Barrier implements Endpoint. The collective runs through the wrapper's
 // Send/Recv so injected faults apply to it.
 func (f *Faulty) Barrier() error {
-	if f.Killed() {
-		return ErrClosed
+	if f.isKilled() {
+		return errClosed
 	}
 	_, err := allGather(f, f.coll.nextTag("barrier"), nil)
 	return err
@@ -241,16 +196,16 @@ func (f *Faulty) Barrier() error {
 
 // AllGather implements Endpoint.
 func (f *Faulty) AllGather(payload []byte) ([][]byte, error) {
-	if f.Killed() {
-		return nil, ErrClosed
+	if f.isKilled() {
+		return nil, errClosed
 	}
 	return allGather(f, f.coll.nextTag("allgather"), payload)
 }
 
 // Bcast implements Endpoint.
 func (f *Faulty) Bcast(root int, payload []byte) ([]byte, error) {
-	if f.Killed() {
-		return nil, ErrClosed
+	if f.isKilled() {
+		return nil, errClosed
 	}
 	return bcast(f, f.coll.nextTag("bcast"), root, payload)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFaultyDropIsDeterministic(t *testing.T) {
-	counts := make([]FaultStats, 2)
+	counts := make([]faultStats, 2)
 	for trial := range counts {
 		eps, err := NewGroup(2)
 		if err != nil {
@@ -19,13 +19,13 @@ func TestFaultyDropIsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		counts[trial] = f.Stats()
+		counts[trial] = f.stats
 		closeAll(eps)
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("same seed gave different fault sequences: %+v vs %+v", counts[0], counts[1])
 	}
-	if counts[0].Dropped == 0 || counts[0].Dropped == counts[0].Sends {
+	if counts[0].dropped == 0 || counts[0].dropped == counts[0].sends {
 		t.Errorf("drop injection degenerate: %+v", counts[0])
 	}
 	// Delivered message count must match Sends - Dropped.
@@ -35,7 +35,7 @@ func TestFaultyDropIsDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f.Send(1, "x", []byte{byte(i)})
 	}
-	st := f.Stats()
+	st := f.stats
 	delivered := 0
 	for {
 		if _, err := eps[1].(TimedEndpoint).RecvTimeout(0, "x", 50*time.Millisecond); err != nil {
@@ -43,8 +43,8 @@ func TestFaultyDropIsDeterministic(t *testing.T) {
 		}
 		delivered++
 	}
-	if int64(delivered) != st.Sends-st.Dropped {
-		t.Errorf("delivered %d, want %d", delivered, st.Sends-st.Dropped)
+	if int64(delivered) != st.sends-st.dropped {
+		t.Errorf("delivered %d, want %d", delivered, st.sends-st.dropped)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestFaultyDelayInjection(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Errorf("delayed send returned after %v, want >= 20ms", elapsed)
 	}
-	if got := f.Stats().Delayed; got != 1 {
+	if got := f.stats.delayed; got != 1 {
 		t.Errorf("Delayed = %d", got)
 	}
 }
@@ -74,11 +74,11 @@ func TestFaultyKillGoesSilent(t *testing.T) {
 	}
 	defer closeAll(eps)
 	f := NewFaulty(eps[0], FaultSpec{})
-	if f.Killed() {
+	if f.isKilled() {
 		t.Fatal("fresh endpoint reports killed")
 	}
 	f.Kill()
-	if !f.Killed() {
+	if !f.isKilled() {
 		t.Fatal("Kill did not stick")
 	}
 	// Sends vanish without error (a dead process produces no diagnostics).
@@ -89,16 +89,16 @@ func TestFaultyKillGoesSilent(t *testing.T) {
 		t.Errorf("message leaked from killed rank (err=%v)", err)
 	}
 	// Local operations fail.
-	if _, err := f.Recv(1, "x"); !errors.Is(err, ErrClosed) {
+	if _, err := f.Recv(1, "x"); !errors.Is(err, errClosed) {
 		t.Errorf("post-kill recv err = %v", err)
 	}
-	if err := f.Barrier(); !errors.Is(err, ErrClosed) {
+	if err := f.Barrier(); !errors.Is(err, errClosed) {
 		t.Errorf("post-kill barrier err = %v", err)
 	}
-	if _, err := f.AllGather(nil); !errors.Is(err, ErrClosed) {
+	if _, err := f.AllGather(nil); !errors.Is(err, errClosed) {
 		t.Errorf("post-kill allgather err = %v", err)
 	}
-	if _, err := f.Bcast(0, nil); !errors.Is(err, ErrClosed) {
+	if _, err := f.Bcast(0, nil); !errors.Is(err, errClosed) {
 		t.Errorf("post-kill bcast err = %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestFaultyKillAfterSends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !f.Killed() {
+	if !f.isKilled() {
 		t.Error("endpoint survived past KillAfterSends")
 	}
 	got := 0

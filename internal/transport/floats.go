@@ -6,19 +6,14 @@ import (
 	"math"
 )
 
-// EncodeFloats serializes a float64 slice as raw little-endian IEEE-754
-// words — the wire format of ghost-region and redistribution payloads. It is
-// bit-exact, allocation-minimal (one output buffer, no reflection) and about
-// an order of magnitude cheaper than gob on the per-step exchange path; gob
-// remains in use for structured control messages (assignments, checkpoints).
-func EncodeFloats(vals []float64) []byte {
-	return AppendFloats(nil, vals)
-}
-
-// AppendFloats appends the EncodeFloats wire form of vals to dst and
-// returns the extended buffer. Hot paths pass a pooled dst[:0] so the
-// steady-state send side allocates nothing (Send permits buffer reuse as
-// soon as it returns).
+// AppendFloats appends vals to dst as raw little-endian IEEE-754 words —
+// the wire format of ghost-region and redistribution payloads — and
+// returns the extended buffer. It is bit-exact, allocation-minimal (one
+// output buffer, no reflection) and about an order of magnitude cheaper than
+// gob on the per-step exchange path; gob remains in use for structured
+// control messages (assignments, checkpoints). Hot paths pass a pooled
+// dst[:0] so the steady-state send side allocates nothing (Send permits
+// buffer reuse as soon as it returns).
 func AppendFloats(dst []byte, vals []float64) []byte {
 	off := len(dst)
 	need := off + 8*len(vals)
@@ -34,7 +29,7 @@ func AppendFloats(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// DecodeFloats deserializes an EncodeFloats payload, reusing dst's capacity
+// DecodeFloats deserializes an AppendFloats payload, reusing dst's capacity
 // when it suffices (pass nil to allocate). The decoded slice is returned.
 func DecodeFloats(payload []byte, dst []float64) ([]float64, error) {
 	if len(payload)%8 != 0 {

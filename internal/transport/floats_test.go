@@ -8,7 +8,7 @@ import (
 func TestFloatsRoundTrip(t *testing.T) {
 	vals := []float64{0, 1, -1, math.Pi, math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, math.MaxFloat64, math.Copysign(0, -1)}
-	payload := EncodeFloats(vals)
+	payload := AppendFloats(nil, vals)
 	if len(payload) != 8*len(vals) {
 		t.Fatalf("payload %d bytes, want %d", len(payload), 8*len(vals))
 	}
@@ -22,7 +22,7 @@ func TestFloatsRoundTrip(t *testing.T) {
 		}
 	}
 	// NaN survives bit-exactly too.
-	nan, err := DecodeFloats(EncodeFloats([]float64{math.NaN()}), nil)
+	nan, err := DecodeFloats(AppendFloats(nil, []float64{math.NaN()}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestFloatsRoundTrip(t *testing.T) {
 }
 
 func TestDecodeFloatsReuse(t *testing.T) {
-	payload := EncodeFloats([]float64{1, 2, 3})
+	payload := AppendFloats(nil, []float64{1, 2, 3})
 	buf := make([]float64, 0, 16)
 	got, err := DecodeFloats(payload, buf)
 	if err != nil {

@@ -42,13 +42,20 @@ const traceCtxSize = 4 + 4 + 8
 // check, so the bit is unambiguous.
 const frameTraced = uint32(1) << 31
 
-// AppendTraceCtx appends the 16-byte encoding of tc to dst.
-func AppendTraceCtx(dst []byte, tc TraceCtx) []byte {
-	var b [traceCtxSize]byte
+// putTraceCtx writes the traceCtxSize-byte encoding of tc to b.
+func putTraceCtx(b []byte, tc *TraceCtx) {
 	binary.LittleEndian.PutUint32(b[0:], uint32(tc.Iter))
 	binary.LittleEndian.PutUint32(b[4:], uint32(tc.Epoch))
 	binary.LittleEndian.PutUint64(b[8:], uint64(tc.SendNS))
-	return append(dst, b[:]...)
+}
+
+// getTraceCtx reads a TraceCtx from the first traceCtxSize bytes of b.
+func getTraceCtx(b []byte) TraceCtx {
+	return TraceCtx{
+		Iter:   int32(binary.LittleEndian.Uint32(b[0:])),
+		Epoch:  int32(binary.LittleEndian.Uint32(b[4:])),
+		SendNS: int64(binary.LittleEndian.Uint64(b[8:])),
+	}
 }
 
 // StampTraceCtx overwrites the SendNS field of a traced frame in place and
@@ -63,22 +70,9 @@ func StampTraceCtx(frame []byte, sendNS int64) bool {
 	return true
 }
 
-// DecodeTraceCtx parses exactly one encoded TraceCtx. Any length mismatch
-// wraps ErrMalformed.
-func DecodeTraceCtx(b []byte) (TraceCtx, error) {
-	if len(b) != traceCtxSize {
-		return TraceCtx{}, fmt.Errorf("%w: trace context %d bytes, want %d", ErrMalformed, len(b), traceCtxSize)
-	}
-	return TraceCtx{
-		Iter:   int32(binary.LittleEndian.Uint32(b[0:])),
-		Epoch:  int32(binary.LittleEndian.Uint32(b[4:])),
-		SendNS: int64(binary.LittleEndian.Uint64(b[8:])),
-	}, nil
-}
-
 // AppendFrame appends a coalesced multi-region frame to dst and returns the
 // extended buffer: a uint32 region count, the region headers, then every
-// region's float64 payload back to back in region order (the EncodeFloats
+// region's float64 payload back to back in region order (the AppendFloats
 // wire format). The region Counts must sum to len(vals). Hot paths pass
 // pooled dst[:0]/regions/vals so the steady-state send side allocates
 // nothing (Send permits buffer reuse as soon as it returns).
@@ -111,9 +105,7 @@ func AppendFrameCtx(dst []byte, regions []FrameRegion, vals []float64, tc *Trace
 	binary.LittleEndian.PutUint32(dst[off:], count)
 	off += 4
 	if tc != nil {
-		binary.LittleEndian.PutUint32(dst[off:], uint32(tc.Iter))
-		binary.LittleEndian.PutUint32(dst[off+4:], uint32(tc.Epoch))
-		binary.LittleEndian.PutUint64(dst[off+8:], uint64(tc.SendNS))
+		putTraceCtx(dst[off:], tc)
 		off += traceCtxSize
 	}
 	for _, r := range regions {
@@ -156,9 +148,7 @@ func DecodeFrameCtx(payload []byte, regions []FrameRegion, vals []float64) (_ []
 			return nil, nil, TraceCtx{}, false, fmt.Errorf("%w: traced frame %d bytes, want >= %d for trace context",
 				ErrMalformed, len(payload), off+traceCtxSize)
 		}
-		tc.Iter = int32(binary.LittleEndian.Uint32(payload[off:]))
-		tc.Epoch = int32(binary.LittleEndian.Uint32(payload[off+4:]))
-		tc.SendNS = int64(binary.LittleEndian.Uint64(payload[off+8:]))
+		tc = getTraceCtx(payload[off:])
 		off += traceCtxSize
 	}
 	n := int(count &^ frameTraced)

@@ -99,14 +99,16 @@ func TestDecodeFrameCtxTruncated(t *testing.T) {
 	}
 }
 
-// TestDecodeTraceCtxLengths sweeps every length near the fixed size; only
-// exactly 16 bytes is accepted.
+// TestDecodeTraceCtxLengths sweeps every context length near the fixed size
+// in a traced frame with no regions; only exactly 16 bytes is accepted.
 func TestDecodeTraceCtxLengths(t *testing.T) {
 	for n := 0; n <= 2*traceCtxSize; n++ {
-		_, err := DecodeTraceCtx(make([]byte, n))
+		b := make([]byte, 4+n)
+		binary.LittleEndian.PutUint32(b, frameTraced)
+		_, _, _, traced, err := DecodeFrameCtx(b, nil, nil)
 		if n == traceCtxSize {
-			if err != nil {
-				t.Fatalf("len %d: %v", n, err)
+			if err != nil || !traced {
+				t.Fatalf("len %d: traced=%v err=%v", n, traced, err)
 			}
 			continue
 		}

@@ -67,29 +67,32 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzTraceCtx holds the trace-context codec to the frame decoder's
-// standard: any length other than exactly 16 bytes wraps ErrMalformed, and
-// every accepted input round-trips bit-exactly through AppendTraceCtx.
+// FuzzTraceCtx holds the frame's trace-context codec to the frame
+// decoder's standard: a traced frame with no regions whose context is any
+// length other than exactly 16 bytes wraps ErrMalformed, and every accepted
+// context round-trips bit-exactly through AppendFrameCtx.
 func FuzzTraceCtx(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 15))
 	f.Add(make([]byte, 17))
-	f.Add(AppendTraceCtx(nil, TraceCtx{Iter: 120, Epoch: 3, SendNS: -1}))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		tc, err := DecodeTraceCtx(payload)
+	f.Add(AppendFrameCtx(nil, nil, nil, &TraceCtx{Iter: 120, Epoch: 3, SendNS: -1})[4:])
+	f.Fuzz(func(t *testing.T, ctx []byte) {
+		frame := binary.LittleEndian.AppendUint32(nil, frameTraced)
+		frame = append(frame, ctx...)
+		_, _, tc, traced, err := DecodeFrameCtx(frame, nil, nil)
 		if err != nil {
 			if !errors.Is(err, ErrMalformed) {
-				t.Fatalf("DecodeTraceCtx error does not wrap ErrMalformed: %v", err)
+				t.Fatalf("DecodeFrameCtx error does not wrap ErrMalformed: %v", err)
 			}
-			if len(payload) == traceCtxSize {
-				t.Fatalf("rejected a %d-byte payload: %v", traceCtxSize, err)
+			if len(ctx) == traceCtxSize {
+				t.Fatalf("rejected a %d-byte context: %v", traceCtxSize, err)
 			}
 			return
 		}
-		if len(payload) != traceCtxSize {
-			t.Fatalf("accepted %d bytes, want exactly %d", len(payload), traceCtxSize)
+		if len(ctx) != traceCtxSize || !traced {
+			t.Fatalf("accepted %d context bytes (traced=%v), want exactly %d", len(ctx), traced, traceCtxSize)
 		}
-		if re := AppendTraceCtx(nil, tc); string(re) != string(payload) {
+		if re := AppendFrameCtx(nil, nil, nil, &tc); string(re) != string(frame) {
 			t.Fatalf("trace context does not round-trip")
 		}
 	})
@@ -99,7 +102,7 @@ func FuzzTraceCtx(f *testing.F) {
 func FuzzDecodeFloats(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
-	f.Add(EncodeFloats([]float64{math.Pi, math.Inf(1), 0}))
+	f.Add(AppendFloats(nil, []float64{math.Pi, math.Inf(1), 0}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		vals, err := DecodeFloats(payload, nil)
 		if err != nil {

@@ -63,33 +63,3 @@ func AllReduceFloat64(ep Endpoint, v float64, op ReduceOp) (float64, error) {
 	}
 	return acc, nil
 }
-
-// AllReduceFloat64s element-wise all-reduces a vector (all ranks must pass
-// equal-length slices).
-func AllReduceFloat64s(ep Endpoint, v []float64, op ReduceOp) ([]float64, error) {
-	payload, err := EncodeGob(v)
-	if err != nil {
-		return nil, err
-	}
-	all, err := ep.AllGather(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v))
-	for i := range out {
-		out[i] = op.identity()
-	}
-	for _, p := range all {
-		var x []float64
-		if err := DecodeGob(p, &x); err != nil {
-			return nil, err
-		}
-		if len(x) != len(out) {
-			return nil, fmt.Errorf("transport: all-reduce length mismatch: %d vs %d", len(x), len(out))
-		}
-		for i := range out {
-			out[i] = op.apply(out[i], x[i])
-		}
-	}
-	return out, nil
-}

@@ -89,59 +89,6 @@ func TestAllReduceInfinities(t *testing.T) {
 	}
 }
 
-func TestAllReduceVector(t *testing.T) {
-	const n = 3
-	eps, _ := NewGroup(n)
-	defer closeAll(eps)
-	var mu sync.Mutex
-	results := map[int][]float64{}
-	runAll(t, eps, func(ep Endpoint) error {
-		v := []float64{float64(ep.Rank()), 10 * float64(ep.Rank()), 1}
-		out, err := AllReduceFloat64s(ep, v, ReduceSum)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[ep.Rank()] = out
-		mu.Unlock()
-		return nil
-	})
-	want := []float64{0 + 1 + 2, 0 + 10 + 20, 3}
-	for r, out := range results {
-		for i := range want {
-			if out[i] != want[i] {
-				t.Errorf("rank %d element %d: %g, want %g", r, i, out[i], want[i])
-			}
-		}
-	}
-}
-
-func TestAllReduceVectorLengthMismatch(t *testing.T) {
-	eps, _ := NewGroup(2)
-	defer closeAll(eps)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		i, ep := i, ep
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := make([]float64, 2+ep.Rank()) // mismatched lengths
-			_, errs[i] = AllReduceFloat64s(ep, v, ReduceSum)
-		}()
-	}
-	wg.Wait()
-	anyErr := false
-	for _, err := range errs {
-		if err != nil {
-			anyErr = true
-		}
-	}
-	if !anyErr {
-		t.Error("length mismatch undetected")
-	}
-}
-
 func TestReduceOpPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

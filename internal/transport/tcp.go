@@ -143,7 +143,7 @@ func (e *tcpEndpoint) dial(peer int) error {
 		closed := e.closed
 		e.mu.Unlock()
 		if closed {
-			return ErrClosed
+			return errClosed
 		}
 		conn, err := net.DialTimeout("tcp", e.addrs[peer], dialTimeout)
 		if err != nil {
@@ -170,7 +170,7 @@ func (e *tcpEndpoint) waitMesh(deadline time.Time) error {
 		n, closed := e.nconn, e.closed
 		e.mu.Unlock()
 		if closed {
-			return ErrClosed
+			return errClosed
 		}
 		if n == e.size-1 {
 			return nil
@@ -278,7 +278,7 @@ func (e *tcpEndpoint) Send(to int, tag string, payload []byte) error {
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
 	if to < 0 || to >= e.size {
 		return fmt.Errorf("transport: send to invalid rank %d", to)
@@ -305,7 +305,7 @@ func (e *tcpEndpoint) Send(to int, tag string, payload []byte) error {
 			return rerr
 		}
 		if err = e.encode(enc, conn, to, tag, payload); err != nil {
-			return &RankDownError{Rank: to, Reason: fmt.Sprintf("send failed after reconnect: %v", err)}
+			return &rankDownError{Rank: to, Reason: fmt.Sprintf("send failed after reconnect: %v", err)}
 		}
 	}
 	return nil
@@ -338,11 +338,11 @@ func (e *tcpEndpoint) writer(to int) (*gob.Encoder, net.Conn) {
 func (e *tcpEndpoint) reconnect(to int) (*gob.Encoder, net.Conn, error) {
 	if to < e.rank { // we dialed this peer originally: redial
 		if err := e.dial(to); err != nil {
-			return nil, nil, &RankDownError{Rank: to, Reason: fmt.Sprintf("reconnect exhausted: %v", err)}
+			return nil, nil, &rankDownError{Rank: to, Reason: fmt.Sprintf("reconnect exhausted: %v", err)}
 		}
 		enc, conn := e.writer(to)
 		if enc == nil {
-			return nil, nil, &RankDownError{Rank: to, Reason: "reconnect raced with disconnect"}
+			return nil, nil, &rankDownError{Rank: to, Reason: "reconnect raced with disconnect"}
 		}
 		return enc, conn, nil
 	}
@@ -358,10 +358,10 @@ func (e *tcpEndpoint) reconnect(to int) (*gob.Encoder, net.Conn, error) {
 		closed := e.closed
 		e.mu.Unlock()
 		if closed {
-			return nil, nil, ErrClosed
+			return nil, nil, errClosed
 		}
 	}
-	return nil, nil, &RankDownError{Rank: to, Reason: "peer did not reconnect"}
+	return nil, nil, &rankDownError{Rank: to, Reason: "peer did not reconnect"}
 }
 
 // Recv implements Endpoint. It honors the default deadline set with
@@ -385,7 +385,7 @@ func (e *tcpEndpoint) RecvTimeout(from int, tag string, d time.Duration) ([]byte
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			if cause := e.down[from]; cause != nil {
-				return &RankDownError{Rank: from, Reason: fmt.Sprintf("peer disconnected: %v", cause), Cause: cause}
+				return &rankDownError{Rank: from, Reason: fmt.Sprintf("peer disconnected: %v", cause), Cause: cause}
 			}
 			return nil
 		}

@@ -15,8 +15,8 @@ import (
 	"time"
 )
 
-// ErrClosed is returned by operations on a closed endpoint.
-var ErrClosed = errors.New("transport: endpoint closed")
+// errClosed is returned by operations on a closed endpoint.
+var errClosed = errors.New("transport: endpoint closed")
 
 // ErrMalformed is the sentinel every wire-decoding error wraps: a frame or
 // control message that is truncated, inconsistent, or otherwise impossible
@@ -30,10 +30,10 @@ var ErrMalformed = errors.New("transport: malformed message")
 // without a replacement, or reconnection attempts were exhausted.
 var ErrRankDown = errors.New("transport: rank down")
 
-// RankDownError identifies which peer was lost and why. It wraps
+// rankDownError identifies which peer was lost and why. It wraps
 // ErrRankDown so callers can both test `errors.Is(err, ErrRankDown)` and
 // recover the rank for failure handling.
-type RankDownError struct {
+type rankDownError struct {
 	Rank   int
 	Reason string
 	// Cause, when set, is what took the rank's connection down (a read
@@ -42,15 +42,15 @@ type RankDownError struct {
 }
 
 // Error implements error.
-func (e *RankDownError) Error() string {
+func (e *rankDownError) Error() string {
 	return fmt.Sprintf("transport: rank %d down (%s)", e.Rank, e.Reason)
 }
 
 // Unwrap exposes the cause to errors.Is/As.
-func (e *RankDownError) Unwrap() error { return e.Cause }
+func (e *rankDownError) Unwrap() error { return e.Cause }
 
 // Is reports ErrRankDown as this error's sentinel.
-func (e *RankDownError) Is(target error) bool { return target == ErrRankDown }
+func (e *rankDownError) Is(target error) bool { return target == ErrRankDown }
 
 // Endpoint is one rank's connection to a communicator group. All collective
 // operations must be entered by every rank of the group in the same order.
@@ -170,7 +170,7 @@ func (ib *inbox) get(from int, tag string, d time.Duration, failed func() error)
 			return msg, nil
 		}
 		if ib.closed {
-			return nil, ErrClosed
+			return nil, errClosed
 		}
 		if failed != nil {
 			if err := failed(); err != nil {
@@ -178,7 +178,7 @@ func (ib *inbox) get(from int, tag string, d time.Duration, failed func() error)
 			}
 		}
 		if d > 0 && !time.Now().Before(deadline) {
-			return nil, &RankDownError{Rank: from, Reason: "recv deadline exceeded"}
+			return nil, &rankDownError{Rank: from, Reason: "recv deadline exceeded"}
 		}
 		ib.cond.Wait()
 	}
@@ -199,7 +199,7 @@ func (ib *inbox) tryGet(from int, tag string) ([]byte, bool, error) {
 		return msg, true, nil
 	}
 	if ib.closed {
-		return nil, false, ErrClosed
+		return nil, false, errClosed
 	}
 	return nil, false, nil
 }

@@ -255,7 +255,7 @@ func TestClosedEndpointErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			eps[0].Close()
-			if err := eps[0].Send(1, "x", nil); err != ErrClosed {
+			if err := eps[0].Send(1, "x", nil); err != errClosed {
 				t.Errorf("Send after close = %v", err)
 			}
 			// A receiver blocked on a closed endpoint must return.

@@ -55,8 +55,6 @@ type options struct {
 	weakRanks   *int
 	groupSize   *int
 	csvPath     *string
-	stage2      *bool
-	stage2CSV   *string
 
 	repartThresh *float64
 	workers      *int
@@ -91,8 +89,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o.weakRanks = fs.Int("weak-ranks", 4096, "largest virtual rank count for -weak-scaling (ladder: 16, 64, 256, 1024, 4096)")
 	o.groupSize = fs.Int("group-size", 64, "hierarchical partitioner group size for -weak-scaling")
 	o.csvPath = fs.String("csv", "", "also write the -weak-scaling sweep as CSV to this file")
-	o.stage2 = fs.Bool("stage2", false, "stage-2 decentralization study: replicated vs group-local slicing cost over the -weak-ranks ladder")
-	o.stage2CSV = fs.String("stage2-csv", "", "also write the -stage2 sweep as CSV to this file")
 	o.repartThresh = fs.Float64("repartition-threshold", 0,
 		"hysteresis threshold for the -sensorfault hygiene scenario (imbalance percentage points)")
 	o.workers = fs.Int("workers", 0, "cap scheduler threads via GOMAXPROCS (0 = leave as-is); experiment configs drive solver kernels internally, so this bounds their pool width")
@@ -109,7 +105,7 @@ func main() {
 	flag.Parse()
 	if !(*o.all || *o.fig7 || *o.fig8 || *o.fig11 || *o.table2 || *o.table3 ||
 		*o.ablations || *o.scaling || *o.faultExp || *o.elastic || *o.traceOver ||
-		*o.sensorExp || *o.movement || *o.weakScaling || *o.stage2) {
+		*o.sensorExp || *o.movement || *o.weakScaling) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -225,23 +221,6 @@ func main() {
 			}
 			if *o.csvPath != "" {
 				f, err := os.Create(*o.csvPath)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				if err := r.WriteCSV(f); err != nil {
-					return nil, err
-				}
-			}
-			return r, nil
-		}},
-		{*o.all || *o.stage2, "Stage-2 decentralization (replicated vs group-local)", func() (renderable, error) {
-			r, err := exp.WeakScalingStage2(*o.weakRanks, *o.groupSize)
-			if err != nil {
-				return nil, err
-			}
-			if *o.stage2CSV != "" {
-				f, err := os.Create(*o.stage2CSV)
 				if err != nil {
 					return nil, err
 				}

@@ -56,8 +56,7 @@ func TestDistributedMigPlansMatchOracle(t *testing.T) {
 }
 
 // TestRepartitionPlanCostOracle exercises the exported measurement: the
-// sampled ranks must match the oracle and the delta wire form must beat the
-// full table when only owners moved.
+// sampled ranks must match the oracle.
 func TestRepartitionPlanCostOracle(t *testing.T) {
 	const n, ranks = 256, 16
 	old := benchTileAssignment(n, ranks, 0)
@@ -72,10 +71,6 @@ func TestRepartitionPlanCostOracle(t *testing.T) {
 	if !rep.OracleOK {
 		t.Fatal("distributed plans diverged from the centralized oracle")
 	}
-	if rep.DeltaWireBytes >= rep.FullWireBytes {
-		t.Fatalf("delta wire form (%d B) not smaller than full table (%d B)",
-			rep.DeltaWireBytes, rep.FullWireBytes)
-	}
 	if _, err := RepartitionPlanCost(old, next, ranks, nil, 1); err == nil {
 		t.Fatal("expected error for empty sample set")
 	}
@@ -84,84 +79,23 @@ func TestRepartitionPlanCostOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaBroadcastRoundTrip checks that applying an owner-delta wire form
-// reproduces exactly the view a full rebuild would give, for every rank,
-// including the incremental mine list and owner table.
-func TestDeltaBroadcastRoundTrip(t *testing.T) {
-	const n, ranks = 64, 4
-	old := benchTileAssignment(n, ranks, 0)
-	next := benchTileAssignment(n, ranks, 0)
-	for i := 0; i < len(next.Owners); i += 3 {
-		next.Owners[i] = (next.Owners[i] + 2) % ranks
-	}
-	for me := 0; me < ranks; me++ {
-		prev := newAsnView(old, me)
-		wire := encodeAssignment(prev, next)
-		if !wire.Delta {
-			t.Fatal("expected the delta wire form for an owner-only change")
-		}
-		got := applyDelta(prev, &wire, me)
-		want := newAsnView(next, me)
-		if !reflect.DeepEqual(got.Owners, want.Owners) {
-			t.Fatalf("rank %d: delta owners diverged", me)
-		}
-		if !reflect.DeepEqual(got.mine, want.mine) {
-			t.Fatalf("rank %d: delta mine list %v, want %v", me, got.mine, want.mine)
-		}
-		if len(got.Boxes) != len(prev.Boxes) || &got.Boxes[0] != &prev.Boxes[0] {
-			t.Fatalf("rank %d: delta view must alias the standing box list", me)
-		}
-	}
-	// A tiling change must fall back to the full table.
-	coarse := benchTileAssignment(n/4, ranks, 0)
-	if wire := encodeAssignment(newAsnView(old, 0), coarse); wire.Delta {
-		t.Fatal("delta wire form used across a tiling change")
-	}
-}
-
-// TestMergeMine covers the incremental own-box list maintenance.
-func TestMergeMine(t *testing.T) {
-	for _, tc := range []struct {
-		mine, add, del, want []int
-	}{
-		{[]int{1, 3, 5}, nil, nil, []int{1, 3, 5}},
-		{[]int{1, 3, 5}, []int{0, 4, 9}, nil, []int{0, 1, 3, 4, 5, 9}},
-		{[]int{1, 3, 5}, nil, []int{3}, []int{1, 5}},
-		{[]int{1, 3, 5}, []int{2}, []int{1, 5}, []int{2, 3}},
-		{nil, []int{7}, nil, []int{7}},
-		{[]int{2}, nil, []int{2}, []int{}},
-	} {
-		got := mergeMine(tc.mine, tc.add, tc.del)
-		if len(got) != len(tc.want) {
-			t.Fatalf("mergeMine(%v,%v,%v) = %v, want %v", tc.mine, tc.add, tc.del, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("mergeMine(%v,%v,%v) = %v, want %v", tc.mine, tc.add, tc.del, got, tc.want)
-			}
-		}
-	}
-}
-
-// TestDecodeAssignmentRejectsMalformed feeds the wire decoder forms no
-// healthy peer could have produced: each must fail instead of indexing out
-// of range.
-func TestDecodeAssignmentRejectsMalformed(t *testing.T) {
+// TestAssignmentOfRejectsMalformed feeds the rejoin welcome's table decoder
+// tables no healthy peer could have produced: each must fail instead of
+// indexing out of range.
+func TestAssignmentOfRejectsMalformed(t *testing.T) {
 	const n, ranks = 16, 4
-	prev := newAsnView(benchTileAssignment(n, ranks, 0), 0)
-	for name, wire := range map[string]wireAssignment{
-		"delta length mismatch":   {Delta: true, Changed: []int32{1, 2}, NewOwners: []int32{0}},
-		"delta box out of range":  {Delta: true, Changed: []int32{n}, NewOwners: []int32{0}},
-		"delta rank out of range": {Delta: true, Changed: []int32{1}, NewOwners: []int32{ranks}},
-		"full length mismatch":    {Boxes: prev.Boxes, Owners: prev.Owners[:n-1]},
-		"full rank out of range":  {Boxes: prev.Boxes[:1], Owners: []int{-1}},
-	} {
-		if _, err := decodeAssignment(prev, &wire, 0, ranks); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	a := benchTileAssignment(n, ranks, 0)
+	if _, err := assignmentOf(a.Boxes, a.Owners[:n-1], ranks); err == nil {
+		t.Error("length mismatch accepted")
 	}
-	if _, err := decodeAssignment(nil, &wireAssignment{Delta: true}, 0, ranks); err == nil {
-		t.Error("delta without a standing assignment accepted")
+	if _, err := assignmentOf(a.Boxes[:1], []int{-1}, ranks); err == nil {
+		t.Error("rank -1 accepted")
+	}
+	if _, err := assignmentOf(a.Boxes[:1], []int{ranks}, ranks); err == nil {
+		t.Error("rank out of range accepted")
+	}
+	if got, err := assignmentOf(a.Boxes, a.Owners, ranks); err != nil || !reflect.DeepEqual(got.Work, a.Work) {
+		t.Errorf("well-formed table: err %v, work %v, want %v", err, got.Work, a.Work)
 	}
 }
 

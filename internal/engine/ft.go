@@ -421,13 +421,16 @@ func (r *spmdRun) resetStraggler() {
 	}
 }
 
-// eligibleCaps computes the capacity vector and work-eligibility mask for a
-// repartition: quarantined ranks stay members but receive zero work, and
-// shed ranks keep a demoted capacity share. Every input is replicated state
-// (caps, alive, detector), so all ranks derive identical vectors.
-func (r *spmdRun) eligibleCaps(iter int) (caps []float64, mask []bool) {
-	caps = append([]float64(nil), r.cfg.CapsAt(iter)...)
-	mask = r.alive
+// partitionEligible partitions the tiles over the live, non-quarantined
+// membership: quarantined ranks stay members but receive zero work, and shed
+// ranks keep a demoted capacity share (with every rank alive and no detector
+// it is exactly Partitioner.Partition). Every input is replicated state
+// (caps, alive, detector), so every rank computes the identical assignment
+// with zero messages; recovery paths, which run when the group is not known
+// to be synchronized, rely on that.
+func (r *spmdRun) partitionEligible(iter int) (*partition.Assignment, error) {
+	caps := append([]float64(nil), r.cfg.CapsAt(iter)...)
+	mask := r.alive
 	if r.strag != nil {
 		elig := make([]bool, len(r.alive))
 		any := false
@@ -454,154 +457,7 @@ func (r *spmdRun) eligibleCaps(iter int) (caps []float64, mask []bool) {
 			}
 		}
 	}
-	return caps, mask
-}
-
-// partitionEligible partitions the tiles over the live, non-quarantined
-// membership, fully replicated: every rank computes the identical assignment
-// from shared state with zero messages (with every rank alive it is exactly
-// Partitioner.Partition). Recovery paths (setup, recoverAt) must use this
-// form — they run when the group is not known to be synchronized, so they
-// may not communicate.
-func (r *spmdRun) partitionEligible(iter int) (*partition.Assignment, error) {
-	caps, mask := r.eligibleCaps(iter)
 	return partition.PartitionAlive(r.cfg.Partitioner, r.tiles, caps, mask, partition.CellWork)
-}
-
-// gatherGroups is the decentralized stage 2 of the hierarchical partitioner:
-// each eligible rank computes the replicated stage-1 plan over the compacted
-// (alive, non-quarantined) capacity vector — a sort plus a quota walk — but
-// slices only its own group's SFC segment, O(boxes/groups · log) instead of
-// O(boxes · log) per rank. Group leaders ship their segment to the root (the
-// lowest alive rank), which assembles and re-expands to global node ids.
-// CompactAlive/ExpandAlive and GroupPlan.Assemble are exactly the pieces
-// PartitionAlive composes over Hierarchical.Partition, so the root's
-// assignment is bit-identical to the replicated decision. It is returned on
-// the root and nil elsewhere. Quarantined ranks own no compact slot and send
-// nothing. Sends are control-plane: bytes counted, message counters
-// untouched.
-func (r *spmdRun) gatherGroups(h *partition.Hierarchical, iter, root int) (*partition.Assignment, error) {
-	caps, mask := r.eligibleCaps(iter)
-	compact, global, err := partition.CompactAlive(caps, mask)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := h.PlanGroups(r.tiles, compact, partition.CellWork)
-	if err != nil {
-		return nil, err
-	}
-	me := r.me()
-	globalOf := func(ci int) int {
-		if global == nil {
-			return ci
-		}
-		return global[ci]
-	}
-	myCompact := -1
-	if global == nil {
-		myCompact = me
-	} else {
-		for ci, gk := range global {
-			if gk == me {
-				myCompact = ci
-				break
-			}
-		}
-	}
-	segTag := fmt.Sprintf("%ss2seg-%d", r.prefix, iter)
-	var mySeg partition.GroupSegment
-	if myCompact >= 0 {
-		g := plan.GroupOf(myCompact)
-		boxes, owners := plan.PartitionGroup(g)
-		mySeg = partition.GroupSegment{Boxes: boxes, Owners: owners}
-		if leader := globalOf(plan.Members[g][0]); leader == me && me != root {
-			payload, err := transport.EncodeGob(mySeg)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.ep.Send(root, segTag, payload); err != nil {
-				return nil, err
-			}
-			r.res.BytesSent += int64(len(payload))
-		}
-	}
-	if me != root {
-		return nil, nil
-	}
-	segs := make([]partition.GroupSegment, plan.NumGroups())
-	for gi := range segs {
-		leader := globalOf(plan.Members[gi][0])
-		if leader == me {
-			segs[gi] = mySeg
-			continue
-		}
-		payload, err := r.ep.Recv(leader, segTag)
-		if err != nil {
-			return nil, err
-		}
-		if err := transport.DecodeGob(payload, &segs[gi]); err != nil {
-			return nil, err
-		}
-		if len(segs[gi].Boxes) != len(segs[gi].Owners) {
-			return nil, fmt.Errorf("engine: rank %d sent a segment of %d boxes with %d owners",
-				leader, len(segs[gi].Boxes), len(segs[gi].Owners))
-		}
-	}
-	asn, err := plan.Assemble(segs)
-	if err != nil {
-		return nil, err
-	}
-	if global != nil {
-		asn = partition.ExpandAlive(asn, global, len(caps))
-	}
-	return asn, nil
-}
-
-// partitionGroupLocal agrees on the next assignment under a hierarchical
-// partitioner with one gather and one fan-out: the root assembles the
-// group-local segments (gatherGroups), relabels for movement affinity — it
-// alone holds the fresh Ideal vector RemapOwners needs — and ships every
-// other alive rank the owner delta against the standing assignment (the
-// full table only when the tiling changed). Every rank, the root included,
-// rebuilds its view from that wire form. Only repartitionNow may call this —
-// all alive ranks enter it synchronously — never the recovery paths, which
-// must stay communication-free.
-func (r *spmdRun) partitionGroupLocal(h *partition.Hierarchical, iter int) (*asnView, error) {
-	me, root := r.me(), r.lowestAlive()
-	asn, err := r.gatherGroups(h, iter, root)
-	if err != nil {
-		return nil, err
-	}
-	asnTag := fmt.Sprintf("%ss2asn-%d", r.prefix, iter)
-	var wire wireAssignment
-	if me == root {
-		if !r.cfg.NoAffinityRemap {
-			asn = partition.RemapOwners(r.assign.Assignment, asn)
-		}
-		wire = encodeAssignment(r.assign, asn)
-		payload, err := transport.EncodeGob(wire)
-		if err != nil {
-			return nil, err
-		}
-		for p, a := range r.alive {
-			if !a || p == me {
-				continue
-			}
-			if err := r.ep.Send(p, asnTag, payload); err != nil {
-				return nil, err
-			}
-			r.res.BytesSent += int64(len(payload))
-		}
-	} else {
-		payload, err := r.ep.Recv(root, asnTag)
-		if err != nil {
-			return nil, err
-		}
-		if err := transport.DecodeGob(payload, &wire); err != nil {
-			return nil, err
-		}
-	}
-	return decodeAssignment(r.assign, &wire, me, r.ep.Size())
 }
 
 // setup (re)builds the run's distribution state for the given iteration and
@@ -911,8 +767,8 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 	return newDead, nil, nil
 }
 
-// lowestAlive returns the lowest alive rank — the host of admissions and the
-// root of the partition gather. The caller itself is alive, so one exists.
+// lowestAlive returns the lowest alive rank — the host of admissions. The
+// caller itself is alive, so one exists.
 func (r *spmdRun) lowestAlive() int {
 	p := 0
 	for !r.alive[p] {
@@ -1049,30 +905,23 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 // repartitionNow repartitions over the current eligible membership, remaps
 // for movement affinity, and redistributes patch data — the shared tail of
 // scheduled repartitions and admissions (recoveries go through setup). The
-// decision is replicated — PartitionAlive is deterministic and RemapOwners a
-// pure function of two assignments, so every rank derives the same labels
-// with zero messages — unless the partitioner is hierarchical, where stage 2
-// is sliced group-locally and agreed through one gather and one delta
-// fan-out (safe here, and only here: all alive ranks enter synchronously).
+// decision is replicated for every partitioner: PartitionAlive is
+// deterministic over replicated inputs and RemapOwners a pure function of two
+// assignments, so every rank derives the same labels with zero messages.
 func (r *spmdRun) repartitionNow(iter int) error {
 	cfg := r.cfg
 	r.sc.tr.SetPos(r.epoch, iter)
 	psp := r.sc.tr.Span(trace.PhasePartition)
 	var newView *asnView
-	var err error
-	if h, ok := cfg.Partitioner.(*partition.Hierarchical); ok && r.ep.Size() > 1 {
-		newView, err = r.partitionGroupLocal(h, iter)
-	} else {
-		var asn *partition.Assignment
-		if asn, err = r.partitionEligible(iter); err == nil {
-			if !cfg.NoAffinityRemap {
-				asn = partition.RemapOwners(r.assign.Assignment, asn)
-			}
-			if asn.Boxes.Equal(r.assign.Boxes) {
-				asn.Boxes = r.assign.Boxes // alias: later same-tiling checks are O(1)
-			}
-			newView = newAsnView(asn, r.me())
+	asn, err := r.partitionEligible(iter)
+	if err == nil {
+		if !cfg.NoAffinityRemap {
+			asn = partition.RemapOwners(r.assign.Assignment, asn)
 		}
+		if asn.Boxes.Equal(r.assign.Boxes) {
+			asn.Boxes = r.assign.Boxes // alias: later same-tiling checks are O(1)
+		}
+		newView = newAsnView(asn, r.me())
 	}
 	psp.End()
 	if err != nil {

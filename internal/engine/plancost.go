@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"samrpart/internal/partition"
-	"samrpart/internal/transport"
 )
 
 // PlanCostReport is one measurement of RepartitionPlanCost: the per-rank
 // cost of the distributed plan builders against the retained centralized
-// full build, plus the broadcast sizes of the two wire forms.
+// full build.
 type PlanCostReport struct {
 	// PerRankSec is the mean wall time one sampled rank spends building its
 	// own ghost and migration plans (steady state: indexes warm, own-box
@@ -25,11 +24,6 @@ type PlanCostReport struct {
 	// OracleOK reports that every sampled rank's distributed plans were
 	// bit-identical to the centralized oracle's.
 	OracleOK bool
-	// FullWireBytes and DeltaWireBytes are the encoded broadcast sizes of
-	// the full box→owner table and the owner-delta form (equal to full when
-	// the tiling changed and deltas do not apply).
-	FullWireBytes  int
-	DeltaWireBytes int
 }
 
 // RepartitionPlanCost measures one old→next repartition's plan-construction
@@ -71,16 +65,6 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 		}
 	}
 	rep.PerRankSec = total / float64(len(sampleRanks))
-
-	full, err := transport.EncodeGob(wireAssignment{Boxes: next.Boxes, Owners: next.Owners})
-	if err != nil {
-		return rep, err
-	}
-	delta, err := transport.EncodeGob(encodeAssignment(newAsnView(old, -1), next))
-	if err != nil {
-		return rep, err
-	}
-	rep.FullWireBytes, rep.DeltaWireBytes = len(full), len(delta)
 	return rep, nil
 }
 

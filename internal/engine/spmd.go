@@ -46,7 +46,7 @@ type SPMDConfig struct {
 	// dt fixes the time step; 0 derives a global stable dt each step.
 	dt float64
 	// RecvDeadline bounds every blocking data-plane receive in the step loop
-	// (ghost exchange, dt agreement, migration, partition gather) so a
+	// (ghost exchange, dt agreement, migration) so a
 	// silently-dead peer surfaces as transport.ErrRankDown instead of a
 	// hang. 0 selects defaultRecvDeadline.
 	RecvDeadline time.Duration
@@ -233,35 +233,15 @@ func (c SPMDConfig) tiles() geom.BoxList {
 	return out
 }
 
-// wireAssignment is the broadcast form of an assignment. The full form
-// carries the whole box→owner table; the delta form (Delta true) carries
-// only the owners that changed relative to the standing assignment, which
-// every rank already holds — the compact broadcast that keeps repartition
-// traffic proportional to how much ownership actually moved, not to total
-// box count. The delta form is only valid when the repartition kept the box
-// list itself unchanged (owner-only moves, the steady state).
-type wireAssignment struct {
-	Delta  bool
-	Boxes  []geom.Box
-	Owners []int
-	// Changed/NewOwners are the delta form: Changed[i] is a box index in
-	// the standing assignment whose owner becomes NewOwners[i]. Ascending.
-	Changed   []int32
-	NewOwners []int32
-}
-
 // asnView pairs the shared assignment with the ascending indexes of one
 // rank's own boxes. Plan construction iterates the mine list — O(own boxes)
-// — instead of rescanning the global owner table, and delta broadcasts
-// maintain the list incrementally, so per-rank repartition cost stops
-// growing with total box count.
+// — instead of rescanning the global owner table.
 type asnView struct {
 	*partition.Assignment
 	mine []int
 }
 
-// newAsnView builds a view by scanning the owner table (used after a full
-// broadcast or a locally computed assignment).
+// newAsnView builds a view by scanning the owner table once.
 func newAsnView(a *partition.Assignment, me int) *asnView {
 	v := &asnView{Assignment: a}
 	for i, o := range a.Owners {
@@ -270,62 +250,6 @@ func newAsnView(a *partition.Assignment, me int) *asnView {
 		}
 	}
 	return v
-}
-
-// applyDelta derives the new view from prev and an owner-delta broadcast:
-// owners and per-node work are copied and patched, and the mine list is
-// merged incrementally from the (ascending) changed indexes.
-func applyDelta(prev *asnView, wire *wireAssignment, me int) *asnView {
-	owners := append([]int(nil), prev.Owners...)
-	work := append([]float64(nil), prev.Work...)
-	var add, del []int
-	for k, ci := range wire.Changed {
-		i, no := int(ci), int(wire.NewOwners[k])
-		oo := owners[i]
-		if oo == no {
-			continue
-		}
-		w := partition.CellWork(prev.Boxes[i])
-		work[oo] -= w
-		work[no] += w
-		owners[i] = no
-		if oo == me {
-			del = append(del, i)
-		}
-		if no == me {
-			add = append(add, i)
-		}
-	}
-	a := &partition.Assignment{
-		Boxes:  prev.Boxes,
-		Owners: owners,
-		Work:   work,
-		Ideal:  make([]float64, len(work)),
-	}
-	return &asnView{Assignment: a, mine: mergeMine(prev.mine, add, del)}
-}
-
-// mergeMine merges sorted additions into and removes sorted deletions from
-// a sorted index list, allocating only when membership changed.
-func mergeMine(mine, add, del []int) []int {
-	if len(add) == 0 && len(del) == 0 {
-		return mine
-	}
-	out := make([]int, 0, len(mine)+len(add)-len(del))
-	ai, di := 0, 0
-	for _, m := range mine {
-		for ai < len(add) && add[ai] < m {
-			out = append(out, add[ai])
-			ai++
-		}
-		if di < len(del) && del[di] == m {
-			di++
-			continue
-		}
-		out = append(out, m)
-	}
-	out = append(out, add[ai:]...)
-	return out
 }
 
 // RunSPMDRank executes one rank of the SPMD program. Every rank must call
@@ -391,48 +315,6 @@ func stepPatch(k solver.Kernel, g solver.Grid, cur, spare []*amr.Patch, i int, d
 	}
 	k.Step(next, p, g, dt)
 	cur[i], spare[i] = next, p
-}
-
-// encodeAssignment chooses the broadcast form: owner deltas relative to the
-// standing assignment when the repartition kept the box list (the steady
-// state — repartitions move ownership, not the tiling), the full table
-// otherwise.
-func encodeAssignment(prev *asnView, a *partition.Assignment) wireAssignment {
-	if prev == nil || !prev.Boxes.Equal(a.Boxes) {
-		return wireAssignment{Boxes: a.Boxes, Owners: a.Owners}
-	}
-	w := wireAssignment{Delta: true}
-	for i, o := range a.Owners {
-		if o != prev.Owners[i] {
-			w.Changed = append(w.Changed, int32(i))
-			w.NewOwners = append(w.NewOwners, int32(o))
-		}
-	}
-	return w
-}
-
-// decodeAssignment rebuilds a rank's view from a wire form: the delta form
-// patches the standing view prev, the full form rescans the owner table.
-// The sender rebuilds its own view through here too, so every rank holds
-// bit-identical state regardless of which form traveled. The form arrived
-// from a peer, so indexes and owners are range-checked before use.
-func decodeAssignment(prev *asnView, wire *wireAssignment, me, size int) (*asnView, error) {
-	if wire.Delta {
-		if prev == nil || len(wire.Changed) != len(wire.NewOwners) {
-			return nil, fmt.Errorf("engine: malformed owner-delta assignment")
-		}
-		for k, ci := range wire.Changed {
-			if ci < 0 || int(ci) >= len(prev.Owners) || wire.NewOwners[k] < 0 || int(wire.NewOwners[k]) >= size {
-				return nil, fmt.Errorf("engine: owner delta (box %d -> rank %d) out of range", ci, wire.NewOwners[k])
-			}
-		}
-		return applyDelta(prev, wire, me), nil
-	}
-	a, err := assignmentOf(wire.Boxes, wire.Owners, size)
-	if err != nil {
-		return nil, err
-	}
-	return newAsnView(a, me), nil
 }
 
 // assignmentOf rebuilds an assignment from a box→owner table that arrived

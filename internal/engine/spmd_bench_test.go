@@ -73,7 +73,7 @@ func BenchmarkBuildGhostPlan(b *testing.B) {
 // rank's own ghost and migration plans (indexes warm — the steady state),
 // /central runs the retained coordinator-style build of every rank's plans,
 // which is what each rank paid per repartition before plan construction was
-// distributed. exp.TestWeakScalingOracleAndDelta holds their ratio to >= 5x,
+// distributed. exp.TestWeakScalingOracle holds their ratio to >= 5x,
 // so the distributed path can never silently regress back to global scans.
 func BenchmarkRepartitionPlan(b *testing.B) {
 	for _, tc := range []struct{ boxes, ranks int }{
@@ -109,58 +109,6 @@ func BenchmarkRepartitionPlan(b *testing.B) {
 				cg := centralGhostPlans(next, tc.ranks, 1, "")
 				if len(cm) != tc.ranks || len(cg) != tc.ranks {
 					b.Fatal("truncated central plans")
-				}
-			}
-		})
-	}
-	// Stage-2 slicing of the hierarchical partitioner. Stage 1 (the group
-	// plan) stays replicated on every rank in both modes, so it runs once
-	// outside the timer; what decentralization removes from each rank is
-	// the stage-2 work. /stage2-replicated slices every group's curve
-	// segment and assembles the global assignment — the per-rank cost when
-	// the whole decision is replicated. /stage2-grouplocal slices only the
-	// rank's own group, the decentralized per-rank cost.
-	// exp.TestWeakScalingStage2Oracle holds their ratio to >= 4x so stage 2
-	// can never quietly fall back to all-groups work.
-	{
-		const boxes, ranks, groupSize = 4096, 256, 4
-		a := benchTileAssignment(boxes, ranks, 0)
-		caps := make([]float64, ranks)
-		total := 0.0
-		for k := range caps {
-			caps[k] = 1 + 0.25*float64(k%4)
-			total += caps[k]
-		}
-		for k := range caps {
-			caps[k] /= total
-		}
-		h := partition.NewHierarchical(2)
-		h.GroupSize = groupSize
-		plan, err := h.PlanGroups(a.Boxes, caps, partition.CellWork)
-		if err != nil {
-			b.Fatalf("plan groups: %v", err)
-		}
-		name := fmt.Sprintf("boxes=%d/groups=%d", boxes, ranks/groupSize)
-		b.Run(name+"/stage2-replicated", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				segs := make([]partition.GroupSegment, plan.NumGroups())
-				for g := range segs {
-					bx, ow := plan.PartitionGroup(g)
-					segs[g] = partition.GroupSegment{Boxes: bx, Owners: ow}
-				}
-				asn, err := plan.Assemble(segs)
-				if err != nil || len(asn.Owners) == 0 {
-					b.Fatalf("assemble: %v", err)
-				}
-			}
-		})
-		b.Run(name+"/stage2-grouplocal", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bx, ow := plan.PartitionGroup(plan.GroupOf(ranks / 2))
-				if len(bx) == 0 || len(ow) == 0 {
-					b.Fatal("empty group segment")
 				}
 			}
 		})

@@ -52,6 +52,44 @@ func runSPMD(t *testing.T, eps []transport.Endpoint, cfg SPMDConfig) []*SPMDResu
 	return results
 }
 
+// newTestRuns builds one spmdRun per endpoint and sets each up at iteration
+// 0 (replicated partition, no messages), ready to be driven method by method.
+func newTestRuns(t testing.TB, eps []transport.Endpoint, cfg SPMDConfig) []*spmdRun {
+	t.Helper()
+	runs := make([]*spmdRun, len(eps))
+	for r, ep := range eps {
+		run, err := newSPMDRun(ep, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.setup(0); err != nil {
+			t.Fatal(err)
+		}
+		runs[r] = run
+	}
+	return runs
+}
+
+// eachRank runs fn concurrently for every rank and fails on the first error.
+func eachRank(t *testing.T, n int, fn func(r int) error) {
+	t.Helper()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = fn(r)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
 func capsSwitcher(n int) func(iter int) []float64 {
 	return func(iter int) []float64 {
 		caps := make([]float64, n)

@@ -20,10 +20,9 @@ const weakBoxesPerRank = 4
 type weakScalingRow struct {
 	ranks int
 	boxes int // partitioner output boxes (tiles plus any quota splits)
-	// stage1MS is the hierarchical stage-1 wall time (group the nodes, cut
-	// the SFC curve into group segments) — the short global decision that
-	// remains centralized.
-	stage1MS float64
+	// partitionMS is the wall time of one hierarchical Partition call — the
+	// decision every rank replicates per repartition.
+	partitionMS float64
 	// perRankUS is the mean wall time a sampled rank spends building its own
 	// ghost and migration plans (distributed path, steady state).
 	perRankUS float64
@@ -33,10 +32,6 @@ type weakScalingRow struct {
 	centralMS float64
 	// speedup is CentralMS over PerRankUS (same units).
 	speedup float64
-	// fullKB and DeltaKB are the broadcast sizes of the full box→owner table
-	// and the owner-delta wire form for this repartition.
-	fullKB  float64
-	deltaKB float64
 	// oracleOK reports the sampled distributed plans matched the
 	// centralized oracle bit-for-bit.
 	oracleOK bool
@@ -124,28 +119,23 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 			return nil, fmt.Errorf("exp: weak scaling %d ranks: %w", ranks, err)
 		}
 		t0 := time.Now()
-		if _, err := h.PlanGroups(tiles, capsB, partition.CellWork); err != nil {
-			return nil, err
-		}
-		stage1 := time.Since(t0)
 		next, err := h.Partition(tiles, capsB, partition.CellWork)
 		if err != nil {
 			return nil, err
 		}
+		decide := time.Since(t0)
 		samples := []int{0, ranks / 2, ranks - 1}
 		rep, err := engine.RepartitionPlanCost(old, next, ranks, samples, 1)
 		if err != nil {
 			return nil, err
 		}
 		row := weakScalingRow{
-			ranks:     ranks,
-			boxes:     len(next.Boxes),
-			stage1MS:  stage1.Seconds() * 1e3,
-			perRankUS: rep.PerRankSec * 1e6,
-			centralMS: rep.CentralSec * 1e3,
-			fullKB:    float64(rep.FullWireBytes) / 1e3,
-			deltaKB:   float64(rep.DeltaWireBytes) / 1e3,
-			oracleOK:  rep.OracleOK,
+			ranks:       ranks,
+			boxes:       len(next.Boxes),
+			partitionMS: decide.Seconds() * 1e3,
+			perRankUS:   rep.PerRankSec * 1e6,
+			centralMS:   rep.CentralSec * 1e3,
+			oracleOK:    rep.OracleOK,
 		}
 		if rep.PerRankSec > 0 {
 			row.speedup = rep.CentralSec / rep.PerRankSec
@@ -155,181 +145,20 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 	return res, nil
 }
 
-// stage2Row is one rank count of the stage-2 decentralization sweep.
-type stage2Row struct {
-	ranks  int
-	groups int
-	boxes  int
-	// stage1MS is the replicated stage-1 wall time (grouping + curve cut) —
-	// paid identically by both modes, reported for context.
-	stage1MS float64
-	// replicatedUS is the per-rank wall time when stage 2 is replicated:
-	// slice every group's segment and assemble the global assignment.
-	replicatedUS float64
-	// groupLocalUS is the decentralized per-rank cost: slice only the
-	// rank's own group.
-	groupLocalUS float64
-	// speedup is ReplicatedUS over GroupLocalUS.
-	speedup float64
-	// oracleOK reports that assembling the per-group slices reproduced the
-	// one-shot replicated Partition bit-for-bit.
-	oracleOK bool
-}
-
-// Stage2Result is a weak-scaling study of the hierarchical partitioner's
-// stage 2: how much per-rank decision cost disappears when each rank slices
-// only its own group's curve segment (the group-parallel control plane)
-// instead of replicating every group's slicing. Stage 1 stays replicated in
-// both modes and is timed separately.
-type Stage2Result struct {
-	boxesPerRank int
-	groupSize    int
-	rows         []stage2Row
-}
-
-// WeakScalingStage2 runs the stage-2 sweep over the rank ladder
-// 16..maxRanks with the same tiling and capacity script as WeakScaling.
-func WeakScalingStage2(maxRanks, groupSize int) (*Stage2Result, error) {
-	if maxRanks < 16 {
-		maxRanks = 16
-	}
-	if groupSize < 1 {
-		groupSize = 64
-	}
-	res := &Stage2Result{boxesPerRank: weakBoxesPerRank, groupSize: groupSize}
-	for _, ranks := range []int{16, 64, 256, 1024, 4096} {
-		if ranks > maxRanks {
-			break
-		}
-		tiles := weakTiles(ranks)
-		capsA, _ := weakCaps(ranks, groupSize)
-		h := partition.NewHierarchical(2)
-		h.GroupSize = groupSize
-		t0 := time.Now()
-		plan, err := h.PlanGroups(tiles, capsA, partition.CellWork)
-		if err != nil {
-			return nil, fmt.Errorf("exp: stage2 sweep %d ranks: %w", ranks, err)
-		}
-		stage1 := time.Since(t0)
-		groups := plan.NumGroups()
-		// Repeat the timed slicing enough times that the small rungs are
-		// measurable; both modes use the same repeat count.
-		reps := 1
-		if ranks < 4096 {
-			reps = 4096 / ranks
-		}
-		var assembled *partition.Assignment
-		t0 = time.Now()
-		for r := 0; r < reps; r++ {
-			segs := make([]partition.GroupSegment, groups)
-			for g := 0; g < groups; g++ {
-				bx, ow := plan.PartitionGroup(g)
-				segs[g] = partition.GroupSegment{Boxes: bx, Owners: ow}
-			}
-			if assembled, err = plan.Assemble(segs); err != nil {
-				return nil, fmt.Errorf("exp: stage2 sweep %d ranks: %w", ranks, err)
-			}
-		}
-		replicated := time.Since(t0)
-		mid := plan.GroupOf(ranks / 2)
-		t0 = time.Now()
-		for r := 0; r < reps; r++ {
-			if bx, _ := plan.PartitionGroup(mid); len(bx) == 0 {
-				return nil, fmt.Errorf("exp: stage2 sweep %d ranks: empty group %d", ranks, mid)
-			}
-		}
-		local := time.Since(t0)
-		oracle, err := h.Partition(tiles, capsA, partition.CellWork)
-		if err != nil {
-			return nil, err
-		}
-		row := stage2Row{
-			ranks:        ranks,
-			groups:       groups,
-			boxes:        len(assembled.Boxes),
-			stage1MS:     stage1.Seconds() * 1e3,
-			replicatedUS: replicated.Seconds() * 1e6 / float64(reps),
-			groupLocalUS: local.Seconds() * 1e6 / float64(reps),
-			oracleOK:     assignmentsIdentical(assembled, oracle),
-		}
-		if row.groupLocalUS > 0 {
-			row.speedup = row.replicatedUS / row.groupLocalUS
-		}
-		res.rows = append(res.rows, row)
-	}
-	return res, nil
-}
-
-// assignmentsIdentical is a bitwise comparison: same boxes, owners, and
-// float-exact work/ideal vectors.
-func assignmentsIdentical(a, b *partition.Assignment) bool {
-	if !a.Boxes.Equal(b.Boxes) || len(a.Owners) != len(b.Owners) {
-		return false
-	}
-	for i := range a.Owners {
-		if a.Owners[i] != b.Owners[i] {
-			return false
-		}
-	}
-	if len(a.Work) != len(b.Work) || len(a.Ideal) != len(b.Ideal) {
-		return false
-	}
-	for i := range a.Work {
-		if a.Work[i] != b.Work[i] || a.Ideal[i] != b.Ideal[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Render writes the stage-2 sweep table.
-func (r *Stage2Result) Render(w io.Writer) error {
-	tab := runlog.NewTable(
-		fmt.Sprintf("Stage-2 slicing: replicated vs group-local (%d boxes/rank, groups of %d)",
-			r.boxesPerRank, r.groupSize),
-		"Ranks", "Groups", "Boxes", "Stage1 (ms)", "Replicated (µs)",
-		"Group-local (µs)", "Speedup (×)", "Oracle")
-	for _, row := range r.rows {
-		oracle := "OK"
-		if !row.oracleOK {
-			oracle = "MISMATCH"
-		}
-		tab.AddF(row.ranks, row.groups, row.boxes, row.stage1MS,
-			row.replicatedUS, row.groupLocalUS, row.speedup, oracle)
-	}
-	return tab.Render(w)
-}
-
-// WriteCSV emits the stage-2 sweep for artifact upload and plotting.
-func (r *Stage2Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w,
-		"ranks,groups,boxes,stage1_ms,replicated_us,grouplocal_us,speedup,oracle_ok"); err != nil {
-		return err
-	}
-	for _, row := range r.rows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%.4f,%.4f,%.4f,%.2f,%t\n",
-			row.ranks, row.groups, row.boxes, row.stage1MS,
-			row.replicatedUS, row.groupLocalUS, row.speedup, row.oracleOK); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Render writes the weak-scaling table.
 func (r *WeakScalingResult) Render(w io.Writer) error {
 	tab := runlog.NewTable(
 		fmt.Sprintf("Weak scaling of repartition plan construction (%d boxes/rank, hierarchical groups of %d)",
 			r.boxesPerRank, r.groupSize),
-		"Ranks", "Boxes", "Stage1 (ms)", "Per-rank plan (µs)", "Central (ms)",
-		"Speedup (×)", "Full bcast (KB)", "Delta bcast (KB)", "Oracle")
+		"Ranks", "Boxes", "Partition (ms)", "Per-rank plan (µs)", "Central (ms)",
+		"Speedup (×)", "Oracle")
 	for _, row := range r.rows {
 		oracle := "OK"
 		if !row.oracleOK {
 			oracle = "MISMATCH"
 		}
-		tab.AddF(row.ranks, row.boxes, row.stage1MS, row.perRankUS, row.centralMS,
-			row.speedup, row.fullKB, row.deltaKB, oracle)
+		tab.AddF(row.ranks, row.boxes, row.partitionMS, row.perRankUS, row.centralMS,
+			row.speedup, oracle)
 	}
 	return tab.Render(w)
 }
@@ -337,13 +166,13 @@ func (r *WeakScalingResult) Render(w io.Writer) error {
 // WriteCSV emits the sweep for artifact upload and plotting.
 func (r *WeakScalingResult) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w,
-		"ranks,boxes,stage1_ms,per_rank_us,central_ms,speedup,full_kb,delta_kb,oracle_ok"); err != nil {
+		"ranks,boxes,partition_ms,per_rank_us,central_ms,speedup,oracle_ok"); err != nil {
 		return err
 	}
 	for _, row := range r.rows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%.4f,%.4f,%.4f,%.2f,%.3f,%.3f,%t\n",
-			row.ranks, row.boxes, row.stage1MS, row.perRankUS, row.centralMS,
-			row.speedup, row.fullKB, row.deltaKB, row.oracleOK); err != nil {
+		if _, err := fmt.Fprintf(w, "%d,%d,%.4f,%.4f,%.4f,%.2f,%t\n",
+			row.ranks, row.boxes, row.partitionMS, row.perRankUS, row.centralMS,
+			row.speedup, row.oracleOK); err != nil {
 			return err
 		}
 	}

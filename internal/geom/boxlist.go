@@ -22,9 +22,9 @@ func (l BoxList) TotalCells() int64 {
 // Equal reports whether the two lists hold identical boxes (levels
 // included) in identical order. The repartition paths use it as the "same
 // tiling" test — a repartition that moved ownership but not the box list
-// keeps its spatial index, halo graph and owner-delta wire form — so lists
-// sharing storage (the steady state: views alias the standing list) compare
-// in O(1), and only freshly built or decoded copies pay the content scan.
+// keeps its spatial index and halo graph — so lists sharing storage (the
+// steady state: views alias the standing list) compare in O(1), and only
+// freshly built or decoded copies pay the content scan.
 func (l BoxList) Equal(o BoxList) bool {
 	if len(l) != len(o) {
 		return false

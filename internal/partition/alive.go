@@ -6,15 +6,13 @@ import (
 	"samrpart/internal/geom"
 )
 
-// CompactAlive masks out dead nodes' capacities and renormalizes the
+// compactAlive masks out dead nodes' capacities and renormalizes the
 // survivors to sum to 1, returning the compact capacity vector and the
 // compact-index → global-node-id mapping. When every node is alive the
 // original caps are returned unchanged (no renormalization — the caller's
 // vector is already well-formed) with a nil mapping, so callers can detect
-// the identity case without comparing slices. This is the exact compaction
-// PartitionAlive performs; it is exported so group-local stage-2 slicing can
-// reproduce the replicated path bit for bit.
-func CompactAlive(caps []float64, alive []bool) (compact []float64, global []int, err error) {
+// the identity case without comparing slices.
+func compactAlive(caps []float64, alive []bool) (compact []float64, global []int, err error) {
 	if len(alive) != len(caps) {
 		return nil, nil, fmt.Errorf("partition: alive mask has %d entries for %d nodes", len(alive), len(caps))
 	}
@@ -50,11 +48,11 @@ func CompactAlive(caps []float64, alive []bool) (compact []float64, global []int
 	return compact, global, nil
 }
 
-// ExpandAlive maps a compact-cluster assignment back to global node ids:
+// expandAlive maps a compact-cluster assignment back to global node ids:
 // owners are relabeled through global[] and the per-node Work/Ideal vectors
 // are re-expanded to n entries with zeros at dead positions. The inverse of
-// CompactAlive's index space change; Boxes are aliased, not copied.
-func ExpandAlive(asn *Assignment, global []int, n int) *Assignment {
+// compactAlive's index space change; Boxes are aliased, not copied.
+func expandAlive(asn *Assignment, global []int, n int) *Assignment {
 	owners := make([]int, len(asn.Owners))
 	for i, o := range asn.Owners {
 		owners[i] = global[o]
@@ -76,11 +74,12 @@ func ExpandAlive(asn *Assignment, global []int, n int) *Assignment {
 // node ids and Work/Ideal are re-expanded with zeros at dead positions. With
 // every node alive the call is exactly p.Partition.
 //
-// This is the repartitioning step of rank-failure recovery: the box list is
-// global state every survivor holds, so each rank can compute the new
-// assignment locally and deterministically — no coordinator required.
+// This is the decision step of every SPMD repartition, recovery and
+// admission: the box list is global state every live rank holds, so each
+// rank computes the new assignment locally and deterministically — no
+// coordinator required.
 func PartitionAlive(p Partitioner, boxes geom.BoxList, caps []float64, alive []bool, work WorkFunc) (*Assignment, error) {
-	compact, global, err := CompactAlive(caps, alive)
+	compact, global, err := compactAlive(caps, alive)
 	if err != nil {
 		return nil, err
 	}
@@ -91,5 +90,5 @@ func PartitionAlive(p Partitioner, boxes geom.BoxList, caps []float64, alive []b
 	if err != nil {
 		return nil, err
 	}
-	return ExpandAlive(asn, global, len(caps)), nil
+	return expandAlive(asn, global, len(caps)), nil
 }

@@ -7,14 +7,11 @@ import (
 	"samrpart/internal/geom"
 )
 
-// FuzzPlanGroups drives the hierarchical stage-1 planner with fuzzer-shaped
-// box lists, capacities and group sizes. Invariants: either the inputs are
-// rejected with an error, or (a) every node lands in exactly one group, (b)
-// the per-group work assigned by the stage-1 cut sums to the total input
-// weight, and (c) slicing every group via PartitionGroup and assembling the
-// segments is bit-identical to the composed Hierarchical.Partition — the
-// property that lets stage 2 run group-locally on each SPMD rank.
-func FuzzPlanGroups(f *testing.F) {
+// FuzzHierarchical drives the hierarchical partitioner with fuzzer-shaped
+// box lists, capacities and group sizes. Invariant: either the inputs are
+// rejected with an error, or the assignment passes Validate with one Work
+// entry per node — never a panic, never a silently corrupt assignment.
+func FuzzHierarchical(f *testing.F) {
 	f.Add(uint8(6), uint8(2), int8(0), uint8(8), 0.5, 0.3, 0.2, 0.1)
 	f.Add(uint8(12), uint8(5), int8(-3), uint8(16), 0.25, 0.25, 0.25, 0.25)
 	f.Add(uint8(1), uint8(1), int8(4), uint8(4), 1.0, 0.0, 0.0, 0.0)
@@ -39,80 +36,18 @@ func FuzzPlanGroups(f *testing.F) {
 		}
 		h := NewHierarchical(2)
 		h.GroupSize = int(groupSize % 6) // 0 must be rejected
-		plan, err := h.PlanGroups(boxes, caps, CellWork)
+		a, err := h.Partition(boxes, caps, CellWork)
 		if err != nil {
-			if plan != nil {
-				t.Fatal("error with non-nil plan")
+			if a != nil {
+				t.Fatal("error with non-nil assignment")
 			}
 			return
 		}
-		// (a) Every node in exactly one group.
-		seen := make([]int, len(caps))
-		for _, members := range plan.Members {
-			for _, k := range members {
-				if k < 0 || k >= len(caps) {
-					t.Fatalf("member %d out of range", k)
-				}
-				seen[k]++
-			}
+		if len(a.Work) != len(caps) {
+			t.Fatalf("%d work entries for %d nodes", len(a.Work), len(caps))
 		}
-		for k, c := range seen {
-			if c != 1 {
-				t.Fatalf("node %d appears in %d groups", k, c)
-			}
-			if g := plan.GroupOf(k); g < 0 || g >= plan.NumGroups() {
-				t.Fatalf("GroupOf(%d) = %d out of range", k, g)
-			} else {
-				found := false
-				for _, m := range plan.Members[g] {
-					found = found || m == k
-				}
-				if !found {
-					t.Fatalf("GroupOf(%d) = %d but node not a member", k, g)
-				}
-			}
-		}
-		// (b) Stage-1 quotas exhaust the total weight.
-		want := 0.0
-		for _, b := range boxes {
-			want += CellWork(b)
-		}
-		got := 0.0
-		for g := 0; g < plan.NumGroups(); g++ {
-			for _, b := range plan.groupBoxes(g) {
-				got += CellWork(b)
-			}
-		}
-		if math.Abs(got-want) > 1e-6*math.Max(want, 1) {
-			t.Fatalf("stage-1 segments carry %v work, input total %v", got, want)
-		}
-		// (c) Assembling per-group slices == composed Partition, bit for bit.
-		whole, err := h.Partition(boxes, caps, CellWork)
-		if err != nil {
-			t.Fatalf("PlanGroups accepted inputs Partition rejects: %v", err)
-		}
-		segs := make([]GroupSegment, plan.NumGroups())
-		for g := range segs {
-			gb, owners := plan.PartitionGroup(g)
-			segs[g] = GroupSegment{Boxes: gb, Owners: owners}
-		}
-		asm, err := plan.Assemble(segs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !asm.Boxes.Equal(whole.Boxes) {
-			t.Fatal("assembled boxes differ from composed Partition")
-		}
-		for i := range asm.Owners {
-			if asm.Owners[i] != whole.Owners[i] {
-				t.Fatalf("box %d: assembled owner %d, composed %d", i, asm.Owners[i], whole.Owners[i])
-			}
-		}
-		for k := range asm.Work {
-			if asm.Work[k] != whole.Work[k] || asm.Ideal[k] != whole.Ideal[k] {
-				t.Fatalf("node %d: assembled work/ideal %v/%v, composed %v/%v",
-					k, asm.Work[k], asm.Ideal[k], whole.Work[k], whole.Ideal[k])
-			}
+		if err := a.Validate(boxes, CellWork); err != nil {
+			t.Fatalf("accepted inputs produced invalid assignment: %v", err)
 		}
 	})
 }

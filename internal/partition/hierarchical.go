@@ -18,11 +18,6 @@ import (
 // among its members ACEHeterogeneous-style. On large clusters this bounds
 // the work of any single partitioning decision and maps naturally onto
 // multi-switch topologies.
-//
-// The two stages are exposed separately (PlanGroups, then
-// GroupPlan.PartitionGroup per group) so callers that scale past a single
-// coordinator can treat stage 1 as the short global decision and slice the
-// groups independently; Partition composes both stages for the common case.
 type Hierarchical struct {
 	constraints Constraints
 	curve       sfc.Curve
@@ -45,15 +40,37 @@ func NewHierarchical(refineRatio int) *Hierarchical {
 // Name implements Partitioner.
 func (h *Hierarchical) Name() string { return "Hierarchical" }
 
-// GroupPlan is the stage-1 product of the hierarchical scheme: node groups
+// Partition implements Partitioner by composing both stages: stage 1 cuts
+// the curve into group segments (planGroups), stage 2 slices each segment
+// among its group's members (partitionGroup), and the segments are appended
+// in ascending group order, per-node work accumulating in that same order.
+func (h *Hierarchical) Partition(boxes geom.BoxList, caps []float64, work WorkFunc) (*Assignment, error) {
+	p, err := h.planGroups(boxes, caps, work)
+	if err != nil {
+		return nil, err
+	}
+	out := &Assignment{
+		Work:  make([]float64, len(caps)),
+		Ideal: capacity.Shares(caps, p.total),
+	}
+	for g := range p.members {
+		gb, owners := p.partitionGroup(g)
+		for i, b := range gb {
+			out.Boxes = append(out.Boxes, b)
+			out.Owners = append(out.Owners, owners[i])
+			out.Work[owners[i]] += work(b)
+		}
+	}
+	return out, nil
+}
+
+// groupPlan is the stage-1 product of the hierarchical scheme: node groups
 // with their aggregate capacities, and the SFC-ordered box list cut into one
-// contiguous curve segment per group in proportion to group capacity. The
-// global decision it represents is deliberately small — a sort plus a
-// quota walk — while the per-group slicing it feeds is independent per
-// group, so stage 2 can run anywhere (or in parallel) without coordination.
-type GroupPlan struct {
-	// Members[g] lists the global node ids of group g.
-	Members [][]int
+// contiguous curve segment per group in proportion to group capacity. Each
+// group's stage-2 slicing reads only this state.
+type groupPlan struct {
+	// members[g] lists the global node ids of group g.
+	members [][]int
 	// groupCaps[g] is group g's aggregate relative capacity.
 	groupCaps []float64
 
@@ -61,18 +78,12 @@ type GroupPlan struct {
 	work   WorkFunc
 	cons   Constraints
 	total  float64     // Σ work over the input boxes, in input order
-	stage1 *Assignment // Owners[i] indexes Members, not nodes
+	stage1 *Assignment // Owners[i] indexes members, not nodes
 }
 
-// NumGroups returns the number of capacity groups.
-func (p *GroupPlan) NumGroups() int { return len(p.Members) }
-
-// groupBoxes returns group g's contiguous curve segment.
-func (p *GroupPlan) groupBoxes(g int) geom.BoxList { return p.stage1.NodeBoxes(g) }
-
-// PlanGroups runs stage 1: group the nodes, SFC-order the boxes, and cut the
+// planGroups runs stage 1: group the nodes, SFC-order the boxes, and cut the
 // curve into per-group segments proportional to aggregate group capacity.
-func (h *Hierarchical) PlanGroups(boxes geom.BoxList, caps []float64, work WorkFunc) (*GroupPlan, error) {
+func (h *Hierarchical) planGroups(boxes geom.BoxList, caps []float64, work WorkFunc) (*groupPlan, error) {
 	if err := checkInputs(boxes, caps); err != nil {
 		return nil, err
 	}
@@ -82,28 +93,24 @@ func (h *Hierarchical) PlanGroups(boxes geom.BoxList, caps []float64, work WorkF
 	if h.GroupSize < 1 {
 		return nil, fmt.Errorf("partition: group size %d < 1", h.GroupSize)
 	}
-	p := &GroupPlan{caps: caps, work: work, cons: h.constraints}
+	p := &groupPlan{caps: caps, work: work, cons: h.constraints}
 	for start := 0; start < len(caps); start += h.GroupSize {
-		end := start + h.GroupSize
-		if end > len(caps) {
-			end = len(caps)
-		}
+		end := min(start+h.GroupSize, len(caps))
 		members := make([]int, 0, end-start)
 		gcap := 0.0
 		for k := start; k < end; k++ {
 			members = append(members, k)
 			gcap += caps[k]
 		}
-		p.Members = append(p.Members, members)
+		p.members = append(p.members, members)
 		p.groupCaps = append(p.groupCaps, gcap)
 	}
-	total := 0.0
+	groups := len(p.members)
 	for _, b := range boxes {
-		total += work(b)
+		p.total += work(b)
 	}
-	p.total = total
 	if len(boxes) == 0 {
-		p.stage1 = &Assignment{Work: make([]float64, p.NumGroups()), Ideal: make([]float64, p.NumGroups())}
+		p.stage1 = &Assignment{Work: make([]float64, groups), Ideal: make([]float64, groups)}
 		return p, nil
 	}
 	ordered := boxes.Clone()
@@ -113,23 +120,23 @@ func (h *Hierarchical) PlanGroups(boxes geom.BoxList, caps []float64, work WorkF
 	}
 	mapper := sfc.NewMapper(h.curve, domain, h.refineRatio)
 	mapper.Sort(ordered)
-	groupQuotas := make([]float64, p.NumGroups())
-	groupOrder := make([]int, p.NumGroups())
+	groupQuotas := make([]float64, groups)
+	groupOrder := make([]int, groups)
 	for g, gcap := range p.groupCaps {
-		groupQuotas[g] = gcap * total
+		groupQuotas[g] = gcap * p.total
 		groupOrder[g] = g
 	}
 	p.stage1 = fillQuotas(ordered, groupOrder, groupQuotas, work, h.constraints)
 	return p, nil
 }
 
-// PartitionGroup runs stage 2 for one group: distribute the group's curve
+// partitionGroup runs stage 2 for one group: distribute the group's curve
 // segment among its members in ascending-capacity order with member-level
 // quotas. The returned owners are global node ids. Each group's slicing
 // reads only stage-1 state, so calls are independent across groups.
-func (p *GroupPlan) PartitionGroup(g int) (geom.BoxList, []int) {
-	members := p.Members[g]
-	segment := p.groupBoxes(g)
+func (p *groupPlan) partitionGroup(g int) (geom.BoxList, []int) {
+	members := p.members[g]
+	segment := p.stage1.NodeBoxes(g)
 	if len(segment) == 0 {
 		return nil, nil
 	}
@@ -160,70 +167,4 @@ func (p *GroupPlan) PartitionGroup(g int) (geom.BoxList, []int) {
 		owners[i] = members[o]
 	}
 	return sub.Boxes, owners
-}
-
-// GroupOf returns the index of the group containing global node id k, or -1
-// when k is out of range. Groups are contiguous equal-size chunks of the node
-// index space (the last possibly smaller), so the lookup is a division.
-func (p *GroupPlan) GroupOf(k int) int {
-	if k < 0 || k >= len(p.caps) || len(p.Members) == 0 {
-		return -1
-	}
-	return k / len(p.Members[0])
-}
-
-// GroupSegment is one group's stage-2 product — the sliced curve segment
-// with global owner ids — in a wire-friendly form: this is what a group
-// leader ships to the assembling rank when stage 2 runs group-locally.
-// Segments must travel as produced: fillQuotas may split boxes, so the box
-// list is part of the decision, not derivable from the stage-1 segment.
-type GroupSegment struct {
-	Boxes  geom.BoxList
-	Owners []int
-}
-
-// Assemble composes per-group stage-2 segments into the full assignment,
-// bit-identically to Partition: segments are appended in ascending group
-// order and per-node work accumulates in that same order, so an assignment
-// assembled from locally- and remotely-computed segments is indistinguishable
-// from one computed in a single pass. segs[g] must be group g's
-// PartitionGroup output (verbatim, order included).
-func (p *GroupPlan) Assemble(segs []GroupSegment) (*Assignment, error) {
-	if len(segs) != p.NumGroups() {
-		return nil, fmt.Errorf("partition: assembling %d segments for %d groups", len(segs), p.NumGroups())
-	}
-	out := &Assignment{
-		Work:  make([]float64, len(p.caps)),
-		Ideal: capacity.Shares(p.caps, p.total),
-	}
-	for _, seg := range segs {
-		for i, b := range seg.Boxes {
-			o := seg.Owners[i]
-			if o < 0 || o >= len(p.caps) {
-				return nil, fmt.Errorf("partition: segment owner %d out of range", o)
-			}
-			out.Boxes = append(out.Boxes, b)
-			out.Owners = append(out.Owners, o)
-			out.Work[o] += p.work(b)
-		}
-	}
-	return out, nil
-}
-
-// Partition implements Partitioner by composing both stages: every group is
-// sliced locally and the segments are assembled in group order. This is the
-// replicated form the SPMD runner retains as its differential oracle; the
-// group-local form computes only one group's slice per rank and learns the
-// rest over the wire, feeding the identical Assemble.
-func (h *Hierarchical) Partition(boxes geom.BoxList, caps []float64, work WorkFunc) (*Assignment, error) {
-	p, err := h.PlanGroups(boxes, caps, work)
-	if err != nil {
-		return nil, err
-	}
-	segs := make([]GroupSegment, p.NumGroups())
-	for g := range segs {
-		gb, owners := p.PartitionGroup(g)
-		segs[g] = GroupSegment{Boxes: gb, Owners: owners}
-	}
-	return p.Assemble(segs)
 }

@@ -84,10 +84,9 @@ func TestHierarchicalErrors(t *testing.T) {
 	}
 }
 
-// TestHierarchicalTwoStageComposition checks the exposed stages against the
-// composed Partition: slicing every group of a GroupPlan independently must
-// reproduce Partition's boxes and owners exactly (the property that lets
-// stage 2 run decentralized).
+// TestHierarchicalTwoStageComposition checks the two stages against the
+// composed Partition: slicing every group of a stage-1 plan independently
+// must reproduce Partition's boxes and owners exactly.
 func TestHierarchicalTwoStageComposition(t *testing.T) {
 	p := NewHierarchical(2)
 	p.GroupSize = 3
@@ -98,17 +97,17 @@ func TestHierarchicalTwoStageComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.PlanGroups(boxes, caps, work)
+	plan, err := p.planGroups(boxes, caps, work)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumGroups() != 3 {
-		t.Fatalf("got %d groups, want 3", plan.NumGroups())
+	if len(plan.members) != 3 {
+		t.Fatalf("got %d groups, want 3", len(plan.members))
 	}
 	var gotBoxes geom.BoxList
 	var gotOwners []int
-	for g := 0; g < plan.NumGroups(); g++ {
-		gb, owners := plan.PartitionGroup(g)
+	for g := 0; g < len(plan.members); g++ {
+		gb, owners := plan.partitionGroup(g)
 		gotBoxes = append(gotBoxes, gb...)
 		gotOwners = append(gotOwners, owners...)
 	}
@@ -137,12 +136,12 @@ func TestHierarchicalGroupLargerThanCluster(t *testing.T) {
 	if err := a.Validate(boxes, SubcycledWork(2)); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.PlanGroups(boxes, caps, SubcycledWork(2))
+	plan, err := p.planGroups(boxes, caps, SubcycledWork(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumGroups() != 1 || len(plan.Members[0]) != 5 {
-		t.Fatalf("got %d groups / %v members, want one group of 5", plan.NumGroups(), plan.Members)
+	if len(plan.members) != 1 || len(plan.members[0]) != 5 {
+		t.Fatalf("got %d groups / %v members, want one group of 5", len(plan.members), plan.members)
 	}
 }
 

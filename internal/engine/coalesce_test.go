@@ -170,9 +170,23 @@ func TestSPMDCoalescedBitExact3DOverTCP(t *testing.T) {
 }
 
 // tcpGroup opens an n-rank TCP loopback group that closes with the test.
-func tcpGroup(t *testing.T, n int) []transport.Endpoint {
+func tcpGroup(t testing.TB, n int) []transport.Endpoint {
 	t.Helper()
 	eps, err := transport.NewTCPGroup(n, "127.0.0.1")
+	return closedWith(t, eps, err)
+}
+
+// chanGroup opens an n-rank channel group that closes with the test.
+func chanGroup(t testing.TB, n int) []transport.Endpoint {
+	t.Helper()
+	eps, err := transport.NewGroup(n)
+	return closedWith(t, eps, err)
+}
+
+// closedWith fails t on a group constructor's error and closes the group
+// when the test ends.
+func closedWith(t testing.TB, eps []transport.Endpoint, err error) []transport.Endpoint {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}

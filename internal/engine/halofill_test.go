@@ -413,51 +413,6 @@ func TestHaloFillLeavesNoStaleCell(t *testing.T) {
 	}
 }
 
-// loopback is a 2-rank endpoint pair whose Send and Recv allocate nothing
-// once warm: payloads travel in buffers recycled through a free list, one
-// message in flight per direction at most two deep. It exists so that
-// TestHaloFillAllocatesNothing reads the engine's halo fill alone —
-// the channel transport allocates per message (payload copy, inbox node,
-// deadline timer), which is the wire's bill, not the fill's.
-type loopback struct {
-	transport.TimedEndpoint             // rank, size and the calls the fill never makes
-	out, in                 chan []byte // filled buffers, to and from the peer
-	outFree, inFree         chan []byte // emptied buffers, back to the sender
-	held                    []byte      // the buffer the last Recv handed out
-}
-
-func newLoopbackPair(t testing.TB) []transport.Endpoint {
-	eps, err := transport.NewGroup(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two buffers circulate per direction: one held by the receiver, one in
-	// flight or being filled.
-	ab, ba := make(chan []byte, 2), make(chan []byte, 2)
-	abFree, baFree := make(chan []byte, 2), make(chan []byte, 2)
-	for i := 0; i < 2; i++ {
-		abFree <- nil
-		baFree <- nil
-	}
-	return []transport.Endpoint{
-		&loopback{TimedEndpoint: eps[0].(transport.TimedEndpoint), out: ab, outFree: abFree, in: ba, inFree: baFree},
-		&loopback{TimedEndpoint: eps[1].(transport.TimedEndpoint), out: ba, outFree: baFree, in: ab, inFree: abFree},
-	}
-}
-
-func (l *loopback) Send(_ int, _ string, payload []byte) error {
-	l.out <- append((<-l.outFree)[:0], payload...)
-	return nil
-}
-
-func (l *loopback) Recv(int, string) ([]byte, error) {
-	if l.held != nil {
-		l.inFree <- l.held
-	}
-	l.held = <-l.in
-	return l.held, nil
-}
-
 // haloFill sets up the halo-latency tiling (64 8x8 tiles, 2 ranks) over eps
 // with the pooled buffers already sized. The returned run performs n halo
 // exchanges — postSends + finishRecvs — on both ranks: rank 1 keeps pace on
@@ -502,24 +457,21 @@ func haloFill(t testing.TB, eps []transport.Endpoint) (run func(n int, rank0 fun
 	return run
 }
 
-// BenchmarkHaloFill measures rank 0's halo exchange: /chan over the channel
-// transport, and /loopback over an allocation-free pair.
+// haloGroups are the transports the halo fill is measured over: both
+// built-in ones, whose warm exchanges recycle every buffer they touch.
+var haloGroups = []struct {
+	name  string
+	group func(testing.TB, int) []transport.Endpoint
+}{
+	{"chan", chanGroup},
+	{"tcp", tcpGroup},
+}
+
+// BenchmarkHaloFill measures rank 0's halo exchange over each transport.
 func BenchmarkHaloFill(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		group func(testing.TB) []transport.Endpoint
-	}{
-		{"chan", func(t testing.TB) []transport.Endpoint {
-			eps, err := transport.NewGroup(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return eps
-		}},
-		{"loopback", newLoopbackPair},
-	} {
+	for _, tc := range haloGroups {
 		b.Run(tc.name, func(b *testing.B) {
-			run := haloFill(b, tc.group(b))
+			run := haloFill(b, tc.group(b, 2))
 			b.ReportAllocs()
 			b.ResetTimer()
 			run(b.N, func(step func()) {
@@ -531,16 +483,21 @@ func BenchmarkHaloFill(b *testing.B) {
 	}
 }
 
-// TestHaloFillAllocatesNothing holds both ranks' steady-state exchange over
-// the loopback pair to zero allocations.
+// TestHaloFillAllocatesNothing holds both ranks' steady-state exchange —
+// the engine's pack and fill and the transport's send, delivery and
+// receive — to zero allocations, over each transport.
 func TestHaloFillAllocatesNothing(t *testing.T) {
 	const steps = 100
-	var allocs float64
-	// AllocsPerRun warms up with one extra call.
-	haloFill(t, newLoopbackPair(t))(steps+1, func(step func()) {
-		allocs = testing.AllocsPerRun(steps, step)
-	})
-	if allocs != 0 {
-		t.Errorf("halo exchange allocates %.1f times per step", allocs)
+	for _, tc := range haloGroups {
+		t.Run(tc.name, func(t *testing.T) {
+			var allocs float64
+			// AllocsPerRun warms up with one extra call.
+			haloFill(t, tc.group(t, 2))(steps+1, func(step func()) {
+				allocs = testing.AllocsPerRun(steps, step)
+			})
+			if allocs != 0 {
+				t.Errorf("halo exchange allocates %.1f times per step", allocs)
+			}
+		})
 	}
 }

@@ -273,18 +273,19 @@ func TestInstallRefillsSparesOffTheStepPath(t *testing.T) {
 // TestRepartitionAllocatesNoPatchOrPlan is the tier-1 gate on what a
 // repartition of a standing tiling may allocate: after two warm-up swings
 // (four repartitions, stepped in between so spares are in play) one
-// repartitionNow on both ranks of the loopback pair — whose wire allocates
-// nothing — stays within a quarter of the field bytes the ranks own. A patch
-// buffer per arriving box alone is most of those bytes (nearly every box
-// arrives), and the ghost plan's local-copy list about as much again; what is
-// left is the partitioner's own working set, a few hundred bytes per box.
+// repartitionNow on both ranks of a channel group — whose warm wire
+// recycles its buffers — stays within a quarter of the field bytes the
+// ranks own. A patch buffer per arriving box alone is most of those bytes
+// (nearly every box arrives), and the ghost plan's local-copy list about as
+// much again; what is left is the partitioner's own working set, a few
+// hundred bytes per box.
 func TestRepartitionAllocatesNoPatchOrPlan(t *testing.T) {
 	if race {
 		t.Skip("the race detector allocates on its own")
 	}
 	k := solver.NewAdvection3D(1.0, 0.5, 0.25, 0.4, 0.5, 0.25, 0.1)
 	cfg := swingConfig(geom.Box3(0, 0, 0, 31, 31, 31), 8, k)
-	runs := newTestRuns(t, newLoopbackPair(t), cfg)
+	runs := newTestRuns(t, chanGroup(t, 2), cfg)
 	iter := 0
 	repartition := func() {
 		iter += cfg.RepartEvery

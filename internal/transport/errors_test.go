@@ -2,8 +2,8 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -189,9 +189,9 @@ func waitDown(t *testing.T, ep Endpoint, peer int) {
 	te := ep.(*tcpEndpoint)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		te.mu.Lock()
-		down := te.down[peer] != nil
-		te.mu.Unlock()
+		te.inbox.mu.Lock()
+		down := te.inbox.down[peer] != nil
+		te.inbox.mu.Unlock()
 		if down {
 			return
 		}
@@ -275,14 +275,17 @@ func TestTCPQueuedMessagesSurviveDisconnect(t *testing.T) {
 	}
 }
 
-// waitUp polls until ep holds a live connection to peer again.
-func waitUp(t *testing.T, ep Endpoint, peer int) {
+// waitUp polls until ep holds a live connection to peer of at least the
+// given generation (the mesh installs generation 1), so a test waiting for
+// a redial cannot mistake the broken connection, before its reader has
+// noticed, for the new one.
+func waitUp(t *testing.T, ep Endpoint, peer, gen int) {
 	t.Helper()
 	te := ep.(*tcpEndpoint)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		te.mu.Lock()
-		up := te.conns[peer] != nil && te.down[peer] == nil
+		up := te.conns[peer] != nil && te.gen[peer] >= gen
 		te.mu.Unlock()
 		if up {
 			return
@@ -309,7 +312,7 @@ func TestTCPSendReconnects(t *testing.T) {
 	// Rank 0 sees the peer as down until its accept loop installs the new
 	// connection; a Recv issued in that window fails fast by design, so wait
 	// for the reconnect to land before receiving.
-	waitUp(t, eps[0], 1)
+	waitUp(t, eps[0], 1, 2)
 	if got, err := eps[0].Recv(1, "again"); err != nil || string(got) != "back" {
 		t.Errorf("post-reconnect delivery: %q, %v", got, err)
 	}
@@ -349,20 +352,20 @@ func TestTCPReconnectExhaustion(t *testing.T) {
 	}
 }
 
-// TestTCPSpoofedSenderRejected verifies a connection can only speak for the
-// rank its handshake established: a peer connected as rank 1 that sends a
-// frame claiming to be from rank 2 must not satisfy a receive from rank 2,
-// and the offending connection is dropped, so a receiver waiting on rank 1
-// fails with ErrRankDown (caused by ErrMalformed) instead of hanging.
-func TestTCPSpoofedSenderRejected(t *testing.T) {
+// hostileFrame connects to rank 0 of a 3-rank TCP group the way rank 1
+// does — dial, then send the rank — writes raw, then (if hangUp) closes the
+// connection. The frame must drop that connection: a receiver waiting on
+// rank 1 fails with ErrRankDown caused by ErrMalformed well before its
+// deadline, nothing is filed under the frame's tag, and rank 2's own
+// connection still delivers.
+func hostileFrame(t *testing.T, raw []byte, hangUp bool) {
+	t.Helper()
 	eps, err := NewTCPGroup(3, "127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeAll(eps)
 	victim := eps[0].(*tcpEndpoint)
-
-	// Connect to rank 0 the way rank 1 does: dial, then send the rank.
 	conn, err := net.Dial("tcp", victim.addrs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -371,28 +374,42 @@ func TestTCPSpoofedSenderRejected(t *testing.T) {
 	if err := binary.Write(conn, binary.BigEndian, int32(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(conn).Encode(frame{From: 2, Tag: "spoof", Payload: []byte("forged")}); err != nil {
+	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
+	}
+	if hangUp {
+		conn.Close()
 	}
 
 	start := time.Now()
-	_, err = victim.RecvTimeout(1, "spoof", 5*time.Second)
+	_, err = victim.RecvTimeout(1, "bad", 5*time.Second)
 	if !errors.Is(err, ErrRankDown) || !errors.Is(err, ErrMalformed) {
-		t.Errorf("recv from the spoofing rank: err = %v, want ErrRankDown caused by ErrMalformed", err)
+		t.Errorf("recv from the hostile connection: err = %v, want ErrRankDown caused by ErrMalformed", err)
 	}
 	if time.Since(start) > 4*time.Second {
-		t.Errorf("receiver only gave up at its %v deadline; the spoofing connection was not dropped", time.Since(start))
+		t.Errorf("receiver only gave up at its %v deadline; the hostile connection was not dropped", time.Since(start))
 	}
-	// The reader has dropped the connection, so the forged frame is either
-	// rejected or never will be filed: rank 2's queue must be empty.
-	if p, ok, err := victim.TryRecv(2, "spoof"); ok || err != nil {
-		t.Errorf("forged frame delivered as rank 2: %q, ok=%v, err=%v", p, ok, err)
+	if p, ok, err := victim.TryRecv(1, "bad"); ok || err != nil {
+		t.Errorf("hostile frame delivered: %q, ok=%v, err=%v", p, ok, err)
 	}
-	// Rank 2's own connection is untouched and still delivers.
-	if err := eps[2].Send(0, "spoof", []byte("genuine")); err != nil {
+	if err := eps[2].Send(0, "bad", []byte("genuine")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := victim.RecvTimeout(2, "spoof", 5*time.Second); err != nil || string(got) != "genuine" {
-		t.Errorf("genuine rank 2 frame: %q, %v", got, err)
+	if got, err := victim.RecvTimeout(2, "bad", 5*time.Second); err != nil || string(got) != "genuine" {
+		t.Errorf("rank 2 frame after the hostile one: %q, %v", got, err)
 	}
+}
+
+// TestTCPOversizeFrameRejected sends a header declaring a payload past
+// maxFrame on a connection that stays open: the reader must reject
+// the length itself, before allocating or waiting for the bytes.
+func TestTCPOversizeFrameRejected(t *testing.T) {
+	hostileFrame(t, appendFrameHeader(nil, "bad", math.MaxUint32), false)
+}
+
+// TestTCPTruncatedFrameRejected sends a frame whose stream ends ten bytes
+// into a declared hundred-byte payload.
+func TestTCPTruncatedFrameRejected(t *testing.T) {
+	raw := appendFrameHeader(nil, "bad", 100)
+	hostileFrame(t, append(raw, make([]byte, 10)...), true)
 }

@@ -72,7 +72,9 @@ type Faulty struct {
 
 // NewFaulty wraps ep with the given fault specification.
 func NewFaulty(ep Endpoint, spec FaultSpec) *Faulty {
-	return &Faulty{inner: ep, spec: spec, rng: rand.New(rand.NewSource(spec.Seed))}
+	f := &Faulty{inner: ep, spec: spec, rng: rand.New(rand.NewSource(spec.Seed))}
+	f.coll.ep = f
+	return f
 }
 
 // Kill implements Killer: the endpoint goes permanently silent, exactly like
@@ -190,8 +192,7 @@ func (f *Faulty) Barrier() error {
 	if f.isKilled() {
 		return errClosed
 	}
-	_, err := allGather(f, f.coll.nextTag("barrier"), nil)
-	return err
+	return f.coll.Barrier()
 }
 
 // AllGather implements Endpoint.
@@ -199,7 +200,7 @@ func (f *Faulty) AllGather(payload []byte) ([][]byte, error) {
 	if f.isKilled() {
 		return nil, errClosed
 	}
-	return allGather(f, f.coll.nextTag("allgather"), payload)
+	return f.coll.AllGather(payload)
 }
 
 // Bcast implements Endpoint.
@@ -207,7 +208,7 @@ func (f *Faulty) Bcast(root int, payload []byte) ([]byte, error) {
 	if f.isKilled() {
 		return nil, errClosed
 	}
-	return bcast(f, f.coll.nextTag("bcast"), root, payload)
+	return f.coll.Bcast(root, payload)
 }
 
 // Close implements Endpoint.

@@ -1,11 +1,67 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 )
+
+// FuzzReadFrame feeds arbitrary byte streams to the TCP frame reader, as a
+// hostile or corrupted peer could. The invariants: it never panics; every
+// error but a clean io.EOF at a frame boundary wraps ErrMalformed; every
+// accepted frame re-encodes to exactly the bytes it consumed; and it
+// allocates at most readBufSize bytes ahead of the bytes that arrive,
+// whatever lengths they declare.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(dst []byte, tag, payload string) []byte {
+		return append(appendFrameHeader(dst, tag, len(payload)), payload...)
+	}
+	f.Add([]byte{})
+	f.Add(frame(nil, "e1-gx", ""))
+	f.Add(frame(frame(frame(nil, "e1-gx", "halo"), "e1-dt", "12345678"), "e1-gx", "next"))
+	f.Add([]byte{1, 0, 0})                                                    // a truncated header
+	f.Add(frame(nil, "e1-dt", "1234")[:12])                                   // a truncated payload
+	f.Add(appendFrameHeader(nil, "big", maxFrame))                            // declared, never sent
+	f.Add(append(appendFrameHeader(nil, "big", 3<<16), make([]byte, 100)...)) // grows, then ends
+	f.Add(appendFrameHeader(nil, "huge", math.MaxUint32))
+	f.Add(binary.LittleEndian.AppendUint16(make([]byte, 4), maxTag+1))
+
+	br := bufio.NewReaderSize(nil, readBufSize)
+	none := func(int) []byte { return nil }
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		br.Reset(bytes.NewReader(stream))
+		tags := make(map[string]string)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		off := 0
+		for {
+			tag, payload, err := readFrame(br, tags, none)
+			if err == io.EOF && off == len(stream) {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, ErrMalformed) {
+					t.Fatalf("readFrame error at byte %d does not wrap ErrMalformed: %v", off, err)
+				}
+				break
+			}
+			re := frame(nil, tag, string(payload))
+			if !bytes.HasPrefix(stream[off:], re) {
+				t.Fatalf("frame at byte %d does not re-encode to the bytes it consumed", off)
+			}
+			off += len(re)
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(readBufSize+8*len(stream)+4096); got > limit {
+			t.Fatalf("reading %d bytes allocated %d B, want <= %d B", len(stream), got, limit)
+		}
+	})
+}
 
 // FuzzDecodeFrame feeds arbitrary byte strings to the coalesced-frame
 // decoder. The invariants: a malformed payload returns an error wrapping

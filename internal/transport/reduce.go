@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -43,23 +44,18 @@ func (op ReduceOp) identity() float64 {
 
 // AllReduceFloat64 combines one float64 per rank with op and returns the
 // result on every rank. Every rank of the group must call it in the same
-// collective order.
+// collective order. Each value travels as its 8 raw bytes.
 func AllReduceFloat64(ep Endpoint, v float64, op ReduceOp) (float64, error) {
-	payload, err := EncodeGob(v)
-	if err != nil {
-		return 0, err
-	}
-	all, err := ep.AllGather(payload)
+	all, err := ep.AllGather(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
 	if err != nil {
 		return 0, err
 	}
 	acc := op.identity()
-	for _, p := range all {
-		var x float64
-		if err := DecodeGob(p, &x); err != nil {
-			return 0, err
+	for r, p := range all {
+		if len(p) != 8 {
+			return 0, fmt.Errorf("%w: all-reduce value of %d bytes from rank %d", ErrMalformed, len(p), r)
 		}
-		acc = op.apply(acc, x)
+		acc = op.apply(acc, math.Float64frombits(binary.LittleEndian.Uint64(p)))
 	}
 	return acc, nil
 }

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -22,15 +24,77 @@ var (
 	meshSetupTimeout = 10 * time.Second
 )
 
-// frame is the wire format of one TCP message.
-type frame struct {
-	From    int
-	Tag     string
-	Payload []byte
+// A TCP frame is a u32 payload length and a u16 tag length, little-endian,
+// then the tag, then the payload. The sender's rank is not on the wire: the
+// connection's handshake fixed it. A header declaring more than maxFrame or
+// maxTag bytes is malformed; readBufSize holds any header and tag.
+const maxFrame, maxTag, readBufSize = 1 << 30, 1 << 10, 64 << 10
+
+// appendFrameHeader appends the header and tag of an n-byte payload's frame.
+func appendFrameHeader(dst []byte, tag string, n int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(tag)))
+	return append(dst, tag...)
+}
+
+// readFrame reads one frame. Its tag comes from tags, the connection's
+// cache of its last few tags (cleared at 8), when there, so the few a
+// peer alternates allocate no string. Its n-byte payload lands in buf(n)
+// when that has room; otherwise one past readBufSize lands in a buffer
+// grown as its bytes arrive, so no declared length allocates far ahead of
+// them. A clean end of stream between frames is io.EOF; a header past the
+// limits or a stream cut inside a frame wraps ErrMalformed.
+func readFrame(br *bufio.Reader, tags map[string]string, buf func(n int) []byte) (tag string, p []byte, err error) {
+	hdr, err := br.Peek(6)
+	if len(hdr) == 0 {
+		return "", nil, err
+	}
+	defer func() {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("%w: stream ends inside a frame", ErrMalformed)
+		}
+	}()
+	if err != nil {
+		return "", nil, err
+	}
+	n32, tn := binary.LittleEndian.Uint32(hdr), int(binary.LittleEndian.Uint16(hdr[4:]))
+	if n32 > maxFrame || tn > maxTag {
+		return "", nil, fmt.Errorf("%w: frame declares a %d-byte tag and a %d-byte payload", ErrMalformed, tn, n32)
+	}
+	n := int(n32)
+	if hdr, err = br.Peek(6 + tn); err != nil {
+		return "", nil, err
+	}
+	if tag = tags[string(hdr[6:])]; tag == "" && tn > 0 {
+		if len(tags) == 8 {
+			clear(tags)
+		}
+		tag = string(hdr[6:])
+		tags[tag] = tag
+	}
+	br.Discard(6 + tn)
+	if p = buf(n); cap(p) < n && n <= readBufSize {
+		p = make([]byte, n)
+	}
+	if cap(p) >= n {
+		_, err = io.ReadFull(br, p[:n])
+		return tag, p[:n], err
+	}
+	var b bytes.Buffer
+	_, err = io.CopyN(&b, br, int64(n))
+	return tag, b.Bytes(), err
+}
+
+// frameWriter is one peer's send side, reused by every Send to it.
+type frameWriter struct {
+	mu   sync.Mutex // serializes writers to the peer
+	hdr  []byte
+	iov  [2][]byte
+	bufs net.Buffers
 }
 
 // tcpEndpoint is a rank of a TCP communicator: a full mesh of connections
-// on the loopback (or any) interface, length-prefixed gob frames, one
+// on the loopback (or any) interface, binary frames (see readFrame), one
 // reader goroutine per peer demultiplexing into the tag-matched inbox.
 //
 // Failure semantics: when a peer's connection breaks, its reader marks the
@@ -42,23 +106,17 @@ type frame struct {
 // open for the endpoint's lifetime so a reconnecting peer can always get
 // back in.
 type tcpEndpoint struct {
-	rank     int
-	size     int
+	base
 	addrs    []string // listener address of every rank
 	listener net.Listener
-	inbox    *inbox
-	coll     collectives
-	wmu      []sync.Mutex // serializes writers per peer
+	w        []frameWriter
 
-	mu    sync.Mutex // guards the fields below
-	conns []net.Conn
-	encs  []*gob.Encoder
-	gen   []int   // bumped per install; stale readers detect replacement
-	down  []error // non-nil: peer's conn is gone and was not replaced; what ended its reader
-	nconn int
-	dl    time.Duration // default recv deadline / per-send write bound
-	// closed endpoints reject sends and stop the accept loop.
-	closed bool
+	// Guarded by mu. A peer's entry in conns is nil while its connection is
+	// down and not replaced; the inbox keeps what ended it.
+	meshed *sync.Cond // broadcast when a connection is installed or the endpoint closes
+	conns  []net.Conn
+	gen    []int // bumped per install; stale readers detect replacement
+	nconn  int
 
 	wg sync.WaitGroup // readers + accept loop
 }
@@ -87,17 +145,15 @@ func NewTCPGroup(n int, host string) ([]Endpoint, error) {
 	eps := make([]*tcpEndpoint, n)
 	for i := 0; i < n; i++ {
 		eps[i] = &tcpEndpoint{
-			rank:     i,
-			size:     n,
+			base:     base{rank: i, size: n, inbox: newInbox(n)},
 			addrs:    addrs,
 			listener: listeners[i],
-			inbox:    newInbox(),
-			wmu:      make([]sync.Mutex, n),
+			w:        make([]frameWriter, n),
 			conns:    make([]net.Conn, n),
-			encs:     make([]*gob.Encoder, n),
 			gen:      make([]int, n),
-			down:     make([]error, n),
 		}
+		eps[i].collectives.ep = eps[i]
+		eps[i].meshed = sync.NewCond(&eps[i].mu)
 		eps[i].wg.Add(1)
 		go eps[i].acceptLoop()
 	}
@@ -139,10 +195,7 @@ func (e *tcpEndpoint) dial(peer int) error {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
+		if e.isClosed() {
 			return errClosed
 		}
 		conn, err := net.DialTimeout("tcp", e.addrs[peer], dialTimeout)
@@ -163,23 +216,25 @@ func (e *tcpEndpoint) dial(peer int) error {
 	return fmt.Errorf("dial rank %d after %d attempts: %w", peer, reconnectAttempts, lastErr)
 }
 
-// waitMesh blocks until this endpoint holds a connection to every peer.
+// waitMesh blocks until this endpoint holds a connection to every peer,
+// woken by each installConn and, at the deadline, by a timer.
 func (e *tcpEndpoint) waitMesh(deadline time.Time) error {
-	for {
+	defer time.AfterFunc(time.Until(deadline), func() {
 		e.mu.Lock()
-		n, closed := e.nconn, e.closed
+		e.meshed.Broadcast()
 		e.mu.Unlock()
-		if closed {
-			return errClosed
-		}
-		if n == e.size-1 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rank %d: mesh incomplete (%d/%d peers)", e.rank, n, e.size-1)
-		}
-		time.Sleep(time.Millisecond)
+	}).Stop()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for !e.closed && e.nconn < e.size-1 && time.Now().Before(deadline) {
+		e.meshed.Wait()
 	}
+	if e.closed {
+		return errClosed
+	} else if e.nconn < e.size-1 {
+		return fmt.Errorf("rank %d: mesh incomplete (%d/%d peers)", e.rank, e.nconn, e.size-1)
+	}
+	return nil
 }
 
 // acceptLoop serves the listener for the endpoint's lifetime, installing
@@ -221,99 +276,87 @@ func (e *tcpEndpoint) installConn(peer int, conn net.Conn) {
 		e.nconn++
 	}
 	e.conns[peer] = conn
-	e.encs[peer] = gob.NewEncoder(conn)
 	e.gen[peer]++
 	gen := e.gen[peer]
-	e.down[peer] = nil
+	e.inbox.setDown(peer, nil)
+	e.meshed.Broadcast()
 	e.mu.Unlock()
 	e.wg.Add(1)
 	go e.readLoop(peer, gen, conn)
-	e.inbox.wake()
 }
 
 // readLoop demultiplexes frames from one peer connection into the inbox,
-// filed under the rank the connection's handshake established: a frame that
-// names another sender is as malformed as one that does not decode, since
-// accepting it would let any connected rank speak for any other. When the
+// filed under the rank the connection's handshake established, each payload
+// read into a buffer recycled from that peer's free list. When the
 // connection dies or turns malformed and has not been replaced, it is
 // dropped, the peer is marked down and blocked receivers are woken to
 // observe it.
 func (e *tcpEndpoint) readLoop(peer, gen int, conn net.Conn) {
 	defer e.wg.Done()
-	dec := gob.NewDecoder(conn)
+	br := bufio.NewReaderSize(conn, readBufSize)
+	tags := make(map[string]string)
+	recycled := func(n int) []byte { return e.inbox.recycled(peer, n) }
 	for {
-		var f frame
-		err := dec.Decode(&f)
-		if err == nil && f.From != peer {
-			err = fmt.Errorf("%w: frame from rank %d on rank %d's connection", ErrMalformed, f.From, peer)
-		}
+		tag, payload, err := readFrame(br, tags, recycled)
 		if err != nil {
 			conn.Close()
 			e.mu.Lock()
 			if !e.closed && e.gen[peer] == gen {
-				e.down[peer] = err
+				e.inbox.setDown(peer, err)
 				e.conns[peer] = nil
-				e.encs[peer] = nil
 				e.nconn--
 			}
 			e.mu.Unlock()
-			e.inbox.wake()
 			return
 		}
-		e.inbox.put(peer, f.Tag, f.Payload)
+		e.inbox.put(peer, tag, payload)
 	}
 }
-
-// Rank implements Endpoint.
-func (e *tcpEndpoint) Rank() int { return e.rank }
-
-// Size implements Endpoint.
-func (e *tcpEndpoint) Size() int { return e.size }
 
 // Send implements Endpoint. On a broken connection it attempts one bounded
 // reconnect cycle (dialer side redials with backoff; acceptor side waits for
 // the peer's redial) before reporting the peer down.
 func (e *tcpEndpoint) Send(to int, tag string, payload []byte) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.isClosed() {
 		return errClosed
 	}
 	if to < 0 || to >= e.size {
 		return fmt.Errorf("transport: send to invalid rank %d", to)
 	}
+	if len(tag) > maxTag || len(payload) > maxFrame {
+		return fmt.Errorf("transport: a %d-byte tag or a %d-byte payload is past the frame limits", len(tag), len(payload))
+	}
 	if to == e.rank {
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		e.inbox.put(e.rank, tag, cp)
+		e.inbox.deliver(e.rank, tag, payload)
 		return nil
 	}
-	e.wmu[to].Lock()
-	defer e.wmu[to].Unlock()
-	enc, conn := e.writer(to)
-	if enc == nil {
+	w := &e.w[to]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	conn := e.conn(to)
+	if conn == nil {
 		var err error
-		if enc, conn, err = e.reconnect(to); err != nil {
+		if conn, err = e.reconnect(to); err != nil {
 			return err
 		}
 	}
-	if err := e.encode(enc, conn, to, tag, payload); err != nil {
+	if err := e.write(w, conn, tag, payload); err != nil {
 		// The connection broke mid-write: one reconnect cycle, one retry.
 		var rerr error
-		if enc, conn, rerr = e.reconnect(to); rerr != nil {
+		if conn, rerr = e.reconnect(to); rerr != nil {
 			return rerr
 		}
-		if err = e.encode(enc, conn, to, tag, payload); err != nil {
+		if err = e.write(w, conn, tag, payload); err != nil {
 			return &rankDownError{Rank: to, Reason: fmt.Sprintf("send failed after reconnect: %v", err)}
 		}
 	}
 	return nil
 }
 
-// encode writes one frame, bounding the socket write by the configured
-// deadline (SendTimeout semantics).
-func (e *tcpEndpoint) encode(enc *gob.Encoder, conn net.Conn, to int, tag string, payload []byte) error {
+// write sends one frame as a single writev of the header and the caller's
+// payload, uncopied, bounding the socket write by the configured deadline
+// (SendTimeout semantics).
+func (e *tcpEndpoint) write(w *frameWriter, conn net.Conn, tag string, payload []byte) error {
 	e.mu.Lock()
 	d := e.dl
 	e.mu.Unlock()
@@ -321,108 +364,48 @@ func (e *tcpEndpoint) encode(enc *gob.Encoder, conn net.Conn, to int, tag string
 		conn.SetWriteDeadline(time.Now().Add(d))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	return enc.Encode(frame{From: e.rank, Tag: tag, Payload: payload})
+	w.hdr = appendFrameHeader(w.hdr[:0], tag, len(payload))
+	w.iov = [2][]byte{w.hdr, payload}
+	w.bufs = w.iov[:]
+	_, err := w.bufs.WriteTo(conn)
+	return err
 }
 
-// writer returns the current encoder/conn pair for peer (nil if down).
-func (e *tcpEndpoint) writer(to int) (*gob.Encoder, net.Conn) {
+// conn returns the current connection to peer (nil if down).
+func (e *tcpEndpoint) conn(to int) net.Conn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.encs[to], e.conns[to]
+	return e.conns[to]
 }
 
 // reconnect re-establishes the connection to peer with bounded exponential
 // backoff. Only the side that originally dialed (the higher rank) redials;
 // the accepting side waits out the same schedule for the peer's redial to
 // arrive through the listener.
-func (e *tcpEndpoint) reconnect(to int) (*gob.Encoder, net.Conn, error) {
+func (e *tcpEndpoint) reconnect(to int) (net.Conn, error) {
 	if to < e.rank { // we dialed this peer originally: redial
 		if err := e.dial(to); err != nil {
-			return nil, nil, &rankDownError{Rank: to, Reason: fmt.Sprintf("reconnect exhausted: %v", err)}
+			return nil, &rankDownError{Rank: to, Reason: fmt.Sprintf("reconnect exhausted: %v", err)}
 		}
-		enc, conn := e.writer(to)
-		if enc == nil {
-			return nil, nil, &rankDownError{Rank: to, Reason: "reconnect raced with disconnect"}
+		conn := e.conn(to)
+		if conn == nil {
+			return nil, &rankDownError{Rank: to, Reason: "reconnect raced with disconnect"}
 		}
-		return enc, conn, nil
+		return conn, nil
 	}
 	// Acceptor side: wait for the peer to redial us.
 	backoff := reconnectBackoff
 	for attempt := 0; attempt < reconnectAttempts; attempt++ {
 		time.Sleep(backoff)
 		backoff *= 2
-		if enc, conn := e.writer(to); enc != nil {
-			return enc, conn, nil
+		if conn := e.conn(to); conn != nil {
+			return conn, nil
 		}
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
-			return nil, nil, errClosed
+		if e.isClosed() {
+			return nil, errClosed
 		}
 	}
-	return nil, nil, &rankDownError{Rank: to, Reason: "peer did not reconnect"}
-}
-
-// Recv implements Endpoint. It honors the default deadline set with
-// SetDeadline and fails fast — after draining queued messages — when the
-// peer's connection is down.
-func (e *tcpEndpoint) Recv(from int, tag string) ([]byte, error) {
-	e.mu.Lock()
-	d := e.dl
-	e.mu.Unlock()
-	return e.RecvTimeout(from, tag, d)
-}
-
-// RecvTimeout implements TimedEndpoint.
-func (e *tcpEndpoint) RecvTimeout(from int, tag string, d time.Duration) ([]byte, error) {
-	if from < 0 || from >= e.size {
-		return nil, fmt.Errorf("transport: recv from invalid rank %d", from)
-	}
-	var failed func() error
-	if from != e.rank {
-		failed = func() error {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if cause := e.down[from]; cause != nil {
-				return &rankDownError{Rank: from, Reason: fmt.Sprintf("peer disconnected: %v", cause), Cause: cause}
-			}
-			return nil
-		}
-	}
-	return e.inbox.get(from, tag, d, failed)
-}
-
-// TryRecv implements Poller. A down peer is not an error here: any queued
-// frames are still drained, and an empty queue just reports no message.
-func (e *tcpEndpoint) TryRecv(from int, tag string) ([]byte, bool, error) {
-	if from < 0 || from >= e.size {
-		return nil, false, fmt.Errorf("transport: recv from invalid rank %d", from)
-	}
-	return e.inbox.tryGet(from, tag)
-}
-
-// SetDeadline implements TimedEndpoint.
-func (e *tcpEndpoint) SetDeadline(d time.Duration) {
-	e.mu.Lock()
-	e.dl = d
-	e.mu.Unlock()
-}
-
-// Barrier implements Endpoint.
-func (e *tcpEndpoint) Barrier() error {
-	_, err := allGather(e, e.coll.nextTag("barrier"), nil)
-	return err
-}
-
-// AllGather implements Endpoint.
-func (e *tcpEndpoint) AllGather(payload []byte) ([][]byte, error) {
-	return allGather(e, e.coll.nextTag("allgather"), payload)
-}
-
-// Bcast implements Endpoint.
-func (e *tcpEndpoint) Bcast(root int, payload []byte) ([]byte, error) {
-	return bcast(e, e.coll.nextTag("bcast"), root, payload)
+	return nil, &rankDownError{Rank: to, Reason: "peer did not reconnect"}
 }
 
 // Close implements Endpoint.
@@ -433,6 +416,7 @@ func (e *tcpEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
+	e.meshed.Broadcast()
 	conns := append([]net.Conn(nil), e.conns...)
 	e.mu.Unlock()
 	e.listener.Close()

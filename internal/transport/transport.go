@@ -11,6 +11,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -65,7 +66,10 @@ type Endpoint interface {
 	// (chan, TCP self-send) or have fully written it to the wire (TCP).
 	Send(to int, tag string, payload []byte) error
 	// Recv blocks until a message with the given source and tag arrives
-	// and returns its payload.
+	// and returns its payload, which stays valid until the caller's next
+	// receive from the same peer on this endpoint (any tag and receive
+	// call, collectives included): that receive hands the buffer back for
+	// reuse. A caller that keeps the bytes longer copies them.
 	Recv(from int, tag string) ([]byte, error)
 	// Barrier blocks until every rank has entered it.
 	Barrier() error
@@ -87,7 +91,7 @@ type TimedEndpoint interface {
 	Endpoint
 	// RecvTimeout is Recv bounded by d (d <= 0 blocks indefinitely, like
 	// Recv). On expiry it returns a *RankDownError for the peer, matching
-	// errors.Is(err, ErrRankDown).
+	// errors.Is(err, ErrRankDown). Its payload follows Recv's rule.
 	RecvTimeout(from int, tag string, d time.Duration) ([]byte, error)
 	// SetDeadline bounds all subsequent plain Recvs — including those
 	// issued internally by the collectives — by d (0 removes the bound).
@@ -102,7 +106,8 @@ type TimedEndpoint interface {
 type Poller interface {
 	// TryRecv pops the next queued message for (from, tag) if one is
 	// already buffered. ok reports whether a message was returned; an
-	// empty queue is (nil, false, nil), not an error.
+	// empty queue is (nil, false, nil), not an error. Either way it is a
+	// receive from the peer under Recv's rule.
 	TryRecv(from int, tag string) ([]byte, bool, error)
 }
 
@@ -112,19 +117,49 @@ type inboxKey struct {
 	tag  string
 }
 
+// maxFree bounds each peer's list of recycled receive buffers.
+const maxFree = 4
+
 // inbox is a thread-safe tag-matched message store shared by both
-// transports.
+// transports. A steady exchange allocates nothing in it: payloads land in
+// buffers recycled per sender under Endpoint.Recv's rule, emptied keys'
+// queue arrays serve the next new key, and deadline timers are pooled.
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queues map[inboxKey][][]byte
+	spare  [][][]byte    // emptied queue arrays
+	held   [][]byte      // per sender: the payload the last receive returned
+	free   [][][]byte    // per sender: handed-back buffers, by capacity
+	down   []error       // per sender: what took its connection down, if it is
+	timers []*time.Timer // idle deadline timers, each firing wake
 	closed bool
 }
 
-func newInbox() *inbox {
-	ib := &inbox{queues: make(map[inboxKey][][]byte)}
+func newInbox(n int) *inbox {
+	ib := &inbox{queues: make(map[inboxKey][][]byte), held: make([][]byte, n), free: make([][][]byte, n), down: make([]error, n)}
 	ib.cond = sync.NewCond(&ib.mu)
 	return ib
+}
+
+// recycled takes from's smallest free buffer with room for n > 0 bytes,
+// resliced to n, or returns nil when there is none.
+func (ib *inbox) recycled(from, n int) []byte {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	free := ib.free[from]
+	if i := slices.IndexFunc(free, func(b []byte) bool { return cap(b) >= n }); i >= 0 && n > 0 {
+		b := free[i][:n]
+		ib.free[from] = slices.Delete(free, i, i+1)
+		return b
+	}
+	return nil
+}
+
+// deliver queues a copy of payload, made in a free buffer of from's when
+// one is large enough.
+func (ib *inbox) deliver(from int, tag string, payload []byte) {
+	ib.put(from, tag, append(ib.recycled(from, len(payload))[:0], payload...))
 }
 
 func (ib *inbox) put(from int, tag string, payload []byte) {
@@ -134,51 +169,83 @@ func (ib *inbox) put(from int, tag string, payload []byte) {
 		return
 	}
 	k := inboxKey{from, tag}
-	ib.queues[k] = append(ib.queues[k], payload)
+	q, ok := ib.queues[k]
+	if n := len(ib.spare); !ok && n > 0 {
+		q, ib.spare = ib.spare[n-1], ib.spare[:n-1]
+	}
+	ib.queues[k] = append(q, payload)
 	ib.cond.Broadcast()
+}
+
+// release hands the payload of the last receive from `from` back to its
+// free list, which keeps the largest maxFree buffers. Holds ib.mu.
+func (ib *inbox) release(from int) {
+	if b := ib.held[from]; b != nil {
+		free := ib.free[from]
+		i, _ := slices.BinarySearchFunc(free, cap(b), func(f []byte, c int) int { return cap(f) - c })
+		if free = slices.Insert(free, i, b); len(free) > maxFree {
+			free = slices.Delete(free, 0, 1)
+		}
+		ib.free[from], ib.held[from] = free, nil
+	}
+}
+
+// pop dequeues the next message for k, if any, as the sender's held
+// payload. An emptied key is deleted and its array kept. Holds ib.mu.
+func (ib *inbox) pop(k inboxKey) ([]byte, bool) {
+	q := ib.queues[k]
+	if len(q) == 0 {
+		return nil, false
+	}
+	msg := q[0]
+	if q = slices.Delete(q, 0, 1); len(q) == 0 {
+		delete(ib.queues, k)
+		ib.spare = append(ib.spare, q)
+	} else {
+		ib.queues[k] = q
+	}
+	ib.held[k.from] = msg
+	return msg, true
 }
 
 // get pops the next message for (from, tag), blocking until one arrives.
 // A positive deadline d bounds the wait: on expiry get returns a
-// *RankDownError for the peer. failed, when non-nil, is re-checked on every
-// wake-up so transports can fail receivers the moment a peer is known dead
-// (queued messages are still drained first).
-func (ib *inbox) get(from int, tag string, d time.Duration, failed func() error) ([]byte, error) {
+// *RankDownError for the peer, as it does, once the queue is drained, for a
+// peer whose connection is down.
+func (ib *inbox) get(from int, tag string, d time.Duration) ([]byte, error) {
 	k := inboxKey{from, tag}
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-		// The timer broadcasts under the lock so a waiter cannot check the
-		// clock, miss the wake-up, and then sleep forever.
-		t := time.AfterFunc(d, func() {
-			ib.mu.Lock()
-			ib.cond.Broadcast()
-			ib.mu.Unlock()
-		})
-		defer t.Stop()
-	}
+	deadline := time.Now().Add(d)
+	var t *time.Timer
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
+	defer func() {
+		if t != nil {
+			t.Stop()
+			ib.timers = append(ib.timers, t)
+		}
+	}()
+	ib.release(from)
 	for {
-		if q := ib.queues[k]; len(q) > 0 {
-			msg := q[0]
-			if len(q) == 1 {
-				delete(ib.queues, k)
-			} else {
-				ib.queues[k] = q[1:]
-			}
+		if msg, ok := ib.pop(k); ok {
 			return msg, nil
 		}
 		if ib.closed {
 			return nil, errClosed
 		}
-		if failed != nil {
-			if err := failed(); err != nil {
-				return nil, err
-			}
+		if cause := ib.down[from]; cause != nil {
+			return nil, &rankDownError{Rank: from, Reason: fmt.Sprintf("peer disconnected: %v", cause), Cause: cause}
 		}
-		if d > 0 && !time.Now().Before(deadline) {
+		if left := time.Until(deadline); d > 0 && left <= 0 {
 			return nil, &rankDownError{Rank: from, Reason: "recv deadline exceeded"}
+		} else if d > 0 && t == nil {
+			// wake broadcasts under the lock, so no waiter misses it; a
+			// pooled timer that fired late costs a spurious re-check.
+			if n := len(ib.timers); n > 0 {
+				t, ib.timers = ib.timers[n-1], ib.timers[:n-1]
+				t.Reset(left)
+			} else {
+				t = time.AfterFunc(left, ib.wake)
+			}
 		}
 		ib.cond.Wait()
 	}
@@ -188,14 +255,8 @@ func (ib *inbox) get(from int, tag string, d time.Duration, failed func() error)
 func (ib *inbox) tryGet(from int, tag string) ([]byte, bool, error) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	k := inboxKey{from, tag}
-	if q := ib.queues[k]; len(q) > 0 {
-		msg := q[0]
-		if len(q) == 1 {
-			delete(ib.queues, k)
-		} else {
-			ib.queues[k] = q[1:]
-		}
+	ib.release(from)
+	if msg, ok := ib.pop(inboxKey{from, tag}); ok {
 		return msg, true, nil
 	}
 	if ib.closed {
@@ -204,7 +265,16 @@ func (ib *inbox) tryGet(from int, tag string) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// wake re-broadcasts to blocked receivers (used when peer liveness changes).
+// setDown records what took from's connection down (nil: it is up again)
+// and wakes the receivers.
+func (ib *inbox) setDown(from int, cause error) {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	ib.down[from] = cause
+	ib.cond.Broadcast()
+}
+
+// wake re-broadcasts to blocked receivers.
 func (ib *inbox) wake() {
 	ib.mu.Lock()
 	ib.cond.Broadcast()
@@ -218,26 +288,36 @@ func (ib *inbox) close() {
 	ib.cond.Broadcast()
 }
 
-// collectives implements Barrier/AllGather/Bcast on top of Send/Recv with
-// per-generation tags, so back-to-back collectives cannot cross-match.
+// collectives implements Barrier/AllGather/Bcast on top of ep's own
+// Send/Recv with per-generation tags, so back-to-back collectives cannot
+// cross-match.
 type collectives struct {
+	ep  Endpoint
 	gen int
 }
 
-func (c *collectives) nextTag(op string) string {
-	c.gen++
-	return fmt.Sprintf("__%s_%d", op, c.gen)
+// Barrier implements Endpoint.
+func (c *collectives) Barrier() error {
+	_, err := c.allGather("barrier", nil)
+	return err
 }
 
-func allGather(ep Endpoint, tag string, payload []byte) ([][]byte, error) {
-	size, rank := ep.Size(), ep.Rank()
+// AllGather implements Endpoint.
+func (c *collectives) AllGather(payload []byte) ([][]byte, error) {
+	return c.allGather("allgather", payload)
+}
+
+func (c *collectives) allGather(op string, payload []byte) ([][]byte, error) {
+	c.gen++
+	tag := fmt.Sprintf("__%s_%d", op, c.gen)
+	size, rank := c.ep.Size(), c.ep.Rank()
 	out := make([][]byte, size)
 	out[rank] = payload
 	for r := 0; r < size; r++ {
 		if r == rank {
 			continue
 		}
-		if err := ep.Send(r, tag, payload); err != nil {
+		if err := c.ep.Send(r, tag, payload); err != nil {
 			return nil, err
 		}
 	}
@@ -245,7 +325,7 @@ func allGather(ep Endpoint, tag string, payload []byte) ([][]byte, error) {
 		if r == rank {
 			continue
 		}
-		p, err := ep.Recv(r, tag)
+		p, err := c.ep.Recv(r, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -254,19 +334,81 @@ func allGather(ep Endpoint, tag string, payload []byte) ([][]byte, error) {
 	return out, nil
 }
 
-func bcast(ep Endpoint, tag string, root int, payload []byte) ([]byte, error) {
-	if ep.Rank() == root {
-		for r := 0; r < ep.Size(); r++ {
+// Bcast implements Endpoint.
+func (c *collectives) Bcast(root int, payload []byte) ([]byte, error) {
+	c.gen++
+	tag := fmt.Sprintf("__bcast_%d", c.gen)
+	if c.ep.Rank() == root {
+		for r := 0; r < c.ep.Size(); r++ {
 			if r == root {
 				continue
 			}
-			if err := ep.Send(r, tag, payload); err != nil {
+			if err := c.ep.Send(r, tag, payload); err != nil {
 				return nil, err
 			}
 		}
 		return payload, nil
 	}
-	return ep.Recv(root, tag)
+	return c.ep.Recv(root, tag)
+}
+
+// base is what both built-in transports share of a rank: its place in the
+// group, the inbox it receives into, and the state mu guards (the default
+// deadline, closing, and in a tcpEndpoint its connections).
+type base struct {
+	collectives
+	rank, size int
+	inbox      *inbox
+	mu         sync.Mutex
+	dl         time.Duration // default recv deadline (TCP: also the per-send write bound)
+	closed     bool
+}
+
+// isClosed reports whether Close ran.
+func (b *base) isClosed() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.closed
+}
+
+// Rank implements Endpoint.
+func (b *base) Rank() int { return b.rank }
+
+// Size implements Endpoint.
+func (b *base) Size() int { return b.size }
+
+// Recv implements Endpoint. It honors the default deadline set with
+// SetDeadline and fails fast — after draining queued messages — when the
+// peer's connection is down.
+func (b *base) Recv(from int, tag string) ([]byte, error) {
+	b.mu.Lock()
+	d := b.dl
+	b.mu.Unlock()
+	return b.RecvTimeout(from, tag, d)
+}
+
+// RecvTimeout implements TimedEndpoint.
+func (b *base) RecvTimeout(from int, tag string, d time.Duration) ([]byte, error) {
+	if from < 0 || from >= b.size {
+		return nil, fmt.Errorf("transport: recv from invalid rank %d", from)
+	}
+	return b.inbox.get(from, tag, d)
+}
+
+// TryRecv implements Poller. A down peer is not an error here: queued
+// messages are still drained, and an empty queue just reports no message.
+func (b *base) TryRecv(from int, tag string) ([]byte, bool, error) {
+	if from < 0 || from >= b.size {
+		return nil, false, fmt.Errorf("transport: recv from invalid rank %d", from)
+	}
+	return b.inbox.tryGet(from, tag)
+}
+
+// SetDeadline implements TimedEndpoint.
+func (b *base) SetDeadline(d time.Duration) {
+	b.mu.Lock()
+	b.dl = d
+	b.mu.Unlock()
 }
 
 // EncodeGob serializes v with encoding/gob for use as a message payload.

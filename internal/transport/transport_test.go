@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -388,4 +389,92 @@ func TestManyMessagesTCP(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecvRecyclesOnlyAfterNextRecvFromSamePeer holds both transports to
+// the payload ownership rule (see Endpoint.Recv). Rank 0 keeps a payload
+// from rank 1 while rank 1 keeps sending and rank 0 receives from rank 2:
+// the held bytes must not change (under -race, nothing may even write
+// them). Rank 0's next receive from rank 1 hands the buffer back, and the
+// next message rank 1 sends lands in it.
+func TestRecvRecyclesOnlyAfterNextRecvFromSamePeer(t *testing.T) {
+	for _, f := range factories() {
+		t.Run(f.name, func(t *testing.T) {
+			eps, err := f.make(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeAll(eps)
+			msg := func(i int) []byte { return []byte(fmt.Sprintf("message %02d", i)) }
+			recv := func(from, i int) []byte {
+				t.Helper()
+				got, err := eps[0].Recv(from, "t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(msg(i)) {
+					t.Fatalf("from rank %d: got %q, want %q", from, got, msg(i))
+				}
+				return got
+			}
+			if err := eps[1].Send(0, "t", msg(1)); err != nil {
+				t.Fatal(err)
+			}
+			held := recv(1, 1)
+			sent := make(chan error, 1)
+			go func() {
+				for i := 2; i <= 5; i++ {
+					if err := eps[1].Send(0, "t", msg(i)); err != nil {
+						sent <- err
+						return
+					}
+				}
+				sent <- nil
+			}()
+			for i := 0; i < 4; i++ {
+				if err := eps[2].Send(0, "t", msg(i)); err != nil {
+					t.Fatal(err)
+				}
+				recv(2, i)
+				if string(held) != string(msg(1)) {
+					t.Fatalf("a receive from rank 2 overwrote rank 1's held payload: %q", held)
+				}
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			// Once messages 2-5 are all queued (a TCP reader may lag the
+			// sends), each receive from rank 1 hands back the buffer of the
+			// one before it, and message 6 must land in one of those.
+			for deadline := time.Now().Add(5 * time.Second); queued(eps[0], 1, "t") < 4; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("rank 1's messages never arrived")
+				}
+			}
+			handed := []*byte{&held[0]}
+			for i := 2; i <= 5; i++ {
+				handed = append(handed, &recv(1, i)[0])
+			}
+			if err := eps[1].Send(0, "t", msg(6)); err != nil {
+				t.Fatal(err)
+			}
+			if got := recv(1, 6); !slices.Contains(handed, &got[0]) {
+				t.Error("message 6 did not reuse a buffer handed back by a receive from rank 1")
+			}
+		})
+	}
+}
+
+// queued counts the messages a built-in endpoint holds for (from, tag).
+func queued(ep Endpoint, from int, tag string) int {
+	var ib *inbox
+	switch e := ep.(type) {
+	case *chanEndpoint:
+		ib = e.inbox
+	case *tcpEndpoint:
+		ib = e.inbox
+	}
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	return len(ib.queues[inboxKey{from, tag}])
 }

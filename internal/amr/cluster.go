@@ -17,14 +17,12 @@ type ClusterOptions struct {
 	// MaxSide, if > 0, forces boxes longer than it to be cut even when
 	// efficient, keeping partitioning granularity workable.
 	MaxSide int
-	// MaxBoxes, if > 0, stops subdividing once the count is reached.
-	MaxBoxes int
 }
 
 // DefaultClusterOptions are reasonable Berger–Rigoutsos settings for the
 // paper's workloads.
 func DefaultClusterOptions() ClusterOptions {
-	return ClusterOptions{Efficiency: 0.7, MinSide: 4, MaxSide: 0, MaxBoxes: 0}
+	return ClusterOptions{Efficiency: 0.7, MinSide: 4, MaxSide: 0}
 }
 
 func (o ClusterOptions) validate() error {
@@ -65,9 +63,6 @@ func Cluster(f *FlagField, region geom.Box, opts ClusterOptions) (geom.BoxList, 
 		eff := float64(nFlag) / float64(b.Cells())
 		tooLong := opts.MaxSide > 0 && b.Size(b.LongestAxis()) > opts.MaxSide
 		done := eff >= opts.Efficiency && !tooLong
-		if !done && opts.MaxBoxes > 0 && len(out) >= opts.MaxBoxes-1 {
-			done = true // budget exhausted; accept as-is
-		}
 		if done {
 			out = append(out, b)
 			return

@@ -78,7 +78,7 @@ func TestRegridCreatesLevel(t *testing.T) {
 	// Level-1 boxes nest inside the refined domain.
 	l1dom := h.LevelDomain(1)
 	for _, b := range l1 {
-		if !l1dom.ContainsBox(b) {
+		if !containsBox(l1dom, b) {
 			t.Errorf("box %v escapes level domain", b)
 		}
 	}

@@ -57,7 +57,7 @@ func TestQuickRegridInvariants(t *testing.T) {
 				}
 				dom := h.LevelDomain(l)
 				for _, b := range lvl {
-					if b.Level != l || !dom.ContainsBox(b) {
+					if b.Level != l || !containsBox(dom, b) {
 						return false
 					}
 				}

@@ -110,3 +110,16 @@ func TestTransferFieldMismatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestTransferAllocatesNothing: both operators run on the per-step halo
+// and restriction path, so they must not allocate.
+func TestTransferAllocatesNothing(t *testing.T) {
+	coarse := NewPatch(geom.Box3(0, 0, 0, 7, 7, 7), 1, 5)
+	fine := NewPatch(geom.Box3(4, 4, 4, 11, 11, 11).WithLevel(1), 2, 5)
+	if n := testing.AllocsPerRun(10, func() {
+		Prolong(fine, coarse, 2)
+		Restrict(coarse, fine, 2)
+	}); n != 0 {
+		t.Fatalf("Prolong+Restrict allocate %v times per call", n)
+	}
+}

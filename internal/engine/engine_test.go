@@ -82,7 +82,7 @@ func TestOracleFlagsTrackFeatures(t *testing.T) {
 		t.Errorf("feature did not advance: %v -> %v", b0, b1)
 	}
 	// Flags stay inside the domain.
-	if !h.LevelDomain(0).ContainsBox(b0) {
+	if !b0.Intersect(h.LevelDomain(0)).Equal(b0) {
 		t.Error("flags escape domain")
 	}
 }

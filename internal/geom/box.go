@@ -137,15 +137,6 @@ func (b Box) Contains(p Point) bool {
 	return !b.Empty()
 }
 
-// ContainsBox reports whether o lies entirely inside b. Empty boxes are
-// contained in everything.
-func (b Box) ContainsBox(o Box) bool {
-	if o.Empty() {
-		return true
-	}
-	return b.Contains(o.Lo) && b.Contains(o.Hi)
-}
-
 // Intersects reports whether b and o share at least one cell: exactly
 // !b.Intersect(o).Empty(), without building the overlap box.
 func (b Box) Intersects(o Box) bool {
@@ -222,17 +213,7 @@ func (b Box) Coarsen(ratio int) Box {
 	if ratio < 1 {
 		panic("geom: coarsen ratio must be >= 1")
 	}
-	b.Lo = b.Lo.DivFloor(ratio)
-	hi := b.Hi
-	for d := 0; d < b.Rank; d++ {
-		v := hi[d]
-		q := v / ratio
-		if v%ratio != 0 && v < 0 {
-			q--
-		}
-		hi[d] = q
-	}
-	b.Hi = hi
+	b.Lo, b.Hi = b.Lo.DivFloor(ratio), b.Hi.DivFloor(ratio)
 	for d := b.Rank; d < MaxDim; d++ {
 		b.Lo[d], b.Hi[d] = 0, 0
 	}

@@ -79,14 +79,20 @@ func (p Point) DivFloor(s int) Point {
 		panic("geom: DivFloor requires positive divisor")
 	}
 	for d := 0; d < MaxDim; d++ {
-		v := p[d]
-		q := v / s
-		if v%s != 0 && (v < 0) != (s < 0) {
-			q--
-		}
-		p[d] = q
+		p[d] = FloorDiv(p[d], s)
 	}
 	return p
+}
+
+// FloorDiv returns a/s rounded toward negative infinity, for s > 0: the
+// index map from a fine cell to its coarse parent, negative halo indices
+// included.
+func FloorDiv(a, s int) int {
+	q := a / s
+	if a%s != 0 && a < 0 {
+		q--
+	}
+	return q
 }
 
 // String renders the point as "(x,y,z)".

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +47,6 @@ type options struct {
 	faultExp  *bool
 	faultStr  *string
 	elastic   *bool
-	traceOver *bool
 	sensorExp *bool
 	movement  *bool
 	sensorStr *string
@@ -80,7 +80,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o.faultExp = fs.Bool("fault", false, "fault study: node crash on the virtual cluster + SPMD rank recovery")
 	o.faultStr = fs.String("fault-spec", "crash:rank=2,iter=10", "crash injected by -fault, e.g. crash:rank=2,iter=10")
 	o.elastic = fs.Bool("elastic", false, "elastic-membership study: fail-stop vs rejoin vs rejoin+shed under seeded churn, plus checkpoint-corruption survival")
-	o.traceOver = fs.Bool("trace-overhead", false, "tracing-overhead study: traced vs untraced SPMD runs across the solver suite (wall-clock, bytes on wire, log volume, bit-exactness)")
 	o.sensorExp = fs.Bool("sensorfault", false, "degraded-sensing study: static vs naive vs hygienic adaptive under sensor faults")
 	o.movement = fs.Bool("movement", false, "migration-cost study: repartitioning with and without the owner-affinity remap")
 	o.sensorStr = fs.String("sensor-fault-spec", "",
@@ -100,84 +99,91 @@ func registerFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
+// usageError marks a bad command line: exit status 2, as package flag's own
+// errors get.
+type usageError struct{ error }
+
 func main() {
-	o := registerFlags(flag.CommandLine)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	code := 1
+	if errors.As(err, new(usageError)) {
+		code = 2
+	}
+	os.Exit(code)
+}
+
+// run is the whole command; the studies render to stdout. Every artefact it
+// opens — run log, profiles, observability server — is closed by a deferred
+// call, so a failing study leaves them as complete as a successful one.
+// Blocks that defer such a call must not shadow err: the deferred calls add
+// their own failures to it.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	o := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err}
+	}
 	if !(*o.all || *o.fig7 || *o.fig8 || *o.fig11 || *o.table2 || *o.table3 ||
-		*o.ablations || *o.scaling || *o.faultExp || *o.elastic || *o.traceOver ||
+		*o.ablations || *o.scaling || *o.faultExp || *o.elastic ||
 		*o.sensorExp || *o.movement || *o.weakScaling) {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return usageError{errors.New("no experiment selected")}
 	}
 	fault, err := engine.ParseFaultSpec(*o.faultStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	var sensorSpec *monitor.ProbeFaultSpec
 	if *o.sensorStr != "" {
-		sensorSpec, err = monitor.ParseProbeFaultSpec(*o.sensorStr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+		if sensorSpec, err = monitor.ParseProbeFaultSpec(*o.sensorStr); err != nil {
+			return usageError{err}
 		}
 	}
 	if *o.workers > 0 {
 		runtime.GOMAXPROCS(*o.workers)
 	}
 	if *o.cpuProf != "" {
-		f, err := os.Create(*o.cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		f, cerr := os.Create(*o.cpuProf)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			f.Close()
+			return err
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
 	}
 	if *o.memProf != "" {
-		defer func() {
-			f, err := os.Create(*o.memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			}
-		}()
+		defer func() { err = errors.Join(err, writeHeapProfile(*o.memProf)) }()
 	}
 
 	if *o.obsAddr != "" || *o.trace != "" {
 		var tl *trace.Log
 		if *o.trace != "" {
-			f, err := os.Create(*o.trace)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+			f, cerr := os.Create(*o.trace)
+			if cerr != nil {
+				return cerr
 			}
 			tl = trace.NewLog(f)
-			defer func() {
-				if err := tl.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments: flush run log:", err)
-				}
-				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments: close run log:", err)
-				}
-			}()
+			defer func() { err = errors.Join(err, tl.Flush(), f.Close()) }()
 		}
 		rt := obs.New(obs.Config{Seed: *o.obsSeed, Trace: tl})
 		exp.SetObs(rt)
+		defer exp.SetObs(nil)
 		if *o.obsAddr != "" {
 			srv, err := rt.Serve(*o.obsAddr)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+				return err
 			}
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "experiments: observability on http://%s (run %s)\n",
@@ -211,7 +217,6 @@ func main() {
 			return exp.FaultRecovery(16, crashes[0].Rank, crashes[0].Iter)
 		}},
 		{*o.all || *o.elastic, "Elastic membership", func() (renderable, error) { return exp.Elastic(16) }},
-		{*o.all || *o.traceOver, "Tracing overhead", func() (renderable, error) { return exp.TraceOverhead(32) }},
 		{*o.all || *o.sensorExp, "Degraded sensing", func() (renderable, error) { return exp.SensorFaults(40, sensorSpec, *o.repartThresh) }},
 		{*o.all || *o.movement, "Migration cost", func() (renderable, error) { return exp.Movement(16) }},
 		{*o.all || *o.weakScaling, "Weak scaling (plan construction)", func() (renderable, error) {
@@ -239,16 +244,29 @@ func main() {
 		if !j.on {
 			continue
 		}
-		fmt.Printf("==== %s ====\n", j.name)
+		fmt.Fprintf(stdout, "==== %s ====\n", j.name)
 		r, err := j.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", j.name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", j.name, err)
 		}
-		if err := r.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: render %s: %v\n", j.name, err)
-			os.Exit(1)
+		if err := r.Render(stdout); err != nil {
+			return fmt.Errorf("render %s: %w", j.name, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
+}
+
+// writeHeapProfile writes the heap profile of the live objects to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

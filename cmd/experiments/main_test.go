@@ -1,11 +1,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"samrpart/internal/obs/trace"
 )
 
 // TestAllFlagsRegistered asserts registerFlags declares the complete flag
@@ -15,7 +20,7 @@ func TestAllFlagsRegistered(t *testing.T) {
 	o := registerFlags(fs)
 	for _, name := range []string{
 		"all", "scaling", "fig7", "fig8", "fig11", "table2", "table3",
-		"ablations", "fault", "fault-spec", "elastic", "trace-overhead", "sensorfault", "movement",
+		"ablations", "fault", "fault-spec", "elastic", "sensorfault", "movement",
 		"sensor-fault-spec", "repartition-threshold", "workers",
 		"cpuprofile", "memprofile", "obs-addr", "trace", "obs-seed",
 		"weak-scaling", "weak-ranks", "group-size", "csv",
@@ -51,5 +56,27 @@ func TestDocumentedFlagsExist(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFailedStudyKeepsItsRunLog: a study that fails after others have run
+// and recorded spans still returns the error (exit status 1, not a usage
+// error), with every record flushed and the run log closed. The fault spec
+// below has no crash, so -fault fails after Figures 8-10.
+func TestFailedStudyKeepsItsRunLog(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "run.jsonl")
+	err := run([]string{"-fig8", "-fault", "-fault-spec", "slow:rank=1,from=12,to=20,factor=4",
+		"-trace", logPath}, io.Discard)
+	if err == nil || errors.As(err, new(usageError)) {
+		t.Fatalf("a fault spec without a crash: err %v, want a study failure", err)
+	}
+	f, err := os.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, skipped, err := trace.ReadRecords(f)
+	if err != nil || skipped != 0 || len(recs) == 0 {
+		t.Fatalf("run log after a failed study: %d records, %d skipped, err %v", len(recs), skipped, err)
 	}
 }

@@ -32,7 +32,7 @@ func TestEngineCrashRejoinRestoresWork(t *testing.T) {
 	if tr.Crashes != 1 || tr.Rejoins != 1 {
 		t.Fatalf("crashes=%d rejoins=%d, want 1/1", tr.Crashes, tr.Rejoins)
 	}
-	caps := e.Capacities()
+	caps := e.caps
 	if caps[2] < 0.5*caps[0] {
 		t.Errorf("rejoined node capacity %g never recovered toward %g", caps[2], caps[0])
 	}

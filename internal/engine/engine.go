@@ -255,9 +255,6 @@ func (w *faultWindow) MemoryMB(t float64) float64 {
 // Hierarchy exposes the current grid hierarchy.
 func (e *Engine) Hierarchy() *amr.Hierarchy { return e.hier }
 
-// Capacities exposes the capacities in effect (nil before Run).
-func (e *Engine) Capacities() []float64 { return e.caps }
-
 // work returns the box weight function for the hierarchy.
 func (e *Engine) work() partition.WorkFunc {
 	return partition.SubcycledWork(e.cfg.Hierarchy.RefineRatio)

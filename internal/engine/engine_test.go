@@ -138,7 +138,7 @@ func TestEngineRunProducesTrace(t *testing.T) {
 		t.Errorf("trace metadata wrong: %+v", tr)
 	}
 	// Capacities in effect sum to 1 and penalize the loaded node.
-	caps := e.Capacities()
+	caps := e.caps
 	sum := 0.0
 	for _, c := range caps {
 		sum += c

@@ -193,7 +193,7 @@ func TestEngineNodeCollapseStillRuns(t *testing.T) {
 	}
 	// The collapsed node still gets a tiny share (capacities never zero
 	// thanks to the availability floor).
-	if caps := e.Capacities(); caps[0] <= 0 || caps[0] > 0.2 {
+	if caps := e.caps; caps[0] <= 0 || caps[0] > 0.2 {
 		t.Errorf("collapsed node capacity = %v", caps[0])
 	}
 }

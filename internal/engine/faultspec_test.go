@@ -123,7 +123,7 @@ func TestEngineNodeCrashRepartitions(t *testing.T) {
 	if share := asn.Work[2] / total; share > 0.15 {
 		t.Errorf("crashed node still holds %.0f%% of the work", 100*share)
 	}
-	caps := e.Capacities()
+	caps := e.caps
 	if caps[2] >= caps[0] {
 		t.Errorf("crashed node capacity %g not degraded below %g", caps[2], caps[0])
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"samrpart/internal/geom"
 	"samrpart/internal/obs/trace"
+	"samrpart/internal/solver"
 	"samrpart/internal/transport"
 )
 
@@ -44,66 +46,91 @@ func requireCoverage(t *testing.T, tl *trace.Timeline) {
 	}
 }
 
-// TestSPMDBitIdenticalWithTrace is the tentpole's safety oracle: the same
+// TestSPMDBitIdenticalWithTrace is the tracing safety oracle: the same
 // 4-rank program (with a mid-run capacity shift forcing redistribution) run
 // with tracing off and with tracing on must produce cell-bitwise identical
-// solutions over the channel transport — tracing observes the computation,
-// it never perturbs it. The traced run doubles as the -race hammer: four
-// rank goroutines record spans into one shared Log during live halo
-// exchange.
+// solutions over the channel transport, for every kernel of the solver
+// suite — tracing observes the computation, it never perturbs it. The traced
+// run must put more bytes on the wire (the piggybacked trace contexts), and
+// it doubles as the -race hammer: four rank goroutines record spans into one
+// shared Log during live halo exchange.
 func TestSPMDBitIdenticalWithTrace(t *testing.T) {
 	const iters = 16
+	for _, k := range []struct {
+		name   string
+		kernel solver.Kernel
+		domain geom.Box
+		grid   solver.Grid
+		tile   int
+	}{
+		{"advect2d", solver.NewAdvection2D(1.0, 0.5, 0.3, 0.3, 0.1), geom.Box2(0, 0, 31, 31), solver.UniformGrid(1.0 / 32), 8},
+		{"muscl2d", solver.NewMUSCLAdvection2D(1.0, 0.5, 0.3, 0.3, 0.1), geom.Box2(0, 0, 31, 31), solver.UniformGrid(1.0 / 32), 8},
+		{"buckley", solver.NewBuckleyLeverett(1.0, 0.3), geom.Box2(0, 0, 31, 31), solver.UniformGrid(1.0 / 32), 8},
+		{"euler3d", solver.NewRichtmyerMeshkov([geom.MaxDim]float64{1, 1, 1}), geom.Box3(0, 0, 0, 15, 15, 15), solver.UniformGrid(1.0 / 16), 4},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			plainEps, err := transport.NewGroup(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := spmdConfig(iters)
+			cfg.Domain, cfg.TileSize, cfg.Kernel, cfg.BaseGrid = k.domain, k.tile, k.kernel, k.grid
+			cfg.CapsAt = capsSwitcher(4)
+			plain := runSPMD(t, plainEps, cfg)
+			want := composeField(t, plain, cfg.Domain)
 
-	plainEps, err := transport.NewGroup(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := spmdConfig(iters)
-	cfg.CapsAt = capsSwitcher(4)
-	want := composeField(t, runSPMD(t, plainEps, cfg), cfg.Domain)
+			tracedEps, err := transport.NewGroup(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, recs := runTraced(t, tracedEps, cfg)
+			got := composeField(t, results, cfg.Domain)
+			requireSameField(t, got, want, "traced vs untraced")
+			var plainB, tracedB int64
+			for r := range plain {
+				plainB += plain[r].BytesSent
+				tracedB += results[r].BytesSent
+			}
+			if tracedB <= plainB {
+				t.Errorf("traced run sent %d bytes <= untraced %d (trace contexts missing)", tracedB, plainB)
+			}
 
-	tracedEps, err := transport.NewGroup(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, recs := runTraced(t, tracedEps, cfg)
-	got := composeField(t, results, cfg.Domain)
-	requireSameField(t, got, want, "traced vs untraced")
+			// The trace must tell the whole story: spans from every rank, halo
+			// and migration message records, and full critical-path coverage.
+			kinds := map[string]int{}
+			ranks := map[int]bool{}
+			phases := map[string]bool{}
+			for _, r := range recs {
+				kinds[r.K]++
+				ranks[r.R] = true
+				if r.K == "s" {
+					phases[r.Ph] = true
+				}
+			}
+			if len(ranks) != 4 {
+				t.Errorf("trace covers ranks %v, want all 4", ranks)
+			}
+			if kinds["m"] == 0 || kinds["v"] == 0 {
+				t.Errorf("no message records: %v", kinds)
+			}
+			for _, ph := range []trace.Phase{trace.PhaseCompute, trace.PhasePack, trace.PhaseHaloWait,
+				trace.PhaseUnpack, trace.PhaseAdvance, trace.PhasePartition, trace.PhaseMigrate} {
+				if !phases[ph.String()] {
+					t.Errorf("phase %q never recorded", ph)
+				}
+			}
+			tl := trace.Stitch(recs, 0)
+			requireCoverage(t, tl)
 
-	// The trace must tell the whole story: spans from every rank, halo and
-	// migration message records, and full critical-path coverage.
-	kinds := map[string]int{}
-	ranks := map[int]bool{}
-	phases := map[string]bool{}
-	for _, r := range recs {
-		kinds[r.K]++
-		ranks[r.R] = true
-		if r.K == "s" {
-			phases[r.Ph] = true
-		}
-	}
-	if len(ranks) != 4 {
-		t.Errorf("trace covers ranks %v, want all 4", ranks)
-	}
-	if kinds["m"] == 0 || kinds["v"] == 0 {
-		t.Errorf("no message records: %v", kinds)
-	}
-	for _, ph := range []trace.Phase{trace.PhaseCompute, trace.PhasePack, trace.PhaseHaloWait,
-		trace.PhaseUnpack, trace.PhaseAdvance, trace.PhasePartition, trace.PhaseMigrate} {
-		if !phases[ph.String()] {
-			t.Errorf("phase %q never recorded", ph)
-		}
-	}
-	tl := trace.Stitch(recs, 0)
-	requireCoverage(t, tl)
-
-	// And the Chrome export renders it without error.
-	var chrome bytes.Buffer
-	if err := trace.WriteChrome(&chrome, recs, tl); err != nil {
-		t.Fatalf("chrome export: %v", err)
-	}
-	if !strings.Contains(chrome.String(), `"ph":"X"`) {
-		t.Error("chrome export has no span events")
+			// And the Chrome export renders it without error.
+			var chrome bytes.Buffer
+			if err := trace.WriteChrome(&chrome, recs, tl); err != nil {
+				t.Fatalf("chrome export: %v", err)
+			}
+			if !strings.Contains(chrome.String(), `"ph":"X"`) {
+				t.Error("chrome export has no span events")
+			}
+		})
 	}
 }
 

@@ -45,36 +45,21 @@ func (r *AblationResult) Render(w io.Writer) error {
 	return tab.Render(w)
 }
 
-// runVariant executes the standard loaded 8-node workload with a custom
-// engine configuration hook.
-func runVariant(name string, mutate func(cfg *engine.Config)) (ablationRow, error) {
-	clus, err := NewCluster(8)
+// variantConfig is the ablations' standard run: the paper's workload for
+// 100 iterations, sensing every 20.
+func variantConfig(name string) engine.Config {
+	cfg := paperConfig(name, 100)
+	cfg.SenseEvery = 20
+	return cfg
+}
+
+// runVariant executes cfg on the standard loaded 8-node cluster.
+func runVariant(cfg engine.Config) (ablationRow, error) {
+	tr, err := run(cfg, workstations(8), PaperLoadScript)
 	if err != nil {
 		return ablationRow{}, err
 	}
-	PaperLoadScript(clus)
-	cfg := engine.Config{
-		Name:        name,
-		Hierarchy:   RM3DHierarchy(),
-		App:         engine.NewRM3DOracle(),
-		Partitioner: partition.NewHetero(),
-		Iterations:  100,
-		RegridEvery: 5,
-		SenseEvery:  20,
-		Obs:         obsRT,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	e, err := engine.New(cfg, clus)
-	if err != nil {
-		return ablationRow{}, err
-	}
-	tr, err := e.Run()
-	if err != nil {
-		return ablationRow{}, err
-	}
-	return ablationRow{variant: name, execSec: tr.ExecTime, meanImb: tr.MeanMaxImbalance()}, nil
+	return ablationRow{variant: cfg.Name, execSec: tr.ExecTime, meanImb: tr.MeanMaxImbalance()}, nil
 }
 
 // AblationWeights compares capacity-weight presets (§8: the weights should
@@ -91,8 +76,9 @@ func AblationWeights() (*AblationResult, error) {
 		{"comm-biased (.2,.2,.6)", capacity.CommBiased()},
 	}
 	for _, v := range variants {
-		w := v.w
-		row, err := runVariant(v.name, func(cfg *engine.Config) { cfg.Weights = w })
+		cfg := variantConfig(v.name)
+		cfg.Weights = v.w
+		row, err := runVariant(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -124,8 +110,9 @@ func AblationSplitting() (*AblationResult, error) {
 		{"no splitting (greedy LPT)", partition.Greedy{}},
 	}
 	for _, v := range variants {
-		p := v.p
-		row, err := runVariant(v.name, func(cfg *engine.Config) { cfg.Partitioner = p })
+		cfg := variantConfig(v.name)
+		cfg.Partitioner = v.p
+		row, err := runVariant(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -142,9 +129,9 @@ func AblationSFC() (*AblationResult, error) {
 	for _, curve := range []sfc.Curve{sfc.Hilbert{}, sfc.Morton{}} {
 		p := partition.NewComposite(2)
 		p.Curve = curve
-		row, err := runVariant("composite/"+curve.Name(), func(cfg *engine.Config) {
-			cfg.Partitioner = p
-		})
+		cfg := variantConfig("composite/" + curve.Name())
+		cfg.Partitioner = p
+		row, err := runVariant(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -159,30 +146,12 @@ func AblationSFC() (*AblationResult, error) {
 func AblationForecaster() (*AblationResult, error) {
 	res := &AblationResult{title: "Ablation: monitor forecaster (Table III dynamics)"}
 	for _, fc := range []string{"last", "mean", "median", "ewma", "adaptive"} {
-		fc := fc
 		var sum float64
 		for _, phase := range table3Phases[:3] {
-			clus, err := NewCluster(4)
-			if err != nil {
-				return nil, err
-			}
-			table3Loads(phase)(clus)
-			cfg := engine.Config{
-				Name:        fc,
-				Hierarchy:   RM3DHierarchy(),
-				App:         engine.NewRM3DOracle(),
-				Partitioner: partition.NewHetero(),
-				Iterations:  table3Iterations,
-				RegridEvery: 5,
-				SenseEvery:  20,
-				Forecaster:  fc,
-				Obs:         obsRT,
-			}
-			e, err := engine.New(cfg, clus)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := e.Run()
+			cfg := paperConfig(fc, table3Iterations)
+			cfg.SenseEvery = 20
+			cfg.Forecaster = fc
+			tr, err := run(cfg, workstations(4), table3Loads(phase))
 			if err != nil {
 				return nil, err
 			}
@@ -199,18 +168,15 @@ func AblationForecaster() (*AblationResult, error) {
 func AblationGranularity() (*AblationResult, error) {
 	res := &AblationResult{title: "Ablation: clustering granularity (min box side)"}
 	for _, minSide := range []int{4, 8, 16} {
-		minSide := minSide
-		hier := RM3DHierarchy()
-		hier.Cluster.MinSide = minSide
-		if hier.Cluster.MaxSide != 0 && hier.Cluster.MaxSide < 2*minSide {
-			hier.Cluster.MaxSide = 2 * minSide
+		cfg := variantConfig(fmt.Sprintf("min side %d", minSide))
+		cfg.Hierarchy.Cluster.MinSide = minSide
+		if cfg.Hierarchy.Cluster.MaxSide != 0 && cfg.Hierarchy.Cluster.MaxSide < 2*minSide {
+			cfg.Hierarchy.Cluster.MaxSide = 2 * minSide
 		}
-		row, err := runVariant(fmt.Sprintf("min side %d", minSide), func(cfg *engine.Config) {
-			cfg.Hierarchy = hier
-			p := partition.NewHetero()
-			p.Constraints.MinBoxSize = minSide
-			cfg.Partitioner = p
-		})
+		p := partition.NewHetero()
+		p.Constraints.MinBoxSize = minSide
+		cfg.Partitioner = p
+		row, err := runVariant(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -235,33 +201,18 @@ func AblationMemoryWeights() (*AblationResult, error) {
 		{"memory-biased (.2,.6,.2)", capacity.MemoryBiased()},
 	}
 	for _, v := range variants {
-		v := v
-		clus, err := NewCluster(4)
-		if err != nil {
-			return nil, err
-		}
+		app := engine.NewRM3DOracle()
+		app.Bytes = 320 // multi-field state + scratch buffers: heavy footprint
+		cfg := paperConfig(v.name, 60)
+		cfg.App = app
+		cfg.Weights = v.w
 		// Memory hogs leave ~26 MB free on two nodes but burn no CPU; the
 		// RM3D working set (~10-45 MB/node depending on shares) pages
 		// there when the partitioner over-assigns.
-		clus.Node(0).AddLoad(cluster.Step{CPU: 0.05, MemMB: 230})
-		clus.Node(1).AddLoad(cluster.Step{CPU: 0.05, MemMB: 230})
-		app := engine.NewRM3DOracle()
-		app.Bytes = 320 // multi-field state + scratch buffers: heavy footprint
-		cfg := engine.Config{
-			Name:        v.name,
-			Hierarchy:   RM3DHierarchy(),
-			App:         app,
-			Partitioner: partition.NewHetero(),
-			Weights:     v.w,
-			Iterations:  60,
-			RegridEvery: 5,
-			Obs:         obsRT,
-		}
-		e, err := engine.New(cfg, clus)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := e.Run()
+		tr, err := run(cfg, workstations(4), func(c *cluster.Cluster) {
+			c.Node(0).AddLoad(cluster.Step{CPU: 0.05, MemMB: 230})
+			c.Node(1).AddLoad(cluster.Step{CPU: 0.05, MemMB: 230})
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -289,30 +240,14 @@ func AblationLocality() (*AblationResult, error) {
 		partition.NewComposite(2),
 	}
 	for _, p := range variants {
-		p := p
-		clus, err := NewCluster(8)
-		if err != nil {
-			return nil, err
-		}
-		PaperLoadScript(clus)
-		// Mild extra dynamics so capacities (and hence assignments)
-		// actually change between senses.
-		clus.Node(1).AddLoad(cluster.Sinusoid{Mean: 0.2, Amplitude: 0.2, Period: 60, MemMB: 50})
-		cfg := engine.Config{
-			Name:        p.Name(),
-			Hierarchy:   RM3DHierarchy(),
-			App:         engine.NewRM3DOracle(),
-			Partitioner: p,
-			Iterations:  100,
-			RegridEvery: 5,
-			SenseEvery:  20,
-			Obs:         obsRT,
-		}
-		e, err := engine.New(cfg, clus)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := e.Run()
+		cfg := variantConfig(p.Name())
+		cfg.Partitioner = p
+		tr, err := run(cfg, workstations(8), func(c *cluster.Cluster) {
+			PaperLoadScript(c)
+			// Mild extra dynamics so capacities (and hence assignments)
+			// actually change between senses.
+			c.Node(1).AddLoad(cluster.Sinusoid{Mean: 0.2, Amplitude: 0.2, Period: 60, MemMB: 50})
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -5,16 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"samrpart/internal/checkpoint"
 	"samrpart/internal/engine"
-	"samrpart/internal/geom"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
-	"samrpart/internal/solver"
-	"samrpart/internal/transport"
 )
 
 // elasticRow is one membership-policy scenario under the churn schedule.
@@ -64,26 +59,11 @@ func Elastic(iters int) (*ElasticResult, error) {
 	res := &ElasticResult{}
 
 	base := func(dir string) engine.SPMDConfig {
-		return engine.SPMDConfig{
-			Domain:          geom.Box2(0, 0, 31, 31),
-			TileSize:        8,
-			Kernel:          solver.NewAdvection2D(1.0, 0.5, 0.3, 0.3, 0.1),
-			BaseGrid:        solver.UniformGrid(1.0 / 32),
-			Partitioner:     partition.NewHetero(),
-			CapsAt:          func(int) []float64 { return []float64{0.25, 0.25, 0.25, 0.25} },
-			Iterations:      iters,
-			RepartEvery:     4,
-			RecvDeadline:    2 * time.Second,
-			ControlDeadline: 300 * time.Millisecond,
-			Obs:             obsRT,
-			FT: engine.FTConfig{
-				Enabled:         true,
-				CheckpointEvery: 4,
-				CheckpointDir:   dir,
-				SyncCheckpoint:  true,
-				CheckpointKeep:  2,
-			},
-		}
+		cfg := ftAdvection(iters, dir)
+		cfg.RecvDeadline = 2 * time.Second
+		cfg.ControlDeadline = 300 * time.Millisecond
+		cfg.FT.CheckpointKeep = 2
+		return cfg
 	}
 	churn := engine.FaultSchedule{
 		{Kind: engine.FaultCrash, Rank: 2, Iter: iters/2 + 2},
@@ -91,68 +71,16 @@ func Elastic(iters int) (*ElasticResult, error) {
 		{Kind: engine.FaultSlow, Rank: 1, Iter: 4, Until: iters / 2, Factor: 6},
 	}
 
-	runGroup := func(cfg engine.SPMDConfig) ([]*engine.SPMDResult, error) {
-		eps, err := transport.NewGroup(4)
-		if err != nil {
-			return nil, err
-		}
-		for i, ep := range eps {
-			eps[i] = transport.NewFaulty(ep, transport.FaultSpec{})
-		}
-		results := make([]*engine.SPMDResult, len(eps))
-		errs := make([]error, len(eps))
-		var wg sync.WaitGroup
-		for r := range eps {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[r], errs[r] = engine.RunSPMDRank(eps[r], cfg)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	compose := func(results []*engine.SPMDResult) map[geom.Point]float64 {
-		field := map[geom.Point]float64{}
-		for _, r := range results {
-			if r == nil || r.Crashed {
-				continue
-			}
-			for _, p := range r.Patches {
-				p.EachInterior(func(pt geom.Point) { field[pt] = p.At(0, pt) })
-			}
-		}
-		return field
-	}
-	sameField := func(got, want map[geom.Point]float64) bool {
-		if len(got) != len(want) {
-			return false
-		}
-		for pt, w := range want {
-			if got[pt] != w {
-				return false
-			}
-		}
-		return true
-	}
-
 	refDir, err := os.MkdirTemp("", "samrpart-elastic-ref")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(refDir)
-	refCfg := base(refDir)
-	ref, err := runGroup(refCfg)
+	ref, err := runGroup(4, base(refDir), true)
 	if err != nil {
 		return nil, err
 	}
-	want := compose(ref)
+	want := composeField(ref)
 	res.cells = len(want)
 
 	scenarios := []struct {
@@ -180,11 +108,11 @@ func Elastic(iters int) (*ElasticResult, error) {
 		cfg := base(dir)
 		cfg.Faults = sc.faults
 		cfg.Straggler = sc.shed
-		results, err := runGroup(cfg)
+		results, err := runGroup(4, cfg, true)
 		if err != nil {
 			return nil, err
 		}
-		row := elasticRow{scenario: sc.name, bitExact: sameField(compose(results), want)}
+		row := elasticRow{scenario: sc.name, bitExact: sameField(composeField(results), want)}
 		for _, r := range results {
 			if r.Crashed {
 				continue
@@ -235,7 +163,7 @@ func Elastic(iters int) (*ElasticResult, error) {
 	resCfg := base(rejoinDir)
 	resCfg.FT.ResumeFrom = newest
 	resCfg.FT.CheckpointKeep = 0 // keep the corrupt epoch in place for the scan
-	restarted, err := runGroup(resCfg)
+	restarted, err := runGroup(4, resCfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +172,7 @@ func Elastic(iters int) (*ElasticResult, error) {
 			res.fallbacks = r.CkptFallbacks
 		}
 	}
-	res.corruptionSurvived = res.fallbacks > 0 && sameField(compose(restarted), want)
+	res.corruptionSurvived = res.fallbacks > 0 && sameField(composeField(restarted), want)
 	return res, nil
 }
 

@@ -6,7 +6,10 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"samrpart/internal/amr"
 	"samrpart/internal/cluster"
@@ -14,6 +17,8 @@ import (
 	"samrpart/internal/geom"
 	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
+	"samrpart/internal/solver"
+	"samrpart/internal/transport"
 )
 
 // rm3dDomain is the paper's base grid: 128x32x32.
@@ -86,44 +91,134 @@ func fixedCapacityLoads(c *cluster.Cluster, caps []float64) error {
 // paper's controlled experiments.
 func paperCapacities() []float64 { return []float64{0.16, 0.19, 0.31, 0.34} }
 
-// runConfig bundles one engine run.
-type runConfig struct {
-	name        string
-	nodes       int
-	loads       func(*cluster.Cluster)
-	partitioner partition.Partitioner
-	iterations  int
-	regridEvery int
-	senseEvery  int
-	hierarchy   *amr.Config // nil = RM3DHierarchy
+// paperConfig is the paper's run: the RM3D hierarchy and oracle workload
+// under ACEHeterogeneous, regridding every 5 iterations and sensing once
+// before the start. Each study changes only the fields it varies.
+func paperConfig(name string, iters int) engine.Config {
+	return engine.Config{
+		Name:        name,
+		Hierarchy:   RM3DHierarchy(),
+		App:         engine.NewRM3DOracle(),
+		Partitioner: partition.NewHetero(),
+		Iterations:  iters,
+		RegridEvery: 5,
+		Obs:         obsRT,
+	}
 }
 
-// run executes one configuration from a cold cluster.
-func run(rc runConfig) (*runlog.RunTrace, error) {
-	clus, err := NewCluster(rc.nodes)
+// workstations is the paper's hardware: n identical Linux workstations.
+func workstations(n int) []cluster.NodeSpec {
+	return cluster.Uniform(n, cluster.LinuxWorkstation())
+}
+
+// run executes cfg from a cold cluster of the given nodes, with loads
+// applied first (nil = idle).
+func run(cfg engine.Config, nodes []cluster.NodeSpec, loads func(*cluster.Cluster)) (*runlog.RunTrace, error) {
+	clus, err := cluster.New(nodes, cluster.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
-	if rc.loads != nil {
-		rc.loads(clus)
-	}
-	h := RM3DHierarchy()
-	if rc.hierarchy != nil {
-		h = *rc.hierarchy
-	}
-	cfg := engine.Config{
-		Name:        rc.name,
-		Hierarchy:   h,
-		App:         engine.NewRM3DOracle(),
-		Partitioner: rc.partitioner,
-		Iterations:  rc.iterations,
-		RegridEvery: rc.regridEvery,
-		SenseEvery:  rc.senseEvery,
-		Obs:         obsRT,
+	if loads != nil {
+		loads(clus)
 	}
 	e, err := engine.New(cfg, clus)
 	if err != nil {
 		return nil, err
 	}
 	return e.Run()
+}
+
+// versusDefault runs cfg, then the same run under the GrACE default
+// partitioner (ACEComposite), the comparison behind Figure 7.
+func versusDefault(cfg engine.Config, nodes []cluster.NodeSpec, loads func(*cluster.Cluster)) (ht, dt *runlog.RunTrace, err error) {
+	if ht, err = run(cfg, nodes, loads); err != nil {
+		return nil, nil, err
+	}
+	cfg.Name = "default"
+	cfg.Partitioner = partition.NewComposite(2)
+	dt, err = run(cfg, nodes, loads)
+	return ht, dt, err
+}
+
+// ftAdvection is the crash studies' SPMD run: 2-D advection on 16 tiles over
+// 4 equal ranks with membership on, repartitioning and checkpointing
+// (synchronously, into dir) every 4 iterations.
+func ftAdvection(iters int, dir string) engine.SPMDConfig {
+	return engine.SPMDConfig{
+		Domain:       geom.Box2(0, 0, 31, 31),
+		TileSize:     8,
+		Kernel:       solver.NewAdvection2D(1.0, 0.5, 0.3, 0.3, 0.1),
+		BaseGrid:     solver.UniformGrid(1.0 / 32),
+		Partitioner:  partition.NewHetero(),
+		CapsAt:       func(int) []float64 { return []float64{0.25, 0.25, 0.25, 0.25} },
+		Iterations:   iters,
+		RepartEvery:  4,
+		RecvDeadline: 500 * time.Millisecond,
+		Obs:          obsRT,
+		FT: engine.FTConfig{
+			Enabled:         true,
+			CheckpointEvery: 4,
+			CheckpointDir:   dir,
+			SyncCheckpoint:  true,
+		},
+	}
+}
+
+// runGroup runs cfg on every rank of an in-process group of n and returns
+// the ranks' results. With faulty, each endpoint sits behind a (fault-free)
+// transport.Faulty, which a crash schedule in cfg needs to silence a rank.
+func runGroup(n int, cfg engine.SPMDConfig, faulty bool) ([]*engine.SPMDResult, error) {
+	eps, err := transport.NewGroup(n)
+	if err != nil {
+		return nil, err
+	}
+	if faulty {
+		for i, ep := range eps {
+			eps[i] = transport.NewFaulty(ep, transport.FaultSpec{})
+		}
+	}
+	results := make([]*engine.SPMDResult, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[r], errs[r] = engine.RunSPMDRank(eps[r], cfg)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// composeField gathers the interior cells of field 0 from every rank that
+// finished the run.
+func composeField(results []*engine.SPMDResult) map[geom.Point]float64 {
+	field := map[geom.Point]float64{}
+	for _, r := range results {
+		if r.Crashed {
+			continue
+		}
+		for _, p := range r.Patches {
+			p.EachInterior(func(pt geom.Point) { field[pt] = p.At(0, pt) })
+		}
+	}
+	return field
+}
+
+// sameField reports that two composed fields hold the same cells, bit for
+// bit.
+func sameField(got, want map[geom.Point]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for pt, w := range want {
+		if got[pt] != w {
+			return false
+		}
+	}
+	return true
 }

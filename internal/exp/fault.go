@@ -4,15 +4,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"samrpart/internal/engine"
-	"samrpart/internal/geom"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
-	"samrpart/internal/solver"
-	"samrpart/internal/transport"
 )
 
 // faultClusterRow is one virtual-cluster scenario of the fault study.
@@ -65,26 +59,10 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 	}
 	var base float64
 	for _, sc := range scenarios {
-		clus, err := NewCluster(4)
-		if err != nil {
-			return nil, err
-		}
-		cfg := engine.Config{
-			Name:        "fault/" + sc.name,
-			Hierarchy:   RM3DHierarchy(),
-			App:         engine.NewRM3DOracle(),
-			Partitioner: partition.NewHetero(),
-			Iterations:  iters,
-			RegridEvery: 5,
-			SenseEvery:  sc.senseEvery,
-			Faults:      sc.faults,
-			Obs:         obsRT,
-		}
-		e, err := engine.New(cfg, clus)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := e.Run()
+		cfg := paperConfig("fault/"+sc.name, iters)
+		cfg.SenseEvery = sc.senseEvery
+		cfg.Faults = sc.faults
+		tr, err := run(cfg, workstations(4), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -108,74 +86,12 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 	// heartbeat round, re-partition, restore from the latest stable
 	// checkpoint and finish. The composed solution must be bit-exact
 	// identical to a fault-free run.
-	spmdCfg := func(dir string) engine.SPMDConfig {
-		return engine.SPMDConfig{
-			Domain:       geom.Box2(0, 0, 31, 31),
-			TileSize:     8,
-			Kernel:       solver.NewAdvection2D(1.0, 0.5, 0.3, 0.3, 0.1),
-			BaseGrid:     solver.UniformGrid(1.0 / 32),
-			Partitioner:  partition.NewHetero(),
-			CapsAt:       func(int) []float64 { return []float64{0.25, 0.25, 0.25, 0.25} },
-			Iterations:   iters,
-			RepartEvery:  4,
-			RecvDeadline: 500 * time.Millisecond,
-			Obs:          obsRT,
-			FT: engine.FTConfig{
-				Enabled:         true,
-				CheckpointEvery: 4,
-				CheckpointDir:   dir,
-				SyncCheckpoint:  true,
-			},
-		}
-	}
-	runGroup := func(cfg engine.SPMDConfig, faulty bool) ([]*engine.SPMDResult, error) {
-		eps, err := transport.NewGroup(4)
-		if err != nil {
-			return nil, err
-		}
-		if faulty {
-			for i, ep := range eps {
-				eps[i] = transport.NewFaulty(ep, transport.FaultSpec{})
-			}
-		}
-		results := make([]*engine.SPMDResult, len(eps))
-		errs := make([]error, len(eps))
-		var wg sync.WaitGroup
-		for r := range eps {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[r], errs[r] = engine.RunSPMDRank(eps[r], cfg)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	compose := func(results []*engine.SPMDResult) map[geom.Point]float64 {
-		field := map[geom.Point]float64{}
-		for _, r := range results {
-			if r == nil || r.Crashed {
-				continue
-			}
-			for _, p := range r.Patches {
-				p.EachInterior(func(pt geom.Point) { field[pt] = p.At(0, pt) })
-			}
-		}
-		return field
-	}
-
 	refDir, err := os.MkdirTemp("", "samrpart-fault-ref")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(refDir)
-	ref, err := runGroup(spmdCfg(refDir), false)
+	ref, err := runGroup(4, ftAdvection(iters, refDir), false)
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +100,9 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 		return nil, err
 	}
 	defer os.RemoveAll(faultDir)
-	cfg := spmdCfg(faultDir)
+	cfg := ftAdvection(iters, faultDir)
 	cfg.Faults = engine.FaultSchedule{{Kind: engine.FaultCrash, Rank: crashRank % 4, Iter: crashIter}}
-	results, err := runGroup(cfg, true)
+	results, err := runGroup(4, cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -200,18 +116,9 @@ func FaultRecovery(iters, crashRank, crashIter int) (*FaultRecoveryResult, error
 			boxes:        len(r.OwnedBoxes),
 		})
 	}
-	want := compose(ref)
-	got := compose(results)
+	want := composeField(ref)
 	res.cells = len(want)
-	res.bitExact = len(got) == len(want)
-	if res.bitExact {
-		for pt, w := range want {
-			if got[pt] != w {
-				res.bitExact = false
-				break
-			}
-		}
-	}
+	res.bitExact = sameField(composeField(results), want)
 	return res, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"samrpart/internal/cluster"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 )
 
@@ -27,15 +26,9 @@ func fig11Loads(c *cluster.Cluster) {
 // Fig11 runs 150 iterations (30 regrids at one regrid per 5 iterations)
 // with sensing at iterations 50 and 100 plus the pre-start sweep.
 func Fig11() (*Fig11Result, error) {
-	tr, err := run(runConfig{
-		name:        "fig11",
-		nodes:       4,
-		loads:       fig11Loads,
-		partitioner: partition.NewHetero(),
-		iterations:  150,
-		regridEvery: 5,
-		senseEvery:  50,
-	})
+	cfg := paperConfig("fig11", 150)
+	cfg.SenseEvery = 50
+	tr, err := run(cfg, workstations(4), fig11Loads)
 	if err != nil {
 		return nil, err
 	}

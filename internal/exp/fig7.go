@@ -3,7 +3,6 @@ package exp
 import (
 	"io"
 
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 )
 
@@ -37,25 +36,7 @@ var paperTable1 = map[int]float64{4: 7, 8: 6, 16: 18, 32: 18}
 func Fig7TableI() (*Fig7Result, error) {
 	res := &Fig7Result{}
 	for _, nodes := range []int{4, 8, 16, 32} {
-		ht, err := run(runConfig{
-			name:        "hetero",
-			nodes:       nodes,
-			loads:       PaperLoadScript,
-			partitioner: partition.NewHetero(),
-			iterations:  fig7Iterations,
-			regridEvery: 5,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dt, err := run(runConfig{
-			name:        "default",
-			nodes:       nodes,
-			loads:       PaperLoadScript,
-			partitioner: partition.NewComposite(2),
-			iterations:  fig7Iterations,
-			regridEvery: 5,
-		})
+		ht, dt, err := versusDefault(paperConfig("hetero", fig7Iterations), workstations(nodes), PaperLoadScript)
 		if err != nil {
 			return nil, err
 		}

@@ -35,20 +35,14 @@ func fig810Hierarchy() amr.Config {
 // iterations) at the paper's fixed capacities.
 func Fig8to10() (*Fig8to10Result, error) {
 	caps := paperCapacities()
-	hier := fig810Hierarchy()
 	mkRun := func(name string, p partition.Partitioner) (*runlog.RunTrace, error) {
-		return run(runConfig{
-			name:  name,
-			nodes: 4,
-			loads: func(c *cluster.Cluster) {
-				if err := fixedCapacityLoads(c, caps); err != nil {
-					panic(err)
-				}
-			},
-			partitioner: p,
-			iterations:  40,
-			regridEvery: 5,
-			hierarchy:   &hier,
+		cfg := paperConfig(name, 40)
+		cfg.Hierarchy = fig810Hierarchy()
+		cfg.Partitioner = p
+		return run(cfg, workstations(4), func(c *cluster.Cluster) {
+			if err := fixedCapacityLoads(c, caps); err != nil {
+				panic(err)
+			}
 		})
 	}
 	hp := partition.NewHetero()

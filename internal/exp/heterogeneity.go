@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"samrpart/internal/cluster"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 )
 
@@ -40,25 +39,7 @@ func HeterogeneitySweep() (*HeterogeneityResult, error) {
 				c.Node(k).AddLoad(cluster.Step{CPU: target, MemMB: 200 * target})
 			}
 		}
-		ht, err := run(runConfig{
-			name:        "hetero",
-			nodes:       8,
-			loads:       loads,
-			partitioner: partition.NewHetero(),
-			iterations:  100,
-			regridEvery: 5,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dt, err := run(runConfig{
-			name:        "default",
-			nodes:       8,
-			loads:       loads,
-			partitioner: partition.NewComposite(2),
-			iterations:  100,
-			regridEvery: 5,
-		})
+		ht, dt, err := versusDefault(paperConfig("hetero", 100), workstations(8), loads)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,6 @@ import (
 	"io"
 
 	"samrpart/internal/cluster"
-	"samrpart/internal/engine"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 )
 
@@ -20,7 +18,7 @@ type MixedHardwareResult struct {
 	heteroSec      float64
 	defaultSec     float64
 	improvementPct float64
-	caps           []float64
+	caps           []float64 // the system-sensitive run's, sensed before the start
 }
 
 // oldWorkstation is the previous hardware generation: half the speed and
@@ -32,43 +30,16 @@ func oldWorkstation() cluster.NodeSpec {
 // MixedHardware runs the RM3D workload on 8 nodes: 4 current-generation and
 // 4 previous-generation machines.
 func MixedHardware() (*MixedHardwareResult, error) {
-	specs := cluster.Uniform(8, cluster.LinuxWorkstation())
+	specs := workstations(8)
 	for k := 4; k < 8; k++ {
 		old := oldWorkstation()
 		old.Name = specs[k].Name
 		specs[k] = old
 	}
-	runOne := func(p partition.Partitioner) (*runlog.RunTrace, []float64, error) {
-		clus, err := cluster.New(specs, cluster.DefaultParams())
-		if err != nil {
-			return nil, nil, err
-		}
-		// CPU *availability* is 1.0 on every idle node; hardware speed
-		// enters through monitor.ClusterProber, which scales availability
-		// by the node's benchmark speed relative to the fastest machine.
-		e, err := engine.New(engine.Config{
-			Name:        "mixed-hw/" + p.Name(),
-			Hierarchy:   RM3DHierarchy(),
-			App:         engine.NewRM3DOracle(),
-			Partitioner: p,
-			Iterations:  100,
-			RegridEvery: 5,
-			Obs:         obsRT,
-		}, clus)
-		if err != nil {
-			return nil, nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		return tr, e.Capacities(), nil
-	}
-	ht, caps, err := runOne(partition.NewHetero())
-	if err != nil {
-		return nil, err
-	}
-	dt, _, err := runOne(partition.NewComposite(2))
+	// CPU *availability* is 1.0 on every idle node; hardware speed enters
+	// through monitor.ClusterProber, which scales availability by the
+	// node's benchmark speed relative to the fastest machine.
+	ht, dt, err := versusDefault(paperConfig("hetero", 100), specs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +47,7 @@ func MixedHardware() (*MixedHardwareResult, error) {
 		heteroSec:      ht.ExecTime,
 		defaultSec:     dt.ExecTime,
 		improvementPct: (dt.ExecTime - ht.ExecTime) / dt.ExecTime * 100,
-		caps:           caps,
+		caps:           ht.Records[len(ht.Records)-1].Caps,
 	}, nil
 }
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"samrpart/internal/capacity"
 	"samrpart/internal/engine"
@@ -11,7 +10,6 @@ import (
 	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 	"samrpart/internal/solver"
-	"samrpart/internal/transport"
 )
 
 // movementRow is one configuration of the migration-cost study.
@@ -73,39 +71,18 @@ func Movement(iters int) (*MovementResult, error) {
 		{"repartition, no remap", true},
 	} {
 		cfg := movementConfig(iters, sc.noRemap)
-		eps, err := transport.NewGroup(3)
+		results, err := runGroup(3, cfg, false)
 		if err != nil {
 			return nil, err
 		}
-		results := make([]*engine.SPMDResult, len(eps))
-		errs := make([]error, len(eps))
-		var wg sync.WaitGroup
-		for r := range eps {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[r], errs[r] = engine.RunSPMDRank(eps[r], cfg)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 		row := movementRow{scenario: sc.name}
-		field := map[geom.Point]float64{}
-		work := make([]float64, len(eps))
+		work := make([]float64, len(results))
 		for _, r := range results {
 			row.migratedKB += float64(r.MigratedBytes) / 1e3
 			row.retainedKB += float64(r.RetainedBytes) / 1e3
 			row.msgsSent += r.MsgsSent
 			row.l1Sum += r.L1Sum
 			work[r.Rank] = float64(r.OwnedBoxes.TotalCells())
-			for _, p := range r.Patches {
-				p.EachInterior(func(pt geom.Point) { field[pt] = p.At(0, pt) })
-			}
 		}
 		if tot := row.migratedKB + row.retainedKB; tot > 0 {
 			row.migratedPct = row.migratedKB / tot * 100
@@ -122,20 +99,12 @@ func Movement(iters int) (*MovementResult, error) {
 		}
 		row.maxImbalance = capacity.MaxImbalance(work, ideal)
 		res.rows = append(res.rows, row)
-		fields[sc.name] = field
+		fields[sc.name] = composeField(results)
 	}
 	withRemap := fields["repartition, affinity remap"]
 	without := fields["repartition, no remap"]
 	res.cells = len(withRemap)
-	res.bitExact = len(withRemap) == len(without)
-	if res.bitExact {
-		for pt, v := range without {
-			if withRemap[pt] != v {
-				res.bitExact = false
-				break
-			}
-		}
-	}
+	res.bitExact = sameField(withRemap, without)
 	return res, nil
 }
 

@@ -30,13 +30,9 @@ func Scalability() (*ScalabilityResult, error) {
 	res := &ScalabilityResult{}
 	var t1 float64
 	for _, nodes := range []int{1, 2, 4, 8, 16, 32} {
-		tr, err := run(runConfig{
-			name:        "scaling",
-			nodes:       nodes,
-			partitioner: partition.NewSFCHetero(2),
-			iterations:  100,
-			regridEvery: 5,
-		})
+		cfg := paperConfig("scaling", 100)
+		cfg.Partitioner = partition.NewSFCHetero(2)
+		tr, err := run(cfg, workstations(nodes), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -4,9 +4,7 @@ import (
 	"io"
 
 	"samrpart/internal/cluster"
-	"samrpart/internal/engine"
 	"samrpart/internal/monitor"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 )
 
@@ -88,31 +86,14 @@ func SensorFaults(iters int, spec *monitor.ProbeFaultSpec, threshold float64) (*
 	}
 	res := &SensorFaultResult{}
 	for _, sc := range scenarios {
-		clus, err := NewCluster(8)
-		if err != nil {
-			return nil, err
-		}
-		sensorFaultLoads(clus)
-		cfg := engine.Config{
-			Name:                 "sensorfault/" + sc.name,
-			Hierarchy:            RM3DHierarchy(),
-			App:                  engine.NewRM3DOracle(),
-			Partitioner:          partition.NewHetero(),
-			Iterations:           iters,
-			RegridEvery:          5,
-			SenseEvery:           sc.senseEvery,
-			RepartitionThreshold: sc.threshold,
-			Obs:                  obsRT,
-		}
+		cfg := paperConfig("sensorfault/"+sc.name, iters)
+		cfg.SenseEvery = sc.senseEvery
+		cfg.RepartitionThreshold = sc.threshold
 		if sc.faults {
 			cfg.SensorFaults = &s
 		}
 		cfg.Hygiene = sc.hygiene
-		e, err := engine.New(cfg, clus)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := e.Run()
+		tr, err := run(cfg, workstations(8), sensorFaultLoads)
 		if err != nil {
 			return nil, err
 		}

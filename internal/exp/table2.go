@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"samrpart/internal/cluster"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 )
 
@@ -55,27 +54,13 @@ func table2Loads(c *cluster.Cluster) {
 func Table2() (*Table2Result, error) {
 	res := &Table2Result{}
 	for _, nodes := range []int{2, 4, 6, 8} {
-		dyn, err := run(runConfig{
-			name:        "dynamic",
-			nodes:       nodes,
-			loads:       table2Loads,
-			partitioner: partition.NewHetero(),
-			iterations:  table2Iterations,
-			regridEvery: 5,
-			senseEvery:  40,
-		})
+		cfg := paperConfig("dynamic", table2Iterations)
+		cfg.SenseEvery = 40
+		dyn, err := run(cfg, workstations(nodes), table2Loads)
 		if err != nil {
 			return nil, err
 		}
-		st, err := run(runConfig{
-			name:        "static",
-			nodes:       nodes,
-			loads:       table2Loads,
-			partitioner: partition.NewHetero(),
-			iterations:  table2Iterations,
-			regridEvery: 5,
-			senseEvery:  0,
-		})
+		st, err := run(paperConfig("static", table2Iterations), workstations(nodes), table2Loads)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"samrpart/internal/cluster"
-	"samrpart/internal/partition"
 	"samrpart/internal/runlog"
 )
 
@@ -81,15 +80,9 @@ func Table3() (*Table3Result, error) {
 		var sum float64
 		var first *runlog.RunTrace
 		for _, phase := range table3Phases {
-			tr, err := run(runConfig{
-				name:        fmt.Sprintf("sense-every-%d", every),
-				nodes:       4,
-				loads:       table3Loads(phase),
-				partitioner: partition.NewHetero(),
-				iterations:  table3Iterations,
-				regridEvery: 5,
-				senseEvery:  every,
-			})
+			cfg := paperConfig(fmt.Sprintf("sense-every-%d", every), table3Iterations)
+			cfg.SenseEvery = every
+			tr, err := run(cfg, workstations(4), table3Loads(phase))
 			if err != nil {
 				return nil, err
 			}
